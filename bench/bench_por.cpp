@@ -1,12 +1,10 @@
 // Partial-order-reduction benchmark: transitions explored without DPOR
-// and under each reducing mode (sleep sets / sleep + persistent
-// scheduling / Source-DPOR with wakeup trees) on every bundled scenario,
-// plus the soundness contract enforced at runtime — each reduced run
-// must report the identical violation set and the identical unique-state
-// count as the unreduced search, with fewer (or equal) transitions — and
-// the Source-DPOR gate: kSourceDpor must never explore more transitions
-// than kSleepPersistent. The run aborts loudly on any mismatch, so a
-// successful run doubles as a check (the CI bench-por job relies on it).
+// and under sleep sets on every bundled scenario, plus the soundness
+// contract enforced at runtime — each reduced run must report the
+// identical violation set and the identical unique-state count as the
+// unreduced search, with fewer (or equal) transitions. The run aborts
+// loudly on any mismatch, so a successful run doubles as a check (the CI
+// bench-por job relies on it).
 //
 // Every (scenario, reduction) cell runs twice — memo on and memo off
 // (CheckerOptions::memo, the footprint/discovery memoization layer) —
@@ -20,7 +18,7 @@
 // for every scenario, a transition-capped run checkpoints at its halt and
 // a fresh process-state Checker resumes it — the resumed totals
 // (transitions, unique states, quiescent states, violation set) must be
-// identical to the uninterrupted search's, under kNone and kSourceDpor.
+// identical to the uninterrupted search's, under kNone and kSleep.
 //
 // A fourth runtime gate covers the observability layer (util/telemetry.h):
 // for every scenario an extra telemetry-on run must report counts
@@ -54,8 +52,8 @@ namespace {
 /// Minimum footprint-memo hit rate on every bundled scenario's reduced
 /// memo-on runs (only rows with enough lookups to be meaningful — see
 /// check_hit_rate_floor). Sequential searches are deterministic, so the
-/// rates are exactly reproducible; the lowest today is lb-fixed under
-/// SLEEP+PERSISTENT at 0.357 (most sit between 0.44 and 0.86). The floor
+/// rates are exactly reproducible; the lowest today is lb-sym4 under
+/// SLEEP at 0.373 (most sit between 0.45 and 0.97). The floor
 /// is a regression tripwire for the key scheme — a keying change that
 /// silently turns the memo into a miss machine trips it — not a target.
 constexpr double kFootprintHitRateFloor = 0.30;
@@ -271,7 +269,7 @@ struct ModePair {
 struct Row {
   std::string name;
   std::string faults;
-  ModePair none, sleep, persistent, source;
+  ModePair none, sleep;
   /// Telemetry-on re-run of the NONE cell (the largest transition count,
   /// so per-transition instrumentation cost is most visible there).
   mc::CheckerResult telem;
@@ -327,10 +325,9 @@ int main(int argc, char** argv) {
   if (progress_path != nullptr) std::remove(progress_path);
 
   std::vector<Row> rows;
-  std::printf("%-22s %-14s %10s %9s %9s %9s %7s %7s %7s %7s %6s %6s %6s\n",
-              "scenario", "faults", "t(NONE)", "t(S+P)", "t(SRC)", "s(NONE)",
-              "s(S+P)", "s(SRC)", "noMemo", "xWALL", "fpHit", "xTEL",
-              "apply%");
+  std::printf("%-22s %-14s %10s %9s %7s %7s %7s %7s %6s %6s %6s\n",
+              "scenario", "faults", "t(NONE)", "t(SLEEP)", "s(NONE)",
+              "s(SLEEP)", "noMemo", "xWALL", "fpHit", "xTEL", "apply%");
   for (const apps::NamedScenario& ns : apps::bundled_scenarios()) {
     Row row;
     row.name = ns.name;
@@ -341,54 +338,27 @@ int main(int argc, char** argv) {
     };
     row.none = pair(mc::Reduction::kNone);
     row.sleep = pair(mc::Reduction::kSleep);
-    row.persistent = pair(mc::Reduction::kSleepPersistent);
-    row.source = pair(mc::Reduction::kSourceDpor);
     row.telem = run_scenario(ns, mc::Reduction::kNone, /*memo=*/true,
                              repeats, /*telemetry=*/true, progress_path);
     check_telemetry(ns.name.c_str(), row.telem, row.none.on);
 
     check_sound(ns.name.c_str(), "SLEEP", row.none.on, row.sleep.on);
-    check_sound(ns.name.c_str(), "SLEEP+PERSISTENT", row.none.on,
-                row.persistent.on);
-    check_sound(ns.name.c_str(), "SOURCE-DPOR", row.none.on, row.source.on);
     check_memo_identical(ns.name.c_str(), "NONE", row.none.on, row.none.off);
     check_memo_identical(ns.name.c_str(), "SLEEP", row.sleep.on,
                          row.sleep.off);
-    check_memo_identical(ns.name.c_str(), "SLEEP+PERSISTENT",
-                         row.persistent.on, row.persistent.off);
-    check_memo_identical(ns.name.c_str(), "SOURCE-DPOR", row.source.on,
-                         row.source.off);
     check_hit_rate_floor(ns.name.c_str(), "SLEEP", row.sleep.on);
-    check_hit_rate_floor(ns.name.c_str(), "SLEEP+PERSISTENT",
-                         row.persistent.on);
-    check_hit_rate_floor(ns.name.c_str(), "SOURCE-DPOR", row.source.on);
     check_resume_identity(ns, mc::Reduction::kNone, "NONE", row.none.on);
-    check_resume_identity(ns, mc::Reduction::kSourceDpor, "SOURCE-DPOR",
-                          row.source.on);
-    if (row.source.on.transitions > row.persistent.on.transitions) {
-      std::fprintf(
-          stderr,
-          "FATAL: %s: SOURCE-DPOR explored %llu transitions > "
-          "SLEEP+PERSISTENT's %llu (replays %llu woken %llu)\n",
-          ns.name.c_str(),
-          static_cast<unsigned long long>(row.source.on.transitions),
-          static_cast<unsigned long long>(row.persistent.on.transitions),
-          static_cast<unsigned long long>(row.source.on.wakeup.replays),
-          static_cast<unsigned long long>(row.source.on.wakeup.woken));
-      std::exit(1);
-    }
+    check_resume_identity(ns, mc::Reduction::kSleep, "SLEEP", row.sleep.on);
 
     std::printf(
-        "%-22s %-14s %10llu %9llu %9llu %6.3fs %6.3fs %6.3fs %6.3fs %6.2fx "
-        "%5.0f%% %5.2fx %5.0f%%\n",
+        "%-22s %-14s %10llu %9llu %6.3fs %6.3fs %6.3fs %6.2fx %5.0f%% "
+        "%5.2fx %5.0f%%\n",
         ns.name.c_str(), row.faults.c_str(),
         static_cast<unsigned long long>(row.none.on.transitions),
-        static_cast<unsigned long long>(row.persistent.on.transitions),
-        static_cast<unsigned long long>(row.source.on.transitions),
-        row.none.on.seconds, row.persistent.on.seconds, row.source.on.seconds,
-        row.source.off.seconds,
-        wall_ratio(row.none.on.seconds, row.source.on.seconds),
-        100.0 * fp_hit_rate(row.source.on),
+        static_cast<unsigned long long>(row.sleep.on.transitions),
+        row.none.on.seconds, row.sleep.on.seconds, row.sleep.off.seconds,
+        wall_ratio(row.none.on.seconds, row.sleep.on.seconds),
+        100.0 * fp_hit_rate(row.sleep.on),
         wall_ratio(row.none.on.seconds, row.telem.seconds),
         100.0 * phase_fraction(row.telem, util::Phase::kApply));
     rows.push_back(std::move(row));
@@ -433,8 +403,6 @@ int main(int argc, char** argv) {
       std::fprintf(f, "      \"faults\": \"%s\",\n", r.faults.c_str());
       emit("none", r.none);
       emit("sleep", r.sleep);
-      emit("sleep_persistent", r.persistent);
-      emit("source_dpor", r.source);
       std::fprintf(f,
                    "      \"telemetry\": {\"seconds_on\": %.4f, "
                    "\"seconds_off\": %.4f, \"overhead\": %.3f, \"wall_ns\": "
@@ -449,25 +417,11 @@ int main(int argc, char** argv) {
                          r.telem.telemetry.phases[p].total_ns));
       }
       std::fprintf(f, "}},\n");
-      std::fprintf(
-          f,
-          "      \"wakeup\": {\"replays\": %llu, \"woken\": %llu, "
-          "\"trees\": %llu, \"sequences\": %llu},\n",
-          static_cast<unsigned long long>(r.source.on.wakeup.replays),
-          static_cast<unsigned long long>(r.source.on.wakeup.woken),
-          static_cast<unsigned long long>(r.source.on.wakeup.trees),
-          static_cast<unsigned long long>(r.source.on.wakeup.sequences));
       std::fprintf(f,
                    "      \"reduction_sleep\": %.3f,\n"
-                   "      \"reduction_sleep_persistent\": %.3f,\n"
-                   "      \"reduction_source_dpor\": %.3f,\n"
-                   "      \"wall_overhead_sleep_persistent\": %.3f,\n"
-                   "      \"wall_overhead_source_dpor\": %.3f\n    }%s\n",
+                   "      \"wall_overhead_sleep\": %.3f\n    }%s\n",
                    ratio(r.none.on, r.sleep.on),
-                   ratio(r.none.on, r.persistent.on),
-                   ratio(r.none.on, r.source.on),
-                   wall_ratio(r.none.on.seconds, r.persistent.on.seconds),
-                   wall_ratio(r.none.on.seconds, r.source.on.seconds),
+                   wall_ratio(r.none.on.seconds, r.sleep.on.seconds),
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -12,10 +12,14 @@
 //   durable_search --scenario pyswitch-bug1 --checkpoint /tmp/ck \
 //                  --interval 0.01 --handle-signals --json out.json
 //   durable_search --scenario pyswitch-bug1 --checkpoint /tmp/ck --resume
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "apps/scenarios.h"
 #include "mc/checker.h"
@@ -31,7 +35,7 @@ int usage(const char* argv0) {
       "usage: %s [--scenario NAME] [--checkpoint PATH] [--interval SECS]\n"
       "          [--resume] [--handle-signals] [--memory-budget BYTES]\n"
       "          [--threads N] [--frontier dfs|bfs|random]\n"
-      "          [--reduction none|sleep|sleep-persistent|source-dpor]\n"
+      "          [--reduction none|sleep]\n"
       "          [--store hash|full|collapsed] [--max-transitions N]\n"
       "          [--telemetry] [--progress PATH] [--progress-interval SECS]\n"
       "          [--tty] [--trace-json PATH] [--trace-dot PATH]\n"
@@ -58,7 +62,6 @@ int usage(const char* argv0) {
       "  frontier               nodes currently queued for expansion\n"
       "  utilization            1 - idle fraction across bound workers\n"
       "  memo_*_hit_rate        footprint / discovery memo effectiveness\n"
-      "  wakeup_replays/woken   source-DPOR wakeup-tree activity\n"
       "  engine_bytes           engine-accounted resident bytes\n"
       "  peak_rss_bytes         OS-reported high-water mark\n"
       "  phase_*_ns             per-phase time (clone, apply, enabled,\n"
@@ -66,9 +69,46 @@ int usage(const char* argv0) {
       "                         checkpoint, idle, other)\n"
       "--progress streams NDJSON snapshots of those metrics; a resumed run\n"
       "appends and continues the sequence numbers. --trace-json/--trace-dot\n"
-      "export the first violation's counterexample trace.\n",
+      "export the first violation's counterexample trace.\n"
+      "\n"
+      "Numeric values must be plain non-negative decimals (N: integer,\n"
+      "SECS: integer or fraction); anything else exits with status 2.\n",
       argv0);
   return 2;
+}
+
+/// Strict unsigned parse: the whole token must be decimal digits whose
+/// value lies in [lo, hi] — no sign, whitespace, trailing garbage or
+/// overflow (strtoull alone accepts "-1" as 2^64-1 and "abc" as 0).
+bool parse_uint(const char* v, std::uint64_t lo, std::uint64_t hi,
+                std::uint64_t& out) {
+  if (v == nullptr || *v < '0' || *v > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long x = std::strtoull(v, &end, 10);
+  if (errno != 0 || *end != '\0' || x < lo || x > hi) return false;
+  out = x;
+  return true;
+}
+
+/// Strict non-negative finite seconds ("0.5", "30", ".01").
+bool parse_seconds(const char* v, double& out) {
+  if (v == nullptr || !((*v >= '0' && *v <= '9') || *v == '.')) return false;
+  errno = 0;
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  if (errno != 0 || end == v || *end != '\0' || !std::isfinite(x)) {
+    return false;
+  }
+  out = x;
+  return true;
+}
+
+int bad_value(const char* argv0, std::string_view flag, const char* v) {
+  std::fprintf(stderr, "invalid value '%s' for %.*s\n",
+               v == nullptr ? "" : v, static_cast<int>(flag.size()),
+               flag.data());
+  return usage(argv0);
 }
 
 }  // namespace
@@ -105,8 +145,9 @@ int main(int argc, char** argv) {
       opt.checkpoint_path = v;
     } else if (arg == "--interval") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opt.checkpoint_interval_seconds = std::atof(v);
+      if (!parse_seconds(v, opt.checkpoint_interval_seconds)) {
+        return bad_value(argv[0], arg, v);
+      }
     } else if (arg == "--resume") {
       opt.resume = true;
     } else if (arg == "--symmetry") {
@@ -115,16 +156,19 @@ int main(int argc, char** argv) {
       opt.handle_signals = true;
     } else if (arg == "--memory-budget") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opt.memory_budget_bytes = std::strtoull(v, nullptr, 10);
+      if (!parse_uint(v, 0, UINT64_MAX, opt.memory_budget_bytes)) {
+        return bad_value(argv[0], arg, v);
+      }
     } else if (arg == "--threads") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opt.threads = static_cast<unsigned>(std::atoi(v));
+      std::uint64_t n = 0;
+      if (!parse_uint(v, 1, 1024, n)) return bad_value(argv[0], arg, v);
+      opt.threads = static_cast<unsigned>(n);
     } else if (arg == "--max-transitions") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opt.max_transitions = std::strtoull(v, nullptr, 10);
+      if (!parse_uint(v, 0, UINT64_MAX, opt.max_transitions)) {
+        return bad_value(argv[0], arg, v);
+      }
     } else if (arg == "--frontier") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
@@ -137,8 +181,6 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       if (std::strcmp(v, "none") == 0) opt.reduction = mc::Reduction::kNone;
       else if (std::strcmp(v, "sleep") == 0) opt.reduction = mc::Reduction::kSleep;
-      else if (std::strcmp(v, "sleep-persistent") == 0) opt.reduction = mc::Reduction::kSleepPersistent;
-      else if (std::strcmp(v, "source-dpor") == 0) opt.reduction = mc::Reduction::kSourceDpor;
       else return usage(argv[0]);
     } else if (arg == "--json") {
       const char* v = value();
@@ -153,8 +195,9 @@ int main(int argc, char** argv) {
       opt.progress_path = v;
     } else if (arg == "--progress-interval") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opt.progress_interval_seconds = std::atof(v);
+      if (!parse_seconds(v, opt.progress_interval_seconds)) {
+        return bad_value(argv[0], arg, v);
+      }
     } else if (arg == "--tty") {
       opt.telemetry = true;
       opt.progress_tty = true;
@@ -172,12 +215,14 @@ int main(int argc, char** argv) {
       faults = v;
     } else if (arg == "--fault-budget") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
+      std::uint64_t n = mc::kUnboundedFaults;
+      if (v == nullptr ||
+          (std::strcmp(v, "unbounded") != 0 &&
+           !parse_uint(v, 0, mc::kUnboundedFaults - 1, n))) {
+        return bad_value(argv[0], arg, v);
+      }
       have_fault_budget = true;
-      fault_budget = std::strcmp(v, "unbounded") == 0
-                         ? mc::kUnboundedFaults
-                         : static_cast<std::uint32_t>(
-                               std::strtoul(v, nullptr, 10));
+      fault_budget = static_cast<std::uint32_t>(n);
     } else if (arg == "--store") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
@@ -245,6 +290,10 @@ int main(int argc, char** argv) {
 
   mc::Checker checker(s.config, opt, s.properties);
   const mc::CheckerResult r = checker.run();
+  if (!r.durability.resume_error.empty()) {
+    std::fprintf(stderr, "resume failed, searched from scratch: %s\n",
+                 r.durability.resume_error.c_str());
+  }
 
   std::printf(
       "%s: transitions=%llu unique=%llu revisits=%llu quiescent=%llu "

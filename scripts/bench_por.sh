@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Build (Release) and run the partial-order-reduction benchmark, writing
 # the machine-readable BENCH_por.json (or $1): per bundled scenario, the
-# transitions explored under NONE / SLEEP / SLEEP+PERSISTENT / SOURCE-DPOR,
-# the reduction ratios, and the memoization-layer record (memo-on vs
-# memo-off wall time per mode, footprint/discovery hit rates, resident
-# bytes). The benchmark enforces its contracts at runtime and exits
-# non-zero on any violation, so a successful run doubles as a check:
+# transitions explored under NONE / SLEEP, the reduction ratio, and the
+# memoization-layer record (memo-on vs memo-off wall time per mode,
+# footprint/discovery hit rates, resident bytes). The benchmark enforces
+# its contracts at runtime and exits non-zero on any violation, so a
+# successful run doubles as a check:
 #   * soundness — identical violation sets / unique-state / quiescent
-#     counts across reducing modes, ≤ transitions vs the unreduced run,
-#     and the SOURCE-DPOR ≤ SLEEP+PERSISTENT transition gate;
+#     counts under SLEEP, ≤ transitions vs the unreduced run;
+#   * resume identity — an interrupted-and-resumed run reports the
+#     uninterrupted run's totals, under NONE and SLEEP;
 #   * memo count-invisibility — every memo-on run must report counts
 #     identical to its memo-off twin;
 #   * memo hit-rate floor — the footprint hit rate on scenarios with

@@ -46,8 +46,8 @@ CheckerResult Checker::run() {
     if (options_.resume) {
       // Resume-or-fresh: a missing/corrupt/mismatching checkpoint is not
       // fatal — the search simply starts over (and re-creates the slots).
-      std::string error;
-      (void)durability->resume(core_, error);
+      // The reason lands in CheckerResult::durability.resume_error.
+      (void)durability->resume(core_);
     }
   }
   std::unique_ptr<util::ProgressReporter> reporter = make_reporter();

@@ -20,6 +20,7 @@
 
 #include "mc/discover.h"
 #include "mc/por/reduction.h"
+#include "mc/por/sleep.h"
 #include "mc/execute.h"
 #include "mc/frontier.h"
 #include "mc/parallel.h"
@@ -47,14 +48,12 @@ class Checker {
                       ? std::make_unique<util::CollapseTable>(
                             shard_count(options))
                       : nullptr),
-        // Symmetry forces the reducer off: POR's sleep/wakeup bookkeeping
-        // assumes key-equal states enable identically *labelled*
-        // transitions, which merging permutation-equivalent states breaks.
-        reducer_(options.reduction == Reduction::kNone || options.symmetry
-                     ? nullptr
-                     : std::make_unique<por::Reducer>(options.reduction,
-                                                      packet_keyed(props),
-                                                      shard_count(options))),
+        // Symmetry forces reduction off: the sleep-set bookkeeping assumes
+        // key-equal states enable identically *labelled* transitions,
+        // which merging permutation-equivalent states breaks.
+        sleep_(options.reduction == Reduction::kNone || options.symmetry
+                   ? nullptr
+                   : std::make_unique<por::SleepStore>(shard_count(options))),
         // The memo layer keys on component identities that the seen-set's
         // own bookkeeping already computes: interned ids in kCollapsed
         // mode (collapse_key warms the Snap::form_id memos as a side
@@ -80,9 +79,9 @@ class Checker {
         // Throws std::invalid_argument on an invalid orbit declaration.
         sym_(options.symmetry ? std::make_unique<SymContext>(cfg)
                               : nullptr),
-        core_(cfg_, options_, executor_, seen_, reducer_.get(),
-              collapse_.get(), fp_memo_.get(), disc_memo_.get(),
-              telem_.get(), sym_.get()) {
+        core_(cfg_, options_, executor_, seen_, sleep_.get(),
+              packet_keyed(props), collapse_.get(), fp_memo_.get(),
+              disc_memo_.get(), telem_.get(), sym_.get()) {
     executor_.set_discovery_memo(disc_memo_.get());
   }
 
@@ -135,7 +134,7 @@ class Checker {
   Executor executor_;
   util::ShardedSeenSet seen_;
   std::unique_ptr<util::CollapseTable> collapse_;
-  std::unique_ptr<por::Reducer> reducer_;
+  std::unique_ptr<por::SleepStore> sleep_;
   std::unique_ptr<por::FootprintMemo> fp_memo_;
   std::unique_ptr<DiscoveryMemo> disc_memo_;
   // Constructed before core_, which captures the raw pointer.

@@ -63,7 +63,7 @@ namespace {
 // the version on any payload layout change — the loader rejects other
 // versions with an explicit diagnostic instead of misparsing.
 constexpr std::uint64_t kMagic = 0x4E494345434B5054ULL;
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 // magic u64 + version u32 + sequence u64 + payload-size u64 + Hash128.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 16;
 
@@ -329,9 +329,6 @@ bool Durability::save(const SearchCore& core, const Snapshot& snap) {
   s.put_u64(snap.unique_states);
   s.put_u64(snap.revisits);
   s.put_u64(snap.quiescent_states);
-  const auto [replays, woken] = core.wakeup_replay_counters();
-  s.put_u64(replays);
-  s.put_u64(woken);
 
   s.put_tag('V');
   static const std::vector<ViolationRecord> kNoViolations;
@@ -354,8 +351,8 @@ bool Durability::save(const SearchCore& core, const Snapshot& snap) {
   if (core.collapse() != nullptr) core.collapse()->serialize(s);
 
   s.put_tag('Z');
-  s.put_bool(core.reducer() != nullptr);
-  if (core.reducer() != nullptr) core.reducer()->store().serialize(s);
+  s.put_bool(core.sleep_store() != nullptr);
+  if (core.sleep_store() != nullptr) core.sleep_store()->serialize(s);
 
   s.put_tag('F');
   s.put_u64(snap.frontier_rng);
@@ -397,15 +394,6 @@ bool Durability::save(const SearchCore& core, const Snapshot& snap) {
     n->transition.serialize(s);
     s.put_u64(n->depth);
     serialize_sleep_set(s, n->sleep);
-    s.put_u32(static_cast<std::uint32_t>(n->wake.size()));
-    for (const std::uint64_t w : n->wake) s.put_u64(w);
-    s.put_u32(static_cast<std::uint32_t>(n->cond.size()));
-    for (const CondSleep& c : n->cond) {
-      c.transition.serialize(s);
-      c.fp.serialize(s);
-      s.put_u64(c.thash);
-    }
-    s.put_bool(n->claim_free);
   }
 
   const std::string payload = s.take();
@@ -453,8 +441,6 @@ bool Durability::parse_payload(const SearchCore& core, util::Des& d,
   seed_unique_ = d.get_u64();
   seed_revisits_ = d.get_u64();
   seed_quiescent_ = d.get_u64();
-  const std::uint64_t replays = d.get_u64();
-  const std::uint64_t woken = d.get_u64();
 
   if (!expect_tag(d, 'V') ||
       !deserialize_violations(d, seed_violations_)) {
@@ -476,7 +462,7 @@ bool Durability::parse_payload(const SearchCore& core, util::Des& d,
   const auto clear_stores = [&core] {
     core.seen().clear();
     if (core.collapse() != nullptr) core.collapse()->clear();
-    if (core.reducer() != nullptr) core.reducer()->store().clear();
+    if (core.sleep_store() != nullptr) core.sleep_store()->clear();
   };
 
   // Store sections. All three stores hold opaque byte keys (the seen-set's
@@ -517,12 +503,12 @@ bool Durability::parse_payload(const SearchCore& core, util::Des& d,
     return false;
   }
   const bool has_sleep = d.get_bool();
-  if (has_sleep != (core.reducer() != nullptr)) {
+  if (has_sleep != (core.sleep_store() != nullptr)) {
     error = "reduction-mode mismatch";
     clear_stores();
     return false;
   }
-  if (has_sleep && !core.reducer()->store().restore(d)) {
+  if (has_sleep && !core.sleep_store()->restore(d)) {
     error = "malformed sleep-store section";
     clear_stores();
     return false;
@@ -582,38 +568,6 @@ bool Durability::parse_payload(const SearchCore& core, util::Des& d,
       clear_stores();
       return false;
     }
-    const std::uint32_t wakes = d.get_u32();
-    if (wakes > d.remaining() / 8) d.fail();
-    if (!d.ok()) {
-      error = "malformed frontier nodes";
-      clear_stores();
-      return false;
-    }
-    p.node.wake.reserve(wakes);
-    for (std::uint32_t j = 0; j < wakes; ++j) {
-      p.node.wake.push_back(d.get_u64());
-    }
-    const std::uint32_t conds = d.get_u32();
-    if (conds > d.remaining() / 8) d.fail();
-    if (!d.ok()) {
-      error = "malformed frontier nodes";
-      clear_stores();
-      return false;
-    }
-    p.node.cond.reserve(conds);
-    for (std::uint32_t j = 0; j < conds; ++j) {
-      CondSleep c;
-      c.transition = Transition::deserialize(d);
-      c.fp = por::Footprint::deserialize(d);
-      c.thash = d.get_u64();
-      p.node.cond.push_back(std::move(c));
-    }
-    p.node.claim_free = d.get_bool();
-    if (!d.ok()) {
-      error = "malformed frontier nodes";
-      clear_stores();
-      return false;
-    }
     pending.push_back(std::move(p));
   }
   if (!d.done()) {
@@ -647,13 +601,11 @@ bool Durability::parse_payload(const SearchCore& core, util::Des& d,
     p.node.path = p.path_ref == 0 ? nullptr : paths[p.path_ref - 1];
     nodes_.push_back(std::move(p.node));
   }
-
-  core.seed_wakeup_replay_counters(replays, woken);
   return true;
 }
 
-bool Durability::resume(const SearchCore& core, std::string& error) {
-  error.clear();
+bool Durability::resume(const SearchCore& core) {
+  std::string error;
   SlotInfo slots[2] = {
       read_checkpoint_slot(checkpoint_slot_a(options_.checkpoint_path)),
       read_checkpoint_slot(checkpoint_slot_b(options_.checkpoint_path))};
@@ -687,6 +639,7 @@ bool Durability::resume(const SearchCore& core, std::string& error) {
     error += "slot seq " + std::to_string(slot.sequence) + ": " + perr;
   }
   if (error.empty()) error = "no checkpoint slots found";
+  resume_error_ = std::move(error);
   return false;
 }
 
@@ -754,6 +707,7 @@ void Durability::fill(CheckerResult& result) const {
   result.durability.resumed = result.durability.resumed || resumed_;
   result.durability.memo_shrinks = memo_shrinks_;
   result.durability.watchdog_bytes = watchdog_bytes_;
+  result.durability.resume_error = resume_error_;
 }
 
 // ---- SearchCore accounting hook -------------------------------------------
@@ -761,7 +715,7 @@ void Durability::fill(CheckerResult& result) const {
 std::uint64_t SearchCore::resident_bytes(std::uint64_t frontier_nodes) const {
   std::uint64_t bytes = seen_.store_bytes();
   if (collapse_ != nullptr) bytes += collapse_->interned_bytes();
-  if (reducer_ != nullptr) bytes += reducer_->store().store_bytes();
+  if (sleep_ != nullptr) bytes += sleep_->store_bytes();
   if (fp_memo_ != nullptr) bytes += fp_memo_->stats().bytes;
   if (disc_memo_ != nullptr) {
     bytes += disc_memo_->packet_stats().bytes;

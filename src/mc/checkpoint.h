@@ -5,7 +5,7 @@
 // as if it had never stopped: the explored-state store (util/seen_set.h),
 // the component-interning table (util/collapse.h — restored first, so the
 // id tuples stored elsewhere stay valid verbatim), the reduction layer's
-// sleep store with its wakeup trees (mc/por/sleep.h), the pending
+// sleep store (mc/por/sleep.h), the pending
 // frontier, and the run counters/violations. Shard placement in every
 // store is a pure function of the entry bytes, so a snapshot is
 // self-contained and restores correctly under any shard count.
@@ -135,9 +135,10 @@ class Durability {
   /// Load the best valid slot, restore the stores through `core` (they
   /// must be empty — resume before searching), rebuild the frontier nodes
   /// by deterministic replay, and stash the counters for seed(). Returns
-  /// false with a diagnostic when no usable checkpoint exists (the caller
-  /// falls back to a fresh run).
-  bool resume(const SearchCore& core, std::string& error);
+  /// false when no usable checkpoint exists (the caller falls back to a
+  /// fresh run); fill() then reports the per-slot diagnostics as
+  /// CheckerResult::durability.resume_error.
+  bool resume(const SearchCore& core);
 
   [[nodiscard]] bool resumed() const noexcept { return resumed_; }
 
@@ -184,6 +185,7 @@ class Durability {
   std::uint64_t sequence_{1};
 
   bool resumed_{false};
+  std::string resume_error_;
   std::uint64_t seed_transitions_{0};
   std::uint64_t seed_unique_{0};
   std::uint64_t seed_revisits_{0};

@@ -30,36 +30,12 @@ namespace nicemc::mc {
 /// `sleep` is the partial-order-reduction sleep set the resulting state
 /// arrives with (always empty under Reduction::kNone); it is per-node, so
 /// the parallel driver needs no extra shared state beyond the SleepStore.
-/// `wake` (Reduction::kSourceDpor only) marks a *targeted re-dispatch*: a
-/// wakeup sequence being replayed. The resulting arrival re-opens exactly
-/// the still-owed events in `wake` (stored-slept ∩ wake) instead of the
-/// generic smaller-sleep difference — the surgical backtrack-point seeding
-/// that lets re-expanded siblings sleep this node's transition.
-/// A conditional sleep entry (Reduction::kSourceDpor): a previously
-/// dispatched sibling the node's transition commutes with. If the node
-/// discovers a *new* state, the entry joins the children's sleep sets and
-/// the owed wakeup sequence (replay the sibling, wake this transition) is
-/// emitted from the parent state the node still holds; at an already-seen
-/// state it is dropped for free.
-struct CondSleep {
-  Transition transition;
-  por::Footprint fp;
-  std::uint64_t thash{0};
-};
-
-/// `claim_free` marks a woken successor of a targeted replay: its arrival
-/// exists purely to visit the commuted twin state — it makes no sleep
-/// claims, so at a seen state it explores nothing (the state's own
-/// obligations are untouched), and only a genuinely new state expands.
 struct SearchNode {
   std::shared_ptr<const SystemState> state;
   Transition transition;
   std::shared_ptr<const PathNode> path;
   std::size_t depth{0};
   por::SleepSet sleep;
-  std::vector<std::uint64_t> wake;
-  std::vector<CondSleep> cond;
-  bool claim_free{false};
 };
 
 enum class FrontierKind : std::uint8_t { kDfs, kBfs, kRandom };

@@ -13,12 +13,9 @@
 // the soundness contract (same unique states, same violation set, ≤
 // transitions of the unreduced run); exact transition counts become
 // schedule-dependent because which arrival claims a sleep re-expansion
-// races (see mc/por/sleep.h). kSourceDpor composes the same way: sleep
-// sets, wake lists and conditional entries all ride on SearchNode, the
-// wakeup trees live in the lock-striped SleepStore, and replay
-// activation (a re-expanded child winning a first arrival) is just
-// another schedule-dependent claim — parallel runs can activate replays
-// a sequential DFS never would, and stay count-equivalent on states.
+// races (see mc/por/sleep.h). Sleep sets ride on SearchNode and the
+// per-state bookkeeping lives in the lock-striped SleepStore, so the
+// driver needs no other shared reduction state.
 //
 // run_random_walk_portfolio: the simulator mode as a portfolio — each
 // worker runs an independent share of the walks with its own seeded RNG,

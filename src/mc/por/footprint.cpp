@@ -200,6 +200,10 @@ Footprint compute_footprint(const SystemConfig& cfg, const SystemState& state,
       break;
     }
     case TKind::kHostSendDiscovered: {
+      // Discovered packets are derived from the controller's app state
+      // (Executor::enabled), so any controller transition can enable or
+      // disable this send.
+      fp.read(rid(Res::kCtrl));
       fp.write(rid(Res::kHostCore, t.a));
       host_send_common(fp, cfg, state, t.a);
       add_hdr_keys(fp, t.fields);

@@ -8,10 +8,6 @@ std::string reduction_name(Reduction r) {
       return "NONE";
     case Reduction::kSleep:
       return "SLEEP";
-    case Reduction::kSleepPersistent:
-      return "SLEEP+PERSISTENT";
-    case Reduction::kSourceDpor:
-      return "SOURCE-DPOR";
   }
   return "?";
 }

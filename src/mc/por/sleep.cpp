@@ -6,11 +6,10 @@
 namespace nicemc::mc::por {
 
 namespace {
-/// Coarse per-entry accounting overhead (map node, Entry, vectors) and
-/// per-wakeup-node cost used by the running store_bytes() counter — the
-/// watchdog needs honest magnitudes, not exact heap telemetry.
+/// Coarse per-entry accounting overhead (map node, Entry, vector) used by
+/// the running store_bytes() counter — the watchdog needs honest
+/// magnitudes, not exact heap telemetry.
 constexpr std::uint64_t kEntryOverhead = 96;
-constexpr std::uint64_t kWakeupNodeCost = 96;
 }  // namespace
 
 SleepStore::SleepStore(std::size_t shards) : select_(shards) {
@@ -21,9 +20,7 @@ SleepStore::SleepStore(std::size_t shards) : select_(shards) {
 }
 
 SleepStore::Arrival SleepStore::arrive(std::string_view identity,
-                                       const SleepSet& sleep, bool wakeups,
-                                       const std::vector<std::uint64_t>* wake,
-                                       bool observe) {
+                                       const SleepSet& sleep) {
   std::vector<std::uint64_t> mine;
   mine.reserve(sleep.size());
   for (const SleepEntry& z : sleep) mine.push_back(z.thash);
@@ -37,31 +34,13 @@ SleepStore::Arrival SleepStore::arrive(std::string_view identity,
     bytes_.fetch_add(identity.size() + kEntryOverhead +
                          mine.size() * sizeof(std::uint64_t),
                      std::memory_order_relaxed);
-    sh.slept.emplace(std::string(identity), Entry{std::move(mine), nullptr});
-    return Arrival{.first = true, .explore = {}, .dispatched = {}};
+    sh.slept.emplace(std::string(identity), Entry{std::move(mine)});
+    return Arrival{.first = true, .explore = {}};
   }
 
   Arrival out;
-  if (observe) return out;  // claim-free: the visit itself was the point
-  Entry& entry = it->second;
-  std::vector<std::uint64_t>& stored = entry.slept;
+  std::vector<std::uint64_t>& stored = it->second.slept;
   if (stored.empty()) return out;
-
-  if (wake != nullptr) {
-    // Targeted arrival: dispatch exactly the still-owed wake events (they
-    // leave the stored set because they are explored now); everything
-    // else keeps the justification its own arrivals established.
-    std::erase_if(stored, [&](std::uint64_t th) {
-      if (std::find(wake->begin(), wake->end(), th) == wake->end()) {
-        return false;
-      }
-      out.explore.push_back(th);
-      return true;
-    });
-    bytes_.fetch_sub(out.explore.size() * sizeof(std::uint64_t),
-                     std::memory_order_relaxed);
-    return out;
-  }
 
   // Revisit: expand what every earlier arrival slept but this one does
   // not, and shrink the stored set to the intersection (an entry stays
@@ -78,90 +57,7 @@ SleepStore::Arrival SleepStore::arrive(std::string_view identity,
   stored = std::move(kept);
   bytes_.fetch_sub(out.explore.size() * sizeof(std::uint64_t),
                    std::memory_order_relaxed);
-  // The dispatched roots only matter to a re-expanding caller, so pure
-  // revisits (the dominant case) skip the copy and keep the critical
-  // section short.
-  if (wakeups && !out.explore.empty() && entry.wakeups != nullptr) {
-    entry.wakeups->roots(out.dispatched);
-  }
   return out;
-}
-
-std::size_t SleepStore::record_schedule(
-    std::string_view identity, const std::vector<std::uint64_t>& events,
-    std::vector<WakeupContext>&& contexts,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& races) {
-  if (events.empty()) return 0;
-  Shard& sh = shard_of(identity);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.slept.find(identity);
-  if (it == sh.slept.end()) {
-    // The arrival that schedules a dispatch always registered first, so
-    // the entry exists; tolerate direct store use (tests) anyway.
-    it = sh.slept.emplace(std::string(identity), Entry{}).first;
-    bytes_.fetch_add(identity.size() + kEntryOverhead,
-                     std::memory_order_relaxed);
-  }
-  if (it->second.wakeups == nullptr) {
-    it->second.wakeups = std::make_unique<WakeupTree>();
-  }
-  WakeupTree& tree = *it->second.wakeups;
-  const std::size_t nodes_before = tree.nodes();
-  std::size_t recorded = 0;
-  std::vector<std::uint64_t> seq(1);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    seq[0] = events[i];
-    WakeupContext ctx =
-        i < contexts.size() ? std::move(contexts[i]) : WakeupContext{};
-    if (tree.insert(seq, std::move(ctx))) ++recorded;
-  }
-  std::vector<std::uint64_t> pair_seq(2);
-  for (const auto& [a, b] : races) {
-    pair_seq[0] = events[a];
-    pair_seq[1] = events[b];
-    if (tree.insert(pair_seq, {})) ++recorded;
-  }
-  bytes_.fetch_add((tree.nodes() - nodes_before) * kWakeupNodeCost,
-                   std::memory_order_relaxed);
-  return recorded;
-}
-
-bool SleepStore::covered(std::string_view identity, std::uint64_t event,
-                         const WakeupContext& ctx) const {
-  Shard& sh = shard_of(identity);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  const auto it = sh.slept.find(identity);
-  if (it == sh.slept.end() || it->second.wakeups == nullptr) return false;
-  return it->second.wakeups->covered(std::vector<std::uint64_t>{event}, ctx);
-}
-
-std::vector<std::uint64_t> SleepStore::claim_wakeups(
-    std::string_view identity, std::uint64_t event,
-    const std::vector<std::uint64_t>& want) {
-  std::vector<std::uint64_t> fresh;
-  Shard& sh = shard_of(identity);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.slept.find(identity);
-  if (it == sh.slept.end()) {
-    it = sh.slept.emplace(std::string(identity), Entry{}).first;
-    bytes_.fetch_add(identity.size() + kEntryOverhead,
-                     std::memory_order_relaxed);
-  }
-  if (it->second.wakeups == nullptr) {
-    it->second.wakeups = std::make_unique<WakeupTree>();
-  }
-  WakeupTree& tree = *it->second.wakeups;
-  const std::size_t nodes_before = tree.nodes();
-  std::vector<std::uint64_t> seq{event, 0};
-  for (const std::uint64_t t : want) {
-    seq[1] = t;
-    if (tree.contains(seq)) continue;
-    tree.insert(seq, {});
-    fresh.push_back(t);
-  }
-  bytes_.fetch_add((tree.nodes() - nodes_before) * kWakeupNodeCost,
-                   std::memory_order_relaxed);
-  return fresh;
 }
 
 std::uint64_t SleepStore::states() const {
@@ -173,20 +69,6 @@ std::uint64_t SleepStore::states() const {
   return n;
 }
 
-SleepStore::WakeupTotals SleepStore::wakeup_totals() const {
-  WakeupTotals t;
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh->mu);
-    for (const auto& [key, entry] : sh->slept) {
-      if (entry.wakeups == nullptr) continue;
-      ++t.trees;
-      t.nodes += entry.wakeups->nodes();
-      t.sequences += entry.wakeups->sequences();
-    }
-  }
-  return t;
-}
-
 void SleepStore::serialize(util::Ser& s) const {
   s.put_u64(states());
   for (const auto& sh : shards_) {
@@ -195,8 +77,6 @@ void SleepStore::serialize(util::Ser& s) const {
       s.put_str(identity);
       s.put_u64(entry.slept.size());
       for (const std::uint64_t th : entry.slept) s.put_u64(th);
-      s.put_bool(entry.wakeups != nullptr);
-      if (entry.wakeups != nullptr) entry.wakeups->serialize(s);
     }
   }
 }
@@ -214,12 +94,6 @@ bool SleepStore::restore(util::Des& d) {
     for (std::uint64_t j = 0; j < slept_n; ++j) {
       entry.slept.push_back(d.get_u64());
     }
-    std::uint64_t tree_bytes = 0;
-    if (d.get_bool()) {
-      entry.wakeups = std::make_unique<WakeupTree>();
-      if (!entry.wakeups->restore(d)) return false;
-      tree_bytes = entry.wakeups->nodes() * kWakeupNodeCost;
-    }
     if (!d.ok()) return false;
     Shard& sh = shard_of(identity);
     std::lock_guard<std::mutex> lock(sh.mu);
@@ -230,8 +104,7 @@ bool SleepStore::restore(util::Des& d) {
       return false;
     }
     bytes_.fetch_add(identity.size() + kEntryOverhead +
-                         it->second.slept.size() * sizeof(std::uint64_t) +
-                         tree_bytes,
+                         it->second.slept.size() * sizeof(std::uint64_t),
                      std::memory_order_relaxed);
   }
   return d.ok();
@@ -243,46 +116,6 @@ void SleepStore::clear() {
     sh->slept.clear();
   }
   bytes_.store(0, std::memory_order_relaxed);
-}
-
-void cluster_order(const std::vector<Footprint>& fps, bool packet_keys,
-                   std::vector<std::size_t>& order) {
-  const std::size_t n = order.size();
-  if (n < 3) return;  // with ≤ 2 transitions every order is clustered
-
-  // Union-find over positions of `order`, edges = footprint conflicts.
-  std::vector<std::size_t> parent(n);
-  for (std::size_t i = 0; i < n; ++i) parent[i] = i;
-  auto find = [&](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (may_conflict(fps[order[i]], fps[order[j]], packet_keys)) {
-        parent[find(i)] = find(j);
-      }
-    }
-  }
-
-  // Stable partition: clusters in order of first appearance, members in
-  // original order — the cluster of the first transition (the persistent
-  // set committed to first) leads.
-  std::vector<std::size_t> roots;
-  std::vector<std::size_t> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t r = find(i);
-    if (std::find(roots.begin(), roots.end(), r) != roots.end()) continue;
-    roots.push_back(r);
-    for (std::size_t j = i; j < n; ++j) {
-      if (find(j) == r) out.push_back(order[j]);
-    }
-  }
-  order = std::move(out);
 }
 
 }  // namespace nicemc::mc::por

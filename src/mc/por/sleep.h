@@ -1,9 +1,6 @@
 // Sound dynamic partial-order reduction over SearchCore: sleep sets with
-// per-state bookkeeping, a persistent-set selector that schedules
-// expansion cluster-by-cluster, and (Reduction::kSourceDpor) per-state
-// wakeup trees that extend the stateful revisit rule with source-set
-// sleeping. The mode enum and the Reducer context live in
-// mc/por/reduction.h — this header is the store and the selectors.
+// per-state bookkeeping. The mode enum lives in mc/por/reduction.h — this
+// header is the store.
 //
 // A sleep set rides on each SearchNode: the sibling transitions explored
 // before it (and inherited entries) that are independent of everything
@@ -22,29 +19,6 @@
 // state set — only redundant transitions are pruned — which is the
 // contract the differential test enforces: identical violation sets,
 // identical unique-state counts, fewer (or equal) transitions.
-//
-// The persistent-set selector (kSleepPersistent, kSourceDpor) computes
-// the conflict-closure clusters of the transitions about to be expanded
-// and schedules whole clusters consecutively (the cluster of the first
-// enabled transition first — the persistent set a Flanagan–Godefroid
-// explorer would commit to). It deliberately schedules rather than
-// discards: dropping the complement of a persistent set prunes the
-// intermediate states reachable only through deferred orders, and this
-// checker's properties are state predicates (quiescence checks run at
-// every terminal state; monitor state is part of state identity), so the
-// reduction must keep the visited-state set intact. When the footprints
-// all alias into one cluster the selector degenerates to the full set.
-//
-// kSourceDpor adds the wakeup-tree layer (mc/por/wakeup.h): each state's
-// entry carries a trie of the event sequences dispatched from it — every
-// dispatched transition with the sleep context it ran under, plus the
-// race-reversal order of its batch. The revisit rule consumes it: a
-// re-dispatched child treats every previously dispatched independent
-// event as asleep (Godefroid's "already explored at this state" rule,
-// extended across arrivals — the commuted order through the earlier
-// dispatch is already covered, with the GHP machinery guaranteeing its
-// residue), which keeps downstream sleep sets large and stored
-// intersections from decaying, so fewer re-expansions cascade.
 #ifndef NICE_MC_POR_SLEEP_H
 #define NICE_MC_POR_SLEEP_H
 
@@ -56,11 +30,9 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "mc/por/footprint.h"
-#include "mc/por/wakeup.h"
 #include "util/hash.h"
 #include "util/seen_set.h"
 
@@ -80,8 +52,7 @@ using SleepSet = std::vector<SleepEntry>;
 /// Per-state reduction bookkeeping shared by all drivers, lock-striped
 /// like the seen-set (same util::ShardSelect striping). Stores, per
 /// state, the transition hashes slept at every arrival so far (the
-/// intersection over arrivals) and — in wakeup mode — the WakeupTree of
-/// dispatched event sequences.
+/// intersection over arrivals).
 ///
 /// States are matched by the seen-set's *true* identity key — the packed
 /// 128-bit hash in kHash mode, the canonical blob in kFullState, the
@@ -100,12 +71,6 @@ class SleepStore {
     /// Revisits only: transition hashes slept at every earlier arrival
     /// but not in this arrival's sleep set — they must be expanded now.
     std::vector<std::uint64_t> explore;
-    /// Wakeup mode only, and only on revisits that re-expand something
-    /// (`explore` non-empty — pure revisits skip the copy): every event
-    /// previously dispatched from this state, in first-dispatch order
-    /// (the wakeup tree's roots). The revisit rule turns the independent
-    /// ones into conditional sleeps of the re-expanded children.
-    std::vector<std::uint64_t> dispatched;
   };
 
   /// Record an arrival at the state identified by `identity` (the
@@ -116,79 +81,26 @@ class SleepStore {
   /// with `sleep` and returns what the caller must expand. The
   /// first/revisit verdict is made here (not by the seen-set) so parallel
   /// workers agree under one lock. `identity` is copied only on first
-  /// arrival. With `wakeups` the previously dispatched events are
-  /// returned too.
-  ///
-  /// A non-null `wake` marks a *targeted* arrival (a replayed wakeup
-  /// sequence, Reduction::kSourceDpor): on a revisit the caller must
-  /// expand exactly the still-owed events `stored ∩ wake` — which are
-  /// removed from the stored set, since they are dispatched now — and the
-  /// stored set is otherwise left alone (`sleep` claims nothing; the
-  /// arrival is additive, so events outside `wake` keep their earlier
-  /// arrivals' justifications). `observe` marks a *claim-free* arrival (a
-  /// woken successor of a replay): at a known state it neither expands
-  /// nor touches the stored set — the visit itself is the point — and at
-  /// an unknown state both fall back to a normal first arrival.
-  Arrival arrive(std::string_view identity, const SleepSet& sleep,
-                 bool wakeups = false,
-                 const std::vector<std::uint64_t>* wake = nullptr,
-                 bool observe = false);
-
-  /// Wakeup mode: record one arrival's dispatch schedule at `identity` —
-  /// `events` in scheduled order, each under its (normalized) sleep
-  /// `context`, plus the `races` detected by the caller through the
-  /// footprint oracle as (earlier, later) positions into `events`; each
-  /// race is recorded as the depth-2 sequence it was scheduled in.
-  /// Returns the number of newly recorded sequences.
-  std::size_t record_schedule(
-      std::string_view identity, const std::vector<std::uint64_t>& events,
-      std::vector<WakeupContext>&& contexts,
-      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& races);
-
-  /// Wakeup mode: true when the tree at `identity` records a dispatch of
-  /// `event` under a context ⊆ `ctx` (`ctx` normalized) — a re-dispatch
-  /// under `ctx` would explore a subset of what that dispatch already
-  /// covers. Diagnostic/tooling surface over the antichain semantics
-  /// that WakeupTree::insert enforces internally; the search itself
-  /// dedupes replays through claim_wakeups.
-  [[nodiscard]] bool covered(std::string_view identity, std::uint64_t event,
-                             const WakeupContext& ctx) const;
-
-  /// Wakeup mode: atomically claim the wakeup sequences `event`·t (t ∈
-  /// `want`) at `identity`, returning the subset whose sequence was not
-  /// already in the tree. Each claimed pair is recorded as a depth-2
-  /// sequence, so a given (event, wakee) pair is replayed at most once
-  /// per state — concurrent revisits agree under the shard lock.
-  std::vector<std::uint64_t> claim_wakeups(
-      std::string_view identity, std::uint64_t event,
-      const std::vector<std::uint64_t>& want);
+  /// arrival.
+  Arrival arrive(std::string_view identity, const SleepSet& sleep);
 
   [[nodiscard]] std::uint64_t states() const;
 
-  /// Approximate resident bytes (identity keys, slept sets, wakeup-tree
-  /// node estimates), maintained as a running counter so the memory
-  /// watchdog can poll it without walking the shards.
+  /// Approximate resident bytes (identity keys and slept sets), maintained
+  /// as a running counter so the memory watchdog can poll it without
+  /// walking the shards.
   [[nodiscard]] std::uint64_t store_bytes() const noexcept {
     return bytes_.load(std::memory_order_relaxed);
   }
 
   /// Checkpoint section: entry count + every entry (identity key, slept
-  /// hashes, optional wakeup-tree section). Placement on restore is
-  /// re-derived from the identity bytes, so iteration order carries no
-  /// meaning. Not safe against concurrent mutation — drivers quiesce
-  /// before snapshotting.
+  /// hashes). Placement on restore is re-derived from the identity bytes,
+  /// so iteration order carries no meaning. Not safe against concurrent
+  /// mutation — drivers quiesce before snapshotting.
   void serialize(util::Ser& s) const;
   /// Restore a serialize() section into this (must-be-empty) store.
   /// Returns false on a malformed section.
   bool restore(util::Des& d);
-
-  /// Aggregate wakeup-tree statistics (zeros outside wakeup mode).
-  struct WakeupTotals {
-    std::uint64_t trees{0};      // states carrying a wakeup tree
-    std::uint64_t nodes{0};      // trie nodes across all trees
-    std::uint64_t sequences{0};  // recorded sequences across all trees
-  };
-  [[nodiscard]] WakeupTotals wakeup_totals() const;
 
   void clear();
 
@@ -196,9 +108,6 @@ class SleepStore {
   struct Entry {
     /// Intersection over arrivals of their sleep sets.
     std::vector<std::uint64_t> slept;
-    /// Wakeup mode only (lazily allocated on the first recorded
-    /// schedule): the dispatched-sequence trie.
-    std::unique_ptr<WakeupTree> wakeups;
   };
 
   struct Shard {
@@ -226,13 +135,6 @@ class SleepStore {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> bytes_{0};
 };
-
-/// Persistent-set scheduling: permute `order` (indices into `fps`) so
-/// that conflict-closure clusters are expanded consecutively, the cluster
-/// of the first transition first. No-op when everything aliases into one
-/// cluster.
-void cluster_order(const std::vector<Footprint>& fps, bool packet_keys,
-                   std::vector<std::size_t>& order);
 
 }  // namespace nicemc::mc::por
 

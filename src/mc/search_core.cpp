@@ -152,21 +152,18 @@ SearchCore::StateKey SearchCore::identity_key(const SystemState& state) const {
 }
 
 SearchCore::ArriveOutcome SearchCore::arrive_reduced(
-    const SystemState& state, const por::SleepSet& sleep,
-    const std::vector<std::uint64_t>* wake, bool observe) const {
-  // One lock in the SleepStore covers the first/revisit verdict, the
-  // sleep bookkeeping and (wakeup mode) the previously dispatched events
-  // (parallel workers agree); the seen-set insert is deferred to
-  // sync_seen() so the identity bytes — computed once — can first key the
-  // wakeup-tree recording. The sleep keying is therefore exactly as
-  // collision-proof as the seen-set mode.
+    const SystemState& state, const por::SleepSet& sleep) const {
+  // One lock in the SleepStore covers the first/revisit verdict and the
+  // sleep bookkeeping (parallel workers agree); the seen-set insert is
+  // deferred to sync_seen(), which reuses the identity bytes computed
+  // once here. The sleep keying is therefore exactly as collision-proof
+  // as the seen-set mode.
   const util::PhaseScope ps(util::Phase::kRemember);
   ArriveOutcome at;
   StateKey k = identity_key(state);
   at.hash = k.hash;
   at.identity = std::move(k.key);
-  at.arr = reducer_->store().arrive(at.identity, sleep, reducer_->wakeups(),
-                                    wake, observe);
+  at.arr = sleep_->arrive(at.identity, sleep);
   return at;
 }
 
@@ -187,14 +184,6 @@ void SearchCore::fill_store_stats(CheckerResult& result) const {
     result.collapse.interned_bytes = collapse_->interned_bytes();
     result.collapse.intern_calls = collapse_->intern_calls();
     result.collapse.dedupe_ratio = collapse_->dedupe_ratio();
-  }
-  if (reducer_ != nullptr && reducer_->wakeups()) {
-    result.wakeup.replays = replays_.load(std::memory_order_relaxed);
-    result.wakeup.woken = woken_.load(std::memory_order_relaxed);
-    const por::SleepStore::WakeupTotals t = reducer_->store().wakeup_totals();
-    result.wakeup.trees = t.trees;
-    result.wakeup.nodes = t.nodes;
-    result.wakeup.sequences = t.sequences;
   }
   if (fp_memo_ != nullptr) {
     const util::MemoCore::Stats s = fp_memo_->stats();
@@ -322,10 +311,6 @@ void SearchCore::publish_gauges(std::uint64_t frontier_nodes) const {
     telem_->memo_disc_misses.store(p.misses + q.misses,
                                    std::memory_order_relaxed);
   }
-  telem_->wakeup_replays.store(replays_.load(std::memory_order_relaxed),
-                               std::memory_order_relaxed);
-  telem_->wakeup_woken.store(woken_.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
 }
 
 std::vector<SearchNode> SearchCore::init(CheckerResult& result,
@@ -335,10 +320,10 @@ std::vector<SearchNode> SearchCore::init(CheckerResult& result,
   auto initial_sp =
       std::make_shared<const SystemState>(executor_.make_initial());
   ArriveOutcome root_at;
-  if (reducer_ != nullptr) {
+  if (sleep_ != nullptr) {
     // Register the root arrival (empty sleep set) so later re-arrivals at
     // the initial state are pure revisits.
-    root_at = arrive_reduced(*initial_sp, {}, nullptr);
+    root_at = arrive_reduced(*initial_sp, {});
   } else {
     remember(*initial_sp);
   }
@@ -348,7 +333,7 @@ std::vector<SearchNode> SearchCore::init(CheckerResult& result,
   auto ts = apply_strategy(options_.strategy, cfg_, *initial_sp,
                            executor_.enabled(*initial_sp, cache));
   if (ts.empty()) {
-    if (reducer_ != nullptr) sync_seen(std::move(root_at));
+    if (sleep_ != nullptr) sync_seen(std::move(root_at));
     ++result.quiescent_states;
     std::vector<Violation> vs;
     // COW clone: O(#components) pointer copies. Monitors may mutate their
@@ -361,16 +346,15 @@ std::vector<SearchNode> SearchCore::init(CheckerResult& result,
     }
     return roots;
   }
-  if (reducer_ != nullptr) {
+  if (sleep_ != nullptr) {
     make_reduced_children(initial_sp, nullptr, 1, std::move(ts), {}, nullptr,
-                          root_at, /*targeted=*/false, roots);
+                          roots);
     sync_seen(std::move(root_at));
     return roots;
   }
   roots.reserve(ts.size());
   for (Transition& t : ts) {
-    roots.push_back(
-        SearchNode{initial_sp, std::move(t), nullptr, 1, {}, {}, {}, false});
+    roots.push_back(SearchNode{initial_sp, std::move(t), nullptr, 1, {}});
   }
   return roots;
 }
@@ -391,13 +375,6 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node,
 
   if (!violations.empty()) {
     out.transition_violated = true;
-    // A wakeup replay re-executes an edge whose original dispatch (same
-    // source state, deterministic apply) already reported exactly these
-    // violations — re-reporting would duplicate the records in
-    // collect-all mode. The wake it carried needs no delivery either:
-    // nothing is ever explored beyond an erroneous transition, in any
-    // mode.
-    if (!node.wake.empty()) return out;
     const auto trace = trace_of(path);
     out.violations.reserve(violations.size());
     for (Violation& v : violations) {
@@ -406,7 +383,7 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node,
     return out;  // do not remember or expand beyond an erroneous state
   }
 
-  if (reducer_ != nullptr) {
+  if (sleep_ != nullptr) {
     expand_reduced(out, std::move(next), node, std::move(path), cache);
     return out;
   }
@@ -435,7 +412,7 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node,
   out.children.reserve(ts.size());
   for (Transition& t : ts) {
     out.children.push_back(
-        SearchNode{next_sp, std::move(t), path, node.depth + 1, {}, {}, {}, false});
+        SearchNode{next_sp, std::move(t), path, node.depth + 1, {}});
   }
   return out;
 }
@@ -444,13 +421,8 @@ void SearchCore::expand_reduced(Expansion& out, SystemState&& next,
                                 const SearchNode& node,
                                 std::shared_ptr<const PathNode> path,
                                 DiscoveryCache& cache) const {
-  const bool targeted = !node.wake.empty();
-  ArriveOutcome at = arrive_reduced(
-      next, node.sleep, targeted ? &node.wake : nullptr, node.claim_free);
+  ArriveOutcome at = arrive_reduced(next, node.sleep);
   out.new_state = at.arr.first;
-  if (targeted && !at.arr.explore.empty()) {
-    woken_.fetch_add(at.arr.explore.size(), std::memory_order_relaxed);
-  }
 
   if (!at.arr.first && at.arr.explore.empty()) {
     return sync_seen(std::move(at));  // pure revisit
@@ -477,43 +449,11 @@ void SearchCore::expand_reduced(Expansion& out, SystemState&& next,
     return sync_seen(std::move(at));
   }
 
-  // A re-expanded child that discovered a new state activates its
-  // conditional sleep entries: the commuting previously-dispatched events
-  // join the arrival sleep set (their exploration here would only
-  // re-derive states their own subtrees reach after the owed replay), and
-  // the owed wakeup sequences — replay the event from the parent state,
-  // wake this node's transition at its successor — are emitted, deduped
-  // per (event, wakee) pair through the parent tree's claimed sequences.
-  const por::SleepSet* arrival_sleep = &node.sleep;
-  por::SleepSet augmented;
-  if (at.arr.first && !node.cond.empty()) {
-    const bool keys = reducer_->packet_keys();
-    const StateKey pk = identity_key(*node.state);
-    const std::uint64_t me = por::transition_hash(node.transition);
-    const std::vector<std::uint64_t> want{me};
-    augmented = node.sleep;
-    for (const CondSleep& c : node.cond) {
-      augmented.push_back(por::SleepEntry{c.thash, c.fp});
-      if (reducer_->store().claim_wakeups(pk.key, c.thash, want).empty()) {
-        continue;  // an earlier activation already owes this replay
-      }
-      replays_.fetch_add(1, std::memory_order_relaxed);
-      por::SleepSet replay_sleep;
-      for (const por::SleepEntry& z : node.sleep) {
-        if (!por::may_conflict(z.fp, c.fp, keys)) replay_sleep.push_back(z);
-      }
-      out.children.push_back(SearchNode{node.state, c.transition, node.path,
-                                        node.depth, std::move(replay_sleep),
-                                        {me}, {}, false});
-    }
-    arrival_sleep = &augmented;
-  }
-
   auto next_sp = std::make_shared<const SystemState>(std::move(next));
   make_reduced_children(next_sp, path, node.depth + 1, std::move(ts),
-                        *arrival_sleep,
-                        at.arr.first ? nullptr : &at.arr.explore, at,
-                        targeted, out.children);
+                        node.sleep,
+                        at.arr.first ? nullptr : &at.arr.explore,
+                        out.children);
   sync_seen(std::move(at));
 }
 
@@ -522,11 +462,7 @@ void SearchCore::make_reduced_children(
     const std::shared_ptr<const PathNode>& path, std::size_t depth,
     std::vector<Transition>&& ts, const por::SleepSet& arrival_sleep,
     const std::vector<std::uint64_t>* explore_only,
-    const ArriveOutcome& at, bool targeted,
     std::vector<SearchNode>& out) const {
-  const bool keys = reducer_->packet_keys();
-  const bool wake = reducer_->wakeups();
-
   std::vector<std::uint64_t> th(ts.size());
   for (std::size_t i = 0; i < ts.size(); ++i) {
     th[i] = por::transition_hash(ts[i]);
@@ -567,105 +503,25 @@ void SearchCore::make_reduced_children(
     }
   }
 
-  // Source-DPOR revisits: a re-expanded transition may sleep a previously
-  // dispatched independent event only if some dispatch of that event ran
-  // with the re-expanded transition awake — and every earlier dispatch
-  // had it asleep (it sat in every prior arrival's sleep set, or it would
-  // not be re-expanded now). The entitlement must therefore be *bought*
-  // by replaying the event's wakeup sequence (re-dispatch it, wake the
-  // re-expanded transition at its successor). Replays cost two real
-  // transitions, so they are attached lazily: each re-expanded child
-  // carries the commuting dispatched events as conditional sleep entries
-  // (SearchNode::cond) and pays for them — emitting the owed replays from
-  // the parent state it still holds — only if it discovers a genuinely
-  // new state, where the sleeping propagates into a fresh subtree. At an
-  // already-seen state the entries are dropped for free.
-  std::vector<std::size_t> redispatch;
-  if (wake && !targeted && explore_only != nullptr &&
-      !at.arr.dispatched.empty()) {
-    const util::PhaseScope ps(util::Phase::kFootprint);
-    for (const std::uint64_t d : at.arr.dispatched) {
-      // First-dispatch order; skip events not enabled here (strategy
-      // filters that key on non-canonical tags can differ per path),
-      // asleep at this arrival (their commuted orders are covered by the
-      // ancestor that put them to sleep), or in the batch itself.
-      const auto pos = std::find(th.begin(), th.end(), d);
-      if (pos == th.end() || slept(d)) continue;
-      const std::size_t i = static_cast<std::size_t>(pos - th.begin());
-      if (std::find(sel.begin(), sel.end(), i) != sel.end()) continue;
-      fps[i] = footprint_of(*sp, ts[i]);
-      redispatch.push_back(i);
-    }
-  }
-
-  if (reducer_->clusters()) {
-    por::cluster_order(fps, keys, sel);
-  }
-
-  // Wakeup bookkeeping of this batch: the dispatched events in scheduled
-  // order, each with the sleep context it ran under, plus the conflicting
-  // pairs (the race order this schedule commits to).
-  std::vector<std::uint64_t> events;
-  std::vector<por::WakeupContext> contexts;
-  std::vector<std::size_t> emitted;  // ts indices behind `events`
-
   out.reserve(out.size() + sel.size());
   for (std::size_t k = 0; k < sel.size(); ++k) {
     const std::size_t i = sel[k];
     por::SleepSet child;
     // Inherit arrival-sleep entries still independent of this transition.
     for (const por::SleepEntry& z : arrival_sleep) {
-      if (!por::may_conflict(z.fp, fps[i], keys)) child.push_back(z);
+      if (!por::may_conflict(z.fp, fps[i], packet_keys_)) child.push_back(z);
     }
     // Earlier-expanded independent siblings go to sleep: exploring them
     // after `ts[i]` would only commute into states the sibling-first
     // order already reaches.
     for (std::size_t j = 0; j < k; ++j) {
       const std::size_t pj = sel[j];
-      if (!por::may_conflict(fps[pj], fps[i], keys)) {
+      if (!por::may_conflict(fps[pj], fps[i], packet_keys_)) {
         child.push_back(por::SleepEntry{th[pj], fps[pj]});
       }
     }
-    std::vector<CondSleep> cond;
-    if (wake && !targeted) {
-      // Note the recorded context deliberately excludes the conditional
-      // entries: whether they end up slept is decided at the child's own
-      // expansion, and underclaiming what a dispatch kept awake is the
-      // conservative direction for any future subsumption consumer.
-      por::WakeupContext ctx;
-      ctx.reserve(child.size());
-      for (const por::SleepEntry& z : child) ctx.push_back(z.thash);
-      por::normalize_context(ctx);
-      events.push_back(th[i]);
-      contexts.push_back(std::move(ctx));
-      emitted.push_back(i);
-      for (const std::size_t d : redispatch) {
-        if (!por::may_conflict(fps[d], fps[i], keys)) {
-          cond.push_back(CondSleep{ts[d], fps[d], th[d]});
-        }
-      }
-    }
-    // Woken successors of a targeted replay are claim-free (and never
-    // recorded as dispatches above): their arrival visits the commuted
-    // twin state, claiming nothing about its residue.
-    out.push_back(SearchNode{sp, std::move(ts[i]), path, depth,
-                             std::move(child), {}, std::move(cond),
-                             targeted});
-  }
-
-  if (wake && !events.empty()) {
-    // Race pairs among the emitted children, in scheduled order.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> races;
-    for (std::size_t a = 0; a < emitted.size(); ++a) {
-      for (std::size_t b = a + 1; b < emitted.size(); ++b) {
-        if (por::may_conflict(fps[emitted[a]], fps[emitted[b]], keys)) {
-          races.emplace_back(static_cast<std::uint32_t>(a),
-                             static_cast<std::uint32_t>(b));
-        }
-      }
-    }
-    reducer_->store().record_schedule(at.identity, events,
-                                      std::move(contexts), races);
+    out.push_back(
+        SearchNode{sp, std::move(ts[i]), path, depth, std::move(child)});
   }
 }
 

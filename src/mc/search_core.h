@@ -26,6 +26,7 @@
 #include "mc/execute.h"
 #include "mc/frontier.h"
 #include "mc/por/reduction.h"
+#include "mc/por/sleep.h"
 #include "mc/property.h"
 #include "mc/strategy.h"
 #include "mc/sym_reduce.h"
@@ -78,13 +79,11 @@ struct CheckerOptions {
   /// Shards of the seen-set (rounded up to a power of two). 0 = automatic:
   /// 1 shard single-threaded, 4× threads when parallel.
   std::size_t seen_shards{0};
-  /// Sound partial-order reduction (mc/por/): every reducing mode visits
-  /// the same unique states and reports the same violation set as kNone
-  /// on exhaustive runs, with fewer (or equal) transitions; kSourceDpor
-  /// additionally never explores more than kSleepPersistent (per-state
-  /// wakeup trees with lazily-paid replays; see mc/por/reduction.h for
-  /// the enforced ordering). Composes with the heuristic
-  /// strategies (inert under NO-DELAY, whose lock-step drain defeats
+  /// Sound partial-order reduction (mc/por/): kSleep visits the same
+  /// unique states and reports the same violation set as kNone on
+  /// exhaustive runs, with fewer (or equal) transitions (sleep sets plus
+  /// the stateful revisit rule; see mc/por/sleep.h). Composes with the
+  /// heuristic strategies (inert under NO-DELAY, whose lock-step drain defeats
   /// per-transition footprints) and with every exhaustive driver; ignored
   /// by the random-walk simulator (a walk is a single path). The
   /// reduction's per-state bookkeeping matches states by the store's true
@@ -100,9 +99,9 @@ struct CheckerOptions {
   /// exponential cut (up to k! per k-host orbit) that no partial-order
   /// mode can make — and one that composes with every store mode, driver
   /// and the checkpoint layer, but NOT with partial-order reduction: the
-  /// sleep/wakeup bookkeeping assumes key-equal states have identical
+  /// sleep-set bookkeeping assumes key-equal states have identical
   /// enabled-transition *labels*, which symmetric merging breaks, so the
-  /// Checker runs symmetry with the reducer disabled (reduction is
+  /// Checker runs symmetry with the sleep store disabled (reduction is
   /// ignored while this is set). Default off. With empty orbits this
   /// still canonicalizes uid allocation order (and drops next_uid from
   /// keys when no host uses discovery sends).
@@ -219,18 +218,6 @@ struct CheckerResult {
     double dedupe_ratio{0.0};         // intern_calls / unique_blobs
   };
   CollapseStats collapse;
-  /// Wakeup-tree statistics (Reduction::kSourceDpor only; zeros
-  /// otherwise). `replays` counts targeted wakeup-sequence re-dispatches,
-  /// `woken` the stored-slept events those replays re-opened; trees /
-  /// nodes / sequences describe the recorded tries.
-  struct WakeupStats {
-    std::uint64_t replays{0};
-    std::uint64_t woken{0};
-    std::uint64_t trees{0};
-    std::uint64_t nodes{0};
-    std::uint64_t sequences{0};
-  };
-  WakeupStats wakeup;
   /// Memoization-layer statistics (CheckerOptions::memo; zeros when
   /// disabled). Hits + misses = lookups; `bytes` is the resident memo
   /// entry footprint (≤ memo_budget_bytes by construction). The memo
@@ -259,6 +246,11 @@ struct CheckerResult {
     bool resumed{false};                   // run continued a checkpoint
     std::uint64_t memo_shrinks{0};         // watchdog eviction-ladder steps
     std::uint64_t watchdog_bytes{0};       // last engine-accounted bytes
+    /// Why a requested resume fell back to a fresh run (per-slot
+    /// diagnostics: missing file, version mismatch, corrupt payload,
+    /// fingerprint mismatch, ...); empty when the run resumed or no
+    /// resume was requested.
+    std::string resume_error;
   };
   DurabilityStats durability;
   /// Observability-layer report (CheckerOptions::telemetry; enabled=false
@@ -309,19 +301,22 @@ class Durability;  // mc/checkpoint.h — checkpoint/watchdog/signal context
 
 class SearchCore {
  public:
-  /// `reducer` (owned by the caller, e.g. Checker) enables partial-order
-  /// reduction; nullptr = expand every strategy-filtered transition (the
-  /// exact seed semantics). `collapse` is the shared component-interning
-  /// table, required (and used) exactly when `seen` is in kCollapsed mode.
-  /// `fp_memo` / `disc_memo` are the shared memo tables (nullptr = memo
-  /// off). `telem` is the observability context (nullptr = telemetry
-  /// off; the drivers then skip every counter/gauge publication).
-  /// `sym` (nullable) is the compiled symmetry context: when set, every
-  /// remembered key goes through SymContext::canonical_key and `reducer`
-  /// must be nullptr (the Checker enforces this).
+  /// `sleep` (owned by the caller, e.g. Checker) enables sleep-set
+  /// partial-order reduction; nullptr = expand every strategy-filtered
+  /// transition (the exact seed semantics). `packet_keys` says whether
+  /// packet conflict keys are live in footprints (any packet-keyed
+  /// property monitor installed; see mc::packet_keyed). `collapse` is the
+  /// shared component-interning table, required (and used) exactly when
+  /// `seen` is in kCollapsed mode. `fp_memo` / `disc_memo` are the shared
+  /// memo tables (nullptr = memo off). `telem` is the observability
+  /// context (nullptr = telemetry off; the drivers then skip every
+  /// counter/gauge publication). `sym` (nullable) is the compiled symmetry
+  /// context: when set, every remembered key goes through
+  /// SymContext::canonical_key and `sleep` must be nullptr (the Checker
+  /// enforces this).
   SearchCore(const SystemConfig& cfg, const CheckerOptions& options,
              const Executor& executor, util::ShardedSeenSet& seen,
-             por::Reducer* reducer = nullptr,
+             por::SleepStore* sleep = nullptr, bool packet_keys = false,
              util::CollapseTable* collapse = nullptr,
              por::FootprintMemo* fp_memo = nullptr,
              DiscoveryMemo* disc_memo = nullptr,
@@ -331,7 +326,8 @@ class SearchCore {
         options_(options),
         executor_(executor),
         seen_(seen),
-        reducer_(reducer),
+        sleep_(sleep),
+        packet_keys_(packet_keys),
         collapse_(collapse),
         fp_memo_(fp_memo),
         disc_memo_(disc_memo),
@@ -387,7 +383,7 @@ class SearchCore {
   /// sequential, parallel, and random-walk drivers.
   void fill_store_stats(CheckerResult& result) const;
 
-  /// The shared end-of-run stat fill: store/collapse/wakeup/memo stats,
+  /// The shared end-of-run stat fill: store/collapse/memo stats,
   /// durability stats (when `dur` is non-null), the telemetry profile +
   /// flight recorder, and peak_rss_bytes — every driver calls exactly
   /// this, so a new stats block is filled in one place. The caller must
@@ -396,7 +392,7 @@ class SearchCore {
   void finish_stats(CheckerResult& result, Durability* dur) const;
 
   /// Publish the poll-point gauges (frontier size, engine-accounted
-  /// bytes, memo hit/miss totals, wakeup counters) into the telemetry
+  /// bytes, memo hit/miss totals) into the telemetry
   /// context for the progress reporter. No-op when telemetry is off;
   /// never called from the per-transition hot path.
   void publish_gauges(std::uint64_t frontier_nodes) const;
@@ -416,7 +412,10 @@ class SearchCore {
   [[nodiscard]] util::CollapseTable* collapse() const noexcept {
     return collapse_;
   }
-  [[nodiscard]] por::Reducer* reducer() const noexcept { return reducer_; }
+  /// The sleep-set store (nullptr when reduction is off).
+  [[nodiscard]] por::SleepStore* sleep_store() const noexcept {
+    return sleep_;
+  }
   [[nodiscard]] por::FootprintMemo* footprint_memo() const noexcept {
     return fp_memo_;
   }
@@ -434,19 +433,6 @@ class SearchCore {
   [[nodiscard]] std::uint64_t resident_bytes(
       std::uint64_t frontier_nodes) const;
 
-  /// Wakeup-replay counters (kSourceDpor accounting), exposed so the
-  /// checkpoint layer can carry them across a halt/resume boundary.
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t>
-  wakeup_replay_counters() const noexcept {
-    return {replays_.load(std::memory_order_relaxed),
-            woken_.load(std::memory_order_relaxed)};
-  }
-  void seed_wakeup_replay_counters(std::uint64_t replays,
-                                   std::uint64_t woken) const noexcept {
-    replays_.store(replays, std::memory_order_relaxed);
-    woken_.store(woken, std::memory_order_relaxed);
-  }
-
  private:
   /// Telemetry leg of finish_stats: merge the per-worker phase profiles
   /// and counters into result.telemetry, and render the flight recorder
@@ -454,16 +440,15 @@ class SearchCore {
   void fill_telemetry(CheckerResult& result) const;
 
   /// Reduction-mode tail of expand(): arrival bookkeeping in the
-  /// SleepStore, sleep-filtered child enumeration, sleep inheritance,
-  /// and (kSourceDpor) wakeup-tree recording.
+  /// SleepStore, sleep-filtered child enumeration and sleep inheritance.
   void expand_reduced(Expansion& out, SystemState&& next,
                       const SearchNode& node,
                       std::shared_ptr<const PathNode> path,
                       DiscoveryCache& cache) const;
 
   /// One reduced arrival: the SleepStore verdict plus the state identity
-  /// it was registered under — kept around so the wakeup recording and
-  /// the deferred seen-set sync reuse the same bytes.
+  /// it was registered under — kept around so the deferred seen-set sync
+  /// reuses the same bytes.
   struct ArriveOutcome {
     por::SleepStore::Arrival arr;
     util::Hash128 hash;
@@ -473,14 +458,11 @@ class SearchCore {
   };
 
   /// Reduction mode: register the arrival in the SleepStore under the
-  /// store's true state identity (matching the seen-set mode). A non-null
-  /// `wake` marks a targeted wakeup-sequence replay (kSourceDpor). The
+  /// store's true state identity (matching the seen-set mode). The
   /// caller must pass the outcome to sync_seen() on every path so the
   /// seen-set storage and byte accounting stay in sync.
   ArriveOutcome arrive_reduced(const SystemState& state,
-                               const por::SleepSet& sleep,
-                               const std::vector<std::uint64_t>* wake,
-                               bool observe = false) const;
+                               const por::SleepSet& sleep) const;
 
   /// Mirror a reduced arrival into the seen-set (the SleepStore already
   /// made the authoritative first/revisit verdict).
@@ -499,20 +481,12 @@ class SearchCore {
 
   /// Build the sleep-filtered, sleep-carrying children of a state.
   /// `explore_only` selects the revisit re-expansion set (nullptr = first
-  /// arrival: expand everything outside `arrival_sleep`). In wakeup mode,
-  /// revisits with a re-expansion set prepend targeted re-dispatches of
-  /// the previously dispatched independent events (`at.arr.dispatched`),
-  /// which is what entitles the re-expanded children to sleep them; the
-  /// batch's schedule + race pairs are recorded in the state's wakeup
-  /// tree. `targeted` (the node carried a wake list) suppresses new
-  /// re-dispatches — a replayed sequence must not spawn replays of its
-  /// own, or chains of them would cascade.
+  /// arrival: expand everything outside `arrival_sleep`).
   void make_reduced_children(
       const std::shared_ptr<const SystemState>& sp,
       const std::shared_ptr<const PathNode>& path, std::size_t depth,
       std::vector<Transition>&& ts, const por::SleepSet& arrival_sleep,
       const std::vector<std::uint64_t>* explore_only,
-      const ArriveOutcome& at, bool targeted,
       std::vector<SearchNode>& out) const;
 
   /// Memo-aware footprint computation (make_reduced_children).
@@ -526,7 +500,8 @@ class SearchCore {
   const CheckerOptions& options_;
   const Executor& executor_;
   util::ShardedSeenSet& seen_;
-  por::Reducer* reducer_;
+  por::SleepStore* sleep_;
+  bool packet_keys_;
   util::CollapseTable* collapse_;
   por::FootprintMemo* fp_memo_;
   DiscoveryMemo* disc_memo_;
@@ -538,10 +513,6 @@ class SearchCore {
   /// atomic because parallel workers of the same search update it
   /// concurrently and any of their values is a fine hint.
   mutable std::atomic<std::size_t> last_blob_size_{0};
-  /// Wakeup-replay accounting (kSourceDpor): emitted replay nodes and the
-  /// events their targeted arrivals re-opened. Relaxed — counters only.
-  mutable std::atomic<std::uint64_t> replays_{0};
-  mutable std::atomic<std::uint64_t> woken_{0};
 };
 
 }  // namespace nicemc::mc

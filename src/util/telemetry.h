@@ -259,8 +259,6 @@ class Telemetry {
   std::atomic<std::uint64_t> memo_fp_misses{0};
   std::atomic<std::uint64_t> memo_disc_hits{0};
   std::atomic<std::uint64_t> memo_disc_misses{0};
-  std::atomic<std::uint64_t> wakeup_replays{0};
-  std::atomic<std::uint64_t> wakeup_woken{0};
 
   struct Totals {
     std::uint64_t transitions{0};
@@ -340,8 +338,6 @@ struct ProgressSnapshot {
   double utilization{0.0};  // 1 - idle/wall across workers, in [0, 1]
   double memo_footprint_hit_rate{0.0};
   double memo_discover_hit_rate{0.0};
-  std::uint64_t wakeup_replays{0};
-  std::uint64_t wakeup_woken{0};
   std::uint64_t engine_bytes{0};
   std::uint64_t peak_rss_bytes{0};
   std::array<std::uint64_t, kPhaseCount> phase_ns{};

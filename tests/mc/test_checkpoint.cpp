@@ -208,8 +208,8 @@ TEST(CheckpointResume, SequentialDfsAllBundled) {
   for (const apps::NamedScenario& ns : apps::bundled_scenarios()) {
     expect_resume_identity(ns, Reduction::kNone, FrontierKind::kDfs, 1,
                            StoreMode::kHash, "dfs_none");
-    expect_resume_identity(ns, Reduction::kSourceDpor, FrontierKind::kDfs, 1,
-                           StoreMode::kHash, "dfs_dpor");
+    expect_resume_identity(ns, Reduction::kSleep, FrontierKind::kDfs, 1,
+                           StoreMode::kHash, "dfs_sleep");
   }
 }
 
@@ -217,8 +217,8 @@ TEST(CheckpointResume, SequentialBfs) {
   for (const apps::NamedScenario& ns : small_scenarios()) {
     expect_resume_identity(ns, Reduction::kNone, FrontierKind::kBfs, 1,
                            StoreMode::kHash, "bfs_none");
-    expect_resume_identity(ns, Reduction::kSourceDpor, FrontierKind::kBfs, 1,
-                           StoreMode::kHash, "bfs_dpor");
+    expect_resume_identity(ns, Reduction::kSleep, FrontierKind::kBfs, 1,
+                           StoreMode::kHash, "bfs_sleep");
   }
 }
 
@@ -235,8 +235,8 @@ TEST(CheckpointResume, ParallelFourThreads) {
   for (const apps::NamedScenario& ns : small_scenarios()) {
     expect_resume_identity(ns, Reduction::kNone, FrontierKind::kDfs, 4,
                            StoreMode::kHash, "par_none");
-    expect_resume_identity(ns, Reduction::kSourceDpor, FrontierKind::kDfs, 4,
-                           StoreMode::kHash, "par_dpor");
+    expect_resume_identity(ns, Reduction::kSleep, FrontierKind::kDfs, 4,
+                           StoreMode::kHash, "par_sleep");
   }
 }
 
@@ -245,8 +245,8 @@ TEST(CheckpointResume, CollapsedStoreRestoresInternTable) {
   // re-intern blobs in dense id order for the stored tuples (and the
   // sleep store's identity keys) to stay valid.
   for (const apps::NamedScenario& ns : small_scenarios()) {
-    expect_resume_identity(ns, Reduction::kSourceDpor, FrontierKind::kDfs, 1,
-                           StoreMode::kCollapsed, "collapsed_dpor");
+    expect_resume_identity(ns, Reduction::kSleep, FrontierKind::kDfs, 1,
+                           StoreMode::kCollapsed, "collapsed_sleep");
   }
 }
 
@@ -279,8 +279,49 @@ TEST(CheckpointResume, WrongScenarioCheckpointIsRejected) {
   opt.resume = true;
   const CheckerResult other_resumed = run_once(other, opt);
   EXPECT_FALSE(other_resumed.durability.resumed);
+  EXPECT_NE(other_resumed.durability.resume_error.find("fingerprint"),
+            std::string::npos)
+      << other_resumed.durability.resume_error;
   EXPECT_EQ(other_resumed.transitions, other_full.transitions);
   EXPECT_EQ(other_resumed.unique_states, other_full.unique_states);
+  drop_slots(path);
+}
+
+TEST(CheckpointResume, OlderFormatVersionFallsBackWithReason) {
+  // A slot written by an older checkpoint format (its payload layout
+  // differs) must not be parsed: the run starts fresh, reports the exact
+  // totals, and says why in CheckerResult::durability.resume_error.
+  const apps::NamedScenario ns = apps::bundled_scenarios()[1];  // ping2
+  CheckerOptions base;
+  base.stop_at_first_violation = false;
+  const CheckerResult full = run_once(ns.make(), base);
+
+  const std::string path = fresh_ckpt_path("old_version");
+  CheckerOptions opt = base;
+  opt.checkpoint_path = path;
+  opt.checkpoint_interval_seconds = 0;
+  opt.max_transitions = full.transitions / 2;
+  (void)run_once(ns.make(), opt);
+  const std::string slot = checkpoint_slot_a(path);
+  ASSERT_TRUE(read_checkpoint_slot(slot).valid);
+  std::string bytes = slurp(slot);
+  // Header layout: magic u64, then version u32 (big-endian) at offset 8.
+  bytes[8] = 0;
+  bytes[9] = 0;
+  bytes[10] = 0;
+  bytes[11] = 1;
+  spit(slot, bytes);
+
+  opt.max_transitions = ~0ULL;
+  opt.resume = true;
+  const CheckerResult r = run_once(ns.make(), opt);
+  EXPECT_FALSE(r.durability.resumed);
+  EXPECT_NE(r.durability.resume_error.find("version mismatch (file v1"),
+            std::string::npos)
+      << r.durability.resume_error;
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_EQ(r.transitions, full.transitions);
+  EXPECT_EQ(r.unique_states, full.unique_states);
   drop_slots(path);
 }
 
@@ -296,6 +337,8 @@ TEST(CheckpointResume, MissingCheckpointFallsBackToFreshRun) {
   opt.resume = true;
   const CheckerResult r = run_once(s, opt);
   EXPECT_FALSE(r.durability.resumed);
+  EXPECT_NE(r.durability.resume_error.find("cannot open"), std::string::npos)
+      << r.durability.resume_error;
   EXPECT_TRUE(r.exhausted);
   EXPECT_EQ(r.transitions, full.transitions);
   drop_slots(opt.checkpoint_path);

@@ -3,7 +3,7 @@
 // the identical state space — identical violation key sets, unique-state
 // and quiescent-state counts, and transitions — under the sequential
 // driver, the threads=4 shared-deque driver, and partial-order reduction
-// (kSleepPersistent). Collapsed mode must also deliver its reason to
+// (kSleep). Collapsed mode must also deliver its reason to
 // exist: collision-proof storage at a fraction of full-state bytes.
 #include <gtest/gtest.h>
 
@@ -85,19 +85,18 @@ TEST(CollapseModes, ParallelSweepAllBundledScenarios) {
 }
 
 TEST(CollapseModes, ReducedSweepAllBundledScenarios) {
-  // Under kSleepPersistent the SleepStore keys on the store's true state
-  // identity (hash bytes / blob / id tuple), so the reduced search must
-  // be mode-invariant too: the sequential reduced run is deterministic,
+  // Under kSleep the SleepStore keys on the store's true state identity
+  // (hash bytes / blob / id tuple), so the reduced search must be
+  // mode-invariant too: the sequential reduced run is deterministic,
   // transitions included.
   for (const apps::NamedScenario& ns : apps::bundled_scenarios()) {
     const CheckerResult base = run_mode(ns.make(), StoreMode::kHash,
-                                        /*threads=*/1,
-                                        Reduction::kSleepPersistent);
+                                        /*threads=*/1, Reduction::kSleep);
     ASSERT_TRUE(base.exhausted) << ns.name;
     for (const StoreMode mode :
          {StoreMode::kFullState, StoreMode::kCollapsed}) {
       const CheckerResult r = run_mode(ns.make(), mode, /*threads=*/1,
-                                       Reduction::kSleepPersistent);
+                                       Reduction::kSleep);
       const std::string tag =
           ns.name + " / " + mode_name(mode) + " / reduced";
       EXPECT_TRUE(r.exhausted) << tag;
@@ -117,8 +116,7 @@ TEST(CollapseModes, ReducedParallelKeepsTheSoundnessContract) {
     const CheckerResult base = run_mode(ns.make(), StoreMode::kHash);
     for (const StoreMode mode : kAllModes) {
       const CheckerResult r =
-          run_mode(ns.make(), mode, /*threads=*/4,
-                   Reduction::kSleepPersistent);
+          run_mode(ns.make(), mode, /*threads=*/4, Reduction::kSleep);
       const std::string tag =
           ns.name + " / " + mode_name(mode) + " / reduced par4";
       EXPECT_TRUE(r.exhausted) << tag;

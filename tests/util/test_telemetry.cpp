@@ -182,8 +182,6 @@ TEST(Telemetry, SnapshotNdjsonRoundTrips) {
   s.utilization = 0.75;
   s.memo_footprint_hit_rate = 0.5;
   s.memo_discover_hit_rate = 0.25;
-  s.wakeup_replays = 3;
-  s.wakeup_woken = 2;
   s.engine_bytes = 1 << 20;
   s.peak_rss_bytes = 1 << 22;
   for (std::size_t p = 0; p < kPhaseCount; ++p) s.phase_ns[p] = p * 1000;
@@ -202,8 +200,6 @@ TEST(Telemetry, SnapshotNdjsonRoundTrips) {
   EXPECT_EQ(back.revisits, s.revisits);
   EXPECT_EQ(back.quiescent_states, s.quiescent_states);
   EXPECT_EQ(back.frontier, s.frontier);
-  EXPECT_EQ(back.wakeup_replays, s.wakeup_replays);
-  EXPECT_EQ(back.wakeup_woken, s.wakeup_woken);
   EXPECT_EQ(back.engine_bytes, s.engine_bytes);
   EXPECT_EQ(back.peak_rss_bytes, s.peak_rss_bytes);
   EXPECT_NEAR(back.elapsed_seconds, s.elapsed_seconds, 1e-6);
