@@ -287,6 +287,8 @@ void SearchCore::finish_stats(CheckerResult& result, Durability* dur) const {
     result.symmetry.orbits = sym_->orbit_count();
     result.symmetry.orbit_hosts = sym_->orbit_host_count();
     result.symmetry.canonicalizations = sym_->canonicalizations();
+    result.symmetry.component_serializations =
+        sym_->component_serializations();
   }
   if (dur != nullptr) dur->fill(result);
   fill_telemetry(result);

@@ -13,22 +13,6 @@ namespace nicemc::mc {
 
 namespace {
 
-// Signature-pass placeholder identities: the ranked member maps to TAG,
-// every other member of the same orbit to a shared BOTTOM. All values live
-// outside the ranges real identifiers can take (MACs are 48-bit, IPs
-// 32-bit, host/port ids small dense ints, flow ids scenario-assigned small
-// ints), so a placeholder can never alias a non-orbit identifier.
-constexpr std::uint64_t kSigTagMac = 0xffffffffffff0001ULL;
-constexpr std::uint64_t kSigBotMac = 0xffffffffffff0002ULL;
-constexpr std::uint64_t kSigTagIp = 0xffffffff00000001ULL;
-constexpr std::uint64_t kSigBotIp = 0xffffffff00000002ULL;
-constexpr std::uint32_t kSigTagHost = 0xffffff01u;
-constexpr std::uint32_t kSigBotHost = 0xffffff02u;
-constexpr std::uint32_t kSigTagPort = 0xffffff01u;
-constexpr std::uint32_t kSigBotPort = 0xffffff02u;
-constexpr std::uint32_t kSigTagFlowBase = 0xff000000u;
-constexpr std::uint32_t kSigBotFlowBase = 0xfe000000u;
-
 std::uint64_t port_key(of::SwitchId sw, of::PortId p) {
   return (static_cast<std::uint64_t>(sw) << 32) | p;
 }
@@ -48,7 +32,63 @@ void replace_all(std::string& s, const std::string& needle,
   }
 }
 
+/// Signature sections, in serialization order: the controller, every
+/// switch part, every host, every property monitor.
+std::size_t first_host_section(const SystemState& st) {
+  return 1 + st.switch_count() * of::Switch::kSerializeParts;
+}
+std::size_t section_count(const SystemState& st) {
+  return first_host_section(st) + st.host_count() + st.prop_count();
+}
+
+void emit_section(const SystemState& st, bool canonical, std::size_t i,
+                  util::Ser& s) {
+  const std::size_t parts = of::Switch::kSerializeParts;
+  const std::size_t first_host = first_host_section(st);
+  if (i == 0) {
+    st.ctrl().serialize(s);
+  } else if (i < first_host) {
+    st.sw((i - 1) / parts).serialize_part(s, canonical, (i - 1) % parts);
+  } else if (i < first_host + st.host_count()) {
+    st.host(i - first_host).serialize(s, canonical);
+  } else {
+    st.prop(i - first_host - st.host_count()).serialize(s);
+  }
+}
+
+std::string_view slice(const util::Ser& s, const std::vector<std::size_t>& ends,
+                       std::size_t i) {
+  const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+  return s.view().substr(begin, ends[i] - begin);
+}
+
 }  // namespace
+
+/// Per-thread buffers of canonical_key, reused across keys so that once
+/// they have grown to the workload's state size nothing is allocated.
+struct SymContext::Scratch {
+  util::Renamer sig;                    // one orbit's signature renamer
+  util::Ser bottom;                     // every section, all members BOTTOM
+  std::vector<std::size_t> bottom_end;  // section end offsets in `bottom`
+  std::vector<std::uint8_t> hits;       // [section * k + j]: looked up j
+  util::Ser blobs;                      // one signature's orbit hosts
+  std::vector<std::size_t> blob_end;
+  std::vector<std::string_view> sorted_blobs;
+  util::Ser sigs;  // the k signatures back to back
+  std::vector<std::size_t> sig_end;
+  std::vector<std::uint32_t> rank;
+  std::vector<std::uint32_t> emit;  // host emission order
+  util::Renamer rn;                 // the chosen permutation
+  util::Ser assign;                 // assign-pass bytes
+  std::vector<std::pair<std::size_t, std::size_t>> assign_bounds;
+  std::vector<bool> assign_only;  // component took an assign-only branch
+  std::vector<std::pair<std::size_t, std::size_t>> bounds;  // final blob
+};
+
+SymContext::Scratch& SymContext::scratch() {
+  thread_local Scratch sc;
+  return sc;
+}
 
 SymContext::SymContext(const SystemConfig& cfg)
     : cfg_(&cfg), canonical_(cfg.canonical_flowtables) {
@@ -154,149 +194,215 @@ std::uint32_t SymContext::orbit_host_count() const {
   return n;
 }
 
+template <typename Component>
 void SymContext::serialize_whole(
     const SystemState& state, util::Ser& s,
     const std::vector<std::uint32_t>& host_emit_order,
-    std::vector<std::pair<std::size_t, std::size_t>>* bounds) const {
+    Component&& component) const {
   // Mirrors SystemState::serialize byte-for-byte, but serializes the live
   // component values directly: the Snap-memoized forms are shared across
-  // states and must never be built under an active Renamer.
-  auto mark = [&](auto&& emit) {
-    const std::size_t begin = s.size();
-    emit();
-    if (bounds != nullptr) bounds->emplace_back(begin, s.size());
-  };
-  mark([&] { state.ctrl().serialize(s); });
+  // states and must never be built under an active Renamer. `component`
+  // is handed each component's emitter in turn and decides whether to run
+  // it.
+  component([&] { state.ctrl().serialize(s); });
   s.put_u32(static_cast<std::uint32_t>(state.switch_count()));
   for (std::size_t i = 0; i < state.switch_count(); ++i) {
-    mark([&] { state.sw(i).serialize(s, canonical_); });
+    component([&] { state.sw(i).serialize(s, canonical_); });
   }
   s.put_u32(static_cast<std::uint32_t>(state.host_count()));
   for (std::size_t i = 0; i < state.host_count(); ++i) {
-    mark([&] { state.host(host_emit_order[i]).serialize(s, canonical_); });
+    component(
+        [&] { state.host(host_emit_order[i]).serialize(s, canonical_); });
   }
   s.put_u32(static_cast<std::uint32_t>(state.prop_count()));
   for (std::size_t i = 0; i < state.prop_count(); ++i) {
-    mark([&] { state.prop(i).serialize(s); });
+    component([&] { state.prop(i).serialize(s); });
   }
   if (include_next_uid_) s.put_u32(state.next_uid);
   state.faults.serialize(s);
   if (!canonical_) s.put_u32(state.next_copy);
 }
 
-std::string SymContext::member_signature(const SystemState& state,
-                                         const Orbit& orbit,
-                                         std::size_t member) const {
-  util::Renamer rn;
+std::uint64_t SymContext::signatures(const SystemState& state,
+                                     const Orbit& orbit, Scratch& sc) const {
+  const std::size_t k = orbit.members.size();
+  const std::size_t n = section_count(state);
+  util::Renamer& rn = sc.sig;
+  rn.clear();
   rn.uid_mode = util::Renamer::UidMode::kElide;
-  for (std::size_t j = 0; j < orbit.members.size(); ++j) {
+  for (std::uint32_t j = 0; j < k; ++j) {
     const Member& m = orbit.members[j];
-    const bool tag = (j == member);
-    rn.mac.emplace(m.mac, tag ? kSigTagMac : kSigBotMac);
-    rn.ip.emplace(m.ip, tag ? kSigTagIp : kSigBotIp);
-    rn.host.emplace(m.host_index, tag ? kSigTagHost : kSigBotHost);
-    rn.port.emplace(port_key(m.sw, m.port), tag ? kSigTagPort : kSigBotPort);
-    for (std::size_t e = 0; e < m.flows.size(); ++e) {
-      rn.flow.try_emplace(m.flows[e],
-                          (tag ? kSigTagFlowBase : kSigBotFlowBase) +
-                              static_cast<std::uint32_t>(e));
+    rn.mac.add(m.mac, sig::kBotMac, sig::kTagMac, j);
+    rn.ip.add(m.ip, sig::kBotIp, sig::kTagIp, j);
+    rn.host.add(m.host_index, sig::kBotHost, sig::kTagHost, j);
+    rn.port.add(port_key(m.sw, m.port), sig::kBotPort, sig::kTagPort, j);
+    for (std::uint32_t e = 0; e < m.flows.size(); ++e) {
+      rn.flow.add(m.flows[e], sig::kBotFlowBase + e, sig::kTagFlowBase + e,
+                  j);
     }
   }
-
   const util::Renamer::Scope scope(&rn);
-  util::Ser s;
-  state.ctrl().serialize(s);
-  for (std::size_t i = 0; i < state.switch_count(); ++i) {
-    state.sw(i).serialize(s, canonical_);
+
+  // One pass with every member at BOTTOM, recording per section which
+  // members' identifiers its lookups hit.
+  sc.bottom.clear();
+  sc.bottom_end.clear();
+  sc.hits.assign(n * k, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    rn.hits = &sc.hits[i * k];
+    emit_section(state, canonical_, i, sc.bottom);
+    sc.bottom_end.push_back(sc.bottom.size());
   }
-  // The orbit's own host components are emitted as a sorted multiset so
-  // the signature is invariant under relabelings of the non-tagged
-  // members (they all map to the same BOTTOM identity, leaving only
-  // their dynamic payload to distinguish the blobs).
-  std::vector<std::string> orbit_blobs;
-  orbit_blobs.reserve(orbit.members.size());
-  for (const Member& m : orbit.members) {
-    util::Ser tmp;
-    state.host(m.host_index).serialize(tmp, canonical_);
-    orbit_blobs.push_back(tmp.take());
-  }
-  std::sort(orbit_blobs.begin(), orbit_blobs.end());
-  std::size_t next_blob = 0;
-  std::size_t next_member = 0;
-  for (std::size_t i = 0; i < state.host_count(); ++i) {
-    if (next_member < orbit.members.size() &&
-        orbit.members[next_member].host_index == i) {
-      s.append(orbit_blobs[next_blob++]);
-      ++next_member;
+  rn.hits = nullptr;
+  std::uint64_t runs = n;
+
+  // Member j's signature. A section's bytes are a deterministic function
+  // of the state and its lookup results, and a section that never looked
+  // up j's identifiers gets the same result for every lookup whether j is
+  // TAG or BOTTOM: its BOTTOM bytes are reused, and only the sections
+  // that hit j are re-serialized with j tagged.
+  auto section = [&](std::size_t i, std::uint32_t j, util::Ser& out) {
+    if (sc.hits[i * k + j] != 0) {
+      emit_section(state, canonical_, i, out);
+      ++runs;
     } else {
-      state.host(i).serialize(s, canonical_);
+      out.append(slice(sc.bottom, sc.bottom_end, i));
     }
+  };
+  const std::size_t first_host = first_host_section(state);
+  const std::size_t first_prop = first_host + state.host_count();
+  sc.sigs.clear();
+  sc.sig_end.clear();
+  for (std::uint32_t j = 0; j < k; ++j) {
+    rn.tagged = j;
+    for (std::size_t i = 0; i < first_host; ++i) section(i, j, sc.sigs);
+    // The orbit's own host components go in as a sorted multiset, so the
+    // signature is invariant under relabelings of the BOTTOM members.
+    sc.blobs.clear();
+    sc.blob_end.clear();
+    for (const Member& m : orbit.members) {
+      section(first_host + m.host_index, j, sc.blobs);
+      sc.blob_end.push_back(sc.blobs.size());
+    }
+    sc.sorted_blobs.clear();
+    for (std::size_t r = 0; r < k; ++r) {
+      sc.sorted_blobs.push_back(slice(sc.blobs, sc.blob_end, r));
+    }
+    std::sort(sc.sorted_blobs.begin(), sc.sorted_blobs.end());
+    std::size_t next_member = 0;
+    for (std::size_t h = 0; h < state.host_count(); ++h) {
+      if (next_member < k && orbit.members[next_member].host_index == h) {
+        sc.sigs.append(sc.sorted_blobs[next_member++]);
+      } else {
+        section(first_host + h, j, sc.sigs);
+      }
+    }
+    for (std::size_t i = first_prop; i < n; ++i) section(i, j, sc.sigs);
+    sc.sig_end.push_back(sc.sigs.size());
   }
-  for (std::size_t i = 0; i < state.prop_count(); ++i) {
-    state.prop(i).serialize(s);
+  rn.tagged = util::kNoMember;
+  return runs;
+}
+
+std::vector<std::string> SymContext::member_signatures(
+    const SystemState& state, std::size_t orbit) const {
+  Scratch& sc = scratch();
+  (void)signatures(state, orbits_.at(orbit), sc);
+  std::vector<std::string> out;
+  for (std::size_t j = 0; j < sc.sig_end.size(); ++j) {
+    out.emplace_back(slice(sc.sigs, sc.sig_end, j));
   }
-  return s.take();
+  return out;
 }
 
 SymKey SymContext::canonical_key(const SystemState& state,
                                  util::CollapseTable* table) const {
   canonicalizations_.fetch_add(1, std::memory_order_relaxed);
+  Scratch& sc = scratch();
+  std::uint64_t runs = 0;
 
   // 1. Rank each orbit's members by structural signature; rank r is
   // renamed onto orbit slot r. Ties mean the tied members are genuinely
   // interchangeable in this state (signatures are invariant under
   // relabelings of the other members), so the index tie-break of
   // stable_sort is harmless.
-  std::vector<std::uint32_t> emit(state.host_count());
-  for (std::size_t i = 0; i < emit.size(); ++i) {
-    emit[i] = static_cast<std::uint32_t>(i);
+  sc.emit.resize(state.host_count());
+  for (std::size_t i = 0; i < sc.emit.size(); ++i) {
+    sc.emit[i] = static_cast<std::uint32_t>(i);
   }
-  util::Renamer rn;
+  util::Renamer& rn = sc.rn;
+  rn.clear();
   for (const Orbit& orbit : orbits_) {
     const std::size_t k = orbit.members.size();
-    std::vector<std::pair<std::string, std::size_t>> ranked;
-    ranked.reserve(k);
-    for (std::size_t j = 0; j < k; ++j) {
-      ranked.emplace_back(member_signature(state, orbit, j), j);
-    }
-    std::stable_sort(
-        ranked.begin(), ranked.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
+    runs += signatures(state, orbit, sc);
+    sc.rank.resize(k);
+    for (std::uint32_t j = 0; j < k; ++j) sc.rank[j] = j;
+    std::stable_sort(sc.rank.begin(), sc.rank.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return slice(sc.sigs, sc.sig_end, a) <
+                              slice(sc.sigs, sc.sig_end, b);
+                     });
     for (std::size_t r = 0; r < k; ++r) {
-      const Member& src = orbit.members[ranked[r].second];
+      const Member& src = orbit.members[sc.rank[r]];
       const Member& dst = orbit.members[r];
-      emit[dst.host_index] = src.host_index;
-      rn.mac.emplace(src.mac, dst.mac);
-      rn.ip.emplace(src.ip, dst.ip);
-      rn.host.emplace(src.host_index, dst.host_index);
-      rn.port.emplace(port_key(src.sw, src.port), dst.port);
+      sc.emit[dst.host_index] = src.host_index;
+      rn.mac.add(src.mac, dst.mac);
+      rn.ip.add(src.ip, dst.ip);
+      rn.host.add(src.host_index, dst.host_index);
+      rn.port.add(port_key(src.sw, src.port), dst.port);
       for (std::size_t e = 0; e < src.flows.size(); ++e) {
         // Positional flow correspondence; validation guaranteed that
         // repeated flow ids map consistently.
-        rn.flow.try_emplace(src.flows[e], dst.flows[e]);
+        rn.flow.add(src.flows[e], dst.flows[e]);
       }
     }
   }
 
   // 2. Assign pass: walk the serialization once to hand out dense uids at
-  // first appearance (bytes discarded), then map uids that only key
-  // containers.
+  // first appearance, then map uids that only key containers. Each
+  // component's bytes are kept, with whether it took an assign-only branch
+  // (a uid-keyed container registering its keys).
   rn.uid_mode = util::Renamer::UidMode::kAssign;
+  sc.assign.clear();
+  sc.assign_bounds.clear();
+  sc.assign_only.clear();
   {
     const util::Renamer::Scope scope(&rn);
-    util::Ser discard;
-    serialize_whole(state, discard, emit, nullptr);
+    serialize_whole(state, sc.assign, sc.emit, [&](auto&& emit) {
+      const std::uint64_t branches = rn.assign_branches();
+      const std::size_t begin = sc.assign.size();
+      emit();
+      sc.assign_bounds.emplace_back(begin, sc.assign.size());
+      sc.assign_only.push_back(rn.assign_branches() != branches);
+    });
   }
   rn.finalize_uids();
+  runs += sc.assign_bounds.size();
 
-  // 3. Frozen pass: the real canonical bytes.
+  // 3. Frozen pass: the real canonical bytes. A component that took no
+  // assign-only branch saw every uid lookup return what it returns now
+  // (finalize_uids only maps uids nobody looked up), so its assign-pass
+  // bytes are final and are reused; only the others are serialized again.
   rn.uid_mode = util::Renamer::UidMode::kFrozen;
   util::Ser blob;
-  std::vector<std::pair<std::size_t, std::size_t>> bounds;
+  blob.reserve(sc.assign.size());
+  sc.bounds.clear();
   {
     const util::Renamer::Scope scope(&rn);
-    serialize_whole(state, blob, emit, table != nullptr ? &bounds : nullptr);
+    serialize_whole(state, blob, sc.emit, [&](auto&& emit) {
+      const std::size_t c = sc.bounds.size();
+      const std::size_t begin = blob.size();
+      if (sc.assign_only[c]) {
+        emit();
+        ++runs;
+      } else {
+        const auto [from, to] = sc.assign_bounds[c];
+        blob.append(sc.assign.view().substr(from, to - from));
+      }
+      sc.bounds.emplace_back(begin, blob.size());
+    });
   }
+  component_serializations_.fetch_add(runs, std::memory_order_relaxed);
 
   SymKey out;
   out.hash = blob.hash();
@@ -309,15 +415,13 @@ SymKey SymContext::canonical_key(const SystemState& state,
   // the same layout as SystemState::collapse_key. The memoized Snap ids
   // cannot be used here — the renaming is per-state — but interning keeps
   // the per-state key at ~4 bytes per component.
-  const auto bytes = blob.bytes();
-  const std::string_view view(reinterpret_cast<const char*>(bytes.data()),
-                              bytes.size());
+  const std::string_view view = blob.view();
   util::Ser key;
-  key.reserve(4 * (bounds.size() + 4));
+  key.reserve(4 * (sc.bounds.size() + 4));
   key.put_u32(static_cast<std::uint32_t>((state.switch_count() << 20) |
                                          (state.host_count() << 10) |
                                          state.prop_count()));
-  for (const auto& [begin, end] : bounds) {
+  for (const auto& [begin, end] : sc.bounds) {
     key.put_u32(table->intern(view.substr(begin, end - begin)));
   }
   if (include_next_uid_) key.put_u32(state.next_uid);

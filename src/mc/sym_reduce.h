@@ -9,6 +9,13 @@
 // packets in flight, learned tables, rules, property monitors and uids)
 // produce the same key and merge.
 //
+// The representative is chosen by per-member structural signatures. They
+// are built from one serialization of the state with every orbit member
+// renamed to a shared BOTTOM identity, which also records which members
+// each section's identifier lookups hit; member j's signature reuses the
+// BOTTOM bytes of every section that never looked j up and re-serializes
+// only the others with j renamed to TAG.
+//
 // Soundness does not depend on how well the representative permutation is
 // chosen: the key of s is serialize(pi(s)) for *some* orbit permutation
 // pi, and orbit members are validated to be behaviourally interchangeable,
@@ -49,7 +56,29 @@ struct SymmetryStats {
   std::uint32_t orbit_hosts{0};
   /// Canonical keys built (== symmetry-reduced remember() calls).
   std::uint64_t canonicalizations{0};
+  /// Serializer runs those keys took, counting each component (or, in the
+  /// signature passes, each switch part) serialized once as one run.
+  std::uint64_t component_serializations{0};
 };
+
+/// Placeholder identities of the member-signature passes: the tagged
+/// member maps to TAG, every other member of its orbit to a shared BOTTOM.
+/// All values lie outside the ranges real identifiers take (MACs are
+/// 48-bit, IPs 32-bit, host/port ids small dense ints, flow ids
+/// scenario-assigned small ints), so a placeholder never aliases a
+/// non-orbit identifier. A member's e-th script flow maps to base + e.
+namespace sig {
+inline constexpr std::uint64_t kTagMac = 0xffffffffffff0001ULL;
+inline constexpr std::uint64_t kBotMac = 0xffffffffffff0002ULL;
+inline constexpr std::uint64_t kTagIp = 0xffffffff00000001ULL;
+inline constexpr std::uint64_t kBotIp = 0xffffffff00000002ULL;
+inline constexpr std::uint32_t kTagHost = 0xffffff01u;
+inline constexpr std::uint32_t kBotHost = 0xffffff02u;
+inline constexpr std::uint32_t kTagPort = 0xffffff01u;
+inline constexpr std::uint32_t kBotPort = 0xffffff02u;
+inline constexpr std::uint32_t kTagFlowBase = 0xff000000u;
+inline constexpr std::uint32_t kBotFlowBase = 0xfe000000u;
+}  // namespace sig
 
 /// Compiled, validated symmetry declaration for one search. Built once by
 /// the Checker from SystemConfig::symmetry_orbits; const and shared across
@@ -77,12 +106,26 @@ class SymContext {
   /// reports one message per member, the reduced search one per orbit).
   [[nodiscard]] std::string canonicalize_violation(std::string msg) const;
 
+  /// The discrimination signatures canonical_key ranks orbit `orbit`'s
+  /// members by, in member (ascending host-index) order. Member j's
+  /// signature is the controller, switch, host and property-monitor
+  /// serialization with j's identifiers mapped to TAG, the other members
+  /// of the orbit to BOTTOM, uids elided, and the orbit's host components
+  /// emitted as a sorted multiset. It is invariant under relabelings of
+  /// the other members, so equal-signature members are interchangeable in
+  /// this state and any rank tie-break is harmless.
+  [[nodiscard]] std::vector<std::string> member_signatures(
+      const SystemState& state, std::size_t orbit) const;
+
   [[nodiscard]] std::uint32_t orbit_count() const {
     return static_cast<std::uint32_t>(orbits_.size());
   }
   [[nodiscard]] std::uint32_t orbit_host_count() const;
   [[nodiscard]] std::uint64_t canonicalizations() const {
     return canonicalizations_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t component_serializations() const {
+    return component_serializations_.load(std::memory_order_relaxed);
   }
   /// Whether next_uid is part of the canonical key (it must be whenever a
   /// host's sends *consume* it semantically — discovery sends use it as
@@ -105,26 +148,25 @@ class SymContext {
     std::vector<Member> members;  // in ascending host-index order
   };
 
-  /// Per-member discrimination signature: the state serialized with this
-  /// member's identifiers mapped to a TAG, every other member of the same
-  /// orbit mapped to a shared BOTTOM, uids elided, and the orbit's host
-  /// components emitted as a sorted multiset — invariant under renaming of
-  /// the *other* members, so equal-signature members really are
-  /// interchangeable in this state and any rank tie-break is harmless.
-  [[nodiscard]] std::string member_signature(const SystemState& state,
-                                             const Orbit& orbit,
-                                             std::size_t member) const;
+  struct Scratch;
+  static Scratch& scratch();  // this thread's
 
-  void serialize_whole(
-      const SystemState& state, util::Ser& s,
-      const std::vector<std::uint32_t>& host_emit_order,
-      std::vector<std::pair<std::size_t, std::size_t>>* bounds) const;
+  /// Writes the orbit's member signatures back to back into the scratch
+  /// buffers; returns the serializer runs it took.
+  std::uint64_t signatures(const SystemState& state, const Orbit& orbit,
+                           Scratch& sc) const;
+
+  template <typename Component>
+  void serialize_whole(const SystemState& state, util::Ser& s,
+                       const std::vector<std::uint32_t>& host_emit_order,
+                       Component&& component) const;
 
   const SystemConfig* cfg_;
   bool canonical_;
   bool include_next_uid_;
   std::vector<Orbit> orbits_;
   mutable std::atomic<std::uint64_t> canonicalizations_{0};
+  mutable std::atomic<std::uint64_t> component_serializations_{0};
 };
 
 }  // namespace nicemc::mc

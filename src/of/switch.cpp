@@ -285,129 +285,155 @@ void Switch::serialize_parts(util::Ser& s, bool canonical,
   const std::size_t base = s.size();
   // All port fields below belong to this switch.
   const util::Renamer::SwScope sw_scope(id);
-  const util::Renamer* rn = util::Renamer::active();
-  const std::map<std::uint32_t, std::uint32_t> rename =
+  // Computed before any section: under a uid-assigning renamer the
+  // buffered packets draw their dense uids first.
+  const std::map<std::uint32_t, std::uint32_t> buffer_ids =
       canonical ? canonical_buffer_ids()
                 : std::map<std::uint32_t, std::uint32_t>{};
+  for (std::size_t part = 0; part < kSerializeParts; ++part) {
+    bounds[part] = s.size() - base;
+    serialize_section(s, canonical, part, buffer_ids);
+  }
+  bounds[kSerializeParts] = s.size() - base;
+}
+
+void Switch::serialize_part(util::Ser& s, bool canonical,
+                            std::size_t part) const {
+  const util::Renamer::SwScope sw_scope(id);
+  // Only the two channels and the buffer consult the buffer-id renaming;
+  // skipping it elsewhere keeps the other sections free of its lookups.
+  const bool uses_buffer_ids = canonical && part >= 2 && part <= 4;
+  serialize_section(s, canonical, part,
+                    uses_buffer_ids
+                        ? canonical_buffer_ids()
+                        : std::map<std::uint32_t, std::uint32_t>{});
+}
+
+void Switch::serialize_section(
+    util::Ser& s, bool canonical, std::size_t part,
+    const std::map<std::uint32_t, std::uint32_t>& buffer_ids) const {
+  const util::Renamer* rn = util::Renamer::active();
   auto mapped = [&](std::uint32_t bid) {
     if (!canonical || bid == kNoBuffer) return bid;
-    const auto it = rename.find(bid);
-    return it == rename.end() ? bid : it->second;
+    const auto it = buffer_ids.find(bid);
+    return it == buffer_ids.end() ? bid : it->second;
   };
 
-  // part 0: identity + fault state + flow table
-  bounds[0] = s.size() - base;
-  s.put_tag('W');
-  s.put_u32(id);
-  s.put_bool(ctrl_channel_down);
-  s.put_u32(static_cast<std::uint32_t>(down_ports.size()));
-  if (rn == nullptr) {
-    for (PortId p : down_ports) s.put_u32(p);
-  } else {
-    std::vector<PortId> renamed_down;
-    renamed_down.reserve(down_ports.size());
-    for (PortId p : down_ports) renamed_down.push_back(rn->r_port(id, p));
-    std::sort(renamed_down.begin(), renamed_down.end());
-    for (PortId p : renamed_down) s.put_u32(p);
-  }
-  table.serialize(s, canonical);
-
-  // part 1: ingress packet channels
-  bounds[1] = s.size() - base;
-  s.put_u32(static_cast<std::uint32_t>(in_ports.size()));
-  auto emit_chan = [&](PortId port, const Fifo<Packet>& chan) {
-    s.put_u32(port);
-    chan.serialize(s, [&](util::Ser& ser, const Packet& p) {
-      p.serialize(ser, /*include_copy_id=*/!canonical);
-    });
-  };
-  if (rn == nullptr) {
-    for (const auto& [port, chan] : in_ports) emit_chan(port, chan);
-  } else {
-    // Port renaming can reorder the channel keys; re-sort them.
-    std::vector<std::pair<PortId, const Fifo<Packet>*>> chans;
-    chans.reserve(in_ports.size());
-    for (const auto& [port, chan] : in_ports) {
-      chans.emplace_back(rn->r_port(id, port), &chan);
-    }
-    std::sort(chans.begin(), chans.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [port, chan] : chans) emit_chan(port, *chan);
-  }
-
-  // part 2: controller → switch channel
-  bounds[2] = s.size() - base;
-  of_in.serialize(s, [&](util::Ser& ser, const ToSwitch& m) {
-    if (canonical) {
-      if (const auto* po = std::get_if<PacketOut>(&m)) {
-        PacketOut copy = *po;
-        copy.buffer_id = mapped(copy.buffer_id);
-        if (copy.packet) copy.packet->copy_id = 0;
-        serialize_message(ser, ToSwitch{copy});
-        return;
+  switch (part) {
+    case 0: {  // identity + fault state + flow table
+      s.put_tag('W');
+      s.put_u32(id);
+      s.put_bool(ctrl_channel_down);
+      s.put_u32(static_cast<std::uint32_t>(down_ports.size()));
+      if (rn == nullptr) {
+        for (PortId p : down_ports) s.put_u32(p);
+      } else {
+        std::vector<PortId> renamed_down;
+        renamed_down.reserve(down_ports.size());
+        for (PortId p : down_ports) renamed_down.push_back(rn->r_port(id, p));
+        std::sort(renamed_down.begin(), renamed_down.end());
+        for (PortId p : renamed_down) s.put_u32(p);
       }
+      table.serialize(s, canonical);
+      return;
     }
-    serialize_message(ser, m);
-  });
-
-  // part 3: switch → controller channel
-  bounds[3] = s.size() - base;
-  of_out.serialize(s, [&](util::Ser& ser, const ToController& m) {
-    if (canonical) {
-      if (const auto* pin = std::get_if<PacketIn>(&m)) {
-        PacketIn copy = *pin;
-        copy.buffer_id = mapped(copy.buffer_id);
-        copy.packet.copy_id = 0;
-        serialize_message(ser, ToController{copy});
-        return;
+    case 1: {  // ingress packet channels
+      s.put_u32(static_cast<std::uint32_t>(in_ports.size()));
+      auto emit_chan = [&](PortId port, const Fifo<Packet>& chan) {
+        s.put_u32(port);
+        chan.serialize(s, [&](util::Ser& ser, const Packet& p) {
+          p.serialize(ser, /*include_copy_id=*/!canonical);
+        });
+      };
+      if (rn == nullptr) {
+        for (const auto& [port, chan] : in_ports) emit_chan(port, chan);
+      } else {
+        // Port renaming can reorder the channel keys; re-sort them.
+        std::vector<std::pair<PortId, const Fifo<Packet>*>> chans;
+        chans.reserve(in_ports.size());
+        for (const auto& [port, chan] : in_ports) {
+          chans.emplace_back(rn->r_port(id, port), &chan);
+        }
+        std::sort(chans.begin(), chans.end(), [](const auto& a, const auto& b) {
+          return a.first < b.first;
+        });
+        for (const auto& [port, chan] : chans) emit_chan(port, *chan);
       }
+      return;
     }
-    serialize_message(ser, m);
-  });
-
-  // part 4: awaiting-controller buffer
-  bounds[4] = s.size() - base;
-  s.put_u32(static_cast<std::uint32_t>(buffer.size()));
-  if (canonical) {
-    // Iterate in renamed (content) order so the bytes are canonical.
-    std::map<std::uint32_t, std::uint32_t> inverse;
-    for (const auto& [raw, dense] : rename) inverse.emplace(dense, raw);
-    for (const auto& [dense, raw] : inverse) {
-      s.put_u32(dense);
-      const BufferedPacket& bp = buffer.at(raw);
-      bp.packet.serialize(s, /*include_copy_id=*/false);
-      s.put_u32(util::rn_port(rn, id, bp.in_port));
+    case 2:  // controller → switch channel
+      of_in.serialize(s, [&](util::Ser& ser, const ToSwitch& m) {
+        if (canonical) {
+          if (const auto* po = std::get_if<PacketOut>(&m)) {
+            PacketOut copy = *po;
+            copy.buffer_id = mapped(copy.buffer_id);
+            if (copy.packet) copy.packet->copy_id = 0;
+            serialize_message(ser, ToSwitch{copy});
+            return;
+          }
+        }
+        serialize_message(ser, m);
+      });
+      return;
+    case 3:  // switch → controller channel
+      of_out.serialize(s, [&](util::Ser& ser, const ToController& m) {
+        if (canonical) {
+          if (const auto* pin = std::get_if<PacketIn>(&m)) {
+            PacketIn copy = *pin;
+            copy.buffer_id = mapped(copy.buffer_id);
+            copy.packet.copy_id = 0;
+            serialize_message(ser, ToController{copy});
+            return;
+          }
+        }
+        serialize_message(ser, m);
+      });
+      return;
+    case 4: {  // awaiting-controller buffer
+      s.put_u32(static_cast<std::uint32_t>(buffer.size()));
+      if (canonical) {
+        // Iterate in renamed (content) order so the bytes are canonical.
+        std::map<std::uint32_t, std::uint32_t> inverse;
+        for (const auto& [raw, dense] : buffer_ids) inverse.emplace(dense, raw);
+        for (const auto& [dense, raw] : inverse) {
+          s.put_u32(dense);
+          const BufferedPacket& bp = buffer.at(raw);
+          bp.packet.serialize(s, /*include_copy_id=*/false);
+          s.put_u32(util::rn_port(rn, id, bp.in_port));
+        }
+      } else {
+        for (const auto& [bid, bp] : buffer) {
+          s.put_u32(bid);
+          bp.serialize(s);
+        }
+        s.put_u32(next_buffer_id);
+      }
+      return;
     }
-  } else {
-    for (const auto& [bid, bp] : buffer) {
-      s.put_u32(bid);
-      bp.serialize(s);
+    default: {  // 5: port statistics
+      s.put_u32(static_cast<std::uint32_t>(port_stats.size()));
+      if (rn == nullptr) {
+        for (const auto& [port, st] : port_stats) {
+          s.put_u32(port);
+          st.serialize(s);
+        }
+      } else {
+        std::vector<std::pair<PortId, const PortStatsEntry*>> stats;
+        stats.reserve(port_stats.size());
+        for (const auto& [port, st] : port_stats) {
+          stats.emplace_back(rn->r_port(id, port), &st);
+        }
+        std::sort(stats.begin(), stats.end(), [](const auto& a, const auto& b) {
+          return a.first < b.first;
+        });
+        for (const auto& [port, st] : stats) {
+          s.put_u32(port);
+          st->serialize(s);
+        }
+      }
+      return;
     }
-    s.put_u32(next_buffer_id);
   }
-
-  // part 5: port statistics
-  bounds[5] = s.size() - base;
-  s.put_u32(static_cast<std::uint32_t>(port_stats.size()));
-  if (rn == nullptr) {
-    for (const auto& [port, st] : port_stats) {
-      s.put_u32(port);
-      st.serialize(s);
-    }
-  } else {
-    std::vector<std::pair<PortId, const PortStatsEntry*>> stats;
-    stats.reserve(port_stats.size());
-    for (const auto& [port, st] : port_stats) {
-      stats.emplace_back(rn->r_port(id, port), &st);
-    }
-    std::sort(stats.begin(), stats.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [port, st] : stats) {
-      s.put_u32(port);
-      st->serialize(s);
-    }
-  }
-  bounds[6] = s.size() - base;
 }
 
 }  // namespace nicemc::of

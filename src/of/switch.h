@@ -189,6 +189,13 @@ struct Switch {
   void serialize_parts(util::Ser& s, bool canonical,
                        std::size_t* bounds) const;
 
+  /// Section `part` of serialize_parts alone, for the symmetry layer's
+  /// signature passes, which redo only the sections a member renaming
+  /// touches. Byte-identical to that section except under a uid-assigning
+  /// renamer, where serialize_parts hands out the buffered packets' uids
+  /// before any section.
+  void serialize_part(util::Ser& s, bool canonical, std::size_t part) const;
+
   /// Rough upper estimate of serialize()'s output size — lets the state
   /// pipeline pre-size per-component buffers (see util::Snap::form).
   [[nodiscard]] std::size_t serialized_size_hint() const;
@@ -197,6 +204,10 @@ struct Switch {
   /// Content-ordered dense renaming of the live buffer ids.
   [[nodiscard]] std::map<std::uint32_t, std::uint32_t> canonical_buffer_ids()
       const;
+
+  void serialize_section(
+      util::Ser& s, bool canonical, std::size_t part,
+      const std::map<std::uint32_t, std::uint32_t>& buffer_ids) const;
 
  public:
 

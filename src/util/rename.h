@@ -16,6 +16,12 @@
 // explicit switch id (rules, OpenFlow messages, host attach ports) rely on
 // a "current switch" context set by the enclosing component via SwScope.
 //
+// The symmetry layer's member-signature passes also tag one orbit member
+// at a time (entries it owns rename to their `tag` identity) and record,
+// per serialized section, which members' identifiers a lookup hit: a
+// section that never looked up member j's identifiers serializes the same
+// bytes whether or not j is tagged, so only hit sections are redone.
+//
 // Uid renumbering is two-pass (see sym_reduce.cpp): a kAssign pass walks
 // the serialization order once, handing out dense uids at first
 // appearance; containers *keyed* on uids cannot know their sorted
@@ -23,6 +29,10 @@
 // note_uid() and emit in raw order during the assign pass. finalize_uids()
 // then maps any still-unseen registered uids, and a kFrozen pass produces
 // the final byte form with uid-keyed containers sorted by renamed uid.
+// Those containers are the only serializers whose bytes differ between
+// the passes, and they find out which pass runs through
+// rn_uid_assigning(), which counts its true answers: every component that
+// never got one keeps its assign-pass bytes.
 #ifndef NICE_UTIL_RENAME_H
 #define NICE_UTIL_RENAME_H
 
@@ -33,6 +43,48 @@
 
 namespace nicemc::util {
 
+/// Owner of a renaming entry outside signature passes.
+inline constexpr std::uint32_t kNoMember = 0xffffffffu;
+
+/// One identifier class's renaming table: a sorted flat array. Orbits are
+/// small and the tables are rebuilt per canonicalization, so contiguous
+/// entries with a binary search beat node-based maps on both counts.
+template <typename K, typename V>
+class IdMap {
+ public:
+  struct Entry {
+    K from;
+    V to;
+    V tag;  // the replacement while `owner` is the renamer's tagged member
+    std::uint32_t owner;
+  };
+
+  /// Map `from` to `to` unless `from` is already mapped: the first
+  /// mapping wins, like std::map::emplace.
+  void add(K from, V to) { add(from, to, to, kNoMember); }
+  void add(K from, V to, V tag, std::uint32_t owner) {
+    const auto it = lower(from);
+    if (it != entries_.end() && it->from == from) return;
+    entries_.insert(it, Entry{from, to, tag, owner});
+  }
+
+  [[nodiscard]] const Entry* find(K from) const {
+    const auto it = lower(from);
+    return it != entries_.end() && it->from == from ? &*it : nullptr;
+  }
+
+  void clear() noexcept { entries_.clear(); }
+
+ private:
+  [[nodiscard]] auto lower(K from) const {
+    return std::lower_bound(
+        entries_.begin(), entries_.end(), from,
+        [](const Entry& e, K k) { return e.from < k; });
+  }
+
+  std::vector<Entry> entries_;
+};
+
 class Renamer {
  public:
   enum class UidMode : std::uint8_t {
@@ -42,12 +94,12 @@ class Renamer {
     kFrozen,  // dense renumbering, map complete — misses pass through
   };
 
-  std::map<std::uint64_t, std::uint64_t> mac;
-  std::map<std::uint64_t, std::uint64_t> ip;
-  std::map<std::uint32_t, std::uint32_t> host;
-  std::map<std::uint32_t, std::uint32_t> flow;
+  IdMap<std::uint64_t, std::uint64_t> mac;
+  IdMap<std::uint64_t, std::uint64_t> ip;
+  IdMap<std::uint32_t, std::uint32_t> host;
+  IdMap<std::uint32_t, std::uint32_t> flow;
   /// Ports are per-switch names: keyed (switch << 32 | port).
-  std::map<std::uint64_t, std::uint32_t> port;
+  IdMap<std::uint64_t, std::uint32_t> port;
 
   UidMode uid_mode{UidMode::kKeep};
 
@@ -56,25 +108,29 @@ class Renamer {
   /// switch / host / controller-command serializer).
   std::uint32_t cur_sw{0xffffffffu};
 
+  /// Signature passes: entries owned by this member rename to their `tag`
+  /// identity, every other entry to `to`.
+  std::uint32_t tagged{kNoMember};
+
+  /// Signature passes: when set, every lookup that finds an entry sets
+  /// hits[owner], recording which members the output depends on. Every
+  /// entry must then carry an owner.
+  std::uint8_t* hits{nullptr};
+
   [[nodiscard]] std::uint64_t r_mac(std::uint64_t m) const {
-    const auto it = mac.find(m);
-    return it == mac.end() ? m : it->second;
+    return rename(mac, m, m);
   }
   [[nodiscard]] std::uint64_t r_ip(std::uint64_t i) const {
-    const auto it = ip.find(i);
-    return it == ip.end() ? i : it->second;
+    return rename(ip, i, i);
   }
   [[nodiscard]] std::uint32_t r_host(std::uint32_t h) const {
-    const auto it = host.find(h);
-    return it == host.end() ? h : it->second;
+    return rename(host, h, h);
   }
   [[nodiscard]] std::uint32_t r_flow(std::uint32_t f) const {
-    const auto it = flow.find(f);
-    return it == flow.end() ? f : it->second;
+    return rename(flow, f, f);
   }
   [[nodiscard]] std::uint32_t r_port(std::uint32_t sw, std::uint32_t p) const {
-    const auto it = port.find((static_cast<std::uint64_t>(sw) << 32) | p);
-    return it == port.end() ? p : it->second;
+    return rename(port, (static_cast<std::uint64_t>(sw) << 32) | p, p);
   }
   [[nodiscard]] std::uint32_t r_port_cur(std::uint32_t p) const {
     return r_port(cur_sw, p);
@@ -125,10 +181,39 @@ class Renamer {
     return next_dense_uid_ - 1;
   }
 
+  /// Whether a uid-keyed container must take its assign-pass branch (see
+  /// rn_uid_assigning). Every true answer is counted: apart from r_uid,
+  /// whose answers the frozen pass repeats, this is the only way a
+  /// serializer can tell the assign pass from the frozen pass, so one that
+  /// never got a true answer emits the same bytes in both.
+  [[nodiscard]] bool assigning() const {
+    if (uid_mode != UidMode::kAssign) return false;
+    ++assign_branches_;
+    return true;
+  }
+  [[nodiscard]] std::uint64_t assign_branches() const {
+    return assign_branches_;
+  }
+
   void reset_uids() {
     uid_.clear();
     deferred_uids_.clear();
     next_dense_uid_ = 1;
+    assign_branches_ = 0;
+  }
+
+  /// Back to a fresh renamer, keeping allocated capacity for reuse.
+  void clear() {
+    mac.clear();
+    ip.clear();
+    host.clear();
+    flow.clear();
+    port.clear();
+    uid_mode = UidMode::kKeep;
+    cur_sw = 0xffffffffu;
+    tagged = kNoMember;
+    hits = nullptr;
+    reset_uids();
   }
 
   /// The thread's active renamer, or nullptr outside a canonicalization
@@ -164,11 +249,20 @@ class Renamer {
   };
 
  private:
+  template <typename K, typename V>
+  [[nodiscard]] V rename(const IdMap<K, V>& map, K from, V identity) const {
+    const auto* e = map.find(from);
+    if (e == nullptr) return identity;
+    if (hits != nullptr) hits[e->owner] = 1;
+    return e->owner == tagged ? e->tag : e->to;
+  }
+
   // Uid state is logically part of serialization *output*, so the const
   // serializers can grow it through a const Renamer*.
   mutable std::map<std::uint32_t, std::uint32_t> uid_;
   mutable std::vector<std::uint32_t> deferred_uids_;
   mutable std::uint32_t next_dense_uid_{1};
+  mutable std::uint64_t assign_branches_{0};
 
   static inline thread_local const Renamer* tls_ = nullptr;
 };
@@ -203,7 +297,7 @@ class Renamer {
 /// assign pass registers keys (note_uid) and emits raw order; the frozen
 /// pass emits sorted by renamed uid.
 [[nodiscard]] inline bool rn_uid_assigning(const Renamer* r) {
-  return r != nullptr && r->uid_mode == Renamer::UidMode::kAssign;
+  return r != nullptr && r->assigning();
 }
 [[nodiscard]] inline bool rn_uid_renumbering(const Renamer* r) {
   return r != nullptr && (r->uid_mode == Renamer::UidMode::kAssign ||

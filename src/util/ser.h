@@ -32,20 +32,11 @@ class Ser {
  public:
   void put_u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
 
-  void put_u16(std::uint16_t v) {
-    put_u8(static_cast<std::uint8_t>(v >> 8));
-    put_u8(static_cast<std::uint8_t>(v));
-  }
-
-  void put_u32(std::uint32_t v) {
-    put_u16(static_cast<std::uint16_t>(v >> 16));
-    put_u16(static_cast<std::uint16_t>(v));
-  }
-
-  void put_u64(std::uint64_t v) {
-    put_u32(static_cast<std::uint32_t>(v >> 32));
-    put_u32(static_cast<std::uint32_t>(v));
-  }
+  // Multi-byte integers are big-endian. Each writes its whole word with
+  // one append: byte-at-a-time push_back dominated state-key building.
+  void put_u16(std::uint16_t v) { put_be<2>(v); }
+  void put_u32(std::uint32_t v) { put_be<4>(v); }
+  void put_u64(std::uint64_t v) { put_be<8>(v); }
 
   void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
 
@@ -94,6 +85,7 @@ class Ser {
   [[nodiscard]] std::span<const std::byte> bytes() const noexcept {
     return {reinterpret_cast<const std::byte*>(buf_.data()), buf_.size()};
   }
+  [[nodiscard]] std::string_view view() const noexcept { return buf_; }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
   [[nodiscard]] Hash128 hash() const noexcept { return hash128(bytes()); }
 
@@ -109,6 +101,15 @@ class Ser {
   void clear() noexcept { buf_.clear(); }
 
  private:
+  template <std::size_t N>
+  void put_be(std::uint64_t v) {
+    char b[N];
+    for (std::size_t i = 0; i < N; ++i) {
+      b[i] = static_cast<char>(v >> (8 * (N - 1 - i)));
+    }
+    buf_.append(b, N);
+  }
+
   std::string buf_;
 };
 

@@ -7,8 +7,11 @@
 // history merge), and checkpoint/resume identity with symmetry on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -18,7 +21,9 @@
 #include "apps/scenarios.h"
 #include "mc/checker.h"
 #include "mc/checkpoint.h"
+#include "mc/strategy.h"
 #include "mc/sym_reduce.h"
+#include "util/rename.h"
 #include "util/ser.h"
 
 namespace nicemc::mc {
@@ -57,6 +62,20 @@ std::set<std::string> sym_violation_set(const CheckerResult& r,
   }
   const std::vector<std::string> keys = violation_keys(vs);
   return {keys.begin(), keys.end()};
+}
+
+struct SweepCase {
+  std::string name;
+  std::function<apps::Scenario()> make;
+};
+
+/// The bundled k-client symmetric families at exhaustible sizes.
+std::vector<SweepCase> bundled_symmetric_cases() {
+  return {
+      {"sym-ping3", [] { return apps::sym_ping_scenario(3); }},
+      {"lb-sym4", [] { return apps::lb_sym_scenario(4); }},
+      {"te-sym2", [] { return apps::te_sym_scenario(2); }},
+  };
 }
 
 /// Host-send transitions of the initial state, indexed by host id.
@@ -165,6 +184,226 @@ TEST(SymContext, UidDrawOrderAloneMergesWithoutAnyOrbit) {
   EXPECT_EQ(canonical[0], canonical[1]);
 }
 
+// ---- Member signatures: fast path vs per-member reference ----------------
+
+/// An orbit member's renamed identifiers, read straight from the config.
+struct RefMember {
+  std::uint32_t host{0};
+  std::uint64_t mac{0};
+  std::uint64_t ip{0};
+  of::SwitchId sw{0};
+  of::PortId port{0};
+  std::vector<std::uint32_t> flows;
+};
+
+std::vector<RefMember> ref_orbit(const SystemConfig& cfg, std::size_t o) {
+  std::vector<of::HostId> ids = cfg.symmetry_orbits.at(o);
+  std::sort(ids.begin(), ids.end());
+  std::vector<RefMember> out;
+  for (const of::HostId id : ids) {
+    const topo::HostSpec& spec = cfg.topology->host(id);
+    RefMember m{id, spec.mac, spec.ip, spec.attach_switch, spec.attach_port,
+                {}};
+    for (const hosts::ScriptEntry& e : cfg.host_behavior[id].script) {
+      m.flows.push_back(e.flow_id);
+    }
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+/// Reference signature of `member`: the whole state serialized under one
+/// fresh renamer with that member at TAG and the rest of its orbit at
+/// BOTTOM, the orbit's hosts as a sorted multiset. This is the
+/// per-member serialization SymContext::member_signatures must reproduce
+/// byte for byte while re-serializing only what each member touches.
+std::string reference_signature(const SystemState& state,
+                                const std::vector<RefMember>& orbit,
+                                std::size_t member, bool canonical) {
+  util::Renamer rn;
+  rn.uid_mode = util::Renamer::UidMode::kElide;
+  for (std::size_t j = 0; j < orbit.size(); ++j) {
+    const RefMember& m = orbit[j];
+    const bool tag = (j == member);
+    rn.mac.add(m.mac, tag ? sig::kTagMac : sig::kBotMac);
+    rn.ip.add(m.ip, tag ? sig::kTagIp : sig::kBotIp);
+    rn.host.add(m.host, tag ? sig::kTagHost : sig::kBotHost);
+    rn.port.add((static_cast<std::uint64_t>(m.sw) << 32) | m.port,
+                tag ? sig::kTagPort : sig::kBotPort);
+    for (std::size_t e = 0; e < m.flows.size(); ++e) {
+      rn.flow.add(m.flows[e], (tag ? sig::kTagFlowBase : sig::kBotFlowBase) +
+                                  static_cast<std::uint32_t>(e));
+    }
+  }
+  const util::Renamer::Scope scope(&rn);
+  util::Ser s;
+  state.ctrl().serialize(s);
+  for (std::size_t i = 0; i < state.switch_count(); ++i) {
+    state.sw(i).serialize(s, canonical);
+  }
+  std::vector<std::string> orbit_blobs;
+  for (const RefMember& m : orbit) {
+    util::Ser tmp;
+    state.host(m.host).serialize(tmp, canonical);
+    orbit_blobs.push_back(tmp.take());
+  }
+  std::sort(orbit_blobs.begin(), orbit_blobs.end());
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < state.host_count(); ++i) {
+    if (next < orbit.size() && orbit[next].host == i) {
+      s.append(orbit_blobs[next++]);
+    } else {
+      state.host(i).serialize(s, canonical);
+    }
+  }
+  for (std::size_t i = 0; i < state.prop_count(); ++i) {
+    state.prop(i).serialize(s);
+  }
+  return s.take();
+}
+
+/// Reference canonical key: members ranked by reference signatures, then
+/// the whole state serialized twice in full under one renamer (assign
+/// pass, then frozen pass). SymContext::canonical_key must produce the same
+/// bytes while reusing what it can.
+std::string reference_canonical_key(const SystemState& state,
+                                    const SystemConfig& cfg,
+                                    bool includes_next_uid) {
+  const bool canonical = cfg.canonical_flowtables;
+  std::vector<std::uint32_t> emit(state.host_count());
+  for (std::size_t i = 0; i < emit.size(); ++i) {
+    emit[i] = static_cast<std::uint32_t>(i);
+  }
+  util::Renamer rn;
+  for (std::size_t o = 0; o < cfg.symmetry_orbits.size(); ++o) {
+    const std::vector<RefMember> orbit = ref_orbit(cfg, o);
+    std::vector<std::pair<std::string, std::size_t>> ranked;
+    for (std::size_t j = 0; j < orbit.size(); ++j) {
+      ranked.emplace_back(reference_signature(state, orbit, j, canonical), j);
+    }
+    std::stable_sort(
+        ranked.begin(), ranked.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (std::size_t r = 0; r < orbit.size(); ++r) {
+      const RefMember& src = orbit[ranked[r].second];
+      const RefMember& dst = orbit[r];
+      emit[dst.host] = src.host;
+      rn.mac.add(src.mac, dst.mac);
+      rn.ip.add(src.ip, dst.ip);
+      rn.host.add(src.host, dst.host);
+      rn.port.add((static_cast<std::uint64_t>(src.sw) << 32) | src.port,
+                  dst.port);
+      for (std::size_t e = 0; e < src.flows.size(); ++e) {
+        rn.flow.add(src.flows[e], dst.flows[e]);
+      }
+    }
+  }
+  auto whole = [&](util::Ser& s) {
+    state.ctrl().serialize(s);
+    s.put_u32(static_cast<std::uint32_t>(state.switch_count()));
+    for (std::size_t i = 0; i < state.switch_count(); ++i) {
+      state.sw(i).serialize(s, canonical);
+    }
+    s.put_u32(static_cast<std::uint32_t>(state.host_count()));
+    for (std::size_t i = 0; i < state.host_count(); ++i) {
+      state.host(emit[i]).serialize(s, canonical);
+    }
+    s.put_u32(static_cast<std::uint32_t>(state.prop_count()));
+    for (std::size_t i = 0; i < state.prop_count(); ++i) {
+      state.prop(i).serialize(s);
+    }
+    if (includes_next_uid) s.put_u32(state.next_uid);
+    state.faults.serialize(s);
+    if (!canonical) s.put_u32(state.next_copy);
+  };
+  const util::Renamer::Scope scope(&rn);
+  rn.uid_mode = util::Renamer::UidMode::kAssign;
+  util::Ser discard;
+  whole(discard);
+  rn.finalize_uids();
+  rn.uid_mode = util::Renamer::UidMode::kFrozen;
+  util::Ser blob;
+  whole(blob);
+  return blob.take();
+}
+
+/// Exhaustive symmetric DFS with the checker's expansion rules (default
+/// strategy, states merged by canonical key, no expansion past a
+/// violation); calls `visit` on every state it reaches first.
+void for_each_reached_state(
+    const apps::Scenario& s,
+    const std::function<void(const SystemState&)>& visit) {
+  const Executor ex(s.config, s.properties);
+  const SymContext sym(s.config);
+  const Strategy strategy = CheckerOptions{}.strategy;
+  DiscoveryCache cache;
+  std::set<std::string> seen;
+  std::vector<SystemState> stack;
+  stack.push_back(ex.make_initial());
+  seen.insert(sym.canonical_key(stack.back(), nullptr).key);
+  while (!stack.empty()) {
+    const SystemState st = std::move(stack.back());
+    stack.pop_back();
+    visit(st);
+    for (const Transition& t :
+         apply_strategy(strategy, s.config, st, ex.enabled(st, cache))) {
+      SystemState next = st.clone();
+      std::vector<Violation> vs;
+      ex.apply(next, t, vs);
+      if (vs.empty() &&
+          seen.insert(sym.canonical_key(next, nullptr).key).second) {
+        stack.push_back(std::move(next));
+      }
+    }
+  }
+}
+
+TEST(SymSignatures, FastSignaturesMatchPerMemberReference) {
+  for (const SweepCase& c : bundled_symmetric_cases()) {
+    const apps::Scenario s = c.make();
+    const SymContext sym(s.config);
+    const bool canonical = s.config.canonical_flowtables;
+    std::vector<std::vector<RefMember>> orbits;
+    for (std::size_t o = 0; o < sym.orbit_count(); ++o) {
+      orbits.push_back(ref_orbit(s.config, o));
+    }
+    std::size_t states = 0;
+    std::size_t mismatches = 0;
+    for_each_reached_state(s, [&](const SystemState& st) {
+      ++states;
+      for (std::size_t o = 0; o < orbits.size(); ++o) {
+        const std::vector<std::string> fast = sym.member_signatures(st, o);
+        ASSERT_EQ(fast.size(), orbits[o].size()) << c.name;
+        for (std::size_t j = 0; j < fast.size(); ++j) {
+          if (fast[j] != reference_signature(st, orbits[o], j, canonical)) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+    EXPECT_GT(states, 500u) << c.name;
+    EXPECT_EQ(mismatches, 0u) << c.name << " over " << states << " states";
+  }
+}
+
+TEST(SymSignatures, CanonicalKeysMatchTwoFullPassReference) {
+  for (const SweepCase& c : bundled_symmetric_cases()) {
+    const apps::Scenario s = c.make();
+    const SymContext sym(s.config);
+    std::size_t states = 0;
+    std::size_t mismatches = 0;
+    for_each_reached_state(s, [&](const SystemState& st) {
+      ++states;
+      if (sym.canonical_key(st, nullptr).key !=
+          reference_canonical_key(st, s.config, sym.includes_next_uid())) {
+        ++mismatches;
+      }
+    });
+    EXPECT_GT(states, 500u) << c.name;
+    EXPECT_EQ(mismatches, 0u) << c.name << " over " << states << " states";
+  }
+}
+
 // ---- Orbit validation -----------------------------------------------------
 
 TEST(SymContext, RejectsInvalidOrbitDeclarations) {
@@ -209,11 +448,6 @@ TEST(SymContext, RejectsInvalidOrbitDeclarations) {
 }
 
 // ---- Differential soundness sweep -----------------------------------------
-
-struct SweepCase {
-  std::string name;
-  std::function<apps::Scenario()> make;
-};
 
 std::vector<SweepCase> sweep_cases() {
   return {
@@ -278,6 +512,54 @@ TEST(SymDifferential, FactorialCollapseOnBundledFamilies) {
     ASSERT_TRUE(on.exhausted);
     EXPECT_LE(on.unique_states * 2, off.unique_states);  // 1/(3-1)!
   }
+}
+
+TEST(SymDifferential, CountsArePinnedOnBundledSymmetricScenarios) {
+  // The representative ranking decides which states merge, so a change to
+  // how signatures are built that alters a ranking shows up here as a
+  // count change, not only as a looser bound. Values are the counts of
+  // the per-member-serialization implementation at 1 thread.
+  struct Pin {
+    std::uint64_t transitions, unique, quiescent;
+  };
+  // Identical under kHash and kCollapsed.
+  const std::map<std::string, Pin> pins = {
+      {"sym-ping3", {20937, 5650, 3}},
+      {"lb-sym4", {2745, 976, 5}},
+      {"te-sym2", {2420, 951, 3}},
+  };
+  for (const SweepCase& c : bundled_symmetric_cases()) {
+    const Pin& p = pins.at(c.name);
+    for (const StoreMode store : {StoreMode::kHash, StoreMode::kCollapsed}) {
+      const std::string tag =
+          c.name + " / store=" + std::to_string(static_cast<int>(store));
+      const CheckerResult r = run_sym(c.make(), true, store);
+      EXPECT_TRUE(r.exhausted) << tag;
+      EXPECT_EQ(r.transitions, p.transitions) << tag;
+      EXPECT_EQ(r.unique_states, p.unique) << tag;
+      EXPECT_EQ(r.quiescent_states, p.quiescent) << tag;
+    }
+  }
+}
+
+TEST(SymContext, SignaturesReserializeOnlyWhatAMemberTouches) {
+  // Per-member signatures used to serialize every component once per
+  // member, plus the assign and frozen passes: (k + 2) runs per component
+  // per key. Building them from one BOTTOM pass must stay well below.
+  const apps::Scenario s = apps::lb_sym_scenario(4);
+  const CheckerResult r = run_sym(s, true);
+  ASSERT_TRUE(r.exhausted);
+  const Executor ex(s.config, s.properties);
+  const SystemState initial = ex.make_initial();
+  const std::uint64_t components = 1 + initial.switch_count() +
+                                   initial.host_count() +
+                                   initial.prop_count();
+  const std::uint64_t k = 4;
+  const std::uint64_t per_member =
+      (k + 2) * components * r.symmetry.canonicalizations;
+  EXPECT_GT(r.symmetry.component_serializations,
+            2 * components * r.symmetry.canonicalizations);
+  EXPECT_LT(r.symmetry.component_serializations, per_member);
 }
 
 // ---- Fault accounting: duplicate SYN spends the packet-fault budget -------

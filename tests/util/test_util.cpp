@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "util/hash.h"
 #include "util/ser.h"
@@ -20,6 +22,24 @@ TEST(Hash, Hash128HalvesAreIndependent) {
   const std::byte data[] = {std::byte{1}, std::byte{2}, std::byte{3}};
   const Hash128 h = hash128(data);
   EXPECT_NE(h.lo, h.hi);
+}
+
+TEST(Hash, Hash128HalvesAreFnv1aStreams) {
+  // hash128 advances both streams in one pass; each half must still be
+  // exactly the single-stream FNV-1a with its own offset basis, so stored
+  // keys, checkpoints and sleep-store shards keep their values.
+  std::vector<std::byte> big(4096);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::byte>((i * 131 + 7) & 0xff);
+  }
+  const std::byte one[] = {std::byte{0x5a}};
+  const std::span<const std::byte> inputs[] = {
+      std::span<const std::byte>{}, one, big};
+  for (const std::span<const std::byte> x : inputs) {
+    const Hash128 h = hash128(x);
+    EXPECT_EQ(h.lo, fnv1a64(x, 0xcbf29ce484222325ULL)) << x.size();
+    EXPECT_EQ(h.hi, fnv1a64(x, 0x9ae16a3b2f90404fULL)) << x.size();
+  }
 }
 
 TEST(Hash, DifferentInputsDiffer) {
@@ -56,12 +76,17 @@ TEST(Ser, IntegersAreBigEndianCanonical) {
   Ser s;
   s.put_u16(0x0102);
   s.put_u32(0x03040506);
+  s.put_u64(0x0708090a0b0c0d0eULL);
+  s.put_i64(-2);  // two's complement: ff ff ff ff ff ff ff fe
   const auto b = s.bytes();
-  ASSERT_EQ(b.size(), 6u);
-  EXPECT_EQ(b[0], std::byte{1});
-  EXPECT_EQ(b[1], std::byte{2});
-  EXPECT_EQ(b[2], std::byte{3});
-  EXPECT_EQ(b[5], std::byte{6});
+  ASSERT_EQ(b.size(), 22u);
+  for (std::size_t i = 0; i < 14; ++i) {
+    EXPECT_EQ(b[i], static_cast<std::byte>(i + 1)) << i;
+  }
+  for (std::size_t i = 14; i < 21; ++i) {
+    EXPECT_EQ(b[i], std::byte{0xff}) << i;
+  }
+  EXPECT_EQ(b[21], std::byte{0xfe});
 }
 
 TEST(Ser, StringsAreLengthPrefixed) {
@@ -204,7 +229,9 @@ TEST(Des, TruncatedStringRejected) {
   Ser s;
   s.put_str("hello");
   const std::string bytes = s.take();
-  Des d(bytes.substr(0, bytes.size() - 2));
+  // Des keeps a view of its input, so the truncated copy must outlive it.
+  const std::string truncated = bytes.substr(0, bytes.size() - 2);
+  Des d(truncated);
   EXPECT_EQ(d.get_str(), "");
   EXPECT_FALSE(d.ok());
 }
