@@ -1,5 +1,6 @@
-// Ablations of the design choices DESIGN.md calls out (paper Section 6,
-// "Model checker details"):
+// Ablations of the design choices ARCHITECTURE.md describes under "State
+// pipeline" and "State storage" (paper Section 6, "Model checker
+// details"):
 //
 //   1. State restoration: cloning states (our default) vs replaying the
 //      transition sequence from the initial state (the paper's choice, to

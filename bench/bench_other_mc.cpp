@@ -1,5 +1,6 @@
 // Section 7's "comparison to other model checkers", reproduced with
-// degraded configurations of our own checker (see DESIGN.md §1):
+// degraded configurations of our own checker (see ARCHITECTURE.md,
+// "State storage"):
 //
 //   * NICE-MC            — hash-based state matching, handler-atomic
 //                          controller transitions;

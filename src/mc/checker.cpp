@@ -41,8 +41,7 @@ CheckerResult Checker::run() {
   if (!options_.checkpoint_path.empty() ||
       options_.memory_budget_bytes > 0 || options_.handle_signals) {
     durability = std::make_unique<Durability>(
-        options_, search_config_fingerprint(cfg_, options_, executor_),
-        fp_memo_.get(), disc_memo_.get());
+        options_, search_config_fingerprint(cfg_, options_, executor_));
     if (options_.resume) {
       // Resume-or-fresh: a missing/corrupt/mismatching checkpoint is not
       // fatal — the search simply starts over (and re-creates the slots).
@@ -56,7 +55,7 @@ CheckerResult Checker::run() {
     result = run_parallel(core_, options_.threads, durability.get());
   } else {
     auto frontier = make_frontier(options_.frontier, options_.frontier_seed);
-    result = core_.run_sequential(*frontier, cache_, durability.get());
+    result = core_.run_sequential(*frontier, durability.get());
   }
   finish_reporter(reporter.get(), result);
   return result;
@@ -91,7 +90,7 @@ CheckerResult Checker::random_walk(std::uint64_t seed, int walks,
         break;
       }
       auto ts = apply_strategy(options_.strategy, cfg_, state,
-                               executor_.enabled(state, cache_));
+                               executor_.enabled(state, discovery_));
       if (ts.empty()) {
         ++result.quiescent_states;
         if (wt != nullptr) wt->add_quiescent();
@@ -138,7 +137,7 @@ CheckerResult Checker::random_walk(std::uint64_t seed, int walks,
   }
 
   result.seconds = seconds_since(start);
-  result.discovery = cache_.stats();
+  result.discovery = discovery_.stats();
   core_.publish_gauges(0);
   core_.finish_stats(result, nullptr);
   finish_reporter(reporter.get(), result);

@@ -42,33 +42,34 @@ class Checker {
         options_(options),
         props_(props),
         executor_(cfg, props),
-        seen_(options.state_store, shard_count(options)),
+        seen_(options.state_store, shard_count(options.threads)),
         collapse_(options.state_store ==
                           util::ShardedSeenSet::Mode::kCollapsed
                       ? std::make_unique<util::CollapseTable>(
-                            shard_count(options))
+                            shard_count(options.threads))
                       : nullptr),
         // Symmetry forces reduction off: the sleep-set bookkeeping assumes
         // key-equal states enable identically *labelled* transitions,
         // which merging permutation-equivalent states breaks.
         sleep_(options.reduction == Reduction::kNone || options.symmetry
                    ? nullptr
-                   : std::make_unique<por::SleepStore>(shard_count(options))),
+                   : std::make_unique<por::SleepStore>(
+                         shard_count(options.threads))),
         // The memo layer keys on component identities that the seen-set's
         // own bookkeeping already computes: interned ids in kCollapsed
         // mode (collapse_key warms the Snap::form_id memos as a side
         // effect), memoized component form hashes otherwise.
         fp_memo_(options.memo
                      ? std::make_unique<por::FootprintMemo>(
-                           cfg_, collapse_.get(), memo_shard_count(options),
+                           cfg_, collapse_.get(),
+                           shard_count(options.threads),
                            options.memo_budget_bytes / 2)
                      : nullptr),
-        disc_memo_(options.memo
-                       ? std::make_unique<DiscoveryMemo>(
-                             collapse_.get(), memo_shard_count(options),
-                             options.memo_budget_bytes -
-                                 options.memo_budget_bytes / 2)
-                       : nullptr),
+        // Discovery is cached whatever `memo` says: every revisit of a
+        // controller state would otherwise re-run the concolic engine. It
+        // takes the other half of the memo budget.
+        discovery_(collapse_.get(), shard_count(options.threads),
+                   options.memo_budget_bytes - options.memo_budget_bytes / 2),
         telem_(options.telemetry
                    ? std::make_unique<util::Telemetry>(
                          options.threads > 1 ? options.threads : 1)
@@ -79,11 +80,9 @@ class Checker {
         // Throws std::invalid_argument on an invalid orbit declaration.
         sym_(options.symmetry ? std::make_unique<SymContext>(cfg)
                               : nullptr),
-        core_(cfg_, options_, executor_, seen_, sleep_.get(),
+        core_(cfg_, options_, executor_, seen_, discovery_, sleep_.get(),
               packet_keyed(props), collapse_.get(), fp_memo_.get(),
-              disc_memo_.get(), telem_.get(), sym_.get()) {
-    executor_.set_discovery_memo(disc_memo_.get());
-  }
+              telem_.get(), sym_.get()) {}
 
   // core_ holds references into this object's own members, so moving or
   // copying a Checker would leave it pointing at the source.
@@ -117,15 +116,10 @@ class Checker {
   static void finish_reporter(util::ProgressReporter* reporter,
                               CheckerResult& result);
 
-  static std::size_t shard_count(const CheckerOptions& options) {
-    if (options.seen_shards != 0) return options.seen_shards;
-    return options.threads <= 1 ? 1 : 4 * static_cast<std::size_t>(
-                                           options.threads);
-  }
-
-  static std::size_t memo_shard_count(const CheckerOptions& options) {
-    return options.memo_shards != 0 ? options.memo_shards
-                                    : shard_count(options);
+  /// Shards of every lock-striped table: 1 single-threaded, 4× threads
+  /// when parallel.
+  static std::size_t shard_count(unsigned threads) {
+    return threads <= 1 ? 1 : 4 * static_cast<std::size_t>(threads);
   }
 
   const SystemConfig& cfg_;
@@ -136,12 +130,11 @@ class Checker {
   std::unique_ptr<util::CollapseTable> collapse_;
   std::unique_ptr<por::SleepStore> sleep_;
   std::unique_ptr<por::FootprintMemo> fp_memo_;
-  std::unique_ptr<DiscoveryMemo> disc_memo_;
+  DiscoveryCache discovery_;
   // Constructed before core_, which captures the raw pointer.
   std::unique_ptr<util::Telemetry> telem_;
   std::unique_ptr<SymContext> sym_;
   SearchCore core_;
-  DiscoveryCache cache_;
 };
 
 }  // namespace nicemc::mc

@@ -296,12 +296,9 @@ bool expect_tag(util::Des& d, char tag) {
 
 }  // namespace
 
-Durability::Durability(const CheckerOptions& options, util::Hash128 config_fp,
-                       por::FootprintMemo* fp_memo, DiscoveryMemo* disc_memo)
+Durability::Durability(const CheckerOptions& options, util::Hash128 config_fp)
     : options_(options),
       config_fp_(config_fp),
-      fp_memo_(fp_memo),
-      disc_memo_(disc_memo),
       last_save_(SearchClock::now()) {
   if (options_.handle_signals) install_cooperative_signal_handlers();
 }
@@ -666,13 +663,14 @@ LimitReason Durability::poll(const SearchCore& core,
     return LimitReason::kInterrupted;
   }
   if (options_.memory_budget_bytes == 0) return LimitReason::kNone;
+  por::FootprintMemo* const fp_memo = core.footprint_memo();
+  DiscoveryCache& discovery = core.discovery();
   std::uint64_t bytes = core.resident_bytes(frontier_nodes);
   watchdog_bytes_ = bytes;
   while (bytes > options_.memory_budget_bytes) {
     const std::uint64_t fp_b =
-        fp_memo_ != nullptr ? fp_memo_->byte_budget() : 0;
-    const std::uint64_t disc_b =
-        disc_memo_ != nullptr ? disc_memo_->byte_budget() : 0;
+        fp_memo != nullptr ? fp_memo->byte_budget() : 0;
+    const std::uint64_t disc_b = discovery.byte_budget();
     if (fp_b == 0 && disc_b == 0) {
       // Ladder exhausted: the irreducible search state (seen-set,
       // collapse table, sleep store, frontier) no longer fits. Halt
@@ -688,8 +686,8 @@ LimitReason Durability::poll(const SearchCore& core,
     const auto next = [](std::uint64_t b) {
       return b >= (2ULL << 20) ? b / 2 : 0;
     };
-    if (fp_memo_ != nullptr) fp_memo_->shrink_to(next(fp_b));
-    if (disc_memo_ != nullptr) disc_memo_->shrink_to(next(disc_b));
+    if (fp_memo != nullptr) fp_memo->shrink_to(next(fp_b));
+    discovery.shrink_to(next(disc_b));
     ++memo_shrinks_;
     bytes = core.resident_bytes(frontier_nodes);
     watchdog_bytes_ = bytes;
@@ -717,10 +715,7 @@ std::uint64_t SearchCore::resident_bytes(std::uint64_t frontier_nodes) const {
   if (collapse_ != nullptr) bytes += collapse_->interned_bytes();
   if (sleep_ != nullptr) bytes += sleep_->store_bytes();
   if (fp_memo_ != nullptr) bytes += fp_memo_->stats().bytes;
-  if (disc_memo_ != nullptr) {
-    bytes += disc_memo_->packet_stats().bytes;
-    bytes += disc_memo_->stats_stats().bytes;
-  }
+  bytes += discovery_.table_stats().bytes;
   return bytes + frontier_nodes * kFrontierNodeBytes;
 }
 

@@ -100,8 +100,7 @@ class Durability {
   /// `config_fp` fingerprints everything a checkpoint must agree on to be
   /// resumable (scenario initial state, strategy, store mode, reduction,
   /// depth cap); a mismatching checkpoint is rejected on resume.
-  Durability(const CheckerOptions& options, util::Hash128 config_fp,
-             por::FootprintMemo* fp_memo, DiscoveryMemo* disc_memo);
+  Durability(const CheckerOptions& options, util::Hash128 config_fp);
 
   [[nodiscard]] bool checkpointing() const noexcept {
     return !options_.checkpoint_path.empty();
@@ -156,8 +155,9 @@ class Durability {
   }
 
   /// Between-expansions poll: interrupt flag first, then the memory
-  /// ladder. Over budget, the memo tables are halved repeatedly (memo
-  /// contents are count-invisible, so this only costs wall-clock time);
+  /// ladder. Over budget, the core's footprint memo and discovery cache
+  /// are halved repeatedly (their contents are count-invisible, so this
+  /// only costs wall-clock time);
   /// when they are empty and the accounted bytes still exceed the budget,
   /// returns kMemory — the driver checkpoints and halts instead of
   /// OOM-aborting. Returns kNone to continue.
@@ -178,8 +178,6 @@ class Durability {
 
   const CheckerOptions& options_;
   util::Hash128 config_fp_;
-  por::FootprintMemo* fp_memo_;
-  DiscoveryMemo* disc_memo_;
 
   detail::SearchClock::time_point last_save_;
   std::uint64_t sequence_{1};

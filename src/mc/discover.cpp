@@ -1,31 +1,9 @@
 #include "mc/discover.h"
 
 #include <algorithm>
-#include <cassert>
+#include <string_view>
 
 namespace nicemc::mc {
-
-const std::vector<sym::PacketFields>* DiscoveryCache::find_packets(
-    of::HostId host, util::Hash128 ctrl_hash) const {
-  auto it = packets_.find(PacketKey{host, ctrl_hash});
-  return it == packets_.end() ? nullptr : &it->second;
-}
-
-const std::vector<StatsValues>* DiscoveryCache::find_stats(
-    of::SwitchId sw, util::Hash128 ctrl_hash) const {
-  auto it = stats_values_.find(StatsKey{sw, ctrl_hash});
-  return it == stats_values_.end() ? nullptr : &it->second;
-}
-
-void DiscoveryCache::store_packets(of::HostId host, util::Hash128 ctrl_hash,
-                                   std::vector<sym::PacketFields> packets) {
-  packets_.emplace(PacketKey{host, ctrl_hash}, std::move(packets));
-}
-
-void DiscoveryCache::store_stats(of::SwitchId sw, util::Hash128 ctrl_hash,
-                                 std::vector<StatsValues> values) {
-  stats_values_.emplace(StatsKey{sw, ctrl_hash}, std::move(values));
-}
 
 namespace {
 
@@ -36,8 +14,8 @@ std::string_view ser_view(const util::Ser& s) {
 
 }  // namespace
 
-void DiscoveryMemo::put_app_id(util::Ser& key,
-                               const SystemState& state) const {
+void DiscoveryCache::put_app_id(util::Ser& key,
+                                const SystemState& state) const {
   if (ids_ != nullptr) {
     key.put_u32(state.app_state_id(*ids_));
   } else {
@@ -47,8 +25,8 @@ void DiscoveryMemo::put_app_id(util::Ser& key,
   }
 }
 
-void DiscoveryMemo::packets_key(util::Ser& key, const SystemState& state,
-                                of::HostId host) const {
+void DiscoveryCache::packets_key(util::Ser& key, const SystemState& state,
+                                 of::HostId host) const {
   key.put_u8('P');
   const hosts::HostState& hs = state.host(host);
   key.put_u32(host);
@@ -57,8 +35,8 @@ void DiscoveryMemo::packets_key(util::Ser& key, const SystemState& state,
   put_app_id(key, state);
 }
 
-void DiscoveryMemo::stats_key(util::Ser& key, const SystemState& state,
-                              of::SwitchId sw) const {
+void DiscoveryCache::stats_key(util::Ser& key, const SystemState& state,
+                               of::SwitchId sw) const {
   key.put_u8('S');
   key.put_u32(sw);
   put_app_id(key, state);
@@ -73,43 +51,62 @@ void DiscoveryMemo::stats_key(util::Ser& key, const SystemState& state,
   }
 }
 
-std::shared_ptr<const std::vector<sym::PacketFields>>
-DiscoveryMemo::find_packets(const SystemState& state, of::HostId host) {
+void DiscoveryCache::count(const DiscoveryStats& run) {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  packet_discoveries_.fetch_add(run.packet_discoveries, kRelaxed);
+  stats_discoveries_.fetch_add(run.stats_discoveries, kRelaxed);
+  handler_runs_.fetch_add(run.handler_runs, kRelaxed);
+  solver_queries_.fetch_add(run.solver_queries, kRelaxed);
+  packets_found_.fetch_add(run.packets_found, kRelaxed);
+}
+
+DiscoveryStats DiscoveryCache::stats() const {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  DiscoveryStats s;
+  s.packet_discoveries = packet_discoveries_.load(kRelaxed);
+  s.stats_discoveries = stats_discoveries_.load(kRelaxed);
+  s.handler_runs = handler_runs_.load(kRelaxed);
+  s.solver_queries = solver_queries_.load(kRelaxed);
+  s.packets_found = packets_found_.load(kRelaxed);
+  return s;
+}
+
+std::shared_ptr<const DiscoveryCache::Packets> DiscoveryCache::packets(
+    const SystemConfig& cfg, const SystemState& state, of::HostId host) {
   thread_local util::Ser key;  // clear() keeps capacity across calls
   key.clear();
   packets_key(key, state, host);
-  return packets_.find(ser_view(key));
+  if (auto hit = table_.find(ser_view(key))) {
+    return std::static_pointer_cast<const Packets>(hit);
+  }
+  DiscoveryStats run;
+  auto found = std::make_shared<const Packets>(
+      discover_packets(cfg, state, host, run));
+  count(run);
+  table_.insert(ser_view(key), found,
+                found->size() * sizeof(sym::PacketFields) + sizeof(Packets));
+  return found;
 }
 
-void DiscoveryMemo::store_packets(
-    const SystemState& state, of::HostId host,
-    const std::vector<sym::PacketFields>& packets) {
-  thread_local util::Ser key;
-  key.clear();
-  packets_key(key, state, host);
-  packets_.insert(ser_view(key), packets,
-                  packets.size() * sizeof(sym::PacketFields) +
-                      sizeof(packets));
-}
-
-std::shared_ptr<const std::vector<StatsValues>> DiscoveryMemo::find_stats(
-    const SystemState& state, of::SwitchId sw) {
-  thread_local util::Ser key;
-  key.clear();
-  stats_key(key, state, sw);
-  return stats_.find(ser_view(key));
-}
-
-void DiscoveryMemo::store_stats(const SystemState& state, of::SwitchId sw,
-                                const std::vector<StatsValues>& values) {
+std::shared_ptr<const DiscoveryCache::StatsClasses>
+DiscoveryCache::stats_classes(const SystemConfig& cfg,
+                              const SystemState& state, of::SwitchId sw) {
   thread_local util::Ser key;
   key.clear();
   stats_key(key, state, sw);
-  std::size_t bytes = sizeof(values);
-  for (const StatsValues& v : values) {
+  if (auto hit = table_.find(ser_view(key))) {
+    return std::static_pointer_cast<const StatsClasses>(hit);
+  }
+  DiscoveryStats run;
+  auto found = std::make_shared<const StatsClasses>(
+      discover_stats(cfg, state, sw, run));
+  count(run);
+  std::size_t bytes = sizeof(StatsClasses);
+  for (const StatsValues& v : *found) {
     bytes += sizeof(v) + v.size() * sizeof(StatsValues::value_type);
   }
-  stats_.insert(ser_view(key), values, bytes);
+  table_.insert(ser_view(key), found, bytes);
+  return found;
 }
 
 std::vector<sym::PacketFields> discover_packets(const SystemConfig& cfg,

@@ -4,7 +4,7 @@
 // the *current concrete controller state* and the client's location
 // context; each feasible handler path yields one equivalence class of
 // packets, from which one representative is instantiated. Results are memo-
-// ized per (client, controller-state hash) — the paper's
+// ized in one DiscoveryCache per search — the paper's
 // `client.packets[state(ctrl)]` map — so revisiting the same controller
 // state never re-runs symbolic execution.
 //
@@ -13,15 +13,15 @@
 #ifndef NICE_MC_DISCOVER_H
 #define NICE_MC_DISCOVER_H
 
+#include <atomic>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "mc/system.h"
 #include "sym/sympacket.h"
 #include "util/collapse.h"
-#include "util/hash.h"
 #include "util/memo.h"
 
 namespace nicemc::mc {
@@ -37,8 +37,8 @@ struct DiscoveryStats {
   std::uint64_t packets_found{0};
 };
 
-/// Accumulate `from` into `into` — used by the parallel driver (per-worker
-/// caches) and by checkpoint resume (counters carried across runs).
+/// Accumulate `from` into `into` — the drivers add the cache's counters to
+/// the ones a resumed checkpoint carried over.
 inline void add_discovery_stats(DiscoveryStats& into,
                                 const DiscoveryStats& from) {
   into.packet_discoveries += from.packet_discoveries;
@@ -48,91 +48,60 @@ inline void add_discovery_stats(DiscoveryStats& into,
   into.packets_found += from.packets_found;
 }
 
-/// Per-run (and, in the parallel driver, per-worker) front cache over
-/// discovery. The Hash128 the caller keys with must cover *every* input
-/// the discovery reads beyond the id — Executor::enabled folds the
-/// controller-state hash with the host's location (packets) or the
-/// per-port tx_bytes seeds (stats). An under-keyed entry would alias
-/// distinct states and make the cached representatives depend on visit
-/// order, which breaks checkpoint/resume count-identity.
-class DiscoveryCache {
- public:
-  using PacketKey = std::pair<of::HostId, util::Hash128>;
-  using StatsKey = std::pair<of::SwitchId, util::Hash128>;
-
-  [[nodiscard]] const std::vector<sym::PacketFields>* find_packets(
-      of::HostId host, util::Hash128 ctrl_hash) const;
-  [[nodiscard]] const std::vector<StatsValues>* find_stats(
-      of::SwitchId sw, util::Hash128 ctrl_hash) const;
-
-  void store_packets(of::HostId host, util::Hash128 ctrl_hash,
-                     std::vector<sym::PacketFields> packets);
-  void store_stats(of::SwitchId sw, util::Hash128 ctrl_hash,
-                   std::vector<StatsValues> values);
-
-  [[nodiscard]] DiscoveryStats& stats() noexcept { return stats_; }
-  [[nodiscard]] const DiscoveryStats& stats() const noexcept {
-    return stats_;
-  }
-
- private:
-  std::map<PacketKey, std::vector<sym::PacketFields>> packets_;
-  std::map<StatsKey, std::vector<StatsValues>> stats_values_;
-  DiscoveryStats stats_;
-};
-
-/// Search-wide memo of discovery results, shared by all workers — the
-/// cross-state "relevant packets" index the paper recomputes from scratch
-/// per controller state (client.packets[state(ctrl)], Figure 5).
+/// The search's one table of discovery results, shared by every worker —
+/// the paper's `client.packets[state(ctrl)]` map (Figure 5).
 ///
 /// discover_packets is a pure function of (the client's <switch, port>
 /// location, the controller *application* state, the fixed config),
 /// discover_stats of (the switch's per-port tx_bytes seeds, the
-/// application state, the config). The application state is keyed by its
-/// interned projection id in kCollapsed mode (SystemState::app_state_id —
-/// id equality ⇔ app-bytes equality, collision-proof) and by its memoized
-/// projection hash otherwise (SystemState::ctrl_hash — already computed
-/// by every enabled() call, at the hash-store's own negligible collision
-/// risk); everything else by its exact bytes.
+/// application state, the config). The key holds exactly those inputs: the
+/// location or the seeds by their exact bytes, and the application state
+/// by its interned projection id in kCollapsed mode
+/// (SystemState::app_state_id — id equality ⇔ app-bytes equality,
+/// collision-proof) or by its memoized projection hash otherwise
+/// (SystemState::ctrl_hash, at the hash store's own negligible collision
+/// risk). An under-keyed entry would alias distinct states and make the
+/// discovered transitions depend on visit order, which breaks
+/// checkpoint/resume count-identity.
 ///
-/// The per-worker DiscoveryCache stays in front of this: Executor::enabled
-/// consults it first and stores into it always, so sequential searches
-/// behave bit-identically with the memo on or off; the shared memo only
-/// short-circuits the symbolic run on a local miss.
-class DiscoveryMemo {
+/// Entries live in one lock-striped util::MemoCore whose LRU eviction keeps
+/// the resident bytes within the budget. Evicting only costs a re-run of
+/// the pure discovery, so search counts never depend on the budget.
+class DiscoveryCache {
  public:
+  using Packets = std::vector<sym::PacketFields>;
+  using StatsClasses = std::vector<StatsValues>;
+
+  /// The discovery share of the default CheckerOptions::memo_budget_bytes.
+  static constexpr std::uint64_t kDefaultBudget = 32ull << 20;
+
+  /// Hash keys, one shard, the default budget.
+  DiscoveryCache() : DiscoveryCache(nullptr, 1, kDefaultBudget) {}
   /// `ids` is the seen-set's interning table in kCollapsed mode, nullptr
   /// otherwise (memoized-hash keys).
-  DiscoveryMemo(util::CollapseTable* ids, std::size_t shards,
-                std::uint64_t byte_budget)
-      : ids_(ids),
-        packets_(shards, byte_budget / 2),
-        stats_(shards, byte_budget - byte_budget / 2) {}
+  DiscoveryCache(util::CollapseTable* ids, std::size_t shards,
+                 std::uint64_t byte_budget)
+      : ids_(ids), table_(shards, byte_budget) {}
 
-  [[nodiscard]] std::shared_ptr<const std::vector<sym::PacketFields>>
-  find_packets(const SystemState& state, of::HostId host);
-  void store_packets(const SystemState& state, of::HostId host,
-                     const std::vector<sym::PacketFields>& packets);
+  /// discover_packets for `host` at its current location in `state`: the
+  /// stored result, or a fresh symbolic run that is then stored.
+  [[nodiscard]] std::shared_ptr<const Packets> packets(
+      const SystemConfig& cfg, const SystemState& state, of::HostId host);
+  /// discover_stats for `sw` in `state`, cached the same way.
+  [[nodiscard]] std::shared_ptr<const StatsClasses> stats_classes(
+      const SystemConfig& cfg, const SystemState& state, of::SwitchId sw);
 
-  [[nodiscard]] std::shared_ptr<const std::vector<StatsValues>> find_stats(
-      const SystemState& state, of::SwitchId sw);
-  void store_stats(const SystemState& state, of::SwitchId sw,
-                   const std::vector<StatsValues>& values);
-
-  [[nodiscard]] util::MemoCore::Stats packet_stats() const {
-    return packets_.stats();
-  }
-  [[nodiscard]] util::MemoCore::Stats stats_stats() const {
-    return stats_.stats();
+  /// Snapshot of the discovery counters (the symbolic runs on misses).
+  [[nodiscard]] DiscoveryStats stats() const;
+  /// Lookups, evictions and resident bytes of the table.
+  [[nodiscard]] util::MemoCore::Stats table_stats() const {
+    return table_.stats();
   }
 
-  /// Memory-watchdog hook: lower the combined byte budget and evict.
-  void shrink_to(std::uint64_t new_budget) {
-    packets_.shrink_to(new_budget / 2);
-    stats_.shrink_to(new_budget - new_budget / 2);
-  }
+  /// Memory-watchdog hook: lower the byte budget and evict to fit.
+  void shrink_to(std::uint64_t new_budget) { table_.shrink_to(new_budget); }
   [[nodiscard]] std::uint64_t byte_budget() const noexcept {
-    return packets_.byte_budget() + stats_.byte_budget();
+    return table_.byte_budget();
   }
 
  private:
@@ -141,10 +110,15 @@ class DiscoveryMemo {
                    of::HostId host) const;
   void stats_key(util::Ser& key, const SystemState& state,
                  of::SwitchId sw) const;
+  void count(const DiscoveryStats& run);
 
   util::CollapseTable* ids_;
-  util::MemoTable<std::vector<sym::PacketFields>> packets_;
-  util::MemoTable<std::vector<StatsValues>> stats_;
+  util::MemoCore table_;
+  std::atomic<std::uint64_t> packet_discoveries_{0};
+  std::atomic<std::uint64_t> stats_discoveries_{0};
+  std::atomic<std::uint64_t> handler_runs_{0};
+  std::atomic<std::uint64_t> solver_queries_{0};
+  std::atomic<std::uint64_t> packets_found_{0};
 };
 
 /// Run symbolic execution of packet_in for `host` at its current location.

@@ -69,7 +69,6 @@ std::vector<Transition> Executor::enabled(const SystemState& state,
   // part of enumerating the enabled set.
   const util::PhaseScope phase(util::Phase::kEnabled);
   std::vector<Transition> out;
-  const util::Hash128 chash = state.ctrl_hash();
 
   // --- controller ---
   if (cfg_.fine_interleaving && !state.ctrl().pending_commands.empty()) {
@@ -80,36 +79,7 @@ std::vector<Transition> Executor::enabled(const SystemState& state,
     const bool head_is_stats =
         std::holds_alternative<of::StatsReply>(sw.of_out.front());
     if (head_is_stats && cfg_.symbolic_discovery) {
-      // Key the per-run cache on every input discover_stats reads: the
-      // controller application state AND the per-port tx_bytes seeds
-      // (discover.cpp seeds one symbolic var per port with the current
-      // counter, so the representatives depend on them). Keying on the
-      // app state alone would alias states that differ only in counters,
-      // making the cached representatives depend on which state happened
-      // to discover first — visit-order-dependent transition payloads
-      // that break checkpoint/resume count-identity.
-      util::Hash128 skey = chash;
-      for (const of::PortId p : sw.ports) {
-        const auto it = sw.port_stats.find(p);
-        skey = util::hash128_combine(skey, static_cast<std::uint64_t>(p));
-        skey = util::hash128_combine(
-            skey, it == sw.port_stats.end()
-                      ? 0
-                      : (it->second.tx_bytes & 0xffffffffULL));
-      }
-      const std::vector<StatsValues>* vals = cache.find_stats(sw.id, skey);
-      if (vals == nullptr) {
-        std::vector<StatsValues> discovered;
-        if (const auto hit =
-                memo_ ? memo_->find_stats(state, sw.id) : nullptr) {
-          discovered = *hit;
-        } else {
-          discovered = discover_stats(cfg_, state, sw.id, cache.stats());
-          if (memo_) memo_->store_stats(state, sw.id, discovered);
-        }
-        cache.store_stats(sw.id, skey, std::move(discovered));
-        vals = cache.find_stats(sw.id, skey);
-      }
+      const auto vals = cache.stats_classes(cfg_, state, sw.id);
       for (const StatsValues& v : *vals) {
         out.push_back(Transition{.kind = TKind::kCtrlProcessStats,
                                  .a = sw.id,
@@ -235,26 +205,7 @@ std::vector<Transition> Executor::enabled(const SystemState& state,
     }
     if (!hs.can_send(hb)) continue;
     if (hb.discovery_sends && cfg_.symbolic_discovery) {
-      // Same completeness rule as the stats key above: discover_packets
-      // reads the host's current <switch, port> location (hosts move via
-      // kHostMove), so the location joins the cache key.
-      const util::Hash128 pkey = util::hash128_combine(
-          util::hash128_combine(chash, static_cast<std::uint64_t>(hs.sw)),
-          static_cast<std::uint64_t>(hs.port));
-      const std::vector<sym::PacketFields>* pkts =
-          cache.find_packets(hs.id, pkey);
-      if (pkts == nullptr) {
-        std::vector<sym::PacketFields> discovered;
-        if (const auto hit =
-                memo_ ? memo_->find_packets(state, hs.id) : nullptr) {
-          discovered = *hit;
-        } else {
-          discovered = discover_packets(cfg_, state, hs.id, cache.stats());
-          if (memo_) memo_->store_packets(state, hs.id, discovered);
-        }
-        cache.store_packets(hs.id, pkey, std::move(discovered));
-        pkts = cache.find_packets(hs.id, pkey);
-      }
+      const auto pkts = cache.packets(cfg_, state, hs.id);
       for (const sym::PacketFields& f : *pkts) {
         out.push_back(Transition{.kind = TKind::kHostSendDiscovered,
                                  .a = hs.id,

@@ -25,14 +25,10 @@ class Executor {
 
   /// Enabled transitions in deterministic order. Performs discover_packets/
   /// discover_stats on demand (memoized in `cache`) — operationally
-  /// equivalent to Figure 5's explicit discover transitions, see DESIGN.md.
+  /// equivalent to Figure 5's explicit discover transitions, see
+  /// ARCHITECTURE.md, "The mc pipeline".
   std::vector<Transition> enabled(const SystemState& state,
                                   DiscoveryCache& cache) const;
-
-  /// Attach the search-wide discovery memo (nullptr = off). Consulted only
-  /// on a local-cache miss and stored into after every fresh symbolic run,
-  /// so per-worker behavior is unchanged — hits merely skip recomputation.
-  void set_discovery_memo(DiscoveryMemo* memo) noexcept { memo_ = memo; }
 
   /// Execute `t` on `state`; property monitors observe the generated
   /// events and append any violations.
@@ -75,7 +71,6 @@ class Executor {
 
   const SystemConfig& cfg_;
   const PropertyList& props_;
-  DiscoveryMemo* memo_{nullptr};
 };
 
 }  // namespace nicemc::mc

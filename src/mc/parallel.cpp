@@ -44,12 +44,10 @@ struct SharedSearch {
   /// Telemetry gauge cadence (guarded by `mu`, like poll_tick).
   std::uint64_t gauge_tick{0};
 
-  /// Durability context (may be null); the discovery sources a snapshot
-  /// must sum (resumed seed + init cache + per-worker caches).
+  /// Durability context (may be null) and the discovery counters a
+  /// resumed checkpoint carried over (a snapshot adds the cache's own).
   Durability* dur{nullptr};
   DiscoveryStats seed_discovery;
-  const DiscoveryCache* init_cache{nullptr};
-  const std::vector<DiscoveryCache>* caches{nullptr};
 
   std::atomic<std::uint64_t> transitions{0};
   std::atomic<std::uint64_t> unique_states{0};
@@ -88,27 +86,13 @@ struct SharedSearch {
     }
     return LimitReason::kNone;
   }
-
-  /// Sum every discovery source visible so far. Callers must hold `mu`
-  /// with active == 0 (or have joined the workers) so no cache is mid-
-  /// mutation.
-  [[nodiscard]] DiscoveryStats discovery_now() const {
-    DiscoveryStats disc = seed_discovery;
-    if (init_cache != nullptr) add_discovery_stats(disc, init_cache->stats());
-    if (caches != nullptr) {
-      for (const DiscoveryCache& c : *caches) {
-        add_discovery_stats(disc, c.stats());
-      }
-    }
-    return disc;
-  }
 };
 
 /// Write a checkpoint of the shared search. Caller holds `mu` and the
 /// workers are quiesced (active == 0), so counters, deque, violations and
-/// discovery caches are all at rest. The deque is snapshotted front-to-
-/// back: re-push_back in that order reproduces it exactly, LIFO pops and
-/// all.
+/// the discovery counters are all at rest. The deque is snapshotted
+/// front-to-back: re-push_back in that order reproduces it exactly, LIFO
+/// pops and all.
 void parallel_snapshot(const SearchCore& core, SharedSearch& shared) {
   Durability::Snapshot snap;
   snap.transitions = shared.transitions.load(std::memory_order_relaxed);
@@ -117,7 +101,8 @@ void parallel_snapshot(const SearchCore& core, SharedSearch& shared) {
   snap.quiescent_states =
       shared.quiescent_states.load(std::memory_order_relaxed);
   snap.violations = &shared.violations;
-  snap.discovery = shared.discovery_now();
+  snap.discovery = shared.seed_discovery;
+  add_discovery_stats(snap.discovery, core.discovery().stats());
   snap.frontier_rng = 0;
   snap.for_each_node =
       [&shared](const std::function<void(const SearchNode&)>& fn) {
@@ -127,7 +112,7 @@ void parallel_snapshot(const SearchCore& core, SharedSearch& shared) {
 }
 
 void search_worker(const SearchCore& core, SharedSearch& shared,
-                   DiscoveryCache& cache, std::size_t worker) {
+                   std::size_t worker) {
   const util::Telemetry::Binding bind(core.telemetry(), worker);
   util::WorkerTelemetry* const wt = util::Telemetry::current();
   const auto runnable = [&shared] {
@@ -202,7 +187,7 @@ void search_worker(const SearchCore& core, SharedSearch& shared,
       wt->record_expand(static_cast<std::uint32_t>(node.transition.kind),
                         node.transition.a, node.transition.aux);
     }
-    SearchCore::Expansion e = core.expand(node, cache);
+    SearchCore::Expansion e = core.expand(node);
     shared.transitions.fetch_add(1, std::memory_order_relaxed);
     if (wt != nullptr) wt->add_transitions();
 
@@ -248,7 +233,6 @@ CheckerResult run_parallel(const SearchCore& core, unsigned threads,
   const CheckerOptions& options = core.options();
 
   CheckerResult result;
-  DiscoveryCache init_cache;
   std::vector<SearchNode> roots;
   if (dur != nullptr && dur->resumed()) {
     // Stores were reloaded by Durability::resume; carry the counters and
@@ -256,7 +240,7 @@ CheckerResult run_parallel(const SearchCore& core, unsigned threads,
     dur->seed(result);
     roots = dur->take_nodes();
   } else {
-    roots = core.init(result, init_cache);
+    roots = core.init(result);
   }
 
   SharedSearch shared(options, start);
@@ -268,11 +252,8 @@ CheckerResult run_parallel(const SearchCore& core, unsigned threads,
   result.violations.clear();
   for (SearchNode& root : roots) shared.work.push_back(std::move(root));
 
-  std::vector<DiscoveryCache> caches(threads);
   shared.dur = dur;
   shared.seed_discovery = result.discovery;
-  shared.init_cache = &init_cache;
-  shared.caches = &caches;
 
   if (core.telemetry() != nullptr) {
     // Seed the reporter's cumulative totals with the resumed/init
@@ -288,12 +269,9 @@ CheckerResult run_parallel(const SearchCore& core, unsigned threads,
     workers.reserve(threads);
     for (unsigned w = 0; w < threads; ++w) {
       workers.emplace_back(search_worker, std::cref(core), std::ref(shared),
-                           std::ref(caches[w]), static_cast<std::size_t>(w));
+                           static_cast<std::size_t>(w));
     }
     for (std::thread& t : workers) t.join();
-    for (const DiscoveryCache& c : caches) {
-      add_discovery_stats(result.discovery, c.stats());
-    }
   }
 
   result.transitions = shared.transitions.load();
@@ -305,7 +283,7 @@ CheckerResult run_parallel(const SearchCore& core, unsigned threads,
   result.exhausted = shared.work.empty() && !shared.truncated.load() &&
                      !(options.stop_at_first_violation &&
                        result.found_violation());
-  add_discovery_stats(result.discovery, init_cache.stats());
+  add_discovery_stats(result.discovery, core.discovery().stats());
   core.publish_gauges(shared.work.size());
   if (dur != nullptr) {
     // Final checkpoint with the workers joined: whatever halted the run
@@ -348,9 +326,8 @@ struct SharedWalks {
 };
 
 void walk_worker(const SearchCore& core, SharedWalks& shared,
-                 DiscoveryCache& cache, std::uint64_t rng_seed,
-                 unsigned worker, unsigned stride, int walks,
-                 int max_steps) {
+                 std::uint64_t rng_seed, unsigned worker, unsigned stride,
+                 int walks, int max_steps) {
   const CheckerOptions& options = core.options();
   const Executor& executor = core.executor();
   util::SplitMix64 rng(rng_seed);
@@ -376,7 +353,7 @@ void walk_worker(const SearchCore& core, SharedWalks& shared,
         return;
       }
       auto ts = apply_strategy(options.strategy, core.config(), state,
-                               executor.enabled(state, cache));
+                               executor.enabled(state, core.discovery()));
       if (ts.empty()) {
         shared.quiescent_states.fetch_add(1, std::memory_order_relaxed);
         if (wt != nullptr) wt->add_quiescent();
@@ -443,7 +420,6 @@ CheckerResult run_random_walk_portfolio(const SearchCore& core,
 
   SharedWalks shared(start);
   if (core.telemetry() != nullptr) core.telemetry()->set_base(0, 0, 0, 0);
-  std::vector<DiscoveryCache> caches(threads);
   std::vector<std::uint64_t> seeds;
   seeds.reserve(threads);
   util::SplitMix64 seeder(seed);
@@ -453,8 +429,7 @@ CheckerResult run_random_walk_portfolio(const SearchCore& core,
   workers.reserve(threads);
   for (unsigned w = 0; w < threads; ++w) {
     workers.emplace_back(walk_worker, std::cref(core), std::ref(shared),
-                         std::ref(caches[w]), seeds[w], w, threads, walks,
-                         max_steps);
+                         seeds[w], w, threads, walks, max_steps);
   }
   for (std::thread& t : workers) t.join();
 
@@ -465,9 +440,7 @@ CheckerResult run_random_walk_portfolio(const SearchCore& core,
   result.quiescent_states = shared.quiescent_states.load();
   result.violations = std::move(shared.violations);
   result.hit_limit = shared.limit.load();
-  for (const DiscoveryCache& c : caches) {
-    add_discovery_stats(result.discovery, c.stats());
-  }
+  result.discovery = core.discovery().stats();
   core.publish_gauges(0);
   core.finish_stats(result, nullptr);
   result.seconds = seconds_since(start);

@@ -2,7 +2,7 @@
 //
 // run_parallel: N workers pull SearchNodes from one shared work deque
 // (LIFO, for DFS-like locality), expand them through the shared SearchCore
-// (lock-striped seen-set, per-worker discovery caches), and publish
+// (lock-striped seen-set and discovery cache), and publish
 // progress through atomic counters. On exhaustive runs the result is
 // count-equivalent to the single-threaded search: same unique states, same
 // transitions/revisits/quiescent counts, same violation set modulo

@@ -480,7 +480,7 @@ Footprint FootprintMemo::get(const SystemState& state, const Transition& t) {
   // state.app; next_xid mints ids the footprint never sees, and the
   // pending_stats bookkeeping is covered by the kCtrl write) — keying on
   // the app-only projection keeps xid/stats churn from fragmenting the
-  // cache. Same identity the discovery memo uses.
+  // cache. Same identity the discovery cache uses.
   const auto put_app = [&] {
     if (ids_ != nullptr) {
       key.put_u32(state.app_state_id(*ids_));

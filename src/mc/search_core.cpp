@@ -192,15 +192,11 @@ void SearchCore::fill_store_stats(CheckerResult& result) const {
     result.memo.evictions += s.evictions;
     result.memo.bytes += s.bytes;
   }
-  if (disc_memo_ != nullptr) {
-    for (const util::MemoCore::Stats& s :
-         {disc_memo_->packet_stats(), disc_memo_->stats_stats()}) {
-      result.memo.discover_hits += s.hits;
-      result.memo.discover_misses += s.misses;
-      result.memo.evictions += s.evictions;
-      result.memo.bytes += s.bytes;
-    }
-  }
+  const util::MemoCore::Stats d = discovery_.table_stats();
+  result.memo.discover_hits = d.hits;
+  result.memo.discover_misses = d.misses;
+  result.memo.evictions += d.evictions;
+  result.memo.bytes += d.bytes;
 }
 
 namespace {
@@ -305,18 +301,12 @@ void SearchCore::publish_gauges(std::uint64_t frontier_nodes) const {
     telem_->memo_fp_hits.store(s.hits, std::memory_order_relaxed);
     telem_->memo_fp_misses.store(s.misses, std::memory_order_relaxed);
   }
-  if (disc_memo_ != nullptr) {
-    const util::MemoCore::Stats p = disc_memo_->packet_stats();
-    const util::MemoCore::Stats q = disc_memo_->stats_stats();
-    telem_->memo_disc_hits.store(p.hits + q.hits,
-                                 std::memory_order_relaxed);
-    telem_->memo_disc_misses.store(p.misses + q.misses,
-                                   std::memory_order_relaxed);
-  }
+  const util::MemoCore::Stats d = discovery_.table_stats();
+  telem_->memo_disc_hits.store(d.hits, std::memory_order_relaxed);
+  telem_->memo_disc_misses.store(d.misses, std::memory_order_relaxed);
 }
 
-std::vector<SearchNode> SearchCore::init(CheckerResult& result,
-                                         DiscoveryCache& cache) const {
+std::vector<SearchNode> SearchCore::init(CheckerResult& result) const {
   // Build the shared initial state exactly once (the seed cloned it twice:
   // make_initial → local → clone into the shared_ptr).
   auto initial_sp =
@@ -333,7 +323,7 @@ std::vector<SearchNode> SearchCore::init(CheckerResult& result,
 
   std::vector<SearchNode> roots;
   auto ts = apply_strategy(options_.strategy, cfg_, *initial_sp,
-                           executor_.enabled(*initial_sp, cache));
+                           executor_.enabled(*initial_sp, discovery_));
   if (ts.empty()) {
     if (sleep_ != nullptr) sync_seen(std::move(root_at));
     ++result.quiescent_states;
@@ -361,8 +351,7 @@ std::vector<SearchNode> SearchCore::init(CheckerResult& result,
   return roots;
 }
 
-SearchCore::Expansion SearchCore::expand(const SearchNode& node,
-                                         DiscoveryCache& cache) const {
+SearchCore::Expansion SearchCore::expand(const SearchNode& node) const {
   Expansion out;
 
   SystemState next = [&node] {
@@ -386,7 +375,7 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node,
   }
 
   if (sleep_ != nullptr) {
-    expand_reduced(out, std::move(next), node, std::move(path), cache);
+    expand_reduced(out, std::move(next), node, std::move(path));
     return out;
   }
 
@@ -396,7 +385,7 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node,
   if (node.depth >= options_.max_depth) return out;
 
   auto ts = apply_strategy(options_.strategy, cfg_, next,
-                           executor_.enabled(next, cache));
+                           executor_.enabled(next, discovery_));
   if (ts.empty()) {
     out.quiescent = true;
     std::vector<Violation> vs;
@@ -421,8 +410,7 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node,
 
 void SearchCore::expand_reduced(Expansion& out, SystemState&& next,
                                 const SearchNode& node,
-                                std::shared_ptr<const PathNode> path,
-                                DiscoveryCache& cache) const {
+                                std::shared_ptr<const PathNode> path) const {
   ArriveOutcome at = arrive_reduced(next, node.sleep);
   out.new_state = at.arr.first;
 
@@ -432,7 +420,7 @@ void SearchCore::expand_reduced(Expansion& out, SystemState&& next,
   if (node.depth >= options_.max_depth) return sync_seen(std::move(at));
 
   auto ts = apply_strategy(options_.strategy, cfg_, next,
-                           executor_.enabled(next, cache));
+                           executor_.enabled(next, discovery_));
   if (ts.empty()) {
     // Quiescence is a state predicate on the strategy-filtered enabled
     // set, never affected by sleep filtering; check it once (first
@@ -528,14 +516,13 @@ void SearchCore::make_reduced_children(
 }
 
 CheckerResult SearchCore::run_sequential(Frontier& frontier,
-                                         DiscoveryCache& cache,
                                          Durability* dur) const {
   const auto start = SearchClock::now();
   CheckerResult result;
 
   // Snapshot of the run as of *now*: counters (seeded totals + this run),
-  // the frontier in reconstruction order, and the combined discovery
-  // stats the caller passes in.
+  // the frontier in reconstruction order, and the discovery stats the
+  // caller passes in.
   const auto make_snapshot = [&](const DiscoveryStats& disc) {
     Durability::Snapshot snap;
     snap.transitions = result.transitions;
@@ -562,7 +549,7 @@ CheckerResult SearchCore::run_sequential(Frontier& frontier,
     result.seconds = seconds_since(start);
     // Accumulate, not assign: a resumed run's seed discovery counters are
     // already in result.discovery.
-    add_discovery_stats(result.discovery, cache.stats());
+    add_discovery_stats(result.discovery, discovery_.stats());
     if (wt != nullptr && reason != LimitReason::kNone) {
       wt->record_event(util::FlightEvent::Kind::kLimit, 0,
                        limit_reason_name(reason));
@@ -587,7 +574,7 @@ CheckerResult SearchCore::run_sequential(Frontier& frontier,
       frontier.push(std::move(node));
     }
   } else {
-    for (SearchNode& root : init(result, cache)) {
+    for (SearchNode& root : init(result)) {
       frontier.push(std::move(root));
     }
   }
@@ -625,7 +612,7 @@ CheckerResult SearchCore::run_sequential(Frontier& frontier,
         if (r != LimitReason::kNone) return finalize(r);
         if (dur->due()) {
           DiscoveryStats disc = result.discovery;
-          add_discovery_stats(disc, cache.stats());
+          add_discovery_stats(disc, discovery_.stats());
           dur->save(*this, make_snapshot(disc));
         }
       }
@@ -645,7 +632,7 @@ CheckerResult SearchCore::run_sequential(Frontier& frontier,
       wt->record_expand(static_cast<std::uint32_t>(node.transition.kind),
                         node.transition.a, node.transition.aux);
     }
-    Expansion e = expand(node, cache);
+    Expansion e = expand(node);
     ++result.transitions;
     if (wt != nullptr) wt->add_transitions();
 

@@ -76,9 +76,6 @@ struct CheckerOptions {
   /// from a shared work deque and is count-equivalent on exhaustive runs
   /// (same unique states / transitions / violation set, any order).
   unsigned threads{1};
-  /// Shards of the seen-set (rounded up to a power of two). 0 = automatic:
-  /// 1 shard single-threaded, 4× threads when parallel.
-  std::size_t seen_shards{0};
   /// Sound partial-order reduction (mc/por/): kSleep visits the same
   /// unique states and reports the same violation set as kNone on
   /// exhaustive runs, with fewer (or equal) transitions (sleep sets plus
@@ -110,20 +107,18 @@ struct CheckerOptions {
   /// parallel and random-walk drivers; a timed-out search reports
   /// hit_limit = kTime and never claims exhaustion.
   double time_limit_seconds{0.0};
-  /// Footprint + discovery memoization (util/memo.h): cache
-  /// por::compute_footprint and discover_packets / discover_stats results
-  /// under collision-proof interned-component-id keys, shared by all
-  /// workers. Pure-function caching — violation/unique/quiescent/
-  /// transition counts are identical with the memo on or off (the fuzz
-  /// harness and bench_por enforce this differentially).
+  /// Footprint memoization (util/memo.h): cache por::compute_footprint
+  /// results under the component identities the store already computes,
+  /// shared by all workers. Pure-function caching — violation/unique/
+  /// quiescent/transition counts are identical with the memo on or off
+  /// (the fuzz harness enforces this differentially). Discovery results
+  /// are cached whatever this says (mc::DiscoveryCache).
   bool memo{true};
-  /// Resident-byte budget across the memo tables (per-shard LRU eviction;
-  /// entries that alone exceed a shard's slice are never stored, so
+  /// Resident-byte budget across the memo tables, half to the footprint
+  /// memo and half to the discovery cache (per-shard LRU eviction; entries
+  /// that alone exceed a shard's slice are never stored, so
   /// CheckerResult::memo.bytes ≤ this at all times).
   std::uint64_t memo_budget_bytes{64ull << 20};
-  /// Shards of the memo tables (rounded up to a power of two). 0 =
-  /// automatic: the seen-set's shard count.
-  std::size_t memo_shards{0};
   /// Durability layer (mc/checkpoint.h). Non-empty = periodically write a
   /// crash-safe A/B-slot checkpoint of the full search state (seen-set,
   /// collapse table, sleep store, frontier, counters) to
@@ -218,9 +213,10 @@ struct CheckerResult {
     double dedupe_ratio{0.0};         // intern_calls / unique_blobs
   };
   CollapseStats collapse;
-  /// Memoization-layer statistics (CheckerOptions::memo; zeros when
-  /// disabled). Hits + misses = lookups; `bytes` is the resident memo
-  /// entry footprint (≤ memo_budget_bytes by construction). The memo
+  /// Memoization-layer statistics: the footprint memo (zeros when
+  /// CheckerOptions::memo is off) and the discovery cache. Hits + misses =
+  /// lookups; `bytes` is the resident entry footprint of both tables
+  /// (≤ memo_budget_bytes by construction). The memo
   /// keys through identities the store computes anyway — interned ids
   /// (kCollapsed, reported under `collapse`) or memoized component
   /// hashes — so there is no separate key-table cost to account.
@@ -307,30 +303,29 @@ class SearchCore {
   /// packet conflict keys are live in footprints (any packet-keyed
   /// property monitor installed; see mc::packet_keyed). `collapse` is the
   /// shared component-interning table, required (and used) exactly when
-  /// `seen` is in kCollapsed mode. `fp_memo` / `disc_memo` are the shared
-  /// memo tables (nullptr = memo off). `telem` is the observability
-  /// context (nullptr = telemetry off; the drivers then skip every
-  /// counter/gauge publication). `sym` (nullable) is the compiled symmetry
-  /// context: when set, every remembered key goes through
-  /// SymContext::canonical_key and `sleep` must be nullptr (the Checker
-  /// enforces this).
+  /// `seen` is in kCollapsed mode. `discovery` is the search's one
+  /// discovery cache, `fp_memo` the shared footprint memo (nullptr = memo
+  /// off). `telem` is the observability context (nullptr = telemetry off;
+  /// the drivers then skip every counter/gauge publication). `sym`
+  /// (nullable) is the compiled symmetry context: when set, every
+  /// remembered key goes through SymContext::canonical_key and `sleep`
+  /// must be nullptr (the Checker enforces this).
   SearchCore(const SystemConfig& cfg, const CheckerOptions& options,
              const Executor& executor, util::ShardedSeenSet& seen,
-             por::SleepStore* sleep = nullptr, bool packet_keys = false,
-             util::CollapseTable* collapse = nullptr,
+             DiscoveryCache& discovery, por::SleepStore* sleep = nullptr,
+             bool packet_keys = false, util::CollapseTable* collapse = nullptr,
              por::FootprintMemo* fp_memo = nullptr,
-             DiscoveryMemo* disc_memo = nullptr,
              util::Telemetry* telem = nullptr,
              const SymContext* sym = nullptr)
       : cfg_(cfg),
         options_(options),
         executor_(executor),
         seen_(seen),
+        discovery_(discovery),
         sleep_(sleep),
         packet_keys_(packet_keys),
         collapse_(collapse),
         fp_memo_(fp_memo),
-        disc_memo_(disc_memo),
         telem_(telem),
         sym_(sym) {}
 
@@ -355,16 +350,13 @@ class SearchCore {
 
   /// The expand step: clone the node's source state, apply its transition,
   /// check properties, remember the result, enumerate successors. Thread-
-  /// safe given a per-caller DiscoveryCache (the seen-set is internally
-  /// lock-striped).
-  [[nodiscard]] Expansion expand(const SearchNode& node,
-                                 DiscoveryCache& cache) const;
+  /// safe (the seen-set and the discovery cache are lock-striped).
+  [[nodiscard]] Expansion expand(const SearchNode& node) const;
 
   /// Remember the initial state (accounting it in `result`), handle
   /// initial quiescence, and return the root work items in deterministic
   /// enumeration order.
-  [[nodiscard]] std::vector<SearchNode> init(CheckerResult& result,
-                                             DiscoveryCache& cache) const;
+  [[nodiscard]] std::vector<SearchNode> init(CheckerResult& result) const;
 
   /// Single-threaded search loop over `frontier` — with a DFS frontier,
   /// transition/state counts reproduce the original checker exactly.
@@ -372,7 +364,6 @@ class SearchCore {
   /// periodic + at-halt checkpoints, the memory watchdog, and cooperative
   /// interrupts.
   [[nodiscard]] CheckerResult run_sequential(Frontier& frontier,
-                                             DiscoveryCache& cache,
                                              Durability* dur = nullptr) const;
 
   /// Returns true when the state was not seen before.
@@ -419,17 +410,18 @@ class SearchCore {
   [[nodiscard]] por::FootprintMemo* footprint_memo() const noexcept {
     return fp_memo_;
   }
-  [[nodiscard]] DiscoveryMemo* discovery_memo() const noexcept {
-    return disc_memo_;
+  /// The search's one table of discovery results, shared by every worker.
+  [[nodiscard]] DiscoveryCache& discovery() const noexcept {
+    return discovery_;
   }
   [[nodiscard]] const SymContext* sym() const noexcept { return sym_; }
 
   /// Engine-accounted resident bytes of the search: seen-set + collapse
-  /// table + sleep store + memo tables + a coarse per-node estimate for
-  /// `frontier_nodes` pending nodes. The memory watchdog's trigger — a
-  /// pure function of engine state, so the budget ladder behaves the same
-  /// on every platform (peak_rss_bytes is reported alongside as the OS
-  /// ground truth, not used as a trigger).
+  /// table + sleep store + footprint memo + discovery cache + a coarse
+  /// per-node estimate for `frontier_nodes` pending nodes. The memory
+  /// watchdog's trigger — a pure function of engine state, so the budget
+  /// ladder behaves the same on every platform (peak_rss_bytes is
+  /// reported alongside as the OS ground truth, not used as a trigger).
   [[nodiscard]] std::uint64_t resident_bytes(
       std::uint64_t frontier_nodes) const;
 
@@ -443,8 +435,7 @@ class SearchCore {
   /// SleepStore, sleep-filtered child enumeration and sleep inheritance.
   void expand_reduced(Expansion& out, SystemState&& next,
                       const SearchNode& node,
-                      std::shared_ptr<const PathNode> path,
-                      DiscoveryCache& cache) const;
+                      std::shared_ptr<const PathNode> path) const;
 
   /// One reduced arrival: the SleepStore verdict plus the state identity
   /// it was registered under — kept around so the deferred seen-set sync
@@ -500,11 +491,11 @@ class SearchCore {
   const CheckerOptions& options_;
   const Executor& executor_;
   util::ShardedSeenSet& seen_;
+  DiscoveryCache& discovery_;
   por::SleepStore* sleep_;
   bool packet_keys_;
   util::CollapseTable* collapse_;
   por::FootprintMemo* fp_memo_;
-  DiscoveryMemo* disc_memo_;
   util::Telemetry* telem_;
   const SymContext* sym_;
   /// Pre-sizing hint for full-state blobs: the previous remembered state's

@@ -1,9 +1,9 @@
 // A small DPLL SAT solver with two-watched-literal propagation.
 //
 // This is the decision procedure underneath the bit-vector solver (our
-// substitute for STP, see DESIGN.md section 1). Queries produced by NICE's
-// concolic engine are tiny — a path condition over a handful of packet
-// header fields plus disjunctive domain constraints — typically a few
+// substitute for STP; see ARCHITECTURE.md, "Layer map"). Queries produced
+// by NICE's concolic engine are tiny — a path condition over a handful of
+// packet header fields plus disjunctive domain constraints — typically a few
 // hundred variables and a few thousand clauses, so chronological DPLL with
 // watched literals and a static occurrence-count decision heuristic is more
 // than sufficient, and is simple enough to be verified by the test suite.

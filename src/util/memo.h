@@ -11,8 +11,9 @@
 // reader), ShardSelect striping like the seen-set, and a per-shard byte
 // budget enforced by least-recently-used eviction.
 //
-// MemoTable<V> is the typed wrapper the mc layer uses (por::FootprintMemo,
-// mc::DiscoveryMemo). Entries larger than a shard's whole budget are
+// MemoTable<V> is the typed wrapper por::FootprintMemo uses;
+// mc::DiscoveryCache keeps its two result types in one MemoCore, told apart
+// by a key tag. Entries larger than a shard's whole budget are
 // computed but never stored, so resident bytes stay ≤ the budget at all
 // times — CheckerResult::memo.bytes reports the figure.
 #ifndef NICE_UTIL_MEMO_H

@@ -224,11 +224,11 @@ TEST(CheckerOptions, StoreStatsConsistentAcrossReductionMatrix) {
 
 TEST(CheckerOptions, MemoStatsConsistentAcrossReductionMatrix) {
   // Memo accounting contract over the full reduction × store matrix on a
-  // scenario with symbolic discovery enabled (BUG-II): with the memo on,
-  // discovery lookups happen in every mode (the shared memo sees each
-  // per-worker DiscoveryCache miss), footprint lookups exactly when a
-  // reduction is active, and resident bytes never exceed the configured
-  // budget. With the memo off, every memo counter stays zero.
+  // scenario with symbolic discovery enabled (BUG-II): discovery lookups
+  // happen in every mode (the discovery cache is always on), footprint
+  // lookups exactly when the memo is on and a reduction is active, and
+  // resident bytes never exceed the configured budget. With the memo off,
+  // the footprint counters stay zero.
   for (const Reduction r : kAllReductions) {
     for (const util::ShardedSeenSet::Mode m : kAllStores) {
       const std::string tag = cell_tag(r, m);
@@ -242,18 +242,15 @@ TEST(CheckerOptions, MemoStatsConsistentAcrossReductionMatrix) {
         Checker checker(s.config, opt, s.properties);
         const CheckerResult res = checker.run();
         EXPECT_TRUE(res.exhausted) << tag;
-        if (!memo) {
-          EXPECT_EQ(res.memo.footprint_hits, 0u) << tag;
-          EXPECT_EQ(res.memo.footprint_misses, 0u) << tag;
-          EXPECT_EQ(res.memo.discover_hits, 0u) << tag;
-          EXPECT_EQ(res.memo.discover_misses, 0u) << tag;
-          EXPECT_EQ(res.memo.evictions, 0u) << tag;
-          EXPECT_EQ(res.memo.bytes, 0u) << tag;
-          continue;
-        }
         EXPECT_GT(res.memo.discover_hits + res.memo.discover_misses, 0u)
             << tag;
         EXPECT_LE(res.memo.bytes, opt.memo_budget_bytes) << tag;
+        if (!memo) {
+          EXPECT_EQ(res.memo.footprint_hits, 0u) << tag;
+          EXPECT_EQ(res.memo.footprint_misses, 0u) << tag;
+          EXPECT_EQ(res.memo.evictions, 0u) << tag;
+          continue;
+        }
         if (r == Reduction::kNone) {
           // No reduction → no footprint computations at all.
           EXPECT_EQ(res.memo.footprint_hits + res.memo.footprint_misses,

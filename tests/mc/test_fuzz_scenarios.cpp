@@ -209,12 +209,11 @@ TEST(FuzzScenarios, FaultBudgetAxisIsCountIdenticalAcrossTheGrid) {
 }
 
 TEST(FuzzScenarios, MemoKnobIsCountInvisibleAcrossReductionsAndStores) {
-  // The memoization layer (CheckerOptions::memo) caches pure functions —
-  // footprints and discovery results — so flipping it must change wall
-  // time only, never what the search explores or reports. Differential
-  // sweep on a corpus subset: memo-off must reproduce the memo-on counts
-  // exactly, per reduction × store cell (sequential, where counts are
-  // deterministic).
+  // The footprint memo (CheckerOptions::memo) caches a pure function, so
+  // flipping it must change wall time only, never what the search
+  // explores or reports. Differential sweep on a corpus subset: memo-off
+  // must reproduce the memo-on counts exactly, per reduction × store cell
+  // (sequential, where counts are deterministic).
   constexpr std::uint64_t kSubset = 24;
   for (std::uint64_t seed = kSeedBase; seed < kSeedBase + kSubset; ++seed) {
     const std::string tag = apps::fuzz_scenario_name(seed);
@@ -229,11 +228,9 @@ TEST(FuzzScenarios, MemoKnobIsCountInvisibleAcrossReductionsAndStores) {
         EXPECT_EQ(on.unique_states, off.unique_states) << cell;
         EXPECT_EQ(on.quiescent_states, off.quiescent_states) << cell;
         EXPECT_EQ(violation_key_set(on), violation_key_set(off)) << cell;
-        // The off runs must not touch the memo at all.
-        EXPECT_EQ(off.memo.footprint_hits + off.memo.footprint_misses +
-                      off.memo.discover_hits + off.memo.discover_misses +
-                      off.memo.bytes,
-                  0u)
+        // The off runs must not touch the footprint memo at all
+        // (discovery is cached either way).
+        EXPECT_EQ(off.memo.footprint_hits + off.memo.footprint_misses, 0u)
             << cell;
       }
     }

@@ -112,8 +112,8 @@ TEST(ParallelSearch, MultiThreadCountEquivalentToSequential) {
 }
 
 TEST(ParallelSearch, MultiThreadCountEquivalentUnderStrategies) {
-  // bench_parallel's runtime equivalence check only exercises the default
-  // strategy; pin the contract for the heuristic strategies too. FLOW-IR
+  // MultiThreadCountEquivalent covers the default strategy; pin the
+  // contract for the heuristic strategies too. FLOW-IR
   // is a pure function of the canonical state, so its equality is
   // structural. UNUSUAL reads send-order tags excluded from state
   // identity; on this scenario the surviving subspaces of divergently-
