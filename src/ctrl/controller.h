@@ -8,9 +8,9 @@
 #define NICE_CTRL_CONTROLLER_H
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "ctrl/app.h"
@@ -29,7 +29,7 @@ struct ControllerState {
   std::uint32_t stats_rounds{0};
   /// FINE-INTERLEAVING baseline only: commands emitted by handlers that
   /// have not yet been turned into switch messages.
-  std::deque<std::pair<of::SwitchId, of::ToSwitch>> pending_commands;
+  std::vector<std::pair<of::SwitchId, of::ToSwitch>> pending_commands;
   /// Global send-order counter for controller→switch messages. Strategy
   /// bookkeeping (UNUSUAL); deterministic in the history and deliberately
   /// excluded from serialization.

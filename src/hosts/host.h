@@ -13,7 +13,6 @@
 #define NICE_HOSTS_HOST_H
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "of/channel.h"
@@ -79,7 +78,7 @@ struct HostState {
   of::SwitchId sw{0};   // current attachment (mobile hosts change this)
   of::PortId port{0};
   of::Fifo<of::Packet> input;
-  std::deque<PendingReply> pending_replies;
+  std::vector<PendingReply> pending_replies;
   int sends_done{0};
   int burst{1};
   int received{0};

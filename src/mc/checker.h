@@ -5,7 +5,7 @@
 //     expand step (clone → apply → check → remember → enumerate);
 //   * mc/frontier.h    — pluggable exploration orders (DFS / BFS / random)
 //     for the single-threaded search;
-//   * mc/parallel.h    — the multi-threaded shared-deque driver and the
+//   * mc/parallel.h    — the multi-threaded work-handoff driver and the
 //     random-walk portfolio (CheckerOptions::threads > 1);
 //   * util/seen_set.h  — the lock-striped explored-state store.
 //

@@ -120,7 +120,8 @@ class Durability {
     DiscoveryStats discovery;
     std::uint64_t frontier_rng{0};
     /// Visits every pending node in the owning driver's reconstruction
-    /// order (Frontier::for_each, or the parallel deque front-to-back).
+    /// order (Frontier::for_each, or the parallel deque front-to-back —
+    /// the workers' private stacks are moved onto it before a save).
     std::function<void(const std::function<void(const SearchNode&)>&)>
         for_each_node;
   };

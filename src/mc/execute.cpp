@@ -440,7 +440,7 @@ void Executor::apply(SystemState& state, const Transition& t,
       hosts::HostState& hs = state.host_mut(t.a);
       assert(!hs.pending_replies.empty());
       const hosts::PendingReply r = hs.pending_replies.front();
-      hs.pending_replies.pop_front();
+      hs.pending_replies.erase(hs.pending_replies.begin());
       inject_host_packet(state, t.a, r.hdr, r.flow_id, events);
       break;
     }
@@ -480,7 +480,7 @@ void Executor::apply(SystemState& state, const Transition& t,
       assert(!state.ctrl().pending_commands.empty());
       ctrl::ControllerState& ctrl = state.ctrl_mut();
       auto [target, msg] = std::move(ctrl.pending_commands.front());
-      ctrl.pending_commands.pop_front();
+      ctrl.pending_commands.erase(ctrl.pending_commands.begin());
       if (!state.sw(target).ctrl_channel_down) {
         state.sw_mut(target).push_of(std::move(msg), ctrl.next_of_seq++);
       }

@@ -15,14 +15,19 @@
 
 namespace nicemc::mc {
 
+using detail::kPollStride;
 using detail::SearchClock;
 using detail::seconds_since;
 
 namespace {
 
-/// Shared state of one parallel exhaustive run. Work is popped LIFO from
-/// the deque; `active` counts workers currently expanding a node, so the
-/// search is finished exactly when the deque is empty and active == 0.
+/// Shared state of one parallel exhaustive run. Each worker expands from a
+/// private LIFO stack and takes `mu` only to refill an empty stack from the
+/// deque, to hand the bottom half of its stack to a parked peer, and once
+/// per kPollStride expansions when the durability layer is on. `active`
+/// counts workers outside claim() — the only ones that can hold a private
+/// stack or be expanding a node — so the search is finished exactly when
+/// the deque is empty and active == 0.
 struct SharedSearch {
   SharedSearch(const CheckerOptions& options, SearchClock::time_point start)
       : options(options), start(start) {}
@@ -32,17 +37,25 @@ struct SharedSearch {
 
   std::mutex mu;
   std::condition_variable cv;
+  /// Handoff deque, popped LIFO (guarded by `mu`). Holds every pending
+  /// node whenever the workers are quiesced, so it is the node list of
+  /// every checkpoint.
   std::deque<SearchNode> work;
-  std::size_t active{0};
-  bool stop{false};
-  /// Quiesce barrier for checkpointing: while set, no worker claims new
-  /// work; the worker that observes active == 0 writes the snapshot
-  /// (everything mutable is then at rest), clears the flag, and releases
-  /// the others. All guarded by `mu`.
-  bool snapshot_pending{false};
-  std::uint64_t poll_tick{0};
-  /// Telemetry gauge cadence (guarded by `mu`, like poll_tick).
-  std::uint64_t gauge_tick{0};
+  std::size_t active{0};  // guarded by `mu`; every worker starts active
+  /// Halt flag. Written under `mu`; read without it before every pop.
+  std::atomic<bool> stop{false};
+  /// Quiesce barrier for checkpointing: while set, every worker moves its
+  /// private stack onto the deque and parks; the worker that observes
+  /// active == 0 writes the snapshot (everything mutable is then at rest),
+  /// clears the flag, and releases the others. Written under `mu`.
+  std::atomic<bool> snapshot_pending{false};
+  /// Workers parked waiting for work; read without `mu` to decide whether
+  /// a handoff is worth taking the lock.
+  std::atomic<unsigned> waiting{0};
+  /// Pending nodes: the deque, every private stack, and the nodes being
+  /// expanded (a node leaves the count when its children join it). Feeds
+  /// the frontier gauge and the watchdog's resident-byte estimate.
+  std::atomic<std::uint64_t> pending{0};
 
   /// Durability context (may be null) and the discovery counters a
   /// resumed checkpoint carried over (a snapshot adds the cache's own).
@@ -86,13 +99,29 @@ struct SharedSearch {
     }
     return LimitReason::kNone;
   }
+
+  /// Stop the search and wake every parked worker. Caller holds `mu`.
+  /// kNone is a violation stop; any other reason truncates the run.
+  void halt_locked(LimitReason reason) {
+    stop.store(true, std::memory_order_relaxed);
+    if (reason != LimitReason::kNone) {
+      truncated.store(true);
+      limit.store(reason);
+    }
+    cv.notify_all();
+  }
+
+  void halt(LimitReason reason) {
+    std::lock_guard<std::mutex> lock(mu);
+    halt_locked(reason);
+  }
 };
 
 /// Write a checkpoint of the shared search. Caller holds `mu` and the
-/// workers are quiesced (active == 0), so counters, deque, violations and
-/// the discovery counters are all at rest. The deque is snapshotted
-/// front-to-back: re-push_back in that order reproduces it exactly, LIFO
-/// pops and all.
+/// workers are quiesced (active == 0, every private stack moved onto the
+/// deque), so counters, deque, violations and the discovery counters are
+/// all at rest. The deque is snapshotted front-to-back: re-push_back in
+/// that order reproduces it exactly, LIFO pops and all.
 void parallel_snapshot(const SearchCore& core, SharedSearch& shared) {
   Durability::Snapshot snap;
   snap.transitions = shared.transitions.load(std::memory_order_relaxed);
@@ -111,18 +140,29 @@ void parallel_snapshot(const SearchCore& core, SharedSearch& shared) {
   shared.dur->save(core, snap);
 }
 
-void search_worker(const SearchCore& core, SharedSearch& shared,
-                   std::size_t worker) {
-  const util::Telemetry::Binding bind(core.telemetry(), worker);
+/// Refill a worker's private stack with one node from the deque, parking
+/// until one is available. The worker first moves whatever its stack
+/// still holds (a barrier or a halt interrupted it) onto the deque, so a
+/// quiesced search has every pending node there. Writes the snapshot
+/// when this worker completes a pending barrier. Returns false when the
+/// worker should exit: the search halted or is exhausted.
+bool claim(const SearchCore& core, SharedSearch& shared,
+           std::vector<SearchNode>& stack) {
   util::WorkerTelemetry* const wt = util::Telemetry::current();
+  std::unique_lock<std::mutex> lock(shared.mu);
+  for (SearchNode& n : stack) shared.work.push_back(std::move(n));
+  stack.clear();
+  // Peers may be waiting on a barrier or on termination.
+  if (--shared.active == 0) shared.cv.notify_all();
   const auto runnable = [&shared] {
-    return shared.stop || shared.active == 0 ||
-           (!shared.work.empty() && !shared.snapshot_pending);
+    return shared.stop.load(std::memory_order_relaxed) ||
+           shared.active == 0 ||
+           (!shared.work.empty() &&
+            !shared.snapshot_pending.load(std::memory_order_relaxed));
   };
   for (;;) {
-    SearchNode node;
-    {
-      std::unique_lock<std::mutex> lock(shared.mu);
+    if (!runnable()) {
+      shared.waiting.fetch_add(1, std::memory_order_relaxed);
       if (wt != nullptr) {
         // Instrumented wait: re-enter the idle scope every 200ms so a
         // long park is attributed as it happens — the reporter's
@@ -138,51 +178,93 @@ void search_worker(const SearchCore& core, SharedSearch& shared,
       } else {
         shared.cv.wait(lock, runnable);
       }
-      if (shared.stop) return;
-      if (shared.dur != nullptr) {
-        if (!shared.snapshot_pending && shared.dur->due()) {
-          shared.snapshot_pending = true;
-        }
-        if (shared.snapshot_pending) {
-          if (shared.active > 0) continue;  // wait for peers to quiesce
-          parallel_snapshot(core, shared);
-          shared.snapshot_pending = false;
-          shared.cv.notify_all();
-        }
-        if (++shared.poll_tick % 32 == 0) {
-          const LimitReason r = shared.dur->poll(core, shared.work.size());
-          if (r != LimitReason::kNone) {
-            shared.stop = true;
-            shared.truncated.store(true);
-            shared.limit.store(r);
-            shared.cv.notify_all();
-            return;
-          }
-        }
-      }
-      if (shared.work.empty()) return;  // active == 0: space exhausted
-      if (const LimitReason lr = shared.limit_hit();
-          lr != LimitReason::kNone) {
-        shared.stop = true;
-        shared.truncated.store(true);
-        shared.limit.store(lr);
-        shared.cv.notify_all();
-        return;
-      }
+      shared.waiting.fetch_sub(1, std::memory_order_relaxed);
+    }
+    if (shared.stop.load(std::memory_order_relaxed)) return false;
+    if (shared.snapshot_pending.load(std::memory_order_relaxed)) {
+      if (shared.active > 0) continue;  // wait for peers to quiesce
+      parallel_snapshot(core, shared);
+      shared.snapshot_pending.store(false, std::memory_order_relaxed);
+      shared.cv.notify_all();
+    }
+    if (shared.work.empty()) return false;  // active == 0: space exhausted
+    stack.push_back(std::move(shared.work.back()));
+    shared.work.pop_back();
+    ++shared.active;
+    return true;
+  }
+}
+
+/// Hand the bottom (oldest) half of `stack` to the deque, provided the
+/// deque is empty: a peer is parked and nothing else can feed it. The
+/// oldest node lands at the deque's back, so the next claim takes it —
+/// nearest the root, it usually carries the most work.
+void share(SharedSearch& shared, std::vector<SearchNode>& stack) {
+  std::lock_guard<std::mutex> lock(shared.mu);
+  if (!shared.work.empty()) return;
+  const std::size_t n = stack.size() / 2;
+  for (std::size_t i = n; i-- > 0;) {
+    shared.work.push_back(std::move(stack[i]));
+  }
+  stack.erase(stack.begin(), stack.begin() + static_cast<std::ptrdiff_t>(n));
+  shared.cv.notify_all();
+}
+
+/// The durability layer's between-expansions hook: the interrupt/watchdog
+/// poll, then the checkpoint-due check that raises the snapshot barrier.
+/// Returns false when the worker must stop expanding (halted or barrier).
+bool poll_durability(const SearchCore& core, SharedSearch& shared) {
+  std::lock_guard<std::mutex> lock(shared.mu);
+  const LimitReason r =
+      shared.dur->poll(core, shared.pending.load(std::memory_order_relaxed));
+  if (r != LimitReason::kNone) {
+    shared.halt_locked(r);
+    return false;
+  }
+  if (shared.dur->due()) {
+    shared.snapshot_pending.store(true, std::memory_order_relaxed);
+  }
+  return !shared.snapshot_pending.load(std::memory_order_relaxed);
+}
+
+void search_worker(const SearchCore& core, SharedSearch& shared,
+                   std::size_t worker) {
+  const util::Telemetry::Binding bind(core.telemetry(), worker);
+  util::WorkerTelemetry* const wt = util::Telemetry::current();
+  std::vector<SearchNode> stack;  // private DFS stack, popped at the back
+  std::uint64_t since_poll = 0;
+  std::uint64_t polls = 0;
+  for (;;) {
+    // Before every pop: halt (limit, violation, interrupt, memory) and the
+    // checkpoint barrier send the worker through claim(), which moves the
+    // stack onto the deque.
+    if (stack.empty() || shared.stop.load(std::memory_order_relaxed) ||
+        shared.snapshot_pending.load(std::memory_order_relaxed)) {
+      if (!claim(core, shared, stack)) return;
+      continue;
+    }
+    if (const LimitReason lr = shared.limit_hit();
+        lr != LimitReason::kNone) {
+      shared.halt(lr);
+      continue;
+    }
+    if ((shared.dur != nullptr || wt != nullptr) &&
+        ++since_poll >= kPollStride) {
+      since_poll = 0;
+      ++polls;
+      if (shared.dur != nullptr && !poll_durability(core, shared)) continue;
       if (wt != nullptr) {
-        core.telemetry()->frontier.store(shared.work.size(),
-                                         std::memory_order_relaxed);
-        // Expensive gauges (engine bytes, memo stats) on a coarse
-        // cadence; they take shard locks, so not every claim.
-        if (++shared.gauge_tick % 256 == 0) {
-          core.publish_gauges(shared.work.size());
-        }
+        const std::uint64_t pending =
+            shared.pending.load(std::memory_order_relaxed);
+        core.telemetry()->frontier.store(pending, std::memory_order_relaxed);
+        // The expensive gauges (engine bytes, memo stats) every ~1k
+        // expansions; they take shard locks, so not every poll.
+        if (polls % 32 == 0) core.publish_gauges(pending);
       }
-      node = std::move(shared.work.back());
-      shared.work.pop_back();
-      ++shared.active;
     }
 
+    SearchNode node = std::move(stack.back());
+    stack.pop_back();
     if (wt != nullptr) {
       wt->record_expand(static_cast<std::uint32_t>(node.transition.kind),
                         node.transition.a, node.transition.aux);
@@ -209,17 +291,19 @@ void search_worker(const SearchCore& core, SharedSearch& shared,
         if (!e.violations.empty()) want_stop = shared.record(e.violations);
       }
     }
+    if (want_stop) shared.halt(LimitReason::kNone);
 
-    {
-      std::lock_guard<std::mutex> lock(shared.mu);
-      if (want_stop) shared.stop = true;
-      for (SearchNode& child : e.children) {
-        shared.work.push_back(std::move(child));
-      }
-      --shared.active;
-      // Wake peers: new work arrived, or the terminal condition
-      // (stop / empty-and-idle) may now hold.
-      shared.cv.notify_all();
+    // The expanded node leaves the pending count as its children join.
+    if (e.children.empty()) {
+      shared.pending.fetch_sub(1, std::memory_order_relaxed);
+    } else {
+      shared.pending.fetch_add(e.children.size() - 1,
+                               std::memory_order_relaxed);
+    }
+    for (SearchNode& child : e.children) stack.push_back(std::move(child));
+    if (stack.size() >= 2 &&
+        shared.waiting.load(std::memory_order_relaxed) > 0) {
+      share(shared, stack);
     }
   }
 }
@@ -251,6 +335,7 @@ CheckerResult run_parallel(const SearchCore& core, unsigned threads,
   shared.violations = std::move(result.violations);
   result.violations.clear();
   for (SearchNode& root : roots) shared.work.push_back(std::move(root));
+  shared.pending.store(shared.work.size());
 
   shared.dur = dur;
   shared.seed_discovery = result.discovery;
@@ -265,6 +350,7 @@ CheckerResult run_parallel(const SearchCore& core, unsigned threads,
   const bool stop_immediately =
       options.stop_at_first_violation && shared.found_violation();
   if (!stop_immediately && !shared.work.empty()) {
+    shared.active = threads;
     std::vector<std::thread> workers;
     workers.reserve(threads);
     for (unsigned w = 0; w < threads; ++w) {

@@ -1,9 +1,15 @@
 // Multi-threaded exploration drivers built on SearchCore.
 //
-// run_parallel: N workers pull SearchNodes from one shared work deque
-// (LIFO, for DFS-like locality), expand them through the shared SearchCore
-// (lock-striped seen-set and discovery cache), and publish
-// progress through atomic counters. On exhaustive runs the result is
+// run_parallel: each of N workers runs DFS from a private LIFO stack of
+// SearchNodes, expanding them through the shared SearchCore (lock-striped
+// seen-set and discovery cache) and publishing progress through atomic
+// counters. One shared deque is the handoff structure: a worker whose
+// stack runs dry claims a node from it, and a busy worker moves the
+// oldest half of its stack there only when a peer is parked and the
+// deque is empty. Pending work is every node — the deque plus every
+// private stack — so the frontier gauge and the memory watchdog count
+// the stacks too, and a checkpoint barrier has every worker move its
+// stack onto the deque before the snapshot. On exhaustive runs the result is
 // count-equivalent to the single-threaded search: same unique states, same
 // transitions/revisits/quiescent counts, same violation set modulo
 // path-dependent packet copy-ids in the messages (when several
@@ -30,8 +36,8 @@
 namespace nicemc::mc {
 
 /// Exhaustive (bounded) search with `threads` workers. `threads` is
-/// clamped to at least 1; with 1 it still runs the shared-deque driver on
-/// the calling thread (prefer SearchCore::run_sequential for determinism).
+/// clamped to at least 1; with 1 it still spawns one worker thread
+/// (Checker::run uses SearchCore::run_sequential for 1 thread).
 /// `dur` (optional) enables the durability layer: resume seeding, periodic
 /// checkpoints behind a quiesce barrier (workers drain before the snapshot
 /// is taken), a final at-halt checkpoint, the memory watchdog, and

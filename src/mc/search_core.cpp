@@ -16,6 +16,7 @@
 
 namespace nicemc::mc {
 
+using detail::kPollStride;
 using detail::SearchClock;
 using detail::seconds_since;
 
@@ -585,10 +586,6 @@ CheckerResult SearchCore::run_sequential(Frontier& frontier,
                      result.revisits, result.quiescent_states);
   }
 
-  // Interrupt/watchdog polls, checkpoint-due checks, and telemetry gauge
-  // publication run every kPollStride expansions — cheap enough to never
-  // show up in profiles, frequent enough that a signal halts promptly.
-  constexpr std::uint64_t kPollStride = 32;
   std::uint64_t since_poll = 0;
   std::uint64_t polls = 0;
 

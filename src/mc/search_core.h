@@ -5,7 +5,8 @@
 // successors — out of the search loop, so the same semantics drive:
 //   * the single-threaded search over any pluggable Frontier (DFS order is
 //     bit-for-bit the original recursive checker);
-//   * the multi-threaded shared-deque driver in mc/parallel.h;
+//   * the multi-threaded driver in mc/parallel.h (private per-worker
+//     stacks over one shared handoff deque);
 //   * the random-walk simulator (sequential and portfolio).
 //
 // The explored-state store is a util::ShardedSeenSet, lock-striped so
@@ -46,6 +47,12 @@ inline double seconds_since(SearchClock::time_point start) {
   return std::chrono::duration<double>(SearchClock::now() - start).count();
 }
 
+/// Interrupt/watchdog polls, checkpoint-due checks, and telemetry gauge
+/// publication run every kPollStride expansions (of each worker, in the
+/// parallel driver) — cheap enough to never show up in profiles, frequent
+/// enough that a signal halts promptly.
+inline constexpr std::uint64_t kPollStride = 32;
+
 }  // namespace detail
 
 struct CheckerOptions {
@@ -69,11 +76,12 @@ struct CheckerOptions {
   /// Exploration order for the single-threaded search. kDfs reproduces the
   /// original checker exactly; kBfs finds shortest counterexamples first;
   /// kRandom is a seeded random-priority order. Ignored when threads > 1:
-  /// the parallel driver always pulls LIFO from its shared work deque.
+  /// each parallel worker runs DFS from a private LIFO stack.
   FrontierKind frontier{FrontierKind::kDfs};
   std::uint64_t frontier_seed{0x9e3779b97f4a7c15ULL};
-  /// Worker threads. 1 = deterministic single-threaded search; N > 1 pulls
-  /// from a shared work deque and is count-equivalent on exhaustive runs
+  /// Worker threads. 1 = deterministic single-threaded search; N > 1 runs
+  /// per-worker DFS stacks that hand work to idle peers through a shared
+  /// deque, and is count-equivalent on exhaustive runs
   /// (same unique states / transitions / violation set, any order).
   unsigned threads{1};
   /// Sound partial-order reduction (mc/por/): kSleep visits the same

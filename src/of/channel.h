@@ -2,12 +2,20 @@
 // channels"). Packet channels can enable a fault model — the model checker
 // then enumerates drop/duplicate transitions for the head packet. The
 // OpenFlow control channel is reliable and in-order.
+//
+// A channel holds a handful of elements and is copied with its component on
+// every copy-on-write clone, so it is backed by a std::vector: an empty
+// channel allocates nothing (a std::deque allocates a node even when
+// empty), and head removal/insertion shifts the few elements behind it.
+// Unlike a deque, a push or pop invalidates references returned by front()
+// and iterators into items().
 #ifndef NICE_OF_CHANNEL_H
 #define NICE_OF_CHANNEL_H
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
+#include <utility>
+#include <vector>
 
 #include "util/ser.h"
 
@@ -29,7 +37,7 @@ class Fifo {
   T pop() {
     assert(!items_.empty());
     T v = std::move(items_.front());
-    items_.pop_front();
+    items_.erase(items_.begin());
     return v;
   }
 
@@ -41,18 +49,19 @@ class Fifo {
   /// Duplicate the head element in place (fault model).
   void duplicate_head() {
     assert(!items_.empty());
-    items_.push_front(items_.front());
+    T head = items_.front();
+    items_.insert(items_.begin(), std::move(head));
   }
 
   /// Drop the head element (fault model).
   void drop_head() {
     assert(!items_.empty());
-    items_.pop_front();
+    items_.erase(items_.begin());
   }
 
   [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-  [[nodiscard]] const std::deque<T>& items() const noexcept { return items_; }
+  [[nodiscard]] const std::vector<T>& items() const noexcept { return items_; }
 
   friend bool operator==(const Fifo&, const Fifo&) = default;
 
@@ -63,7 +72,7 @@ class Fifo {
   }
 
  private:
-  std::deque<T> items_;
+  std::vector<T> items_;
 };
 
 }  // namespace nicemc::of

@@ -159,7 +159,7 @@ OfOutcome Switch::process_of() {
   assert(can_process_of());
   OfOutcome oc;
   ToSwitch msg = of_in.pop();
-  if (!of_in_seq.empty()) of_in_seq.pop_front();
+  if (!of_in_seq.empty()) of_in_seq.erase(of_in_seq.begin());
   if (auto* fm = std::get_if<FlowMod>(&msg)) {
     switch (fm->cmd) {
       case FlowMod::Cmd::kAdd:

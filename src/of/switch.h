@@ -89,7 +89,7 @@ struct Switch {
   /// Global send-order tags parallel to of_in. Bookkeeping for the UNUSUAL
   /// search strategy only — deterministic in the transition history, and
   /// deliberately excluded from serialization so it never splits states.
-  std::deque<std::uint64_t> of_in_seq;
+  std::vector<std::uint64_t> of_in_seq;
   Fifo<ToController> of_out;                 // switch → controller
   std::map<std::uint32_t, BufferedPacket> buffer;
   std::uint32_t next_buffer_id{1};

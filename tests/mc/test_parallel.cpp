@@ -298,5 +298,42 @@ TEST(ParallelSearch, ParallelRespectsTransitionLimitApproximately) {
   EXPECT_LE(r.transitions, 200u + opt.threads);
 }
 
+TEST(ParallelSearch, HandoffSpreadsWorkFromOneRoot) {
+  // The initial state has one enabled transition, so the deque starts with
+  // a single node: every other worker gets work only through a handoff
+  // from a busy worker's private stack.
+  const auto s = apps::pyswitch_ping_chain(3);
+  CheckerOptions opt;
+  opt.stop_at_first_violation = false;
+  opt.threads = 4;
+  opt.telemetry = true;
+  Executor executor(s.config, s.properties);
+  DiscoveryCache discovery;
+  const SystemState initial = executor.make_initial();
+  ASSERT_EQ(apply_strategy(opt.strategy, s.config, initial,
+                           executor.enabled(initial, discovery))
+                .size(),
+            1u);
+
+  util::ShardedSeenSet seen(util::ShardedSeenSet::Mode::kHash, 16);
+  util::Telemetry telem(opt.threads);
+  const SearchCore core(s.config, opt, executor, seen, discovery,
+                        /*sleep=*/nullptr, /*packet_keys=*/false,
+                        /*collapse=*/nullptr, /*fp_memo=*/nullptr, &telem);
+  const CheckerResult r = run_parallel(core, opt.threads);
+  ASSERT_TRUE(r.exhausted);
+
+  CheckerOptions seq_opt = opt;
+  seq_opt.threads = 1;
+  seq_opt.telemetry = false;
+  EXPECT_EQ(r.transitions, run_with(s, seq_opt).transitions);
+  std::uint64_t total = 0;
+  for (std::size_t w = 0; w < opt.threads; ++w) {
+    EXPECT_GT(telem.worker(w).transitions(), 0u) << "worker " << w;
+    total += telem.worker(w).transitions();
+  }
+  EXPECT_EQ(total, r.transitions);
+}
+
 }  // namespace
 }  // namespace nicemc::mc
