@@ -20,7 +20,6 @@
 
 #include "mc/discover.h"
 #include "mc/por/reduction.h"
-#include "mc/por/sleep.h"
 #include "mc/execute.h"
 #include "mc/frontier.h"
 #include "mc/parallel.h"
@@ -48,13 +47,6 @@ class Checker {
                       ? std::make_unique<util::CollapseTable>(
                             shard_count(options.threads))
                       : nullptr),
-        // Symmetry forces reduction off: the sleep-set bookkeeping assumes
-        // key-equal states enable identically *labelled* transitions,
-        // which merging permutation-equivalent states breaks.
-        sleep_(options.reduction == Reduction::kNone || options.symmetry
-                   ? nullptr
-                   : std::make_unique<por::SleepStore>(
-                         shard_count(options.threads))),
         // The memo layer keys on component identities that the seen-set's
         // own bookkeeping already computes: interned ids in kCollapsed
         // mode (collapse_key warms the Snap::form_id memos as a side
@@ -80,7 +72,7 @@ class Checker {
         // Throws std::invalid_argument on an invalid orbit declaration.
         sym_(options.symmetry ? std::make_unique<SymContext>(cfg)
                               : nullptr),
-        core_(cfg_, options_, executor_, seen_, discovery_, sleep_.get(),
+        core_(cfg_, options_, executor_, seen_, discovery_,
               packet_keyed(props), collapse_.get(), fp_memo_.get(),
               telem_.get(), sym_.get()) {}
 
@@ -128,7 +120,6 @@ class Checker {
   Executor executor_;
   util::ShardedSeenSet seen_;
   std::unique_ptr<util::CollapseTable> collapse_;
-  std::unique_ptr<por::SleepStore> sleep_;
   std::unique_ptr<por::FootprintMemo> fp_memo_;
   DiscoveryCache discovery_;
   // Constructed before core_, which captures the raw pointer.

@@ -63,7 +63,7 @@ namespace {
 // the version on any payload layout change — the loader rejects other
 // versions with an explicit diagnostic instead of misparsing.
 constexpr std::uint64_t kMagic = 0x4E494345434B5054ULL;
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 // magic u64 + version u32 + sequence u64 + payload-size u64 + Hash128.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 16;
 
@@ -347,10 +347,6 @@ bool Durability::save(const SearchCore& core, const Snapshot& snap) {
   s.put_bool(core.collapse() != nullptr);
   if (core.collapse() != nullptr) core.collapse()->serialize(s);
 
-  s.put_tag('Z');
-  s.put_bool(core.sleep_store() != nullptr);
-  if (core.sleep_store() != nullptr) core.sleep_store()->serialize(s);
-
   s.put_tag('F');
   s.put_u64(snap.frontier_rng);
 
@@ -459,14 +455,14 @@ bool Durability::parse_payload(const SearchCore& core, util::Des& d,
   const auto clear_stores = [&core] {
     core.seen().clear();
     if (core.collapse() != nullptr) core.collapse()->clear();
-    if (core.sleep_store() != nullptr) core.sleep_store()->clear();
   };
 
-  // Store sections. All three stores hold opaque byte keys (the seen-set's
-  // id tuples and the sleep store's identities reference collapse-table
-  // ids *by value*), and the collapse restore re-interns blobs in dense id
-  // order, reproducing the exact id assignment — so restoring in payload
-  // order keeps every cross-reference valid verbatim.
+  // Store sections. Both stores hold opaque byte keys (the seen-set's id
+  // tuples, slept records included, reference collapse-table ids *by
+  // value*), and the collapse restore re-interns blobs in dense id order,
+  // reproducing the exact id assignment — so restoring in payload order
+  // keeps every cross-reference valid verbatim. A reduction-mode mismatch
+  // never reaches here: the reduction is part of the config fingerprint.
   if (!expect_tag(d, 'S')) {
     error = "missing seen-set section";
     return false;
@@ -490,23 +486,6 @@ bool Durability::parse_payload(const SearchCore& core, util::Des& d,
   }
   if (has_collapse && !core.collapse()->restore(d)) {
     error = "malformed collapse-table section";
-    clear_stores();
-    return false;
-  }
-
-  if (!expect_tag(d, 'Z')) {
-    error = "missing sleep-store section";
-    clear_stores();
-    return false;
-  }
-  const bool has_sleep = d.get_bool();
-  if (has_sleep != (core.sleep_store() != nullptr)) {
-    error = "reduction-mode mismatch";
-    clear_stores();
-    return false;
-  }
-  if (has_sleep && !core.sleep_store()->restore(d)) {
-    error = "malformed sleep-store section";
     clear_stores();
     return false;
   }
@@ -673,7 +652,7 @@ LimitReason Durability::poll(const SearchCore& core,
     const std::uint64_t disc_b = discovery.byte_budget();
     if (fp_b == 0 && disc_b == 0) {
       // Ladder exhausted: the irreducible search state (seen-set,
-      // collapse table, sleep store, frontier) no longer fits. Halt
+      // collapse table, frontier) no longer fits. Halt
       // gracefully; the driver checkpoints before returning.
       if (wt != nullptr) {
         wt->record_event(util::FlightEvent::Kind::kWatchdog, bytes,
@@ -713,7 +692,6 @@ void Durability::fill(CheckerResult& result) const {
 std::uint64_t SearchCore::resident_bytes(std::uint64_t frontier_nodes) const {
   std::uint64_t bytes = seen_.store_bytes();
   if (collapse_ != nullptr) bytes += collapse_->interned_bytes();
-  if (sleep_ != nullptr) bytes += sleep_->store_bytes();
   if (fp_memo_ != nullptr) bytes += fp_memo_->stats().bytes;
   bytes += discovery_.table_stats().bytes;
   return bytes + frontier_nodes * kFrontierNodeBytes;

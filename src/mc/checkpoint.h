@@ -4,9 +4,9 @@
 // A checkpoint snapshots everything an exhaustive run needs to continue
 // as if it had never stopped: the explored-state store (util/seen_set.h),
 // the component-interning table (util/collapse.h — restored first, so the
-// id tuples stored elsewhere stay valid verbatim), the reduction layer's
-// sleep store (mc/por/sleep.h), the pending
-// frontier, and the run counters/violations. Shard placement in every
+// id tuples stored elsewhere stay valid verbatim), the pending frontier,
+// and the run counters/violations. Under partial-order reduction the
+// seen-set section also carries the per-state slept records. Shard placement in every
 // store is a pure function of the entry bytes, so a snapshot is
 // self-contained and restores correctly under any shard count.
 //

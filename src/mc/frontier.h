@@ -29,7 +29,8 @@ namespace nicemc::mc {
 /// the shared-parent trace chain used to reconstruct counterexamples.
 /// `sleep` is the partial-order-reduction sleep set the resulting state
 /// arrives with (always empty under Reduction::kNone); it is per-node, so
-/// the parallel driver needs no extra shared state beyond the SleepStore.
+/// the parallel driver needs no shared reduction state beyond the
+/// seen-set's slept records.
 struct SearchNode {
   std::shared_ptr<const SystemState> state;
   Transition transition;

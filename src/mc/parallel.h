@@ -20,7 +20,7 @@
 // transitions of the unreduced run); exact transition counts become
 // schedule-dependent because which arrival claims a sleep re-expansion
 // races (see mc/por/sleep.h). Sleep sets ride on SearchNode and the
-// per-state bookkeeping lives in the lock-striped SleepStore, so the
+// per-state slept records live in the lock-striped seen-set, so the
 // driver needs no other shared reduction state.
 //
 // run_random_walk_portfolio: the simulator mode as a portfolio — each

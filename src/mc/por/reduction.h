@@ -1,7 +1,8 @@
 // The partial-order-reduction mode every layer keys on
 // (CheckerOptions::reduction).
 //
-// One reduction sits behind the per-state store (por::SleepStore):
+// One reduction, whose per-state records live in the seen-set
+// (util::ShardedSeenSet::arrive):
 //
 //   * kSleep — sleep sets: per-node sets of sibling transitions whose
 //              exploration would only re-derive states a commuted order

@@ -1,16 +1,13 @@
 #include "mc/search_core.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <memory>
 #include <regex>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "mc/checkpoint.h"
-#include "util/hash.h"
 #include "util/resource.h"
 #include "util/ser.h"
 
@@ -59,28 +56,22 @@ std::vector<std::string> violation_key_set(const CheckerResult& r) {
 
 namespace {
 
-/// The 16 bytes of a Hash128 in a fixed order — hash mode's state
-/// identity key for the sleep store.
-std::array<char, 16> hash_identity(const util::Hash128& h) {
-  std::array<char, 16> out;
-  for (int i = 0; i < 8; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<char>(h.lo >> (8 * (7 - i)));
-    out[static_cast<std::size_t>(8 + i)] =
-        static_cast<char>(h.hi >> (8 * (7 - i)));
-  }
+/// An arrival's sleep set as the seen-set takes it: the sorted,
+/// duplicate-free hashes of the slept transitions.
+std::vector<std::uint64_t> slept_hashes(const por::SleepSet& sleep) {
+  std::vector<std::uint64_t> out;
+  out.reserve(sleep.size());
+  for (const por::SleepEntry& z : sleep) out.push_back(z.thash);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 }  // namespace
 
-SearchCore::StateKey SearchCore::state_key(const SystemState& state) const {
-  // Byte-keyed modes only (kFullState / kCollapsed). One implementation
-  // feeds both the plain remember() and the reduction path, so a future
-  // change to the key construction cannot make reduced and unreduced
-  // searches key states differently.
+std::string SearchCore::state_key(const SystemState& state) const {
+  // Byte-keyed modes only (kFullState / kCollapsed).
   const bool canon = cfg_.canonical_flowtables;
-  StateKey k;
   if (sym_ != nullptr) {
     // Symmetry mode: the store key is the canonical serialization of a
     // permuted/renamed/uid-renumbered image of the state, so symmetric
@@ -88,93 +79,43 @@ SearchCore::StateKey SearchCore::state_key(const SystemState& state) const {
     // renamed component itself (the Snap-memoized form ids belong to the
     // *un*-renamed bytes and cannot be reused — the renaming is
     // per-state).
-    SymKey sk = sym_->canonical_key(
-        state, seen_.mode() == util::ShardedSeenSet::Mode::kCollapsed
-                   ? collapse_
-                   : nullptr);
-    k.hash = sk.hash;
-    k.key = std::move(sk.key);
-    return k;
+    return sym_->canonical_key(
+                   state, seen_.mode() == util::ShardedSeenSet::Mode::kCollapsed
+                              ? collapse_
+                              : nullptr)
+        .key;
   }
   if (seen_.mode() == util::ShardedSeenSet::Mode::kFullState) {
-    // Serialize first so each changed component's bytes + hash are
-    // memoized in one pass (hash() below then reads the memoized
-    // hashes), assembling the blob pre-sized to the previous state's
-    // length. The hash only selects the shard; the blob itself is the
-    // store key, so collisions can never merge states.
+    // Serialize with each changed component's bytes + hash memoized in
+    // one pass, assembling the blob pre-sized to the previous state's
+    // length. The blob itself is the store key, so collisions can never
+    // merge states.
     util::Ser s;
     s.reserve(last_blob_size_.load(std::memory_order_relaxed));
     state.serialize(s, canon);
     last_blob_size_.store(s.size(), std::memory_order_relaxed);
-    k.key = s.take();
-  } else {
-    // Interning memoizes each component's form hash, so the hash() for
-    // shard selection reads memos only.
-    k.key = state.collapse_key(*collapse_, canon);
+    return s.take();
   }
-  k.hash = state.hash(canon);
-  return k;
+  return state.collapse_key(*collapse_, canon);
 }
 
-bool SearchCore::remember(const SystemState& state) const {
+util::ShardedSeenSet::Arrival SearchCore::arrive(
+    const SystemState& state, std::span<const std::uint64_t> slept) const {
   const util::PhaseScope ps(util::Phase::kRemember);
-  if (seen_.mode() == util::ShardedSeenSet::Mode::kHash) {
-    if (sym_ != nullptr) {
-      // Hash of the canonical symmetric image (the blob is built and
-      // dropped — hash mode keeps the memory trade, paying one full
-      // canonicalization per arrival instead of per-component memos).
-      return seen_.insert(sym_->canonical_key(state, nullptr).hash);
-    }
-    // Combined from the per-component hashes memoized on the shared
-    // snapshots: only components the transition touched are re-serialized
-    // (and no component bytes are retained — hash mode is Section 6's
-    // computation-for-memory trade).
-    return seen_.insert(state.hash(cfg_.canonical_flowtables));
+  if (seen_.mode() != util::ShardedSeenSet::Mode::kHash) {
+    return seen_.arrive(state_key(state), slept);
   }
-  StateKey k = state_key(state);
-  return seen_.insert_key(std::move(k.key));
-}
-
-SearchCore::StateKey SearchCore::identity_key(const SystemState& state) const {
-  // The store's true identity: packed hash bytes in kHash mode (memoized
-  // on the snapshots, so this is cheap), the canonical blob / id tuple in
-  // the byte-keyed modes.
-  if (seen_.mode() == util::ShardedSeenSet::Mode::kHash) {
-    StateKey k;
-    // Reduction never runs together with symmetry (the Checker enforces
-    // it), but keep the identity consistent with remember() regardless.
-    k.hash = sym_ != nullptr ? sym_->canonical_key(state, nullptr).hash
-                             : state.hash(cfg_.canonical_flowtables);
-    const std::array<char, 16> id = hash_identity(k.hash);
-    k.key.assign(id.data(), id.size());
-    return k;
+  if (sym_ != nullptr) {
+    // Hash of the canonical symmetric image (the blob is built and
+    // dropped — hash mode keeps the memory trade, paying one full
+    // canonicalization per arrival instead of per-component memos).
+    return seen_.arrive(sym_->canonical_key(state, nullptr).hash, slept);
   }
-  return state_key(state);
-}
-
-SearchCore::ArriveOutcome SearchCore::arrive_reduced(
-    const SystemState& state, const por::SleepSet& sleep) const {
-  // One lock in the SleepStore covers the first/revisit verdict and the
-  // sleep bookkeeping (parallel workers agree); the seen-set insert is
-  // deferred to sync_seen(), which reuses the identity bytes computed
-  // once here. The sleep keying is therefore exactly as collision-proof
-  // as the seen-set mode.
-  const util::PhaseScope ps(util::Phase::kRemember);
-  ArriveOutcome at;
-  StateKey k = identity_key(state);
-  at.hash = k.hash;
-  at.identity = std::move(k.key);
-  at.arr = sleep_->arrive(at.identity, sleep);
-  return at;
-}
-
-void SearchCore::sync_seen(ArriveOutcome&& at) const {
-  const util::PhaseScope ps(util::Phase::kRemember);
-  if (seen_.mode() == util::ShardedSeenSet::Mode::kHash) {
-    seen_.insert(at.hash);
-  } else {
-    seen_.insert_key(std::move(at.identity));
-  }
+  // Combined from the per-component hashes memoized on the shared
+  // snapshots: only components the transition touched are re-serialized
+  // (and no component bytes are retained — hash mode is Section 6's
+  // computation-for-memory trade).
+  return seen_.arrive(state.hash(cfg_.canonical_flowtables), slept);
 }
 
 void SearchCore::fill_store_stats(CheckerResult& result) const {
@@ -312,21 +253,15 @@ std::vector<SearchNode> SearchCore::init(CheckerResult& result) const {
   // make_initial → local → clone into the shared_ptr).
   auto initial_sp =
       std::make_shared<const SystemState>(executor_.make_initial());
-  ArriveOutcome root_at;
-  if (sleep_ != nullptr) {
-    // Register the root arrival (empty sleep set) so later re-arrivals at
-    // the initial state are pure revisits.
-    root_at = arrive_reduced(*initial_sp, {});
-  } else {
-    remember(*initial_sp);
-  }
+  // The root arrives with an empty sleep set, so later re-arrivals at the
+  // initial state are pure revisits under reduction too.
+  remember(*initial_sp);
   result.unique_states = 1;
 
   std::vector<SearchNode> roots;
   auto ts = apply_strategy(options_.strategy, cfg_, *initial_sp,
                            executor_.enabled(*initial_sp, discovery_));
   if (ts.empty()) {
-    if (sleep_ != nullptr) sync_seen(std::move(root_at));
     ++result.quiescent_states;
     std::vector<Violation> vs;
     // COW clone: O(#components) pointer copies. Monitors may mutate their
@@ -339,10 +274,9 @@ std::vector<SearchNode> SearchCore::init(CheckerResult& result) const {
     }
     return roots;
   }
-  if (sleep_ != nullptr) {
+  if (reduce_) {
     make_reduced_children(initial_sp, nullptr, 1, std::move(ts), {}, nullptr,
                           roots);
-    sync_seen(std::move(root_at));
     return roots;
   }
   roots.reserve(ts.size());
@@ -375,7 +309,7 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node) const {
     return out;  // do not remember or expand beyond an erroneous state
   }
 
-  if (sleep_ != nullptr) {
+  if (reduce_) {
     expand_reduced(out, std::move(next), node, std::move(path));
     return out;
   }
@@ -412,13 +346,12 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node) const {
 void SearchCore::expand_reduced(Expansion& out, SystemState&& next,
                                 const SearchNode& node,
                                 std::shared_ptr<const PathNode> path) const {
-  ArriveOutcome at = arrive_reduced(next, node.sleep);
-  out.new_state = at.arr.first;
+  const util::ShardedSeenSet::Arrival at =
+      arrive(next, slept_hashes(node.sleep));
+  out.new_state = at.first;
 
-  if (!at.arr.first && at.arr.explore.empty()) {
-    return sync_seen(std::move(at));  // pure revisit
-  }
-  if (node.depth >= options_.max_depth) return sync_seen(std::move(at));
+  if (!at.first && at.explore.empty()) return;  // pure revisit
+  if (node.depth >= options_.max_depth) return;
 
   auto ts = apply_strategy(options_.strategy, cfg_, next,
                            executor_.enabled(next, discovery_));
@@ -426,7 +359,7 @@ void SearchCore::expand_reduced(Expansion& out, SystemState&& next,
     // Quiescence is a state predicate on the strategy-filtered enabled
     // set, never affected by sleep filtering; check it once (first
     // arrival), exactly like the unreduced search.
-    if (at.arr.first) {
+    if (at.first) {
       out.quiescent = true;
       std::vector<Violation> vs;
       executor_.at_quiescence(next, vs);
@@ -437,15 +370,13 @@ void SearchCore::expand_reduced(Expansion& out, SystemState&& next,
         }
       }
     }
-    return sync_seen(std::move(at));
+    return;
   }
 
   auto next_sp = std::make_shared<const SystemState>(std::move(next));
   make_reduced_children(next_sp, path, node.depth + 1, std::move(ts),
-                        node.sleep,
-                        at.arr.first ? nullptr : &at.arr.explore,
+                        node.sleep, at.first ? nullptr : &at.explore,
                         out.children);
-  sync_seen(std::move(at));
 }
 
 void SearchCore::make_reduced_children(

@@ -12,6 +12,8 @@
 // The explored-state store is a util::ShardedSeenSet, lock-striped so
 // parallel workers can insert concurrently; in single-threaded mode the
 // locks are uncontended and the counts are identical to a plain set.
+// Under partial-order reduction the same table holds each state's slept
+// record, so one arrival is one lookup.
 #ifndef NICE_MC_SEARCH_CORE_H
 #define NICE_MC_SEARCH_CORE_H
 
@@ -19,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,7 +30,6 @@
 #include "mc/execute.h"
 #include "mc/frontier.h"
 #include "mc/por/reduction.h"
-#include "mc/por/sleep.h"
 #include "mc/property.h"
 #include "mc/strategy.h"
 #include "mc/sym_reduce.h"
@@ -90,11 +92,10 @@ struct CheckerOptions {
   /// the stateful revisit rule; see mc/por/sleep.h). Composes with the
   /// heuristic strategies (inert under NO-DELAY, whose lock-step drain defeats
   /// per-transition footprints) and with every exhaustive driver; ignored
-  /// by the random-walk simulator (a walk is a single path). The
-  /// reduction's per-state bookkeeping matches states by the store's true
-  /// identity key (hash bytes / blob / id tuple), so it is exactly as
-  /// collision-proof as the configured state_store mode (see
-  /// por::SleepStore).
+  /// by the random-walk simulator (a walk is a single path) and under
+  /// `symmetry`. The per-state slept records live in the seen-set entry
+  /// of their state (util::ShardedSeenSet::arrive), so they are exactly
+  /// as collision-proof as the configured state_store mode.
   Reduction reduction{Reduction::kNone};
   /// Symmetry reduction over the scenario's declared interchangeable-host
   /// orbits (SystemConfig::symmetry_orbits; see mc/sym_reduce.h): the
@@ -105,11 +106,10 @@ struct CheckerOptions {
   /// mode can make — and one that composes with every store mode, driver
   /// and the checkpoint layer, but NOT with partial-order reduction: the
   /// sleep-set bookkeeping assumes key-equal states have identical
-  /// enabled-transition *labels*, which symmetric merging breaks, so the
-  /// Checker runs symmetry with the sleep store disabled (reduction is
-  /// ignored while this is set). Default off. With empty orbits this
-  /// still canonicalizes uid allocation order (and drops next_uid from
-  /// keys when no host uses discovery sends).
+  /// enabled-transition *labels*, which symmetric merging breaks, so
+  /// SearchCore ignores `reduction` while this is set. Default off. With
+  /// empty orbits this still canonicalizes uid allocation order (and
+  /// drops next_uid from keys when no host uses discovery sends).
   bool symmetry{false};
   /// Wall-clock budget in seconds; 0 = off. Honored by the sequential,
   /// parallel and random-walk drivers; a timed-out search reports
@@ -128,8 +128,8 @@ struct CheckerOptions {
   /// CheckerResult::memo.bytes ≤ this at all times).
   std::uint64_t memo_budget_bytes{64ull << 20};
   /// Durability layer (mc/checkpoint.h). Non-empty = periodically write a
-  /// crash-safe A/B-slot checkpoint of the full search state (seen-set,
-  /// collapse table, sleep store, frontier, counters) to
+  /// crash-safe A/B-slot checkpoint of the full search state (seen-set
+  /// with its slept records, collapse table, frontier, counters) to
   /// `<checkpoint_path>.a` / `.b`, and write a final one at every halt —
   /// so a SIGKILL at any point leaves a resumable latest-good snapshot.
   std::string checkpoint_path;
@@ -141,7 +141,7 @@ struct CheckerOptions {
   /// states, violations) as if it had never been interrupted.
   bool resume{false};
   /// Memory-budget watchdog: 0 = off. When the engine-accounted resident
-  /// bytes (store + collapse + sleep + memo + frontier estimate) exceed
+  /// bytes (store + collapse + memo + frontier estimate) exceed
   /// the budget, the memo tables are shrunk/evicted first (they are
   /// count-invisible); if that cannot fit the budget, the search
   /// checkpoints (when checkpoint_path is set) and halts with
@@ -305,23 +305,23 @@ class Durability;  // mc/checkpoint.h — checkpoint/watchdog/signal context
 
 class SearchCore {
  public:
-  /// `sleep` (owned by the caller, e.g. Checker) enables sleep-set
-  /// partial-order reduction; nullptr = expand every strategy-filtered
-  /// transition (the exact seed semantics). `packet_keys` says whether
-  /// packet conflict keys are live in footprints (any packet-keyed
-  /// property monitor installed; see mc::packet_keyed). `collapse` is the
+  /// The core reduces (sleep sets, with the slept records kept in
+  /// `seen`) when options.reduction != kNone and `sym` is null;
+  /// otherwise it expands every strategy-filtered transition (the exact
+  /// seed semantics). `packet_keys` says whether packet conflict keys are
+  /// live in footprints (any packet-keyed property monitor installed; see
+  /// mc::packet_keyed). `collapse` is the
   /// shared component-interning table, required (and used) exactly when
   /// `seen` is in kCollapsed mode. `discovery` is the search's one
   /// discovery cache, `fp_memo` the shared footprint memo (nullptr = memo
   /// off). `telem` is the observability context (nullptr = telemetry off;
   /// the drivers then skip every counter/gauge publication). `sym`
   /// (nullable) is the compiled symmetry context: when set, every
-  /// remembered key goes through SymContext::canonical_key and `sleep`
-  /// must be nullptr (the Checker enforces this).
+  /// remembered key goes through SymContext::canonical_key.
   SearchCore(const SystemConfig& cfg, const CheckerOptions& options,
              const Executor& executor, util::ShardedSeenSet& seen,
-             DiscoveryCache& discovery, por::SleepStore* sleep = nullptr,
-             bool packet_keys = false, util::CollapseTable* collapse = nullptr,
+             DiscoveryCache& discovery, bool packet_keys = false,
+             util::CollapseTable* collapse = nullptr,
              por::FootprintMemo* fp_memo = nullptr,
              util::Telemetry* telem = nullptr,
              const SymContext* sym = nullptr)
@@ -330,7 +330,10 @@ class SearchCore {
         executor_(executor),
         seen_(seen),
         discovery_(discovery),
-        sleep_(sleep),
+        // Symmetry forces reduction off: the sleep-set bookkeeping assumes
+        // key-equal states enable identically *labelled* transitions,
+        // which merging permutation-equivalent states breaks.
+        reduce_(options.reduction != Reduction::kNone && sym == nullptr),
         packet_keys_(packet_keys),
         collapse_(collapse),
         fp_memo_(fp_memo),
@@ -375,7 +378,9 @@ class SearchCore {
                                              Durability* dur = nullptr) const;
 
   /// Returns true when the state was not seen before.
-  bool remember(const SystemState& state) const;
+  bool remember(const SystemState& state) const {
+    return arrive(state, {}).first;
+  }
 
   /// Fill `result` with the store's memory footprint and (in collapsed
   /// mode) the interning counters — one implementation shared by the
@@ -407,13 +412,10 @@ class SearchCore {
   [[nodiscard]] const Executor& executor() const noexcept {
     return executor_;
   }
+  /// The explored-state store, with the slept records of a reduced search.
   [[nodiscard]] util::ShardedSeenSet& seen() const noexcept { return seen_; }
   [[nodiscard]] util::CollapseTable* collapse() const noexcept {
     return collapse_;
-  }
-  /// The sleep-set store (nullptr when reduction is off).
-  [[nodiscard]] por::SleepStore* sleep_store() const noexcept {
-    return sleep_;
   }
   [[nodiscard]] por::FootprintMemo* footprint_memo() const noexcept {
     return fp_memo_;
@@ -424,8 +426,9 @@ class SearchCore {
   }
   [[nodiscard]] const SymContext* sym() const noexcept { return sym_; }
 
-  /// Engine-accounted resident bytes of the search: seen-set + collapse
-  /// table + sleep store + footprint memo + discovery cache + a coarse
+  /// Engine-accounted resident bytes of the search: seen-set (slept
+  /// records included) + collapse table + footprint memo + discovery
+  /// cache + a coarse
   /// per-node estimate for `frontier_nodes` pending nodes. The memory
   /// watchdog's trigger — a pure function of engine state, so the budget
   /// ladder behaves the same on every platform (peak_rss_bytes is
@@ -439,44 +442,23 @@ class SearchCore {
   /// when the run was truncated.
   void fill_telemetry(CheckerResult& result) const;
 
-  /// Reduction-mode tail of expand(): arrival bookkeeping in the
-  /// SleepStore, sleep-filtered child enumeration and sleep inheritance.
+  /// Reduction-mode tail of expand(): the arrival with its sleep set,
+  /// sleep-filtered child enumeration and sleep inheritance.
   void expand_reduced(Expansion& out, SystemState&& next,
                       const SearchNode& node,
                       std::shared_ptr<const PathNode> path) const;
 
-  /// One reduced arrival: the SleepStore verdict plus the state identity
-  /// it was registered under — kept around so the deferred seen-set sync
-  /// reuses the same bytes.
-  struct ArriveOutcome {
-    por::SleepStore::Arrival arr;
-    util::Hash128 hash;
-    /// The store's true identity key (packed hash bytes in kHash mode,
-    /// canonical blob in kFullState, component-id tuple in kCollapsed).
-    std::string identity;
-  };
+  /// Record an arrival at `state` carrying the sorted, duplicate-free
+  /// slept transition hashes `slept` (empty outside reduction) in the
+  /// seen-set, under the store's true identity for its mode: the 128-bit
+  /// hash in kHash mode, the canonical blob in kFullState, the
+  /// component-id tuple in kCollapsed.
+  util::ShardedSeenSet::Arrival arrive(
+      const SystemState& state, std::span<const std::uint64_t> slept) const;
 
-  /// Reduction mode: register the arrival in the SleepStore under the
-  /// store's true state identity (matching the seen-set mode). The
-  /// caller must pass the outcome to sync_seen() on every path so the
-  /// seen-set storage and byte accounting stay in sync.
-  ArriveOutcome arrive_reduced(const SystemState& state,
-                               const por::SleepSet& sleep) const;
-
-  /// Mirror a reduced arrival into the seen-set (the SleepStore already
-  /// made the authoritative first/revisit verdict).
-  void sync_seen(ArriveOutcome&& at) const;
-
-  /// A state's identity in the byte-keyed store modes: the store key
-  /// (canonical blob in kFullState, packed component-id tuple in
-  /// kCollapsed) plus the 128-bit hash that selects the shard.
-  struct StateKey {
-    util::Hash128 hash;
-    std::string key;
-  };
-  StateKey state_key(const SystemState& state) const;
-  /// As state_key, but also valid in kHash mode (packed hash bytes).
-  StateKey identity_key(const SystemState& state) const;
+  /// A state's identity key in the byte-keyed store modes: the canonical
+  /// blob (kFullState) or the packed component-id tuple (kCollapsed).
+  std::string state_key(const SystemState& state) const;
 
   /// Build the sleep-filtered, sleep-carrying children of a state.
   /// `explore_only` selects the revisit re-expansion set (nullptr = first
@@ -500,7 +482,7 @@ class SearchCore {
   const Executor& executor_;
   util::ShardedSeenSet& seen_;
   DiscoveryCache& discovery_;
-  por::SleepStore* sleep_;
+  bool reduce_;
   bool packet_keys_;
   util::CollapseTable* collapse_;
   por::FootprintMemo* fp_memo_;

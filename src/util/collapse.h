@@ -84,8 +84,8 @@ class CollapseTable {
   /// Restore a serialize() section into this (must-be-empty) table by
   /// re-interning every blob in id order — ids are dense and allocated in
   /// intern order, so each blob receives exactly the id it held when the
-  /// section was written, and id tuples stored elsewhere (seen-set keys,
-  /// sleep-store identities) remain valid verbatim. Returns false on a
+  /// section was written, and id tuples stored elsewhere (seen-set keys
+  /// and their slept records) remain valid verbatim. Returns false on a
   /// malformed section or an id mismatch.
   bool restore(Des& d);
 

@@ -66,7 +66,7 @@ constexpr Hash128 hash128_combine(const Hash128& seed,
 /// Transparent hasher for unordered containers keyed by std::string: lets
 /// lookups probe with a string_view without materializing a std::string
 /// (pair with std::equal_to<> as KeyEqual). Used by the byte-keyed
-/// lock-striped stores (CollapseTable, por::SleepStore).
+/// lock-striped CollapseTable.
 struct TransparentStringHash {
   using is_transparent = void;
   std::size_t operator()(std::string_view s) const noexcept {

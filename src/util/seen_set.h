@@ -16,13 +16,21 @@
 //                  util::CollapseTable: collision-proof like kFullState
 //                  (id equality ⇔ blob equality by construction) at a
 //                  fraction of the bytes.
+//
+// The store is also where sleep-set partial-order reduction (mc/por/)
+// keeps its per-state bookkeeping: arrive() folds an arrival's slept
+// transitions into the state's record under the same shard lock that
+// decides first arrival vs revisit, so a reduced arrival does one lookup
+// and the state identity is stored once.
 #ifndef NICE_UTIL_SEEN_SET_H
 #define NICE_UTIL_SEEN_SET_H
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -31,8 +39,8 @@
 
 namespace nicemc::util {
 
-/// Shard selection shared by the lock-striped stores (ShardedSeenSet and
-/// the reduction layer's SleepStore): normalizes the shard count to a
+/// Shard selection shared by the lock-striped stores (ShardedSeenSet,
+/// CollapseTable and the memo tables): normalizes the shard count to a
 /// power of two in [1, 1024] and maps a Hash128 to a shard index via its
 /// top bits, so related stores stripe the same way.
 class ShardSelect {
@@ -68,26 +76,55 @@ class ShardedSeenSet {
   /// shift of the hash's top bits) and clamped to [1, 1024].
   explicit ShardedSeenSet(Mode mode = Mode::kHash, std::size_t shards = 1);
 
-  /// Hash mode: remember `h`. Returns true when it was not seen before.
-  bool insert(const Hash128& h);
+  /// One arrival at a state (arrive()).
+  struct Arrival {
+    /// The state was not in the store (the caller expands it).
+    bool first{false};
+    /// Revisits only: transition hashes slept at every earlier arrival
+    /// but not at this one — the caller must expand them now.
+    std::vector<std::uint64_t> explore;
+  };
 
-  /// Full-state / collapsed modes: remember the state's identity key —
-  /// the canonical serialized blob (kFullState) or the packed tuple of
-  /// interned component ids (kCollapsed). The shard is selected by an
-  /// internal hash of the key bytes, so placement is a pure function of
-  /// the key — which is what lets a checkpoint restore entries into the
-  /// correct shards under any future shard count (mc/checkpoint.h). The
-  /// key itself is the store key, so hash collisions can never merge
-  /// distinct states. Returns true when new.
-  bool insert_key(std::string key);
+  /// Record an arrival at the state `h` (kHash mode) carrying `slept`,
+  /// the sorted, duplicate-free hashes of the transitions asleep on
+  /// arrival (empty outside partial-order reduction). Under one shard
+  /// lock: a first arrival stores the state and, when `slept` is
+  /// non-empty, its slept record; a revisit shrinks the stored record to
+  /// its intersection with `slept` (a transition stays asleep only while
+  /// *every* arrival justifies it — the Godefroid/Holzmann/Pirottin
+  /// revisit rule) and returns the difference. A record that empties is
+  /// dropped. Parallel workers agree on the verdict because it is made
+  /// under the lock.
+  Arrival arrive(const Hash128& h, std::span<const std::uint64_t> slept);
+
+  /// As above for full-state / collapsed modes, keyed by the state's
+  /// identity key — the canonical serialized blob (kFullState) or the
+  /// packed tuple of interned component ids (kCollapsed). The shard is
+  /// selected by an internal hash of the key bytes, so placement is a
+  /// pure function of the key — which is what lets a checkpoint restore
+  /// entries into the correct shards under any future shard count
+  /// (mc/checkpoint.h). The key itself is the store key, so hash
+  /// collisions can never merge distinct states or their slept records.
+  Arrival arrive(std::string key, std::span<const std::uint64_t> slept);
+
+  /// Hash mode: remember `h`. Returns true when it was not seen before.
+  bool insert(const Hash128& h) { return arrive(h, {}).first; }
+
+  /// Full-state / collapsed modes: remember the state's identity key.
+  /// Returns true when new.
+  bool insert_key(std::string key) {
+    return arrive(std::move(key), {}).first;
+  }
 
   /// Unique entries across all shards.
   [[nodiscard]] std::uint64_t size() const;
 
   /// Bytes held by the store: sizeof(Hash128) per entry in hash mode, the
-  /// key bytes (serialized state / id tuple) otherwise. Collapsed mode's
-  /// total footprint is this plus the shared CollapseTable's
-  /// interned_bytes() — CheckerResult::store_bytes reports the sum.
+  /// key bytes (serialized state / id tuple) otherwise, plus a coarse
+  /// per-record overhead and 8 bytes per hash for the slept records.
+  /// Collapsed mode's total footprint is this plus the shared
+  /// CollapseTable's interned_bytes() — CheckerResult::store_bytes
+  /// reports the sum.
   [[nodiscard]] std::uint64_t store_bytes() const;
 
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
@@ -96,14 +133,17 @@ class ShardedSeenSet {
   }
 
   /// Checkpoint section: entry count + every entry (16-byte hashes in
-  /// hash mode, length-prefixed keys otherwise). Iteration order is
-  /// shard-then-bucket order — placement on restore is re-derived, so the
-  /// order carries no meaning. Not safe against concurrent inserts (the
-  /// drivers quiesce before snapshotting).
+  /// hash mode, length-prefixed keys otherwise), then record count +
+  /// every slept record (its entry, hash count, hashes). Iteration order
+  /// is shard-then-bucket order — placement on restore is re-derived, so
+  /// the order carries no meaning. Not safe against concurrent inserts
+  /// (the drivers quiesce before snapshotting).
   void serialize(Ser& s) const;
   /// Restore a serialize() section into this (must-be-empty) store.
   /// Returns false — leaving the store partially filled — on a malformed
-  /// section; callers discard the store on failure.
+  /// section, including a slept record whose entry is absent, an empty or
+  /// unsorted record, and a second record for one entry; callers discard
+  /// the store on failure.
   bool restore(Des& d);
 
   void clear();
@@ -113,8 +153,21 @@ class ShardedSeenSet {
     mutable std::mutex mu;
     std::unordered_set<Hash128> hashes;
     std::unordered_set<std::string> keys;  // blobs or id tuples, by mode
+    /// Slept records, keyed by the address of the entry they belong to
+    /// (an element of `hashes` or `keys`; unordered_set nodes never move,
+    /// not even on a rehash), so the identity is stored once. Holds only
+    /// non-empty records: a search without reduction keeps this empty and
+    /// pays no byte per entry for it.
+    std::unordered_map<const void*, std::vector<std::uint64_t>> slept;
     std::uint64_t bytes{0};
   };
+
+  /// arrive() under `s`'s lock, for the entry `value` of `set`.
+  template <typename Set, typename Value>
+  Arrival arrive_locked(Shard& s, Set& set, Value&& value,
+                        std::span<const std::uint64_t> slept);
+  /// Restore one slept record of serialize()'s section for `entry`.
+  bool restore_record(Des& d, Shard& s, const void* entry);
 
   [[nodiscard]] Shard& shard_of(const Hash128& h) const {
     return *shards_[select_.index(h)];

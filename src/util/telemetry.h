@@ -44,7 +44,7 @@ enum class Phase : std::uint8_t {
   kEnabled,        // enabled-set enumeration incl. symbolic discovery
   kFootprint,      // por footprint computation (memo lookups included)
   kPropertyCheck,  // property monitors: on_events + at_quiescence
-  kRemember,       // seen-set/sleep-store arrival: serialize, hash, insert
+  kRemember,       // seen-set arrival: serialize, hash, insert, slept record
   kCheckpoint,     // durability snapshot serialization + slot write
   kIdle,           // parallel worker parked waiting for work / quiesce
   kOther,          // driver overhead not claimed by any scope above

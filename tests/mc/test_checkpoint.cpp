@@ -16,6 +16,7 @@
 #include "apps/scenarios.h"
 #include "mc/checker.h"
 #include "util/seen_set.h"
+#include "util/ser.h"
 
 namespace nicemc::mc {
 namespace {
@@ -242,8 +243,8 @@ TEST(CheckpointResume, ParallelFourThreads) {
 
 TEST(CheckpointResume, CollapsedStoreRestoresInternTable) {
   // kCollapsed keys states by interned component-id tuples; restore must
-  // re-intern blobs in dense id order for the stored tuples (and the
-  // sleep store's identity keys) to stay valid.
+  // re-intern blobs in dense id order for the stored tuples (and their
+  // slept records) to stay valid.
   for (const apps::NamedScenario& ns : small_scenarios()) {
     expect_resume_identity(ns, Reduction::kSleep, FrontierKind::kDfs, 1,
                            StoreMode::kCollapsed, "collapsed_sleep");
@@ -284,6 +285,110 @@ TEST(CheckpointResume, WrongScenarioCheckpointIsRejected) {
       << other_resumed.durability.resume_error;
   EXPECT_EQ(other_resumed.transitions, other_full.transitions);
   EXPECT_EQ(other_resumed.unique_states, other_full.unique_states);
+  drop_slots(path);
+}
+
+TEST(CheckpointResume, SleepCheckpointRefusedWithoutReduction) {
+  // The reduction mode is part of the config fingerprint: a kSleep
+  // checkpoint (whose seen-set section carries slept records) must not be
+  // resumed by a kNone search.
+  const apps::NamedScenario ns = apps::bundled_scenarios()[1];  // ping2
+  CheckerOptions base;
+  base.stop_at_first_violation = false;
+  const CheckerResult full = run_once(ns.make(), base);
+
+  const std::string path = fresh_ckpt_path("reduction_mismatch");
+  CheckerOptions opt = base;
+  opt.reduction = Reduction::kSleep;
+  opt.checkpoint_path = path;
+  opt.checkpoint_interval_seconds = 0;
+  opt.max_transitions = full.transitions / 4;
+  ASSERT_GE(run_once(ns.make(), opt).durability.checkpoints_written, 1u);
+
+  opt.reduction = Reduction::kNone;
+  opt.max_transitions = ~0ULL;
+  opt.resume = true;
+  const CheckerResult r = run_once(ns.make(), opt);
+  EXPECT_FALSE(r.durability.resumed);
+  EXPECT_NE(r.durability.resume_error.find("fingerprint"), std::string::npos)
+      << r.durability.resume_error;
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_EQ(r.transitions, full.transitions);
+  EXPECT_EQ(r.unique_states, full.unique_states);
+  drop_slots(path);
+}
+
+TEST(CheckpointResume, MalformedSleptRecordsAreRefused) {
+  // A real kSleep slot, re-framed (valid checksum) with one slept record
+  // of its seen-set section corrupted three ways: the run must refuse the
+  // section, clear the half-restored stores, and fall back to a fresh
+  // search with the exact totals.
+  const apps::NamedScenario ns = apps::bundled_scenarios()[1];  // ping2
+  CheckerOptions base;
+  base.stop_at_first_violation = false;
+  base.reduction = Reduction::kSleep;
+  const CheckerResult full = run_once(ns.make(), base);
+
+  const std::string path = fresh_ckpt_path("slept_records");
+  CheckerOptions opt = base;
+  opt.checkpoint_path = path;
+  opt.checkpoint_interval_seconds = 0;  // one slot: the at-halt snapshot
+  opt.max_transitions = full.transitions / 2;
+  const CheckerResult part = run_once(ns.make(), opt);
+  ASSERT_EQ(part.durability.checkpoints_written, 1u);
+  // A fresh run's first snapshot goes to slot A — so does the at-halt
+  // snapshot of each fresh fallback run below, hence the rewrite per case.
+  const std::string slot_path = checkpoint_slot_a(path);
+  const SlotInfo slot = read_checkpoint_slot(slot_path);
+  ASSERT_TRUE(slot.valid) << slot.error;
+
+  const auto u64 = [](std::uint64_t v) {
+    util::Ser s;
+    s.put_u64(v);
+    return s.take();
+  };
+  // The seen-set section: tag, kHash mode byte, entry count, 16-byte
+  // entries, record count, then records of (hash, count, hashes).
+  const std::string head =
+      std::string("S") + '\0' + u64(part.unique_states);
+  const std::size_t at = slot.payload.find(head);
+  ASSERT_NE(at, std::string::npos);
+  const auto u64_at = [&slot](std::size_t offset) {
+    util::Des d(std::string_view(slot.payload).substr(offset));
+    return d.get_u64();
+  };
+  const std::size_t records_at = at + head.size() + 16 * part.unique_states;
+  const std::uint64_t records = u64_at(records_at);
+  ASSERT_GT(records, 0u);
+  const std::size_t rec = records_at + 8;  // the first record
+  const std::uint64_t n = u64_at(rec + 16);
+  ASSERT_GT(n, 0u);
+  const std::size_t rec_len = 16 + 8 + 8 * n;
+
+  std::string absent = slot.payload;
+  absent[rec] ^= 0x01;
+  std::string empty = slot.payload;
+  empty.replace(rec + 16, 8 + 8 * n, u64(0));
+  std::string duplicate = slot.payload;
+  duplicate.insert(rec + rec_len, slot.payload.substr(rec, rec_len));
+  duplicate.replace(records_at, 8, u64(records + 1));
+
+  opt.max_transitions = ~0ULL;
+  opt.resume = true;
+  for (const std::string& payload : {absent, empty, duplicate}) {
+    std::string error;
+    ASSERT_TRUE(write_checkpoint_slot(slot_path, slot.sequence, payload,
+                                      error))
+        << error;
+    const CheckerResult r = run_once(ns.make(), opt);
+    EXPECT_FALSE(r.durability.resumed);
+    EXPECT_NE(r.durability.resume_error.find("malformed seen-set section"),
+              std::string::npos)
+        << r.durability.resume_error;
+    EXPECT_TRUE(r.exhausted);
+    EXPECT_EQ(r.unique_states, full.unique_states);
+    EXPECT_EQ(r.transitions, full.transitions);
+  }
   drop_slots(path);
 }
 

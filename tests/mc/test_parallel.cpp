@@ -318,8 +318,8 @@ TEST(ParallelSearch, HandoffSpreadsWorkFromOneRoot) {
   util::ShardedSeenSet seen(util::ShardedSeenSet::Mode::kHash, 16);
   util::Telemetry telem(opt.threads);
   const SearchCore core(s.config, opt, executor, seen, discovery,
-                        /*sleep=*/nullptr, /*packet_keys=*/false,
-                        /*collapse=*/nullptr, /*fp_memo=*/nullptr, &telem);
+                        /*packet_keys=*/false, /*collapse=*/nullptr,
+                        /*fp_memo=*/nullptr, &telem);
   const CheckerResult r = run_parallel(core, opt.threads);
   ASSERT_TRUE(r.exhausted);
 

@@ -4,8 +4,9 @@
 // quiescent-state counts, and fewer (or equal) transitions than the
 // unreduced search — plus pinned kSleep counts per bundled scenario,
 // strict-reduction checks on the paper scenarios, the controller-channel
-// fault regression, parallel/frontier composition, and SleepStore
-// mechanics.
+// fault regression, and parallel/frontier composition. The slept-record
+// mechanics of the revisit rule are tested with the seen-set
+// (tests/util/test_seen_set.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +16,6 @@
 
 #include "apps/scenarios.h"
 #include "mc/checker.h"
-#include "mc/por/sleep.h"
 
 namespace nicemc::mc {
 namespace {
@@ -161,11 +161,12 @@ TEST(Por, ReductionFindsKnownBugStopAtFirst) {
 }
 
 TEST(Por, ParallelDriverComposesWithReduction) {
-  // Sleep sets ride on SearchNodes and the SleepStore is lock-striped, so
-  // the parallel driver keeps the soundness contract: same states, same
-  // violations. (Which arrival claims a re-expansion is schedule-
-  // dependent, so the exact transition count may vary between parallel
-  // runs — but it never exceeds the unreduced count.)
+  // Sleep sets ride on SearchNodes and the slept records live in the
+  // lock-striped seen-set, so the parallel driver keeps the soundness
+  // contract: same states, same violations. (Which arrival claims a
+  // re-expansion is schedule-dependent, so the exact transition count may
+  // vary between parallel runs — but it never exceeds the unreduced
+  // count.)
   apps::LbScenarioOptions o;
   o.fix_install_before_delete = true;
   o.client_sends_arp = true;
@@ -257,61 +258,6 @@ TEST(Por, ReductionComposesWithFlowIr) {
   EXPECT_TRUE(red.exhausted);
   EXPECT_EQ(red.unique_states, none.unique_states);
   EXPECT_LE(red.transitions, none.transitions);
-}
-
-TEST(Por, SleepStoreArrivalSemantics) {
-  por::SleepStore store(4);
-  const std::string id = "state-identity";
-  por::Footprint fp;
-
-  por::SleepSet z1;
-  z1.push_back(por::SleepEntry{10, fp});
-  z1.push_back(por::SleepEntry{20, fp});
-  const auto first = store.arrive(id, z1);
-  EXPECT_TRUE(first.first);
-  EXPECT_TRUE(first.explore.empty());
-
-  // Revisit with a smaller sleep set: the difference must be re-expanded
-  // and the stored set shrinks to the intersection.
-  por::SleepSet z2;
-  z2.push_back(por::SleepEntry{20, fp});
-  const auto second = store.arrive(id, z2);
-  EXPECT_FALSE(second.first);
-  EXPECT_EQ(second.explore, (std::vector<std::uint64_t>{10}));
-
-  // 10 is no longer stored-slept; arriving without it re-expands nothing.
-  const auto third = store.arrive(id, {});
-  EXPECT_FALSE(third.first);
-  EXPECT_EQ(third.explore, (std::vector<std::uint64_t>{20}));
-  const auto fourth = store.arrive(id, {});
-  EXPECT_FALSE(fourth.first);
-  EXPECT_TRUE(fourth.explore.empty());
-
-  EXPECT_EQ(store.states(), 1u);
-}
-
-TEST(Por, SleepStoreKeysOnTrueIdentity) {
-  // Two distinct states must keep separate sleep sets even if they land
-  // in the same shard: the store keys on the seen-set's true identity
-  // (blob or id tuple); an internal hash of those bytes only selects the
-  // shard.
-  por::SleepStore store(4);
-  por::Footprint fp;
-
-  por::SleepSet z;
-  z.push_back(por::SleepEntry{10, fp});
-  EXPECT_TRUE(store.arrive("state-a", z).first);
-  // A different state colliding on the hash is a fresh first arrival, and
-  // its empty sleep set must not dig into state-a's bookkeeping.
-  const auto other = store.arrive("state-b", {});
-  EXPECT_TRUE(other.first);
-  EXPECT_TRUE(other.explore.empty());
-  EXPECT_EQ(store.states(), 2u);
-
-  // state-a's stored sleep set survived the collision untouched.
-  const auto revisit = store.arrive("state-a", {});
-  EXPECT_FALSE(revisit.first);
-  EXPECT_EQ(revisit.explore, (std::vector<std::uint64_t>{10}));
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
 // ShardedSeenSet: hash vs full-state modes, store_bytes accounting, shard
-// rounding, and concurrent insert correctness.
+// rounding, concurrent insert correctness, and the slept records of the
+// sleep-set revisit rule (arrival semantics, identity keying, accounting,
+// checkpoint-section validation).
 #include "util/seen_set.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "util/hash.h"
+#include "util/ser.h"
 
 namespace nicemc::util {
 namespace {
@@ -123,6 +127,181 @@ TEST(ShardedSeenSet, ConcurrentFullStateInserts) {
   for (auto& t : workers) t.join();
   EXPECT_EQ(set.size(), static_cast<std::uint64_t>(kBlobs));
   EXPECT_EQ(wins.load(), kBlobs);
+}
+
+
+// ---- Slept records ---------------------------------------------------------
+
+using Slept = std::vector<std::uint64_t>;
+
+/// The slept-record cases run once in kHash mode and once in a byte-keyed
+/// mode: `id` names a state, as its hash in kHash mode and as its key
+/// otherwise.
+constexpr ShardedSeenSet::Mode kArrivalModes[] = {
+    ShardedSeenSet::Mode::kHash, ShardedSeenSet::Mode::kFullState};
+
+Hash128 id_hash(const std::string& id) {
+  // Every id shares the top bits, so all states land in one shard.
+  return h(hash128({reinterpret_cast<const std::byte*>(id.data()),
+                    id.size()})
+               .lo,
+           7);
+}
+
+ShardedSeenSet::Arrival arrive(ShardedSeenSet& set, const std::string& id,
+                               const Slept& slept) {
+  return set.mode() == ShardedSeenSet::Mode::kHash
+             ? set.arrive(id_hash(id), slept)
+             : set.arrive(id, slept);
+}
+
+/// store_bytes() of a set holding just the entries `ids`, no records.
+std::uint64_t key_only_bytes(ShardedSeenSet::Mode mode,
+                             const std::vector<std::string>& ids) {
+  ShardedSeenSet plain(mode, 4);
+  for (const std::string& id : ids) arrive(plain, id, {});
+  return plain.store_bytes();
+}
+
+TEST(ShardedSeenSet, ArrivalKeepsSleptIntersection) {
+  for (const ShardedSeenSet::Mode mode : kArrivalModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ShardedSeenSet set(mode, 4);
+    const std::string id = "state-identity";
+    const auto first = arrive(set, id, {10, 20});
+    EXPECT_TRUE(first.first);
+    EXPECT_TRUE(first.explore.empty());
+
+    // Revisit with a smaller sleep set: the difference must be re-expanded
+    // and the stored set shrinks to the intersection.
+    const auto second = arrive(set, id, {20});
+    EXPECT_FALSE(second.first);
+    EXPECT_EQ(second.explore, (Slept{10}));
+
+    // 10 is no longer stored-slept; arriving without 20 re-expands it.
+    const auto third = arrive(set, id, {});
+    EXPECT_FALSE(third.first);
+    EXPECT_EQ(third.explore, (Slept{20}));
+    const auto fourth = arrive(set, id, {});
+    EXPECT_FALSE(fourth.first);
+    EXPECT_TRUE(fourth.explore.empty());
+
+    EXPECT_EQ(set.size(), 1u);
+  }
+}
+
+TEST(ShardedSeenSet, SleptRecordsKeyOnTrueIdentity) {
+  // Two distinct states in one shard keep separate slept records: the
+  // record belongs to the entry (hash or key), never to a shard-selection
+  // hash.
+  for (const ShardedSeenSet::Mode mode : kArrivalModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ShardedSeenSet set(mode, 1);
+    EXPECT_TRUE(arrive(set, "state-a", {10}).first);
+    // A different state is a fresh first arrival, and its empty sleep set
+    // must not dig into state-a's record.
+    const auto other = arrive(set, "state-b", {});
+    EXPECT_TRUE(other.first);
+    EXPECT_TRUE(other.explore.empty());
+    EXPECT_EQ(set.size(), 2u);
+
+    // state-a's record survived untouched.
+    const auto revisit = arrive(set, "state-a", {});
+    EXPECT_FALSE(revisit.first);
+    EXPECT_EQ(revisit.explore, (Slept{10}));
+  }
+}
+
+TEST(ShardedSeenSet, EmptiedSleptRecordIsDropped) {
+  for (const ShardedSeenSet::Mode mode : kArrivalModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ShardedSeenSet set(mode, 4);
+    const std::uint64_t keys = key_only_bytes(mode, {"s"});
+    arrive(set, "s", {1, 2, 3});
+    EXPECT_GT(set.store_bytes(), keys + 3 * sizeof(std::uint64_t));
+    // A partial intersection returns the three-hash record's difference
+    // and gives back its bytes.
+    const std::uint64_t three = set.store_bytes();
+    EXPECT_EQ(arrive(set, "s", {2, 3}).explore, (Slept{1}));
+    EXPECT_EQ(set.store_bytes(), three - sizeof(std::uint64_t));
+    // The intersection empties: the record is dropped and the store holds
+    // exactly what a search without reduction would.
+    EXPECT_EQ(arrive(set, "s", {1}).explore, (Slept{2, 3}));
+    EXPECT_EQ(set.store_bytes(), keys);
+    Ser s;
+    set.serialize(s);
+    Ser plain;
+    ShardedSeenSet unreduced(mode, 4);
+    arrive(unreduced, "s", {});
+    unreduced.serialize(plain);
+    EXPECT_EQ(s.take(), plain.take());
+    EXPECT_TRUE(arrive(set, "s", {1, 2, 3}).explore.empty());
+  }
+}
+
+TEST(ShardedSeenSet, SleptRecordsRoundTripThroughSerialize) {
+  for (const ShardedSeenSet::Mode mode : kArrivalModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ShardedSeenSet set(mode, 4);
+    arrive(set, "a", {5, 9});
+    arrive(set, "b", {});
+    arrive(set, "c", {7});
+    Ser s;
+    set.serialize(s);
+    const std::string bytes = s.take();
+
+    // A different shard count re-derives placement from the entries.
+    ShardedSeenSet back(mode, 16);
+    Des d(bytes);
+    ASSERT_TRUE(back.restore(d));
+    EXPECT_TRUE(d.done());
+    EXPECT_EQ(back.size(), 3u);
+    EXPECT_EQ(back.store_bytes(), set.store_bytes());
+    EXPECT_EQ(arrive(back, "a", {9}).explore, (Slept{5}));
+    EXPECT_TRUE(arrive(back, "b", {}).explore.empty());
+    EXPECT_EQ(arrive(back, "c", {}).explore, (Slept{7}));
+  }
+}
+
+TEST(ShardedSeenSet, RestoreRejectsMalformedSleptRecords) {
+  // A section for one entry "s" followed by hand-built records.
+  const auto section = [](ShardedSeenSet::Mode mode,
+                          const std::vector<std::pair<std::string, Slept>>&
+                              records) {
+    Ser s;
+    s.put_u8(static_cast<std::uint8_t>(mode));
+    s.put_u64(1);
+    const auto put_entry = [&](const std::string& id) {
+      if (mode == ShardedSeenSet::Mode::kHash) {
+        s.put_u64(id_hash(id).lo);
+        s.put_u64(id_hash(id).hi);
+      } else {
+        s.put_str(id);
+      }
+    };
+    put_entry("s");
+    s.put_u64(records.size());
+    for (const auto& [id, hashes] : records) {
+      put_entry(id);
+      s.put_u64(hashes.size());
+      for (const std::uint64_t th : hashes) s.put_u64(th);
+    }
+    return s.take();
+  };
+  const auto restores = [](ShardedSeenSet::Mode mode,
+                           const std::string& bytes) {
+    ShardedSeenSet set(mode, 4);
+    Des d(bytes);
+    return set.restore(d) && d.done();
+  };
+  for (const ShardedSeenSet::Mode mode : kArrivalModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    EXPECT_TRUE(restores(mode, section(mode, {{"s", {1, 2}}})));
+    EXPECT_FALSE(restores(mode, section(mode, {{"absent", {1}}})));
+    EXPECT_FALSE(restores(mode, section(mode, {{"s", {}}})));
+    EXPECT_FALSE(restores(mode, section(mode, {{"s", {1}}, {"s", {2}}})));
+    EXPECT_FALSE(restores(mode, section(mode, {{"s", {2, 1}}})));
+  }
 }
 
 }  // namespace
