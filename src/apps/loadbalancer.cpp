@@ -19,27 +19,13 @@ void LoadBalancerState::serialize(util::Ser& s) const {
   s.put_bool(reconfigured);
   s.put_u32(static_cast<std::uint32_t>(assignments.size()));
   const util::Renamer* rn = util::Renamer::active();
-  auto emit = [&s](const of::FiveTuple& t, std::uint8_t r) {
-    s.put_u64(t.ip_src);
-    s.put_u64(t.ip_dst);
-    s.put_u64(t.ip_proto);
-    s.put_u64(t.tp_src);
-    s.put_u64(t.tp_dst);
-    s.put_u8(r);
-  };
-  if (rn == nullptr) {
-    for (const auto& [t, r] : assignments) emit(t, r);
-  } else {
-    // Client IPs rename; re-sort so the canonical form is key-ordered.
-    std::map<of::FiveTuple, std::uint8_t> renamed;
-    for (const auto& [t, r] : assignments) {
-      of::FiveTuple rt = t;
-      rt.ip_src = rn->r_ip(t.ip_src);
-      rt.ip_dst = rn->r_ip(t.ip_dst);
-      renamed.emplace(rt, r);
-    }
-    for (const auto& [t, r] : renamed) emit(t, r);
-  }
+  util::for_each_named(
+      assignments, util::rn_renames_hosts(rn),
+      [&](const auto& e) { return e.first.renamed(rn); },
+      [&](const of::FiveTuple& t, const auto& e) {
+        t.serialize(s);
+        s.put_u8(e.second);
+      });
 }
 
 of::Match LoadBalancer::wildcard_match(bool high_half) const {

@@ -58,18 +58,17 @@ class PySwitchState final : public ctrl::AppState {
     const util::Renamer* rn = util::Renamer::active();
     for (const auto& [sw, table] : mactable) {
       s.put_u32(sw);
-      if (rn == nullptr) {
-        table.serialize(s);
-      } else {
-        // MAC keys and learned ports both rename; re-sort the keys so the
-        // emission matches put_map_u64's byte format on the renamed map.
-        std::map<std::uint64_t, std::uint64_t> renamed;
-        for (const auto& [m, p] : table.raw()) {
-          renamed.emplace(rn->r_mac(m),
-                          rn->r_port(sw, static_cast<std::uint32_t>(p)));
-        }
-        s.put_map_u64(renamed);
-      }
+      // MAC keys and learned ports both rename: put_map_u64's byte format
+      // on the renamed map.
+      s.put_u32(static_cast<std::uint32_t>(table.size()));
+      util::for_each_named(
+          table.raw(), util::rn_renames_hosts(rn),
+          [&](const auto& e) { return util::rn_mac(rn, e.first); },
+          [&, sw = sw](std::uint64_t mac, const auto& e) {
+            s.put_u64(mac);
+            s.put_u64(
+                util::rn_port(rn, sw, static_cast<std::uint32_t>(e.second)));
+          });
     }
   }
 };

@@ -81,39 +81,21 @@ class RespondTeState final : public ctrl::AppState {
     s.put_tag('T');
     s.put_bool(energy_high);
     s.put_u32(static_cast<std::uint32_t>(routed.size()));
-    auto emit = [&s](const of::FiveTuple& t, std::uint8_t tbl) {
-      s.put_u64(t.ip_src);
-      s.put_u64(t.ip_dst);
-      s.put_u64(t.ip_proto);
-      s.put_u64(t.tp_src);
-      s.put_u64(t.tp_dst);
-      s.put_u8(tbl);
-    };
-    if (rn == nullptr) {
-      for (const auto& [t, tbl] : routed) emit(t, tbl);
-    } else {
-      std::map<of::FiveTuple, std::uint8_t> renamed;
-      for (const auto& [t, tbl] : routed) {
-        of::FiveTuple rt = t;
-        rt.ip_src = rn->r_ip(t.ip_src);
-        rt.ip_dst = rn->r_ip(t.ip_dst);
-        renamed.emplace(rt, tbl);
-      }
-      for (const auto& [t, tbl] : renamed) emit(t, tbl);
-    }
+    const bool renames = util::rn_renames_hosts(rn);
+    util::for_each_named(
+        routed, renames, [&](const auto& e) { return e.first.renamed(rn); },
+        [&](const of::FiveTuple& t, const auto& e) {
+          t.serialize(s);
+          s.put_u8(e.second);
+        });
     s.put_u32(static_cast<std::uint32_t>(down_ports.size()));
     for (const auto& [sw, ports] : down_ports) {
       s.put_u32(sw);
       s.put_u32(static_cast<std::uint32_t>(ports.size()));
-      if (rn == nullptr) {
-        for (of::PortId p : ports) s.put_u32(p);
-      } else {
-        std::vector<of::PortId> renamed_ports;
-        renamed_ports.reserve(ports.size());
-        for (of::PortId p : ports) renamed_ports.push_back(rn->r_port(sw, p));
-        std::sort(renamed_ports.begin(), renamed_ports.end());
-        for (of::PortId p : renamed_ports) s.put_u32(p);
-      }
+      util::for_each_named(
+          ports, renames,
+          [&, sw = sw](of::PortId p) { return util::rn_port(rn, sw, p); },
+          [&](of::PortId p, of::PortId) { s.put_u32(p); });
     }
   }
 };

@@ -84,8 +84,6 @@ class SymTable {
   [[nodiscard]] const Map& raw() const noexcept { return map_; }
   [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
 
-  void serialize(util::Ser& s) const { s.put_map_u64(map_); }
-
   friend bool operator==(const SymTable&, const SymTable&) = default;
 
  private:

@@ -21,7 +21,7 @@ ControllerState& ControllerState::operator=(const ControllerState& o) {
   return *this;
 }
 
-void ControllerState::serialize(util::Ser& s) const {
+void ControllerState::serialize(util::Ser& s, bool canonical) const {
   s.put_tag('C');
   if (app) app->serialize(s);
   s.put_u32(next_xid);
@@ -31,8 +31,10 @@ void ControllerState::serialize(util::Ser& s) const {
   s.put_u32(static_cast<std::uint32_t>(pending_commands.size()));
   for (const auto& [sw, msg] : pending_commands) {
     s.put_u32(sw);
-    // Port fields inside a queued command belong to its target switch.
-    const util::Renamer::SwScope sw_scope(sw);
+    // Ports and buffer ids in a parked command name entries of its target
+    // switch. This component cannot see the buffer, so a canonical buffer
+    // id reads as stale here; SystemState::serialize_trailer names it.
+    const util::Renamer::FormScope form(sw, canonical);
     of::serialize_message(s, msg);
   }
 }

@@ -28,7 +28,8 @@ struct ControllerState {
   std::set<of::SwitchId> pending_stats;
   std::uint32_t stats_rounds{0};
   /// FINE-INTERLEAVING baseline only: commands emitted by handlers that
-  /// have not yet been turned into switch messages.
+  /// have not yet been turned into switch messages. A parked packet_out's
+  /// canonical buffer name lives in the state trailer.
   std::vector<std::pair<of::SwitchId, of::ToSwitch>> pending_commands;
   /// Global send-order counter for controller→switch messages. Strategy
   /// bookkeeping (UNUSUAL); deterministic in the history and deliberately
@@ -41,7 +42,8 @@ struct ControllerState {
   ControllerState(ControllerState&&) noexcept = default;
   ControllerState& operator=(ControllerState&&) noexcept = default;
 
-  void serialize(util::Ser& s) const;
+  /// The canonical form names parked packets' copy and buffer ids.
+  void serialize(util::Ser& s, bool canonical = true) const;
 
   /// Rough upper estimate of serialize()'s output size — lets the state
   /// pipeline pre-size per-component buffers (see util::Snap::form).

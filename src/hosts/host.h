@@ -102,18 +102,17 @@ struct HostState {
   void serialize_parts(util::Ser& s, bool canonical,
                        std::size_t* bounds) const {
     const std::size_t base = s.size();
-    const util::Renamer* rn = util::Renamer::active();
     // Port fields below this host belong to its attachment switch.
-    const util::Renamer::SwScope sw_scope(sw);
+    const util::Renamer::FormScope form(sw, canonical);
+    const util::Renamer* rn = util::Renamer::active();
     // part 0: identity + attachment + input queue
     bounds[0] = s.size() - base;
     s.put_tag('H');
     s.put_u32(util::rn_host(rn, id));
     s.put_u32(sw);
     s.put_u32(util::rn_port(rn, sw, port));
-    input.serialize(s, [canonical](util::Ser& ser, const of::Packet& p) {
-      p.serialize(ser, /*include_copy_id=*/!canonical);
-    });
+    input.serialize(
+        s, [](util::Ser& ser, const of::Packet& p) { p.serialize(ser); });
     // part 1: replies awaiting their send_reply transition
     bounds[1] = s.size() - base;
     s.put_u32(static_cast<std::uint32_t>(pending_replies.size()));

@@ -61,9 +61,10 @@ namespace {
 
 // "NICECKPT" as a big-endian u64, followed by the format version. Bump
 // the version on any payload layout change — the loader rejects other
-// versions with an explicit diagnostic instead of misparsing.
+// versions with an explicit diagnostic instead of misparsing — and on any
+// change to the state keys it stores (4: util::Renamer names buffer ids).
 constexpr std::uint64_t kMagic = 0x4E494345434B5054ULL;
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 // magic u64 + version u32 + sequence u64 + payload-size u64 + Hash128.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 16;
 

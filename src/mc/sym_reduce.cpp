@@ -13,10 +13,6 @@ namespace nicemc::mc {
 
 namespace {
 
-std::uint64_t port_key(of::SwitchId sw, of::PortId p) {
-  return (static_cast<std::uint64_t>(sw) << 32) | p;
-}
-
 [[noreturn]] void invalid(const std::string& why) {
   throw std::invalid_argument("symmetry orbit: " + why);
 }
@@ -46,7 +42,7 @@ void emit_section(const SystemState& st, bool canonical, std::size_t i,
   const std::size_t parts = of::Switch::kSerializeParts;
   const std::size_t first_host = first_host_section(st);
   if (i == 0) {
-    st.ctrl().serialize(s);
+    st.ctrl().serialize(s, canonical);
   } else if (i < first_host) {
     st.sw((i - 1) / parts).serialize_part(s, canonical, (i - 1) % parts);
   } else if (i < first_host + st.host_count()) {
@@ -204,7 +200,7 @@ void SymContext::serialize_whole(
   // states and must never be built under an active Renamer. `component`
   // is handed each component's emitter in turn and decides whether to run
   // it.
-  component([&] { state.ctrl().serialize(s); });
+  component([&] { state.ctrl().serialize(s, canonical_); });
   s.put_u32(static_cast<std::uint32_t>(state.switch_count()));
   for (std::size_t i = 0; i < state.switch_count(); ++i) {
     component([&] { state.sw(i).serialize(s, canonical_); });
@@ -218,9 +214,7 @@ void SymContext::serialize_whole(
   for (std::size_t i = 0; i < state.prop_count(); ++i) {
     component([&] { state.prop(i).serialize(s); });
   }
-  if (include_next_uid_) s.put_u32(state.next_uid);
-  state.faults.serialize(s);
-  if (!canonical_) s.put_u32(state.next_copy);
+  state.serialize_trailer(s, canonical_, include_next_uid_);
 }
 
 std::uint64_t SymContext::signatures(const SystemState& state,
@@ -235,7 +229,8 @@ std::uint64_t SymContext::signatures(const SystemState& state,
     rn.mac.add(m.mac, sig::kBotMac, sig::kTagMac, j);
     rn.ip.add(m.ip, sig::kBotIp, sig::kTagIp, j);
     rn.host.add(m.host_index, sig::kBotHost, sig::kTagHost, j);
-    rn.port.add(port_key(m.sw, m.port), sig::kBotPort, sig::kTagPort, j);
+    rn.port.add(util::Renamer::sw_key(m.sw, m.port), sig::kBotPort,
+                sig::kTagPort, j);
     for (std::uint32_t e = 0; e < m.flows.size(); ++e) {
       rn.flow.add(m.flows[e], sig::kBotFlowBase + e, sig::kTagFlowBase + e,
                   j);
@@ -349,7 +344,7 @@ SymKey SymContext::canonical_key(const SystemState& state,
       rn.mac.add(src.mac, dst.mac);
       rn.ip.add(src.ip, dst.ip);
       rn.host.add(src.host_index, dst.host_index);
-      rn.port.add(port_key(src.sw, src.port), dst.port);
+      rn.port.add(util::Renamer::sw_key(src.sw, src.port), dst.port);
       for (std::size_t e = 0; e < src.flows.size(); ++e) {
         // Positional flow correspondence; validation guaranteed that
         // repeated flow ids map consistently.
@@ -424,9 +419,8 @@ SymKey SymContext::canonical_key(const SystemState& state,
   for (const auto& [begin, end] : sc.bounds) {
     key.put_u32(table->intern(view.substr(begin, end - begin)));
   }
-  if (include_next_uid_) key.put_u32(state.next_uid);
-  state.faults.serialize(key);
-  if (!canonical_) key.put_u32(state.next_copy);
+  // The trailer, as the frozen pass wrote it after the last component.
+  key.append(view.substr(sc.bounds.back().second));
   out.key = key.take();
   return out;
 }

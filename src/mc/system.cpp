@@ -28,13 +28,33 @@ void SystemState::serialize(util::Ser& s, bool canonical) const {
   for (const auto& h : hosts_) s.append(h.form(canonical).bytes);
   s.put_u32(static_cast<std::uint32_t>(props_.size()));
   for (const auto& p : props_) s.append(p.form(canonical).bytes);
-  s.put_u32(next_uid);
+  serialize_trailer(s, canonical, /*include_next_uid=*/true);
+}
+
+void SystemState::serialize_trailer(util::Ser& s, bool canonical,
+                                    bool include_next_uid) const {
+  if (include_next_uid) s.put_u32(next_uid);
   // The consumed fault budget is semantic state: a state with one link
   // failure left differs from the same configuration with none.
   faults.serialize(s);
   // The copy-id counter is naming bookkeeping (see of::Packet::serialize);
   // only the raw (NO-SWITCH-REDUCTION) form distinguishes states by it.
-  if (!canonical) s.put_u32(next_copy);
+  if (!canonical) {
+    s.put_u32(next_copy);
+    return;
+  }
+  serialize_parked_buffers(s);
+}
+
+void SystemState::serialize_parked_buffers(util::Ser& s) const {
+  // In parking order. The controller's bytes fix how many there are, so
+  // the entry needs no length prefix.
+  for (const auto& [target, msg] : ctrl().pending_commands) {
+    const auto* po = std::get_if<of::PacketOut>(&msg);
+    if (po != nullptr && po->buffer_id != of::kNoBuffer) {
+      s.put_u32(sw(target).buffer_name(po->buffer_id));
+    }
+  }
 }
 
 std::string SystemState::collapse_key(util::CollapseTable& table,
@@ -55,9 +75,7 @@ std::string SystemState::collapse_key(util::CollapseTable& table,
   for (const auto& sw : switches_) s.put_u32(sw.form_id(canonical, table));
   for (const auto& h : hosts_) s.put_u32(h.form_id(canonical, table));
   for (const auto& p : props_) s.put_u32(p.form_id(canonical, table));
-  s.put_u32(next_uid);
-  faults.serialize(s);
-  if (!canonical) s.put_u32(next_copy);
+  serialize_trailer(s, canonical, /*include_next_uid=*/true);
   return s.take();
 }
 
@@ -89,9 +107,13 @@ util::Hash128 SystemState::hash(bool canonical) const {
       h, (static_cast<std::uint64_t>(faults.switch_restarts) << 32) |
              faults.packet_faults);
   if (!canonical) {
-    h = util::hash128_combine(h, static_cast<std::uint64_t>(next_copy));
+    return util::hash128_combine(h, static_cast<std::uint64_t>(next_copy));
   }
-  return h;
+  // Mixed in only when present: states without parked buffer ids keep
+  // their hash values.
+  util::Ser parked;
+  serialize_parked_buffers(parked);
+  return parked.size() == 0 ? h : util::hash128_combine(h, parked.hash());
 }
 
 std::size_t SystemState::total_forgotten() const {

@@ -217,6 +217,14 @@ struct SystemState {
   /// forms with bulk appends.
   void serialize(util::Ser& s, bool canonical_tables) const;
 
+  /// The fields after the components in every byte form of a state key:
+  /// next_uid if `include_next_uid` (symmetry drops it where it is not
+  /// semantic), the consumed fault budget, then the raw copy-id counter,
+  /// or in the canonical form the target switch's name for each parked
+  /// FINE-INTERLEAVING packet_out's buffer id.
+  void serialize_trailer(util::Ser& s, bool canonical,
+                         bool include_next_uid) const;
+
   /// COLLAPSE-mode state key: intern every component's canonical form in
   /// `table` (via Snap::form_id — one serialize+intern pass, no bytes
   /// pinned on the snapshots) and pack the resulting component ids, the
@@ -276,6 +284,8 @@ struct SystemState {
   [[nodiscard]] std::size_t total_forgotten() const;
 
  private:
+  void serialize_parked_buffers(util::Ser& s) const;
+
   util::Snap<ctrl::ControllerState> ctrl_;
   std::vector<util::Snap<of::Switch>> switches_;
   std::vector<util::Snap<hosts::HostState>> hosts_;

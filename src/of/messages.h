@@ -22,7 +22,7 @@
 
 namespace nicemc::of {
 
-inline constexpr std::uint32_t kNoBuffer = 0xffffffffu;
+inline constexpr std::uint32_t kNoBuffer = util::kNoBuffer;
 
 // ---- controller → switch ----
 
@@ -49,11 +49,12 @@ struct PacketOut {
 
   friend bool operator==(const PacketOut&, const PacketOut&) = default;
   void serialize(util::Ser& s) const {
+    const util::Renamer* rn = util::Renamer::active();
     s.put_tag('O');
-    s.put_u32(buffer_id);
+    s.put_u32(util::rn_buffer(rn, buffer_id));
     s.put_bool(packet.has_value());
     if (packet) packet->serialize(s);
-    s.put_u32(util::rn_port_cur(util::Renamer::active(), in_port));
+    s.put_u32(util::rn_port_cur(rn, in_port));
     serialize_actions(s, actions);
   }
 };
@@ -92,10 +93,11 @@ struct PacketIn {
 
   friend bool operator==(const PacketIn&, const PacketIn&) = default;
   void serialize(util::Ser& s) const {
+    const util::Renamer* rn = util::Renamer::active();
     s.put_tag('I');
     packet.serialize(s);
-    s.put_u32(util::rn_port_cur(util::Renamer::active(), in_port));
-    s.put_u32(buffer_id);
+    s.put_u32(util::rn_port_cur(rn, in_port));
+    s.put_u32(util::rn_buffer(rn, buffer_id));
     s.put_u8(static_cast<std::uint8_t>(reason));
   }
 };
@@ -126,26 +128,13 @@ struct StatsReply {
     s.put_u32(xid);
     s.put_u32(static_cast<std::uint32_t>(ports.size()));
     const util::Renamer* rn = util::Renamer::active();
-    if (rn == nullptr) {
-      for (const auto& [p, st] : ports) {
-        s.put_u32(p);
-        st.serialize(s);
-      }
-    } else {
-      // Port renaming can reorder the keys; re-sort so the canonical form
-      // stays independent of the original port naming.
-      std::vector<std::pair<PortId, const PortStatsEntry*>> renamed;
-      renamed.reserve(ports.size());
-      for (const auto& [p, st] : ports) {
-        renamed.emplace_back(rn->r_port_cur(p), &st);
-      }
-      std::sort(renamed.begin(), renamed.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (const auto& [p, st] : renamed) {
-        s.put_u32(p);
-        st->serialize(s);
-      }
-    }
+    util::for_each_named(
+        ports, util::rn_renames_hosts(rn),
+        [&](const auto& e) { return util::rn_port_cur(rn, e.first); },
+        [&](PortId p, const auto& e) {
+          s.put_u32(p);
+          e.second.serialize(s);
+        });
   }
 };
 

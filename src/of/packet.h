@@ -68,12 +68,12 @@ struct Packet {
 
   friend bool operator==(const Packet&, const Packet&) = default;
 
-  /// `include_copy_id = false` gives the canonical form: the copy id is a
-  /// bookkeeping name assigned in processing order, so two interleavings
-  /// that produce the same packets with different copy numbering are
-  /// semantically equivalent (part of the Section 2.2.2 switch-state
-  /// canonicalization; the NO-SWITCH-REDUCTION baseline keeps it).
-  void serialize(util::Ser& s, bool include_copy_id = true) const {
+  /// The copy id is a bookkeeping name assigned in processing order, so
+  /// two interleavings that produce the same packets with different copy
+  /// numbering are equivalent: canonical forms elide it (part of the
+  /// Section 2.2.2 switch-state canonicalization; the NO-SWITCH-REDUCTION
+  /// baseline keeps it). See util/rename.h.
+  void serialize(util::Ser& s) const {
     const util::Renamer* rn = util::Renamer::active();
     s.put_tag('P');
     s.put_u64(util::rn_mac(rn, hdr.eth_src));
@@ -87,7 +87,7 @@ struct Packet {
     s.put_u64(hdr.tcp_flags);
     s.put_u32(util::rn_flow(rn, flow_id));
     s.put_u32(util::rn_uid(rn, uid));
-    if (include_copy_id) s.put_u32(copy_id);
+    if (!util::rn_canonical(rn)) s.put_u32(copy_id);
     s.put_u32(util::rn_host(rn, sender));
     s.put_u32(size_bytes);
     s.put_u32(static_cast<std::uint32_t>(visited.size()));
@@ -114,6 +114,18 @@ struct FiveTuple {
 
   static FiveTuple of_packet(const sym::PacketFields& h) {
     return FiveTuple{h.ip_src, h.ip_dst, h.ip_proto, h.tp_src, h.tp_dst};
+  }
+  /// This tuple under the naming of `rn` (its IPs renamed).
+  [[nodiscard]] FiveTuple renamed(const util::Renamer* rn) const {
+    return FiveTuple{util::rn_ip(rn, ip_src), util::rn_ip(rn, ip_dst),
+                     ip_proto, tp_src, tp_dst};
+  }
+  void serialize(util::Ser& s) const {
+    s.put_u64(ip_src);
+    s.put_u64(ip_dst);
+    s.put_u64(ip_proto);
+    s.put_u64(tp_src);
+    s.put_u64(tp_dst);
   }
 };
 

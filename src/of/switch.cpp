@@ -244,27 +244,30 @@ std::vector<std::size_t> Switch::expirable_rules() const {
   return out;
 }
 
-std::map<std::uint32_t, std::uint32_t> Switch::canonical_buffer_ids() const {
-  // Dense renaming of buffer ids by buffered-packet content: two
-  // interleavings that buffered the same packets under different raw ids
-  // serialize identically. The rename is applied consistently to the
-  // buffer map and to every in-flight message that references a buffer id,
-  // so the renamed state is behaviourally isomorphic to the original.
+void Switch::name_buffers(util::Renamer* rn) const {
+  // Dense naming by buffered-packet content: interleavings that buffered
+  // the same packets under different raw ids serialize identically. Every
+  // buffer id written under this switch's scope is looked up here.
+  if (!util::rn_canonical(rn) || buffer.empty() || !rn->buffer.empty()) {
+    return;  // nothing to name, or named already
+  }
   std::vector<std::pair<std::string, std::uint32_t>> entries;
   entries.reserve(buffer.size());
-  const util::Renamer* rn = util::Renamer::active();
   for (const auto& [bid, bp] : buffer) {
     util::Ser content;
-    bp.packet.serialize(content, /*include_copy_id=*/false);
-    content.put_u32(util::rn_port(rn, id, bp.in_port));
+    bp.serialize(content);
     entries.emplace_back(content.take(), bid);
   }
   std::sort(entries.begin(), entries.end());
-  std::map<std::uint32_t, std::uint32_t> rename;
   for (std::uint32_t rank = 0; rank < entries.size(); ++rank) {
-    rename.emplace(entries[rank].second, rank + 1);
+    rn->buffer.add(util::Renamer::sw_key(id, entries[rank].second), rank + 1);
   }
-  return rename;
+}
+
+std::uint32_t Switch::buffer_name(std::uint32_t bid) const {
+  const util::Renamer::FormScope form(id, /*canonical=*/true);
+  name_buffers(form.renamer());
+  return form.renamer()->r_buffer(id, bid);
 }
 
 std::size_t Switch::serialized_size_hint() const {
@@ -283,156 +286,83 @@ void Switch::serialize(util::Ser& s, bool canonical) const {
 void Switch::serialize_parts(util::Ser& s, bool canonical,
                              std::size_t* bounds) const {
   const std::size_t base = s.size();
-  // All port fields below belong to this switch.
-  const util::Renamer::SwScope sw_scope(id);
-  // Computed before any section: under a uid-assigning renamer the
-  // buffered packets draw their dense uids first.
-  const std::map<std::uint32_t, std::uint32_t> buffer_ids =
-      canonical ? canonical_buffer_ids()
-                : std::map<std::uint32_t, std::uint32_t>{};
+  const util::Renamer::FormScope form(id, canonical);
+  // Named before any section: under a uid-assigning renamer the buffered
+  // packets draw their dense uids first.
+  name_buffers(form.renamer());
   for (std::size_t part = 0; part < kSerializeParts; ++part) {
     bounds[part] = s.size() - base;
-    serialize_section(s, canonical, part, buffer_ids);
+    serialize_section(s, canonical, part, form.renamer());
   }
   bounds[kSerializeParts] = s.size() - base;
 }
 
 void Switch::serialize_part(util::Ser& s, bool canonical,
                             std::size_t part) const {
-  const util::Renamer::SwScope sw_scope(id);
-  // Only the two channels and the buffer consult the buffer-id renaming;
-  // skipping it elsewhere keeps the other sections free of its lookups.
-  const bool uses_buffer_ids = canonical && part >= 2 && part <= 4;
-  serialize_section(s, canonical, part,
-                    uses_buffer_ids
-                        ? canonical_buffer_ids()
-                        : std::map<std::uint32_t, std::uint32_t>{});
+  const util::Renamer::FormScope form(id, canonical);
+  serialize_section(s, canonical, part, form.renamer());
 }
 
-void Switch::serialize_section(
-    util::Ser& s, bool canonical, std::size_t part,
-    const std::map<std::uint32_t, std::uint32_t>& buffer_ids) const {
-  const util::Renamer* rn = util::Renamer::active();
-  auto mapped = [&](std::uint32_t bid) {
-    if (!canonical || bid == kNoBuffer) return bid;
-    const auto it = buffer_ids.find(bid);
-    return it == buffer_ids.end() ? bid : it->second;
-  };
+void Switch::serialize_section(util::Ser& s, bool canonical,
+                               std::size_t part, util::Renamer* rn) const {
+  const bool renames_ports = util::rn_renames_hosts(rn);
+  auto port_name = [&](PortId p) { return util::rn_port(rn, id, p); };
+  auto key_port_name = [&](const auto& e) { return port_name(e.first); };
 
   switch (part) {
-    case 0: {  // identity + fault state + flow table
+    case 0:  // identity + fault state + flow table
       s.put_tag('W');
       s.put_u32(id);
       s.put_bool(ctrl_channel_down);
       s.put_u32(static_cast<std::uint32_t>(down_ports.size()));
-      if (rn == nullptr) {
-        for (PortId p : down_ports) s.put_u32(p);
-      } else {
-        std::vector<PortId> renamed_down;
-        renamed_down.reserve(down_ports.size());
-        for (PortId p : down_ports) renamed_down.push_back(rn->r_port(id, p));
-        std::sort(renamed_down.begin(), renamed_down.end());
-        for (PortId p : renamed_down) s.put_u32(p);
-      }
+      util::for_each_named(down_ports, renames_ports, port_name,
+                           [&](PortId p, PortId) { s.put_u32(p); });
       table.serialize(s, canonical);
       return;
-    }
-    case 1: {  // ingress packet channels
+    case 1:  // ingress packet channels
       s.put_u32(static_cast<std::uint32_t>(in_ports.size()));
-      auto emit_chan = [&](PortId port, const Fifo<Packet>& chan) {
-        s.put_u32(port);
-        chan.serialize(s, [&](util::Ser& ser, const Packet& p) {
-          p.serialize(ser, /*include_copy_id=*/!canonical);
-        });
-      };
-      if (rn == nullptr) {
-        for (const auto& [port, chan] : in_ports) emit_chan(port, chan);
-      } else {
-        // Port renaming can reorder the channel keys; re-sort them.
-        std::vector<std::pair<PortId, const Fifo<Packet>*>> chans;
-        chans.reserve(in_ports.size());
-        for (const auto& [port, chan] : in_ports) {
-          chans.emplace_back(rn->r_port(id, port), &chan);
-        }
-        std::sort(chans.begin(), chans.end(), [](const auto& a, const auto& b) {
-          return a.first < b.first;
-        });
-        for (const auto& [port, chan] : chans) emit_chan(port, *chan);
-      }
+      util::for_each_named(in_ports, renames_ports, key_port_name,
+                           [&](PortId p, const auto& e) {
+                             s.put_u32(p);
+                             e.second.serialize(
+                                 s, [](util::Ser& ser, const Packet& pkt) {
+                                   pkt.serialize(ser);
+                                 });
+                           });
       return;
-    }
     case 2:  // controller → switch channel
-      of_in.serialize(s, [&](util::Ser& ser, const ToSwitch& m) {
-        if (canonical) {
-          if (const auto* po = std::get_if<PacketOut>(&m)) {
-            PacketOut copy = *po;
-            copy.buffer_id = mapped(copy.buffer_id);
-            if (copy.packet) copy.packet->copy_id = 0;
-            serialize_message(ser, ToSwitch{copy});
-            return;
-          }
-        }
+      name_buffers(rn);
+      of_in.serialize(s, [](util::Ser& ser, const ToSwitch& m) {
         serialize_message(ser, m);
       });
       return;
     case 3:  // switch → controller channel
-      of_out.serialize(s, [&](util::Ser& ser, const ToController& m) {
-        if (canonical) {
-          if (const auto* pin = std::get_if<PacketIn>(&m)) {
-            PacketIn copy = *pin;
-            copy.buffer_id = mapped(copy.buffer_id);
-            copy.packet.copy_id = 0;
-            serialize_message(ser, ToController{copy});
-            return;
-          }
-        }
+      name_buffers(rn);
+      of_out.serialize(s, [](util::Ser& ser, const ToController& m) {
         serialize_message(ser, m);
       });
       return;
-    case 4: {  // awaiting-controller buffer
+    case 4:  // awaiting-controller buffer, in named (content) order
+      name_buffers(rn);
       s.put_u32(static_cast<std::uint32_t>(buffer.size()));
-      if (canonical) {
-        // Iterate in renamed (content) order so the bytes are canonical.
-        std::map<std::uint32_t, std::uint32_t> inverse;
-        for (const auto& [raw, dense] : buffer_ids) inverse.emplace(dense, raw);
-        for (const auto& [dense, raw] : inverse) {
-          s.put_u32(dense);
-          const BufferedPacket& bp = buffer.at(raw);
-          bp.packet.serialize(s, /*include_copy_id=*/false);
-          s.put_u32(util::rn_port(rn, id, bp.in_port));
-        }
-      } else {
-        for (const auto& [bid, bp] : buffer) {
-          s.put_u32(bid);
-          bp.serialize(s);
-        }
-        s.put_u32(next_buffer_id);
-      }
+      util::for_each_named(
+          buffer, util::rn_canonical(rn),
+          [&](const auto& e) { return util::rn_buffer(rn, e.first); },
+          [&](std::uint32_t name, const auto& e) {
+            s.put_u32(name);
+            e.second.serialize(s);
+          });
+      // The id counter names nothing live; only the raw form keeps it.
+      if (!canonical) s.put_u32(next_buffer_id);
       return;
-    }
-    default: {  // 5: port statistics
+    default:  // 5: port statistics
       s.put_u32(static_cast<std::uint32_t>(port_stats.size()));
-      if (rn == nullptr) {
-        for (const auto& [port, st] : port_stats) {
-          s.put_u32(port);
-          st.serialize(s);
-        }
-      } else {
-        std::vector<std::pair<PortId, const PortStatsEntry*>> stats;
-        stats.reserve(port_stats.size());
-        for (const auto& [port, st] : port_stats) {
-          stats.emplace_back(rn->r_port(id, port), &st);
-        }
-        std::sort(stats.begin(), stats.end(), [](const auto& a, const auto& b) {
-          return a.first < b.first;
-        });
-        for (const auto& [port, st] : stats) {
-          s.put_u32(port);
-          st->serialize(s);
-        }
-      }
+      util::for_each_named(port_stats, renames_ports, key_port_name,
+                           [&](PortId p, const auto& e) {
+                             s.put_u32(p);
+                             e.second.serialize(s);
+                           });
       return;
-    }
   }
 }
 

@@ -167,10 +167,11 @@ struct Switch {
   /// restart can never alias a fresh buffer entry.
   RestartSummary restart();
 
-  /// Canonical serialization (Section 2.2.2): rules in canonical order,
-  /// buffer ids densely renamed by content, copy ids and the buffer-id
-  /// counter omitted. `canonical = false` is the raw form the
-  /// NO-SWITCH-REDUCTION baseline hashes.
+  /// Serialization (Section 2.2.2). The canonical form writes rules in
+  /// canonical order, omits copy ids and the buffer-id counter, and names
+  /// every buffer id by its packet's content rank (util/rename.h).
+  /// `canonical = false` is the raw form the NO-SWITCH-REDUCTION baseline
+  /// hashes.
   void serialize(util::Ser& s, bool canonical = true) const;
 
   /// Two-level COLLAPSE support: the serialization splits into
@@ -180,9 +181,9 @@ struct Switch {
   /// vary semi-independently during a search, so interning them
   /// separately turns the product of their variants into a sum
   /// (util::Snap::form_id interns each part, then the part-id tuple).
-  /// Each part is a deterministic function of the whole switch (the
-  /// message/buffer sections consult the canonical buffer-id renaming).
-  /// serialize_parts emits all sections in one pass and records the
+  /// Each part is a deterministic function of the whole switch (buffer
+  /// names depend on the whole buffer). serialize_parts names the buffer
+  /// ids once, emits all sections in one pass and records the
   /// kSerializeParts + 1 boundary offsets (relative to s's size on entry)
   /// in `bounds`.
   static constexpr std::size_t kSerializeParts = 6;
@@ -196,22 +197,22 @@ struct Switch {
   /// before any section.
   void serialize_part(util::Ser& s, bool canonical, std::size_t part) const;
 
+  /// Canonical name of buffer id `bid` under the active naming (a parked
+  /// packet_out's entry in mc::SystemState::serialize_trailer).
+  [[nodiscard]] std::uint32_t buffer_name(std::uint32_t bid) const;
+
   /// Rough upper estimate of serialize()'s output size — lets the state
   /// pipeline pre-size per-component buffers (see util::Snap::form).
   [[nodiscard]] std::size_t serialized_size_hint() const;
 
  private:
-  /// Content-ordered dense renaming of the live buffer ids.
-  [[nodiscard]] std::map<std::uint32_t, std::uint32_t> canonical_buffer_ids()
-      const;
+  /// Name the live buffer ids by content rank in `rn` (canonical only;
+  /// once per scope). Every section that writes buffer ids calls it.
+  void name_buffers(util::Renamer* rn) const;
 
-  void serialize_section(
-      util::Ser& s, bool canonical, std::size_t part,
-      const std::map<std::uint32_t, std::uint32_t>& buffer_ids) const;
+  void serialize_section(util::Ser& s, bool canonical, std::size_t part,
+                         util::Renamer* rn) const;
 
- public:
-
- private:
   /// Run one packet through the flow table (shared by ingress processing
   /// and by packet_out action application when actions come from a rule).
   PacketOutcome run_pipeline(Packet p, PortId in_port, bool record_hop);

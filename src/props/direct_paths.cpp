@@ -23,37 +23,21 @@ void DirectPathsState::serialize(util::Ser& s) const {
   const util::Renamer* rn = util::Renamer::active();
   s.put_tag('D');
   s.put_u32(static_cast<std::uint32_t>(delivered.size()));
-  if (rn == nullptr) {
-    for (const L2Flow& p : delivered) {
-      s.put_u64(p.src);
-      s.put_u64(p.dst);
-      s.put_u64(p.eth_type);
-    }
-  } else {
-    std::set<L2Flow> renamed;
-    for (const L2Flow& p : delivered) {
-      renamed.insert(L2Flow{rn->r_mac(p.src), rn->r_mac(p.dst), p.eth_type});
-    }
-    for (const L2Flow& p : renamed) {
-      s.put_u64(p.src);
-      s.put_u64(p.dst);
-      s.put_u64(p.eth_type);
-    }
-  }
+  util::for_each_named(
+      delivered, util::rn_renames_hosts(rn),
+      [&](const L2Flow& p) {
+        return L2Flow{util::rn_mac(rn, p.src), util::rn_mac(rn, p.dst),
+                      p.eth_type};
+      },
+      [&](const L2Flow& p, const L2Flow&) {
+        s.put_u64(p.src);
+        s.put_u64(p.dst);
+        s.put_u64(p.eth_type);
+      });
   s.put_u32(static_cast<std::uint32_t>(watched.size()));
-  if (!util::rn_uid_renumbering(rn)) {
-    for (std::uint32_t uid : watched) s.put_u32(uid);
-  } else if (util::rn_uid_assigning(rn)) {
-    // Assign pass: register the keys, emit raw order (bytes discarded).
-    for (std::uint32_t uid : watched) {
-      rn->note_uid(uid);
-      s.put_u32(uid);
-    }
-  } else {
-    std::set<std::uint32_t> renamed;
-    for (std::uint32_t uid : watched) renamed.insert(rn->r_uid(uid));
-    for (std::uint32_t uid : renamed) s.put_u32(uid);
-  }
+  util::for_each_by_uid(
+      watched, rn, [](std::uint32_t uid) { return uid; },
+      [&](std::uint32_t uid, std::uint32_t) { s.put_u32(uid); });
 }
 
 void DirectPaths::on_events(mc::PropState& ps,

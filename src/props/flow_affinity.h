@@ -23,26 +23,13 @@ class FlowAffinityState final : public mc::PropState {
     s.put_tag('A');
     s.put_u32(static_cast<std::uint32_t>(assignment.size()));
     const util::Renamer* rn = util::Renamer::active();
-    auto emit = [&s](const of::FiveTuple& t, of::HostId h) {
-      s.put_u64(t.ip_src);
-      s.put_u64(t.ip_dst);
-      s.put_u64(t.ip_proto);
-      s.put_u64(t.tp_src);
-      s.put_u64(t.tp_dst);
-      s.put_u32(h);
-    };
-    if (rn == nullptr) {
-      for (const auto& [t, h] : assignment) emit(t, h);
-    } else {
-      std::map<of::FiveTuple, of::HostId> renamed;
-      for (const auto& [t, h] : assignment) {
-        of::FiveTuple rt = t;
-        rt.ip_src = rn->r_ip(t.ip_src);
-        rt.ip_dst = rn->r_ip(t.ip_dst);
-        renamed.emplace(rt, rn->r_host(h));
-      }
-      for (const auto& [t, h] : renamed) emit(t, h);
-    }
+    util::for_each_named(
+        assignment, util::rn_renames_hosts(rn),
+        [&](const auto& e) { return e.first.renamed(rn); },
+        [&](const of::FiveTuple& t, const auto& e) {
+          t.serialize(s);
+          s.put_u32(util::rn_host(rn, e.second));
+        });
   }
 };
 

@@ -25,28 +25,12 @@ class NoBlackHolesState final : public mc::PropState {
     s.put_tag('B');
     s.put_u32(static_cast<std::uint32_t>(balance.size()));
     const util::Renamer* rn = util::Renamer::active();
-    if (!util::rn_uid_renumbering(rn)) {
-      for (const auto& [uid, n] : balance) {
-        s.put_u32(uid);
-        s.put_i64(n);
-      }
-    } else if (util::rn_uid_assigning(rn)) {
-      // Assign pass: the sorted position is unknown until the uid map is
-      // complete — register the keys and emit raw order. These bytes are
-      // discarded; the frozen pass below produces the real form.
-      for (const auto& [uid, n] : balance) {
-        rn->note_uid(uid);
-        s.put_u32(uid);
-        s.put_i64(n);
-      }
-    } else {
-      std::map<std::uint32_t, std::int64_t> renamed;
-      for (const auto& [uid, n] : balance) renamed.emplace(rn->r_uid(uid), n);
-      for (const auto& [uid, n] : renamed) {
-        s.put_u32(uid);
-        s.put_i64(n);
-      }
-    }
+    util::for_each_by_uid(
+        balance, rn, [](const auto& e) { return e.first; },
+        [&](std::uint32_t uid, const auto& e) {
+          s.put_u32(uid);
+          s.put_i64(e.second);
+        });
   }
 };
 

@@ -1,26 +1,27 @@
-// Identifier renaming for symmetry canonicalization (mc/sym_reduce.h).
+// Identifier naming for state keys: every serializer writes each
+// identifier through an rn_* helper below, which applies the thread's
+// active Renamer, so two states share a key only if they differ in names
+// that do not change behaviour:
+//   * copy ids are elided in canonical forms (the raw NO-SWITCH-REDUCTION
+//     form keeps them);
+//   * buffer ids are per-switch names, keyed like ports: a canonical form
+//     writes a live id as its packet's content rank and every other id as
+//     kStaleBuffer (ids are never reused, so all stale ids behave alike);
+//   * uids, MACs, IPs, host ids, attach ports and flow ids pass through,
+//     except under symmetry.
+// A component serializer opens a FormScope(switch, canonical). Outside
+// symmetry a canonical form activates the thread's plain renamer, whose
+// identifier classes are empty, and a raw form none, so raw bytes never
+// change.
 //
-// The symmetry layer canonicalizes a state by serializing the *renamed*
-// state: MACs, IPs, host ids, attach ports and flow ids of interchangeable
-// hosts are mapped onto a canonical orbit slot, and packet uids are
-// renumbered densely in order of first appearance. Rather than clone and
-// rewrite every component, the canonicalizer installs a thread-local
-// Renamer and re-runs the ordinary serializers: every serializer that
-// writes a packet-visible identifier funnels it through the rn_* helpers
-// below, which are identity (and branch-predictable no-ops) when no
-// renamer is active — the normal hashing/collapse hot path pays one
-// thread-local load per serializer body, nothing more.
-//
-// Port numbers are per-switch names, so the port map is keyed on
-// (switch << 32 | port) and serializers that write ports without an
-// explicit switch id (rules, OpenFlow messages, host attach ports) rely on
-// a "current switch" context set by the enclosing component via SwScope.
-//
-// The symmetry layer's member-signature passes also tag one orbit member
-// at a time (entries it owns rename to their `tag` identity) and record,
-// per serialized section, which members' identifiers a lookup hit: a
-// section that never looked up member j's identifiers serializes the same
-// bytes whether or not j is tagged, so only hit sections are redone.
+// The symmetry layer (mc/sym_reduce.h) activates its own Renamer with
+// Scope: identifiers of interchangeable hosts map onto canonical orbit
+// slots and uids are renumbered. Its member-signature passes tag one orbit
+// member at a time (entries it owns rename to their `tag` identity) and
+// record, per serialized section, which members' identifiers a lookup
+// hit: only sections that hit member j are redone with j tagged. Buffer
+// names depend on members only through the content ranks, whose own
+// lookups record the hits.
 //
 // Uid renumbering is two-pass (see sym_reduce.cpp): a kAssign pass walks
 // the serialization order once, handing out dense uids at first
@@ -30,21 +31,28 @@
 // then maps any still-unseen registered uids, and a kFrozen pass produces
 // the final byte form with uid-keyed containers sorted by renamed uid.
 // Those containers are the only serializers whose bytes differ between
-// the passes, and they find out which pass runs through
-// rn_uid_assigning(), which counts its true answers: every component that
-// never got one keeps its assign-pass bytes.
+// the passes, and they emit through for_each_by_uid, which asks
+// Renamer::assigning(); the renamer counts its true answers, and every
+// component that never got one keeps its assign-pass bytes.
 #ifndef NICE_UTIL_RENAME_H
 #define NICE_UTIL_RENAME_H
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace nicemc::util {
 
 /// Owner of a renaming entry outside signature passes.
 inline constexpr std::uint32_t kNoMember = 0xffffffffu;
+
+/// OpenFlow's "no buffer" id (of::kNoBuffer), which every naming keeps,
+/// and the one name of all stale buffer ids (never a content rank).
+inline constexpr std::uint32_t kNoBuffer = 0xffffffffu;
+inline constexpr std::uint32_t kStaleBuffer = 0xfffffffeu;
 
 /// One identifier class's renaming table: a sorted flat array. Orbits are
 /// small and the tables are rebuilt per canonicalization, so contiguous
@@ -69,10 +77,12 @@ class IdMap {
   }
 
   [[nodiscard]] const Entry* find(K from) const {
+    if (entries_.empty()) return nullptr;
     const auto it = lower(from);
     return it != entries_.end() && it->from == from ? &*it : nullptr;
   }
 
+  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   void clear() noexcept { entries_.clear(); }
 
  private:
@@ -98,15 +108,23 @@ class Renamer {
   IdMap<std::uint64_t, std::uint64_t> ip;
   IdMap<std::uint32_t, std::uint32_t> host;
   IdMap<std::uint32_t, std::uint32_t> flow;
-  /// Ports are per-switch names: keyed (switch << 32 | port).
+  /// Ports are per-switch names: keyed sw_key(switch, port).
   IdMap<std::uint64_t, std::uint32_t> port;
+  /// Buffer ids too, keyed sw_key(switch, id) and mapped to content rank;
+  /// only the switch being serialized has entries.
+  IdMap<std::uint64_t, std::uint32_t> buffer;
 
   UidMode uid_mode{UidMode::kKeep};
 
-  /// Current-switch context for serializers that write port numbers
-  /// without an explicit switch id (set via SwScope by the enclosing
-  /// switch / host / controller-command serializer).
+  /// The switch whose ports and buffer ids unqualified names refer to, and
+  /// whether the form is canonical (both set by FormScope).
   std::uint32_t cur_sw{0xffffffffu};
+  bool canonical{false};
+
+  [[nodiscard]] static std::uint64_t sw_key(std::uint32_t sw,
+                                            std::uint32_t id) {
+    return (static_cast<std::uint64_t>(sw) << 32) | id;
+  }
 
   /// Signature passes: entries owned by this member rename to their `tag`
   /// identity, every other entry to `to`.
@@ -130,10 +148,13 @@ class Renamer {
     return rename(flow, f, f);
   }
   [[nodiscard]] std::uint32_t r_port(std::uint32_t sw, std::uint32_t p) const {
-    return rename(port, (static_cast<std::uint64_t>(sw) << 32) | p, p);
+    return rename(port, sw_key(sw, p), p);
   }
-  [[nodiscard]] std::uint32_t r_port_cur(std::uint32_t p) const {
-    return r_port(cur_sw, p);
+  [[nodiscard]] std::uint32_t r_buffer(std::uint32_t sw,
+                                       std::uint32_t b) const {
+    if (!canonical || b == kNoBuffer) return b;
+    const auto* e = buffer.find(sw_key(sw, b));
+    return e == nullptr ? kStaleBuffer : e->to;
   }
 
   /// Renamed uid under the active mode. kAssign allocates on first sight;
@@ -177,12 +198,8 @@ class Renamer {
     deferred_uids_.clear();
   }
 
-  [[nodiscard]] std::uint32_t uids_assigned() const {
-    return next_dense_uid_ - 1;
-  }
-
   /// Whether a uid-keyed container must take its assign-pass branch (see
-  /// rn_uid_assigning). Every true answer is counted: apart from r_uid,
+  /// for_each_by_uid). Every true answer is counted: apart from r_uid,
   /// whose answers the frozen pass repeats, this is the only way a
   /// serializer can tell the assign pass from the frozen pass, so one that
   /// never got a true answer emits the same bytes in both.
@@ -209,18 +226,21 @@ class Renamer {
     host.clear();
     flow.clear();
     port.clear();
+    buffer.clear();
     uid_mode = UidMode::kKeep;
     cur_sw = 0xffffffffu;
+    canonical = false;
     tagged = kNoMember;
     hits = nullptr;
     reset_uids();
   }
 
-  /// The thread's active renamer, or nullptr outside a canonicalization
-  /// pass (the common case: plain hashing, collapse, checkpointing).
+  /// The thread's active renamer, or nullptr (no canonical form is being
+  /// written outside symmetry).
   [[nodiscard]] static const Renamer* active() noexcept { return tls_; }
 
-  /// RAII activation. Not nestable (the canonicalizer is the only user).
+  /// RAII activation of a caller-owned renamer (the symmetry layer's).
+  /// FormScopes nest inside it; Scopes do not nest.
   class Scope {
    public:
     explicit Scope(const Renamer* r) noexcept { tls_ = r; }
@@ -229,23 +249,41 @@ class Renamer {
     Scope& operator=(const Scope&) = delete;
   };
 
-  /// RAII current-switch context (no-op when no renamer is active).
-  class SwScope {
+  /// RAII naming context of one component serializer (see the file
+  /// comment). Buffer names given under it end with it, so none may open
+  /// inside a switch's.
+  class FormScope {
    public:
-    explicit SwScope(std::uint32_t sw) noexcept {
-      if (tls_ != nullptr) {
-        prev_ = tls_->cur_sw;
-        const_cast<Renamer*>(tls_)->cur_sw = sw;
+    FormScope(std::uint32_t sw, bool canonical) noexcept {
+      if (tls_ == nullptr) {
+        if (!canonical) return;
+        tls_ = &plain();
+        activated_ = true;
       }
+      rn_ = const_cast<Renamer*>(tls_);
+      saved_sw_ = rn_->cur_sw;
+      saved_canonical_ = rn_->canonical;
+      rn_->cur_sw = sw;
+      rn_->canonical = canonical;
     }
-    ~SwScope() {
-      if (tls_ != nullptr) const_cast<Renamer*>(tls_)->cur_sw = prev_;
+    ~FormScope() {
+      if (rn_ == nullptr) return;
+      rn_->buffer.clear();
+      rn_->cur_sw = saved_sw_;
+      rn_->canonical = saved_canonical_;
+      if (activated_) tls_ = nullptr;
     }
-    SwScope(const SwScope&) = delete;
-    SwScope& operator=(const SwScope&) = delete;
+    FormScope(const FormScope&) = delete;
+    FormScope& operator=(const FormScope&) = delete;
+
+    /// nullptr for a raw form outside symmetry.
+    [[nodiscard]] Renamer* renamer() const noexcept { return rn_; }
 
    private:
-    std::uint32_t prev_{0xffffffffu};
+    Renamer* rn_{nullptr};
+    bool activated_{false};
+    bool saved_canonical_{false};
+    std::uint32_t saved_sw_{0xffffffffu};
   };
 
  private:
@@ -263,6 +301,12 @@ class Renamer {
   mutable std::vector<std::uint32_t> deferred_uids_;
   mutable std::uint32_t next_dense_uid_{1};
   mutable std::uint64_t assign_branches_{0};
+
+  /// The thread's plain renamer: every identifier class empty.
+  static Renamer& plain() {
+    thread_local Renamer r;
+    return r;
+  }
 
   static inline thread_local const Renamer* tls_ = nullptr;
 };
@@ -287,22 +331,70 @@ class Renamer {
 }
 [[nodiscard]] inline std::uint32_t rn_port_cur(const Renamer* r,
                                                std::uint32_t p) {
-  return r == nullptr ? p : r->r_port_cur(p);
+  return r == nullptr ? p : r->r_port(r->cur_sw, p);
 }
 [[nodiscard]] inline std::uint32_t rn_uid(const Renamer* r, std::uint32_t u) {
   return r == nullptr ? u : r->r_uid(u);
 }
-
-/// True while a uid-keyed container must defer its sorted emission: the
-/// assign pass registers keys (note_uid) and emits raw order; the frozen
-/// pass emits sorted by renamed uid.
-[[nodiscard]] inline bool rn_uid_assigning(const Renamer* r) {
-  return r != nullptr && r->assigning();
+/// A buffer id of the current switch (buffer ids are only ever written
+/// under their switch's FormScope).
+[[nodiscard]] inline std::uint32_t rn_buffer(const Renamer* r,
+                                             std::uint32_t b) {
+  return r == nullptr ? b : r->r_buffer(r->cur_sw, b);
 }
-[[nodiscard]] inline bool rn_uid_renumbering(const Renamer* r) {
-  return r != nullptr && (r->uid_mode == Renamer::UidMode::kAssign ||
-                          r->uid_mode == Renamer::UidMode::kFrozen ||
-                          r->uid_mode == Renamer::UidMode::kElide);
+/// Whether a canonical form is being written: copy ids are elided and
+/// buffer ids named.
+[[nodiscard]] inline bool rn_canonical(const Renamer* r) {
+  return r != nullptr && r->canonical;
+}
+/// Whether host identifiers are renamed (symmetry), so a container keyed
+/// on them must re-sort (see for_each_named).
+[[nodiscard]] inline bool rn_renames_hosts(const Renamer* r) {
+  return r != nullptr && !(r->mac.empty() && r->ip.empty() &&
+                           r->host.empty() && r->flow.empty() &&
+                           r->port.empty());
+}
+
+/// Calls emit(name(e), e) for every element e of the ordered container
+/// `c`, in ascending order of name. A container keyed on identifiers keeps
+/// its own order while `renames` is false (its naming is the identity)
+/// and is re-sorted otherwise; names are distinct, as renaming is a
+/// bijection.
+template <typename C, typename Name, typename Emit>
+void for_each_named(const C& c, bool renames, Name&& name, Emit&& emit) {
+  if (!renames) {
+    for (const auto& e : c) emit(name(e), e);
+    return;
+  }
+  using Elem = typename C::value_type;
+  using N = std::decay_t<std::invoke_result_t<Name&, const Elem&>>;
+  std::vector<std::pair<N, const Elem*>> named;
+  named.reserve(c.size());
+  for (const Elem& e : c) named.emplace_back(name(e), &e);
+  std::sort(named.begin(), named.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [n, e] : named) emit(n, *e);
+}
+
+/// Calls emit(uid, e) for every element e of the uid-keyed container `c`
+/// (uid_of(e) is its key), in order of the uid naming: ascending renamed
+/// uid while renumbering, keeping the first element where renamed uids
+/// coincide (kElide); otherwise raw order, and the assign pass registers
+/// every key (its bytes are replaced by the frozen pass's).
+template <typename C, typename Uid, typename Emit>
+void for_each_by_uid(const C& c, const Renamer* rn, Uid&& uid_of,
+                     Emit&& emit) {
+  if (rn != nullptr && rn->uid_mode != Renamer::UidMode::kKeep &&
+      !rn->assigning()) {
+    std::map<std::uint32_t, const typename C::value_type*> renamed;
+    for (const auto& e : c) renamed.emplace(rn->r_uid(uid_of(e)), &e);
+    for (const auto& [uid, e] : renamed) emit(uid, *e);
+    return;
+  }
+  for (const auto& e : c) {
+    if (rn != nullptr) rn->note_uid(uid_of(e));  // no-op but when assigning
+    emit(uid_of(e), e);
+  }
 }
 
 }  // namespace nicemc::util

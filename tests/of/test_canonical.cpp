@@ -5,6 +5,10 @@
 // raw NO-SWITCH-REDUCTION form.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "of/switch.h"
 
 namespace nicemc::of {
@@ -125,6 +129,62 @@ TEST(Canonical, UidRemainsSemanticallySignificant) {
     return sw;
   };
   EXPECT_NE(hash_switch(build(1), true), hash_switch(build(2), true));
+}
+
+// ---- Buffer ids that name no live entry ------------------------------------
+
+/// A switch whose buffer holds `entries` (raw id → packet), with a
+/// flooding packet_out for buffer `po_id` at the head of of_in.
+Switch with_buffered_flood(
+    const std::vector<std::pair<std::uint32_t, Packet>>& entries,
+    std::uint32_t po_id) {
+  Switch sw(0, {1, 2, 3});
+  for (const auto& [bid, p] : entries) {
+    sw.buffer.emplace(bid, BufferedPacket{p, 1});
+  }
+  // Ids are never reused: every id named below was handed out already.
+  sw.next_buffer_id = 8;
+  PacketOut po;
+  po.buffer_id = po_id;
+  po.actions = {Action::flood()};
+  sw.push_of(ToSwitch{po}, 1);
+  return sw;
+}
+
+TEST(Canonical, StaleBufferIdDoesNotAliasADenseRank) {
+  // {2:A, 3:B} with packet_out(1): id 1 is stale. {1:A, 3:B} with
+  // packet_out(1): id 1 is A, the first content rank. A stale id passed
+  // through raw would read as that rank.
+  const Packet a = pkt(0xb1, 1, 0);
+  const Packet b = pkt(0xb2, 2, 0);
+  Switch stale = with_buffered_flood({{2, a}, {3, b}}, 1);
+  Switch live = with_buffered_flood({{1, a}, {3, b}}, 1);
+  EXPECT_NE(hash_switch(stale, true), hash_switch(live, true));
+
+  // The premise: kSwitchProcessOf behaves differently in the two states.
+  const OfOutcome stale_oc = stale.process_of();
+  const OfOutcome live_oc = live.process_of();
+  EXPECT_TRUE(stale_oc.missing_buffer);
+  EXPECT_FALSE(stale_oc.packet.has_value());
+  EXPECT_FALSE(live_oc.missing_buffer);
+  ASSERT_TRUE(live_oc.packet.has_value());
+  EXPECT_EQ(live_oc.packet->packet, a);
+  EXPECT_EQ(live_oc.packet->forwards.size(), 2u);
+}
+
+TEST(Canonical, StaleBufferIdsShareOneName) {
+  // Two stale ids behave the same (the switch reports a missing buffer),
+  // so the states must merge.
+  const Packet a = pkt(0xb1, 1, 0);
+  Switch one = with_buffered_flood({{3, a}}, 1);
+  Switch seven = with_buffered_flood({{3, a}}, 7);
+  EXPECT_EQ(hash_switch(one, true), hash_switch(seven, true));
+  EXPECT_NE(hash_switch(one, false), hash_switch(seven, false));
+
+  // The premise: both report the missing buffer and end up equal.
+  EXPECT_TRUE(one.process_of().missing_buffer);
+  EXPECT_TRUE(seven.process_of().missing_buffer);
+  EXPECT_EQ(hash_switch(one, true), hash_switch(seven, true));
 }
 
 }  // namespace
