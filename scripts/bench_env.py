@@ -4,8 +4,8 @@
 Usage: BENCH_TIMESTAMP=<iso8601> python3 scripts/bench_env.py BENCH_x.json
 
 Numbers without provenance are not comparable: the same scenario runs 3x
-faster across compiler versions or CPU generations. Every bench_*.sh
-wrapper routes its record through this script, which stamps in the git
+faster across compiler versions or CPU generations. bench/nice/run.py
+routes its record through this script, which stamps in the git
 SHA, compiler identity and Release flags (from the CMake cache), CPU
 model, core count, and the wall-clock timestamp the shell passed in (the
 benchmarks themselves cannot know when their record is being committed).

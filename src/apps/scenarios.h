@@ -164,7 +164,8 @@ struct NamedScenario {
 /// load balancer presets (all-fixed, all-bugs-live, BUG-VII flow
 /// affinity), and the traffic-engineering presets (BUG-VIII,
 /// BUG-X routing table). This is the sweep surface of the reduction
-/// differential test (tests/mc/test_por.cpp) and scripts/bench_por.sh.
+/// differential test and the pinned kSleep counts (tests/mc/test_por.cpp),
+/// and of the three-store sweep (tests/mc/test_collapse_modes.cpp).
 std::vector<NamedScenario> bundled_scenarios();
 
 }  // namespace nicemc::apps

@@ -4,13 +4,8 @@
 #include <string>
 
 #include "mc/checkpoint.h"
-#include "util/hash.h"
-#include "util/resource.h"
 
 namespace nicemc::mc {
-
-using detail::SearchClock;
-using detail::seconds_since;
 
 std::unique_ptr<util::ProgressReporter> Checker::make_reporter() const {
   if (telem_ == nullptr ||
@@ -23,7 +18,7 @@ std::unique_ptr<util::ProgressReporter> Checker::make_reporter() const {
   po.tty = options_.progress_tty;
   // A resumed run appends and continues the stream's sequence numbers,
   // so kill-and-resume yields one continuous monotone NDJSON stream.
-  po.append = options_.progress_append || options_.resume;
+  po.append = options_.resume;
   auto reporter = std::make_unique<util::ProgressReporter>(*telem_, po);
   reporter->start();
   return reporter;
@@ -64,82 +59,8 @@ CheckerResult Checker::run() {
 CheckerResult Checker::random_walk(std::uint64_t seed, int walks,
                                    int max_steps) {
   std::unique_ptr<util::ProgressReporter> reporter = make_reporter();
-  if (options_.threads > 1) {
-    CheckerResult result = run_random_walk_portfolio(
-        core_, options_.threads, seed, walks, max_steps);
-    finish_reporter(reporter.get(), result);
-    return result;
-  }
-
-  const auto start = SearchClock::now();
-  CheckerResult result;
-  util::SplitMix64 rng(seed);
-  const util::Telemetry::Binding bind(telem_.get(), 0);
-  util::WorkerTelemetry* const wt = util::Telemetry::current();
-  if (telem_ != nullptr) telem_->set_base(0, 0, 0, 0);
-  std::uint64_t steps_since_publish = 0;
-
-  for (int w = 0; w < walks; ++w) {
-    if (result.hit_limit == LimitReason::kTime) break;
-    SystemState state = executor_.make_initial();
-    std::shared_ptr<const PathNode> path;
-    for (int step = 0; step < max_steps; ++step) {
-      if (options_.time_limit_seconds > 0 &&
-          seconds_since(start) >= options_.time_limit_seconds) {
-        result.hit_limit = LimitReason::kTime;
-        break;
-      }
-      auto ts = apply_strategy(options_.strategy, cfg_, state,
-                               executor_.enabled(state, discovery_));
-      if (ts.empty()) {
-        ++result.quiescent_states;
-        if (wt != nullptr) wt->add_quiescent();
-        std::vector<Violation> vs;
-        executor_.at_quiescence(state, vs);
-        for (Violation& v : vs) {
-          result.violations.push_back(
-              ViolationRecord{std::move(v), trace_of(path)});
-        }
-        break;
-      }
-      const Transition t = ts[static_cast<std::size_t>(
-          rng.next_below(ts.size()))];
-      if (wt != nullptr) {
-        wt->record_expand(static_cast<std::uint32_t>(t.kind), t.a, t.aux);
-      }
-      std::vector<Violation> violations;
-      executor_.apply(state, t, violations);
-      ++result.transitions;
-      if (wt != nullptr) {
-        wt->add_transitions();
-        if (++steps_since_publish >= 1024) {
-          steps_since_publish = 0;
-          core_.publish_gauges(0);
-        }
-      }
-      path = std::make_shared<const PathNode>(PathNode{path, t});
-      if (core_.remember(state)) {
-        ++result.unique_states;
-        if (wt != nullptr) wt->add_unique();
-      } else {
-        ++result.revisits;
-        if (wt != nullptr) wt->add_revisits();
-      }
-      if (!violations.empty()) {
-        for (Violation& v : violations) {
-          result.violations.push_back(
-              ViolationRecord{std::move(v), trace_of(path)});
-        }
-        break;
-      }
-    }
-    if (options_.stop_at_first_violation && result.found_violation()) break;
-  }
-
-  result.seconds = seconds_since(start);
-  result.discovery = discovery_.stats();
-  core_.publish_gauges(0);
-  core_.finish_stats(result, nullptr);
+  CheckerResult result = run_random_walks(core_, options_.threads, seed,
+                                          walks, max_steps);
   finish_reporter(reporter.get(), result);
   return result;
 }

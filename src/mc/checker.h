@@ -90,7 +90,7 @@ class Checker {
   /// Random walks from the initial state (simulator mode): each walk picks
   /// uniformly among strategy-filtered enabled transitions until
   /// quiescence or `max_steps`. With threads > 1, walks are split across
-  /// a portfolio of workers with per-worker RNG streams.
+  /// a portfolio of workers with per-worker RNG streams (run_random_walks).
   CheckerResult random_walk(std::uint64_t seed, int walks, int max_steps);
 
   [[nodiscard]] const Executor& executor() const noexcept {

@@ -14,17 +14,6 @@ std::string_view ser_view(const util::Ser& s) {
 
 }  // namespace
 
-void DiscoveryCache::put_app_id(util::Ser& key,
-                                const SystemState& state) const {
-  if (ids_ != nullptr) {
-    key.put_u32(state.app_state_id(*ids_));
-  } else {
-    const util::Hash128 h = state.ctrl_hash();
-    key.put_u64(h.lo);
-    key.put_u64(h.hi);
-  }
-}
-
 void DiscoveryCache::packets_key(util::Ser& key, const SystemState& state,
                                  of::HostId host) const {
   key.put_u8('P');
@@ -32,14 +21,14 @@ void DiscoveryCache::packets_key(util::Ser& key, const SystemState& state,
   key.put_u32(host);
   key.put_u32(static_cast<std::uint32_t>(hs.sw));
   key.put_u32(static_cast<std::uint32_t>(hs.port));
-  put_app_id(key, state);
+  state.put_app_key(key, ids_);
 }
 
 void DiscoveryCache::stats_key(util::Ser& key, const SystemState& state,
                                of::SwitchId sw) const {
   key.put_u8('S');
   key.put_u32(sw);
-  put_app_id(key, state);
+  state.put_app_key(key, ids_);
   // The exact symbolic seeds discover_stats registers per port.
   const of::Switch& swm = state.sw(sw);
   for (const of::PortId p : swm.ports) {

@@ -105,7 +105,6 @@ class DiscoveryCache {
   }
 
  private:
-  void put_app_id(util::Ser& key, const SystemState& state) const;
   void packets_key(util::Ser& key, const SystemState& state,
                    of::HostId host) const;
   void stats_key(util::Ser& key, const SystemState& state,

@@ -497,27 +497,24 @@ void walk_worker(const SearchCore& core, SharedWalks& shared,
 
 }  // namespace
 
-CheckerResult run_random_walk_portfolio(const SearchCore& core,
-                                        unsigned threads,
-                                        std::uint64_t seed, int walks,
-                                        int max_steps) {
+CheckerResult run_random_walks(const SearchCore& core, unsigned threads,
+                               std::uint64_t seed, int walks, int max_steps) {
   const auto start = SearchClock::now();
-  if (threads < 1) threads = 1;
 
   SharedWalks shared(start);
   if (core.telemetry() != nullptr) core.telemetry()->set_base(0, 0, 0, 0);
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(threads);
-  util::SplitMix64 seeder(seed);
-  for (unsigned w = 0; w < threads; ++w) seeds.push_back(seeder.next());
-
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (unsigned w = 0; w < threads; ++w) {
-    workers.emplace_back(walk_worker, std::cref(core), std::ref(shared),
-                         seeds[w], w, threads, walks, max_steps);
+  if (threads <= 1) {
+    walk_worker(core, shared, seed, 0, 1, walks, max_steps);
+  } else {
+    util::SplitMix64 seeder(seed);
+    std::vector<std::thread> workers;
+    workers.reserve(threads);
+    for (unsigned w = 0; w < threads; ++w) {
+      workers.emplace_back(walk_worker, std::cref(core), std::ref(shared),
+                           seeder.next(), w, threads, walks, max_steps);
+    }
+    for (std::thread& t : workers) t.join();
   }
-  for (std::thread& t : workers) t.join();
 
   CheckerResult result;
   result.transitions = shared.transitions.load();

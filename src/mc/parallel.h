@@ -23,9 +23,10 @@
 // per-state slept records live in the lock-striped seen-set, so the
 // driver needs no other shared reduction state.
 //
-// run_random_walk_portfolio: the simulator mode as a portfolio — each
-// worker runs an independent share of the walks with its own seeded RNG,
-// all publishing into the shared seen-set.
+// run_random_walks: the simulator mode. On more than one thread it is a
+// portfolio — each worker runs an independent share of the walks with its
+// own seeded RNG, all publishing into the shared seen-set; on one thread
+// the same per-walk loop runs on the caller's thread.
 #ifndef NICE_MC_PARALLEL_H
 #define NICE_MC_PARALLEL_H
 
@@ -48,10 +49,10 @@ CheckerResult run_parallel(const SearchCore& core, unsigned threads,
 /// `walks` random walks split across `threads` workers; worker w takes
 /// walks w, w+threads, ... and draws from its own SplitMix64 stream
 /// derived from `seed`, so a given (seed, threads) pair is reproducible.
-CheckerResult run_random_walk_portfolio(const SearchCore& core,
-                                        unsigned threads,
-                                        std::uint64_t seed, int walks,
-                                        int max_steps);
+/// With `threads` ≤ 1 every walk runs on the caller's thread from a
+/// SplitMix64 seeded with `seed` itself.
+CheckerResult run_random_walks(const SearchCore& core, unsigned threads,
+                               std::uint64_t seed, int walks, int max_steps);
 
 }  // namespace nicemc::mc
 

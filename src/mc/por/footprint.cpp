@@ -476,20 +476,6 @@ Footprint FootprintMemo::get(const SystemState& state, const Transition& t) {
   key.clear();
   t.serialize(key);
   const bool canon = cfg_.canonical_flowtables;
-  // Controller kinds read only the *application* state (handlers run on
-  // state.app; next_xid mints ids the footprint never sees, and the
-  // pending_stats bookkeeping is covered by the kCtrl write) — keying on
-  // the app-only projection keeps xid/stats churn from fragmenting the
-  // cache. Same identity the discovery cache uses.
-  const auto put_app = [&] {
-    if (ids_ != nullptr) {
-      key.put_u32(state.app_state_id(*ids_));
-    } else {
-      const util::Hash128 h = state.ctrl_hash();
-      key.put_u64(h.lo);
-      key.put_u64(h.hi);
-    }
-  };
   const auto put_sw = [&] {
     if (ids_ != nullptr) {
       key.put_u32(state.sw_id(t.a, canon, *ids_));
@@ -499,6 +485,11 @@ Footprint FootprintMemo::get(const SystemState& state, const Transition& t) {
       key.put_u64(h.hi);
     }
   };
+  // Controller kinds read only the *application* state (handlers run on
+  // state.app; next_xid mints ids the footprint never sees, and the
+  // pending_stats bookkeeping is covered by the kCtrl write) — keying on
+  // the app-only projection keeps xid/stats churn from fragmenting the
+  // cache. Same identity the discovery cache uses (put_app_key).
   switch (t.kind) {
     case TKind::kSwitchProcessPkt:
     case TKind::kSwitchProcessOf:
@@ -517,11 +508,11 @@ Footprint FootprintMemo::get(const SystemState& state, const Transition& t) {
       // dispatch_message reads the head of the switch's of_out queue and
       // nothing else of the switch — key the message bytes, not the
       // switch component (whose queue churn would kill the hit rate).
-      put_app();
+      state.put_app_key(key, ids_);
       of::serialize_message(key, state.sw(t.a).of_out.front());
       break;
     default:  // kCtrlExternal / kCtrlProcessStats: app state only
-      put_app();
+      state.put_app_key(key, ids_);
       break;
   }
 

@@ -13,8 +13,9 @@
 // It visits the identical state set and reports the identical violation
 // set as an unreduced search, pruning only redundant transitions; the
 // enforced ordering is kSleep ≤ kNone in transitions (tests/mc/test_por.cpp,
-// the fuzz sweep in tests/mc/test_fuzz_scenarios.cpp, and bench_por's
-// runtime gate). ARCHITECTURE.md ("Reduction layer") gives the
+// whose Por.DifferentialSoundnessSweepAllBundledScenarios covers every
+// bundled scenario, and the fuzz sweep in tests/mc/test_fuzz_scenarios.cpp).
+// ARCHITECTURE.md ("Reduction layer") gives the
 // measurements behind keeping sleep sets as the only reduction.
 #ifndef NICE_MC_POR_REDUCTION_H
 #define NICE_MC_POR_REDUCTION_H

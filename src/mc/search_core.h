@@ -156,7 +156,8 @@ struct CheckerOptions {
   /// CheckerResult::telemetry. Off (the default) costs strictly nothing
   /// on the hot path — no clock reads, no atomics, one thread-local
   /// null-pointer branch per instrumentation point. On, the overhead is
-  /// bounded by the bench_por gate (≤ 1.05× wall time) and the counts
+  /// bounded by CI's telemetry-overhead step (scripts/telemetry_overhead.py:
+  /// median wall ≤ 1.05× the off runs' + 50 ms) and the counts
   /// (violations / unique / quiescent / transitions) are identical by
   /// construction — telemetry only observes, never steers.
   bool telemetry{false};
@@ -170,9 +171,6 @@ struct CheckerOptions {
   double progress_interval_seconds{1.0};
   /// Repaint a single-line live summary on stderr each interval.
   bool progress_tty{false};
-  /// Append to an existing progress stream even on a fresh (non-resumed)
-  /// run — lets multi-scenario harnesses chain one stream file.
-  bool progress_append{false};
 };
 
 /// Which bound cut a search short (CheckerResult::hit_limit).

@@ -279,6 +279,18 @@ struct SystemState {
           if (c.app) c.app->serialize(s);
         });
   }
+  /// The application state's identity as memo-key bytes: app_state_id
+  /// when an interning table is given (kCollapsed), else the two words of
+  /// ctrl_hash(). Shared by the discovery cache and the footprint memo.
+  void put_app_key(util::Ser& key, util::CollapseTable* ids) const {
+    if (ids != nullptr) {
+      key.put_u32(app_state_id(*ids));
+    } else {
+      const util::Hash128 h = ctrl_hash();
+      key.put_u64(h.lo);
+      key.put_u64(h.hi);
+    }
+  }
 
   /// Total packets parked in switch buffers (NoForgottenPackets).
   [[nodiscard]] std::size_t total_forgotten() const;

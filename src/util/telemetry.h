@@ -12,7 +12,8 @@
 //     phase boundary (not two per scope), taken from the TSC where
 //     available (~10ns) instead of clock_gettime (~25ns), so a fully
 //     instrumented expand step costs ~100–150ns against a ~4.5µs budget
-//     (the bench_por overhead gate enforces ≤ 1.05× wall time).
+//     (scripts/telemetry_overhead.py, a CI step, enforces ≤ 1.05× wall
+//     time plus 50 ms on the median of alternating on/off runs).
 //
 // Phase attribution is exhaustive: from bind to unbind every nanosecond
 // of a worker's wall time lands in exactly one phase accumulator (kOther

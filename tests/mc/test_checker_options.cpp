@@ -106,6 +106,24 @@ TEST(CheckerOptions, RandomWalksDifferBySeedButReplayTheSame) {
   Checker checker2(s2.config, CheckerOptions{}, s2.properties);
   const auto b = checker2.random_walk(1, 3, 50);
   EXPECT_EQ(a.transitions, b.transitions);  // same seed → same walks
+  // One thread walks on the caller's thread from SplitMix64(seed): these
+  // counts pin the exact walks, so a change to the RNG seeding, the
+  // strategy filter or the per-step order shows up here.
+  EXPECT_EQ(a.transitions, 96u);
+  EXPECT_EQ(a.unique_states, 77u);
+  EXPECT_EQ(a.revisits, 19u);
+  EXPECT_EQ(a.quiescent_states, 3u);
+  // A walk set that records violations (BUG-II), run past the first one.
+  auto s3 = apps::pyswitch_bug2();
+  CheckerOptions all;
+  all.stop_at_first_violation = false;
+  Checker checker3(s3.config, all, s3.properties);
+  const auto c = checker3.random_walk(7, 40, 60);
+  EXPECT_EQ(c.transitions, 690u);
+  EXPECT_EQ(c.unique_states, 363u);
+  EXPECT_EQ(c.revisits, 327u);
+  EXPECT_EQ(c.quiescent_states, 38u);
+  EXPECT_EQ(c.violations.size(), 2u);
 }
 
 TEST(CheckerOptions, FineInterleavingStillFindsBugs) {

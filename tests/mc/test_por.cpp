@@ -59,6 +59,15 @@ TEST(Por, SleepDfsCountsArePinnedOnEveryBundledScenario) {
   // its counts are pinned per scenario: any change to sleep inheritance,
   // the revisit intersection or the footprints shows up here. Every
   // unique-state pin equals the scenario's kNone count.
+  //
+  // The same runs carry the footprint-memo hit-rate floor: on every run
+  // with at least kMinLookups lookups, hits / lookups must stay at or
+  // above kHitRateFloor. Tiny searches have nothing to reuse; the floor is
+  // a tripwire for a keying change that turns the memo into a miss
+  // machine, not a target. Lowest today: lb-sym4 at 0.373 (6541 / 17538),
+  // then lb-fixed at 0.387 (265 / 685); the rest sit between 0.45 and 0.97.
+  constexpr double kHitRateFloor = 0.30;
+  constexpr std::uint64_t kMinLookups = 500;
   struct Pin {
     const char* name;
     std::uint64_t transitions, unique, quiescent;
@@ -97,6 +106,13 @@ TEST(Por, SleepDfsCountsArePinnedOnEveryBundledScenario) {
     EXPECT_EQ(r.transitions, pin.transitions) << pin.name;
     EXPECT_EQ(r.unique_states, pin.unique) << pin.name;
     EXPECT_EQ(r.quiescent_states, pin.quiescent) << pin.name;
+    const std::uint64_t hits = r.memo.footprint_hits;
+    const std::uint64_t lookups = hits + r.memo.footprint_misses;
+    if (lookups >= kMinLookups) {
+      EXPECT_GE(static_cast<double>(hits), kHitRateFloor * lookups)
+          << pin.name << ": footprint memo hit rate " << hits << " / "
+          << lookups << " is below the floor";
+    }
   }
 }
 

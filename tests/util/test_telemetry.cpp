@@ -273,7 +273,7 @@ TEST(Telemetry, ReporterStreamsParseableMonotoneLines) {
 
 TEST(Telemetry, ReporterAppendContinuesSequenceNumbers) {
   const std::string path =
-      ::testing::TempDir() + "nicemc_test_progress_append.ndjson";
+      ::testing::TempDir() + "nicemc_test_reporter_append.ndjson";
   std::remove(path.c_str());
   auto run_once = [&](bool append) {
     Telemetry t(1);
