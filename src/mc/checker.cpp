@@ -45,13 +45,7 @@ CheckerResult Checker::run() {
     }
   }
   std::unique_ptr<util::ProgressReporter> reporter = make_reporter();
-  CheckerResult result;
-  if (options_.threads > 1) {
-    result = run_parallel(core_, options_.threads, durability.get());
-  } else {
-    auto frontier = make_frontier(options_.frontier, options_.frontier_seed);
-    result = core_.run_sequential(*frontier, durability.get());
-  }
+  CheckerResult result = run_search(core_, options_.threads, durability.get());
   finish_reporter(reporter.get(), result);
   return result;
 }

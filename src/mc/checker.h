@@ -3,10 +3,10 @@
 // Checker is the user-facing façade over the search-engine subsystem:
 //   * mc/search_core.h — options/result types and the per-transition
 //     expand step (clone → apply → check → remember → enumerate);
-//   * mc/frontier.h    — pluggable exploration orders (DFS / BFS / random)
-//     for the single-threaded search;
-//   * mc/parallel.h    — the multi-threaded work-handoff driver and the
-//     random-walk portfolio (CheckerOptions::threads > 1);
+//   * mc/frontier.h    — pluggable exploration orders (DFS / BFS / random),
+//     each search worker's private container;
+//   * mc/parallel.h    — the exhaustive driver (one worker on the caller's
+//     thread, or N work-handoff workers) and the random-walk driver;
 //   * util/seen_set.h  — the lock-striped explored-state store.
 //
 // With default options (1 thread, DFS frontier) the search is bit-for-bit
@@ -83,8 +83,9 @@ class Checker {
   Checker(Checker&&) = delete;
   Checker& operator=(Checker&&) = delete;
 
-  /// Exhaustive search (bounded by the options): single-threaded over the
-  /// configured frontier, or the parallel driver when threads > 1.
+  /// Exhaustive search (bounded by the options) through run_search: one
+  /// worker over the configured frontier, or N DFS workers when
+  /// threads > 1.
   CheckerResult run();
 
   /// Random walks from the initial state (simulator mode): each walk picks

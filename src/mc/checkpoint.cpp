@@ -313,8 +313,7 @@ bool Durability::save(const SearchCore& core, const Snapshot& snap) {
   if (!checkpointing()) return true;
 
   // Serialization + slot write are attributed to the checkpoint phase
-  // (no-op when the calling thread carries no telemetry binding — e.g.
-  // the parallel driver's final save from the main thread).
+  // (no-op when the calling thread carries no telemetry binding).
   const util::PhaseScope phase(util::Phase::kCheckpoint);
 
   util::Ser s;

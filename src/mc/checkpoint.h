@@ -93,8 +93,9 @@ bool write_checkpoint_slot(const std::string& slot_path,
 /// Per-run durability state owned by the Checker façade and threaded into
 /// the drivers: periodic/at-halt checkpointing, resume seeding, the
 /// memory-budget watchdog, and interrupt polling. Thread-safe where the
-/// parallel driver needs it (save() is called with workers quiesced; the
-/// watchdog and due() checks are called by any worker).
+/// driver needs it (save() is called with every worker at rest; the
+/// watchdog and due() checks are called by any worker, under the driver's
+/// lock).
 class Durability {
  public:
   /// `config_fp` fingerprints everything a checkpoint must agree on to be
@@ -119,9 +120,8 @@ class Durability {
     const std::vector<ViolationRecord>* violations{nullptr};
     DiscoveryStats discovery;
     std::uint64_t frontier_rng{0};
-    /// Visits every pending node in the owning driver's reconstruction
-    /// order (Frontier::for_each, or the parallel deque front-to-back —
-    /// the workers' private stacks are moved onto it before a save).
+    /// Visits every pending node in reconstruction order: the handoff
+    /// deque front-to-back, then each worker's Frontier::for_each.
     std::function<void(const std::function<void(const SearchNode&)>&)>
         for_each_node;
   };
@@ -164,11 +164,6 @@ class Durability {
   /// OOM-aborting. Returns kNone to continue.
   [[nodiscard]] LimitReason poll(const SearchCore& core,
                                  std::uint64_t frontier_nodes);
-
-  /// Whether poll() needs to run at all (budget set or signals handled).
-  [[nodiscard]] bool polling() const noexcept {
-    return options_.memory_budget_bytes > 0 || options_.handle_signals;
-  }
 
   /// Copy the layer's statistics into `result.durability`.
   void fill(CheckerResult& result) const;

@@ -10,6 +10,15 @@ namespace nicemc::mc {
 
 namespace {
 
+/// Frontier::give_half over a random-access node container kept in
+/// for_each order.
+template <typename Container>
+void give_front_half(Container& nodes, std::deque<SearchNode>& out) {
+  const std::size_t n = nodes.size() / 2;
+  for (std::size_t i = n; i-- > 0;) out.push_back(std::move(nodes[i]));
+  nodes.erase(nodes.begin(), nodes.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
 class DfsFrontier final : public Frontier {
  public:
   void push(SearchNode node) override { stack_.push_back(std::move(node)); }
@@ -28,6 +37,10 @@ class DfsFrontier final : public Frontier {
       const std::function<void(const SearchNode&)>& fn) const override {
     // Bottom-to-top: re-pushing in this order rebuilds the same stack.
     for (const SearchNode& n : stack_) fn(n);
+  }
+
+  void give_half(std::deque<SearchNode>& out) override {
+    give_front_half(stack_, out);
   }
 
  private:
@@ -52,6 +65,10 @@ class BfsFrontier final : public Frontier {
       const std::function<void(const SearchNode&)>& fn) const override {
     // Front-to-back: re-pushing in this order rebuilds the same queue.
     for (const SearchNode& n : queue_) fn(n);
+  }
+
+  void give_half(std::deque<SearchNode>& out) override {
+    give_front_half(queue_, out);
   }
 
  private:
@@ -83,6 +100,10 @@ class RandomFrontier final : public Frontier {
       const std::function<void(const SearchNode&)>& fn) const override {
     // Pool order + the saved RNG state reproduce the same pop sequence.
     for (const SearchNode& n : pool_) fn(n);
+  }
+
+  void give_half(std::deque<SearchNode>& out) override {
+    give_front_half(pool_, out);
   }
 
   [[nodiscard]] std::uint64_t rng_state() const override {

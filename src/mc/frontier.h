@@ -7,12 +7,14 @@
 //   * kRandom — pop a uniformly random pending entry (seeded, so a given
 //               seed reproduces the same exploration order).
 //
-// Frontiers are NOT thread-safe; the parallel driver owns its own shared
-// work deque and uses frontiers only in single-threaded mode.
+// Frontiers are NOT thread-safe: each worker of the exhaustive driver
+// (mc/parallel.h) owns one as its private container — the configured kind
+// when it runs alone, a DFS stack each when several share the work.
 #ifndef NICE_MC_FRONTIER_H
 #define NICE_MC_FRONTIER_H
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -29,8 +31,8 @@ namespace nicemc::mc {
 /// the shared-parent trace chain used to reconstruct counterexamples.
 /// `sleep` is the partial-order-reduction sleep set the resulting state
 /// arrives with (always empty under Reduction::kNone); it is per-node, so
-/// the parallel driver needs no shared reduction state beyond the
-/// seen-set's slept records.
+/// N search workers need no shared reduction state beyond the seen-set's
+/// slept records.
 struct SearchNode {
   std::shared_ptr<const SystemState> state;
   Transition transition;
@@ -61,6 +63,12 @@ class Frontier {
   /// writer snapshots frontiers through this.
   virtual void for_each(
       const std::function<void(const SearchNode&)>& fn) const = 0;
+
+  /// Work handoff to idle peers: move the first half (rounded down) of
+  /// the nodes in for_each order onto the back of `out`, last first — so
+  /// `out.back()` is the first node for_each visits. For the DFS stack
+  /// that is its oldest half, the node nearest the root at the back.
+  virtual void give_half(std::deque<SearchNode>& out) = 0;
 
   /// Pop-policy RNG state (random frontier only; 0 elsewhere). Restoring
   /// it via set_rng_state() resumes the exact pop sequence.

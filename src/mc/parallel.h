@@ -1,27 +1,32 @@
-// Multi-threaded exploration drivers built on SearchCore.
+// The search drivers built on SearchCore.
 //
-// run_parallel: each of N workers runs DFS from a private LIFO stack of
-// SearchNodes, expanding them through the shared SearchCore (lock-striped
-// seen-set and discovery cache) and publishing progress through atomic
-// counters. One shared deque is the handoff structure: a worker whose
-// stack runs dry claims a node from it, and a busy worker moves the
-// oldest half of its stack there only when a peer is parked and the
-// deque is empty. Pending work is every node — the deque plus every
-// private stack — so the frontier gauge and the memory watchdog count
-// the stacks too, and a checkpoint barrier has every worker move its
-// stack onto the deque before the snapshot. On exhaustive runs the result is
-// count-equivalent to the single-threaded search: same unique states, same
+// run_search: the exhaustive search, one loop for every thread count. Each
+// worker expands nodes from a private Frontier through the shared
+// SearchCore (lock-striped seen-set and discovery cache) and publishes
+// progress through atomic counters. With one worker, the loop runs on the
+// caller's thread over the configured frontier (DFS, BFS or seeded random)
+// and is deterministic; with the DFS frontier its counts are the original
+// checker's.
+// With N > 1 workers, each runs DFS from a private stack, and one shared
+// deque is the handoff structure: a worker whose stack runs dry claims a
+// node from it, and a busy worker moves the oldest half of its stack there
+// only when a peer is parked and the deque is empty. Pending work is every
+// node — the deque plus every private frontier — so the frontier gauge,
+// the memory watchdog and every checkpoint count the frontiers too; a
+// checkpoint barrier parks every worker, frontier intact, while the
+// snapshot is written. On exhaustive runs the N-worker result is
+// count-equivalent to the one-worker search: same unique states, same
 // transitions/revisits/quiescent counts, same violation set modulo
 // path-dependent packet copy-ids in the messages (when several
 // interleavings reach the same canonical state, the thread that wins the
 // seen-set insert reports its own path's packet uids) — and the order of
 // violations differs. Under CheckerOptions::reduction the driver keeps
 // the soundness contract (same unique states, same violation set, ≤
-// transitions of the unreduced run); exact transition counts become
-// schedule-dependent because which arrival claims a sleep re-expansion
-// races (see mc/por/sleep.h). Sleep sets ride on SearchNode and the
-// per-state slept records live in the lock-striped seen-set, so the
-// driver needs no other shared reduction state.
+// transitions of the unreduced run); exact transition counts at N > 1
+// become schedule-dependent because which arrival claims a sleep
+// re-expansion races (see mc/por/sleep.h). Sleep sets ride on SearchNode
+// and the per-state slept records live in the lock-striped seen-set, so
+// the driver needs no other shared reduction state.
 //
 // run_random_walks: the simulator mode. On more than one thread it is a
 // portfolio — each worker runs an independent share of the walks with its
@@ -36,15 +41,14 @@
 
 namespace nicemc::mc {
 
-/// Exhaustive (bounded) search with `threads` workers. `threads` is
-/// clamped to at least 1; with 1 it still spawns one worker thread
-/// (Checker::run uses SearchCore::run_sequential for 1 thread).
-/// `dur` (optional) enables the durability layer: resume seeding, periodic
-/// checkpoints behind a quiesce barrier (workers drain before the snapshot
-/// is taken), a final at-halt checkpoint, the memory watchdog, and
-/// cooperative interrupts.
-CheckerResult run_parallel(const SearchCore& core, unsigned threads,
-                           Durability* dur = nullptr);
+/// Exhaustive (bounded) search with `threads` workers, clamped to at
+/// least 1; one worker runs on the caller's thread. `dur` (optional)
+/// enables the durability layer: resume seeding, periodic checkpoints
+/// behind a barrier (every worker rests before the snapshot is taken), a
+/// final at-halt checkpoint, the memory watchdog, and cooperative
+/// interrupts.
+CheckerResult run_search(const SearchCore& core, unsigned threads,
+                         Durability* dur = nullptr);
 
 /// `walks` random walks split across `threads` workers; worker w takes
 /// walks w, w+threads, ... and draws from its own SplitMix64 stream

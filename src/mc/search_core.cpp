@@ -13,10 +13,6 @@
 
 namespace nicemc::mc {
 
-using detail::kPollStride;
-using detail::SearchClock;
-using detail::seconds_since;
-
 const char* limit_reason_name(LimitReason r) noexcept {
   switch (r) {
     case LimitReason::kNone: return "none";
@@ -197,13 +193,8 @@ void SearchCore::fill_telemetry(CheckerResult& result) const {
   CheckerResult::TelemetryStats& t = result.telemetry;
   t.enabled = true;
   t.workers = telem_->workers();
-  // The sequential drivers reach here still bound; close the live phase
-  // slice so the reported profile sums to the wall time exactly. (The
-  // parallel drivers joined their workers first — already flushed.)
-  if (util::WorkerTelemetry* wt = util::Telemetry::current();
-      wt != nullptr) {
-    wt->flush_if_current();
-  }
+  // Every driver has unbound its workers by now, so each slot's live
+  // phase slice is closed and the profile sums to the wall time exactly.
   t.phases = telem_->merged_phases();
   t.wall_ns = 0;
   for (std::size_t i = 0; i < telem_->workers(); ++i) {
@@ -248,6 +239,16 @@ void SearchCore::publish_gauges(std::uint64_t frontier_nodes) const {
   telem_->memo_disc_misses.store(d.misses, std::memory_order_relaxed);
 }
 
+void SearchCore::check_quiescence(SystemState& state,
+                                  const std::shared_ptr<const PathNode>& path,
+                                  std::vector<ViolationRecord>& out) const {
+  std::vector<Violation> vs;
+  executor_.at_quiescence(state, vs);
+  if (vs.empty()) return;
+  const auto trace = trace_of(path);
+  for (Violation& v : vs) out.push_back(ViolationRecord{std::move(v), trace});
+}
+
 std::vector<SearchNode> SearchCore::init(CheckerResult& result) const {
   // Build the shared initial state exactly once (the seed cloned it twice:
   // make_initial → local → clone into the shared_ptr).
@@ -263,15 +264,11 @@ std::vector<SearchNode> SearchCore::init(CheckerResult& result) const {
                            executor_.enabled(*initial_sp, discovery_));
   if (ts.empty()) {
     ++result.quiescent_states;
-    std::vector<Violation> vs;
     // COW clone: O(#components) pointer copies. Monitors may mutate their
     // local state in at_quiescence, which must not leak into the published
     // initial state.
     SystemState tmp = initial_sp->clone();
-    executor_.at_quiescence(tmp, vs);
-    for (Violation& v : vs) {
-      result.violations.push_back(ViolationRecord{std::move(v), {}});
-    }
+    check_quiescence(tmp, nullptr, result.violations);
     return roots;
   }
   if (reduce_) {
@@ -323,14 +320,7 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node) const {
                            executor_.enabled(next, discovery_));
   if (ts.empty()) {
     out.quiescent = true;
-    std::vector<Violation> vs;
-    executor_.at_quiescence(next, vs);
-    if (!vs.empty()) {
-      const auto trace = trace_of(path);
-      for (Violation& v : vs) {
-        out.violations.push_back(ViolationRecord{std::move(v), trace});
-      }
-    }
+    check_quiescence(next, path, out.violations);
     return out;
   }
 
@@ -361,14 +351,7 @@ void SearchCore::expand_reduced(Expansion& out, SystemState&& next,
     // arrival), exactly like the unreduced search.
     if (at.first) {
       out.quiescent = true;
-      std::vector<Violation> vs;
-      executor_.at_quiescence(next, vs);
-      if (!vs.empty()) {
-        const auto trace = trace_of(path);
-        for (Violation& v : vs) {
-          out.violations.push_back(ViolationRecord{std::move(v), trace});
-        }
-      }
+      check_quiescence(next, path, out.violations);
     }
     return;
   }
@@ -445,170 +428,6 @@ void SearchCore::make_reduced_children(
     out.push_back(
         SearchNode{sp, std::move(ts[i]), path, depth, std::move(child)});
   }
-}
-
-CheckerResult SearchCore::run_sequential(Frontier& frontier,
-                                         Durability* dur) const {
-  const auto start = SearchClock::now();
-  CheckerResult result;
-
-  // Snapshot of the run as of *now*: counters (seeded totals + this run),
-  // the frontier in reconstruction order, and the discovery stats the
-  // caller passes in.
-  const auto make_snapshot = [&](const DiscoveryStats& disc) {
-    Durability::Snapshot snap;
-    snap.transitions = result.transitions;
-    snap.unique_states = result.unique_states;
-    snap.revisits = result.revisits;
-    snap.quiescent_states = result.quiescent_states;
-    snap.violations = &result.violations;
-    snap.discovery = disc;
-    snap.frontier_rng = frontier.rng_state();
-    snap.for_each_node =
-        [&frontier](const std::function<void(const SearchNode&)>& fn) {
-          frontier.for_each(fn);
-        };
-    return snap;
-  };
-
-  // Worker slot 0 for the single-threaded search; a null telemetry
-  // context binds nothing and every scope below degrades to one branch.
-  const util::Telemetry::Binding bind(telem_, 0);
-  util::WorkerTelemetry* const wt = util::Telemetry::current();
-
-  const auto finalize = [&](LimitReason reason) -> CheckerResult& {
-    result.hit_limit = reason;
-    result.seconds = seconds_since(start);
-    // Accumulate, not assign: a resumed run's seed discovery counters are
-    // already in result.discovery.
-    add_discovery_stats(result.discovery, discovery_.stats());
-    if (wt != nullptr && reason != LimitReason::kNone) {
-      wt->record_event(util::FlightEvent::Kind::kLimit, 0,
-                       limit_reason_name(reason));
-    }
-    publish_gauges(frontier.size());
-    if (dur != nullptr) {
-      // Every halt — limit, interrupt, memory, exhaustion — leaves a
-      // final checkpoint, so resuming a finished run is an idempotent
-      // no-op and an interrupted one continues where it stopped.
-      dur->save(*this, make_snapshot(result.discovery));
-    }
-    finish_stats(result, dur);
-    return result;
-  };
-
-  if (dur != nullptr && dur->resumed()) {
-    // The stores were already reloaded by Durability::resume; seed the
-    // carried counters/violations and re-push the rebuilt frontier.
-    dur->seed(result);
-    frontier.set_rng_state(dur->frontier_rng());
-    for (SearchNode& node : dur->take_nodes()) {
-      frontier.push(std::move(node));
-    }
-  } else {
-    for (SearchNode& root : init(result)) {
-      frontier.push(std::move(root));
-    }
-  }
-  if (telem_ != nullptr) {
-    // Seed the reporter's cumulative totals: the resumed counters (or
-    // init's root state) are not re-counted by the per-worker counters.
-    telem_->set_base(result.transitions, result.unique_states,
-                     result.revisits, result.quiescent_states);
-  }
-
-  std::uint64_t since_poll = 0;
-  std::uint64_t polls = 0;
-
-  while (!frontier.empty()) {
-    if (result.transitions >= options_.max_transitions) {
-      return finalize(LimitReason::kTransitions);  // hit a limit: not exhausted
-    }
-    if (result.unique_states >= options_.max_unique_states) {
-      return finalize(LimitReason::kUniqueStates);
-    }
-    if (options_.time_limit_seconds > 0 &&
-        seconds_since(start) >= options_.time_limit_seconds) {
-      return finalize(LimitReason::kTime);
-    }
-    if ((dur != nullptr || telem_ != nullptr) &&
-        ++since_poll >= kPollStride) {
-      since_poll = 0;
-      ++polls;
-      if (dur != nullptr) {
-        const LimitReason r = dur->poll(*this, frontier.size());
-        if (r != LimitReason::kNone) return finalize(r);
-        if (dur->due()) {
-          DiscoveryStats disc = result.discovery;
-          add_discovery_stats(disc, discovery_.stats());
-          dur->save(*this, make_snapshot(disc));
-        }
-      }
-      if (telem_ != nullptr) {
-        telem_->frontier.store(frontier.size(), std::memory_order_relaxed);
-        // The expensive gauges (engine bytes, memo stats) every ~1k
-        // expansions; they take shard locks, so not every poll.
-        if (polls % 32 == 0) publish_gauges(frontier.size());
-      }
-    }
-    if (options_.stop_at_first_violation && result.found_violation()) break;
-
-    SearchNode node;
-    frontier.pop(node);
-
-    if (wt != nullptr) {
-      wt->record_expand(static_cast<std::uint32_t>(node.transition.kind),
-                        node.transition.a, node.transition.aux);
-    }
-    Expansion e = expand(node);
-    ++result.transitions;
-    if (wt != nullptr) wt->add_transitions();
-
-    if (e.transition_violated) {
-      for (ViolationRecord& v : e.violations) {
-        result.violations.push_back(std::move(v));
-      }
-      if (options_.stop_at_first_violation) break;
-      continue;
-    }
-
-    if (!e.new_state) {
-      ++result.revisits;
-      if (wt != nullptr) wt->add_revisits();
-      // Reduction mode only: a revisit carrying a smaller sleep set
-      // re-expands the difference; e.children is empty otherwise.
-      for (SearchNode& child : e.children) {
-        frontier.push(std::move(child));
-      }
-      continue;
-    }
-    ++result.unique_states;
-    if (wt != nullptr) wt->add_unique();
-
-    if (e.quiescent) {
-      ++result.quiescent_states;
-      if (wt != nullptr) wt->add_quiescent();
-      if (!e.violations.empty()) {
-        for (ViolationRecord& v : e.violations) {
-          result.violations.push_back(std::move(v));
-        }
-        if (options_.stop_at_first_violation) break;
-      }
-      continue;
-    }
-
-    for (SearchNode& child : e.children) {
-      frontier.push(std::move(child));
-    }
-  }
-
-  // "Exhausted" = the bounded state space was fully explored. In
-  // collect-all mode a violation does not negate exhaustion; in
-  // stop-at-first mode it does (the search was cut short).
-  result.exhausted =
-      frontier.empty() &&
-      !(options_.stop_at_first_violation && result.found_violation());
-  return finalize(LimitReason::kNone);
 }
 
 }  // namespace nicemc::mc

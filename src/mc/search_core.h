@@ -2,16 +2,17 @@
 //
 // SearchCore factors the per-transition expand step of the model checker —
 // clone → apply → check properties → remember in the seen-set → enumerate
-// successors — out of the search loop, so the same semantics drive:
-//   * the single-threaded search over any pluggable Frontier (DFS order is
-//     bit-for-bit the original recursive checker);
-//   * the multi-threaded driver in mc/parallel.h (private per-worker
-//     stacks over one shared handoff deque);
-//   * the random-walk simulator (sequential and portfolio).
+// successors — out of the search loop, so the same semantics drive the two
+// drivers of mc/parallel.h:
+//   * the exhaustive search: one worker on the caller's thread over any
+//     pluggable Frontier (DFS order is bit-for-bit the original recursive
+//     checker), or N workers with private DFS stacks over one shared
+//     handoff deque;
+//   * the random-walk simulator (one thread or a portfolio).
 //
 // The explored-state store is a util::ShardedSeenSet, lock-striped so
-// parallel workers can insert concurrently; in single-threaded mode the
-// locks are uncontended and the counts are identical to a plain set.
+// parallel workers can insert concurrently; with one worker the locks are
+// uncontended and the counts are identical to a plain set.
 // Under partial-order reduction the same table holds each state's slept
 // record, so one arrival is one lookup.
 #ifndef NICE_MC_SEARCH_CORE_H
@@ -50,9 +51,9 @@ inline double seconds_since(SearchClock::time_point start) {
 }
 
 /// Interrupt/watchdog polls, checkpoint-due checks, and telemetry gauge
-/// publication run every kPollStride expansions (of each worker, in the
-/// parallel driver) — cheap enough to never show up in profiles, frequent
-/// enough that a signal halts promptly.
+/// publication run every kPollStride expansions of each worker — cheap
+/// enough to never show up in profiles, frequent enough that a signal
+/// halts promptly.
 inline constexpr std::uint64_t kPollStride = 32;
 
 }  // namespace detail
@@ -75,16 +76,18 @@ struct CheckerOptions {
   ///     and states are keyed by their packed component-id tuple —
   ///     collision-proof like kFullState at a fraction of the bytes.
   util::ShardedSeenSet::Mode state_store{util::ShardedSeenSet::Mode::kHash};
-  /// Exploration order for the single-threaded search. kDfs reproduces the
-  /// original checker exactly; kBfs finds shortest counterexamples first;
-  /// kRandom is a seeded random-priority order. Ignored when threads > 1:
-  /// each parallel worker runs DFS from a private LIFO stack.
+  /// Exploration order of a one-worker search (threads == 1). kDfs
+  /// reproduces the original checker exactly; kBfs finds shortest
+  /// counterexamples first; kRandom is a seeded random-priority order.
+  /// Ignored when threads > 1: each worker then runs DFS from a private
+  /// LIFO stack.
   FrontierKind frontier{FrontierKind::kDfs};
   std::uint64_t frontier_seed{0x9e3779b97f4a7c15ULL};
-  /// Worker threads. 1 = deterministic single-threaded search; N > 1 runs
-  /// per-worker DFS stacks that hand work to idle peers through a shared
-  /// deque, and is count-equivalent on exhaustive runs
-  /// (same unique states / transitions / violation set, any order).
+  /// Search workers. 1 = one deterministic worker on the caller's thread,
+  /// in `frontier` order; N > 1 spawns N threads with per-worker DFS
+  /// stacks that hand work to idle peers through a shared deque, and is
+  /// count-equivalent on exhaustive runs (same unique states / transitions
+  /// / violation set, any order).
   unsigned threads{1};
   /// Sound partial-order reduction (mc/por/): kSleep visits the same
   /// unique states and reports the same violation set as kNone on
@@ -111,9 +114,9 @@ struct CheckerOptions {
   /// empty orbits this still canonicalizes uid allocation order (and
   /// drops next_uid from keys when no host uses discovery sends).
   bool symmetry{false};
-  /// Wall-clock budget in seconds; 0 = off. Honored by the sequential,
-  /// parallel and random-walk drivers; a timed-out search reports
-  /// hit_limit = kTime and never claims exhaustion.
+  /// Wall-clock budget in seconds; 0 = off. Honored by the exhaustive and
+  /// random-walk drivers at every thread count; a timed-out search
+  /// reports hit_limit = kTime and never claims exhaustion.
   double time_limit_seconds{0.0};
   /// Footprint memoization (util/memo.h): cache por::compute_footprint
   /// results under the component identities the store already computes,
@@ -367,13 +370,13 @@ class SearchCore {
   /// enumeration order.
   [[nodiscard]] std::vector<SearchNode> init(CheckerResult& result) const;
 
-  /// Single-threaded search loop over `frontier` — with a DFS frontier,
-  /// transition/state counts reproduce the original checker exactly.
-  /// `dur` (optional) enables the durability layer: resume seeding,
-  /// periodic + at-halt checkpoints, the memory watchdog, and cooperative
-  /// interrupts.
-  [[nodiscard]] CheckerResult run_sequential(Frontier& frontier,
-                                             Durability* dur = nullptr) const;
+  /// The quiescence property check of a terminal `state` reached through
+  /// `path` (nullptr = the initial state): appends each violation, with
+  /// the path's trace, to `out`. Monitors may mutate their local state in
+  /// at_quiescence, so `state` must be the caller's own copy.
+  void check_quiescence(SystemState& state,
+                        const std::shared_ptr<const PathNode>& path,
+                        std::vector<ViolationRecord>& out) const;
 
   /// Returns true when the state was not seen before.
   bool remember(const SystemState& state) const {
@@ -382,7 +385,7 @@ class SearchCore {
 
   /// Fill `result` with the store's memory footprint and (in collapsed
   /// mode) the interning counters — one implementation shared by the
-  /// sequential, parallel, and random-walk drivers.
+  /// exhaustive and random-walk drivers.
   void fill_store_stats(CheckerResult& result) const;
 
   /// The shared end-of-run stat fill: store/collapse/memo stats,
@@ -390,7 +393,8 @@ class SearchCore {
   /// flight recorder, and peak_rss_bytes — every driver calls exactly
   /// this, so a new stats block is filled in one place. The caller must
   /// have set result.hit_limit first (the flight recorder dumps only on
-  /// a truncating halt) and have written any final checkpoint already.
+  /// a truncating halt), unbound its workers, and have written any final
+  /// checkpoint already.
   void finish_stats(CheckerResult& result, Durability* dur) const;
 
   /// Publish the poll-point gauges (frontier size, engine-accounted

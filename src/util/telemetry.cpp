@@ -160,13 +160,6 @@ std::uint64_t WorkerTelemetry::wall_ns() const noexcept {
   return ns;
 }
 
-void WorkerTelemetry::flush_if_current() noexcept {
-  if (Telemetry::current() == this) {
-    (void)switch_phase(current_);
-    publish_phases();
-  }
-}
-
 void WorkerTelemetry::bind() noexcept {
   const std::uint64_t now = read_ticks();
   phase_start_tick_ = now;

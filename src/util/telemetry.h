@@ -122,18 +122,12 @@ class alignas(64) WorkerTelemetry {
   /// Returns the previous phase so scopes can restore it.
   Phase switch_phase(Phase p) noexcept;
 
-  void add_transitions(std::uint64_t n = 1) noexcept {
-    transitions_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_unique(std::uint64_t n = 1) noexcept {
-    unique_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_revisits(std::uint64_t n = 1) noexcept {
-    revisits_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_quiescent(std::uint64_t n = 1) noexcept {
-    quiescent_.fetch_add(n, std::memory_order_relaxed);
-  }
+  // Owner-only writers, so a relaxed load plus store suffices: no
+  // lock-prefixed RMW on the per-transition path (see kPublishStride).
+  void add_transitions(std::uint64_t n = 1) noexcept { bump(transitions_, n); }
+  void add_unique(std::uint64_t n = 1) noexcept { bump(unique_, n); }
+  void add_revisits(std::uint64_t n = 1) noexcept { bump(revisits_, n); }
+  void add_quiescent(std::uint64_t n = 1) noexcept { bump(quiescent_, n); }
 
   void record_expand(std::uint32_t kind, std::uint32_t actor,
                      std::uint32_t aux) noexcept;
@@ -171,17 +165,17 @@ class alignas(64) WorkerTelemetry {
   [[nodiscard]] const FlightRing& ring() const noexcept { return ring_; }
   [[nodiscard]] std::size_t id() const noexcept { return id_; }
 
-  /// If the calling thread currently owns this slot, close the live phase
-  /// slice so phase totals are exact up to now (used before reading the
-  /// profile into a CheckerResult mid-binding).
-  void flush_if_current() noexcept;
-
  private:
   friend class Telemetry;
 
   void bind() noexcept;
   void unbind() noexcept;
   void publish_phases() noexcept;
+
+  static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) noexcept {
+    c.store(c.load(std::memory_order_relaxed) + n,
+            std::memory_order_relaxed);
+  }
 
   /// Phase-total publication cadence, in slices. The hot path must not
   /// touch atomics (a relaxed RMW is ~7ns and a boundary fires ~30 times

@@ -657,6 +657,30 @@ TEST(CheckpointPeriodic, TinyIntervalWritesMoreThanTheHaltSnapshot) {
   EXPECT_TRUE(b.valid) << b.error;
   EXPECT_NE(a.sequence, b.sequence);
   drop_slots(path);
+
+  // A periodic barrier must not reorder pops: cut at half the exhaustive
+  // count (677), BFS and seeded-random runs that checkpoint at every poll
+  // stop on the same counts as the same runs without checkpointing.
+  for (const FrontierKind kind : {FrontierKind::kBfs, FrontierKind::kRandom}) {
+    SCOPED_TRACE(frontier_name(kind));
+    CheckerOptions plain;
+    plain.stop_at_first_violation = false;
+    plain.frontier = kind;
+    plain.frontier_seed = 7;
+    plain.max_transitions = 677 / 2;
+    const CheckerResult ref = run_once(ns.make(), plain);
+    CheckerOptions periodic = plain;
+    periodic.checkpoint_path = path;
+    periodic.checkpoint_interval_seconds = 1e-9;
+    const CheckerResult cut = run_once(ns.make(), periodic);
+    EXPECT_EQ(cut.hit_limit, LimitReason::kTransitions);
+    EXPECT_GT(cut.durability.checkpoints_written, 1u);
+    EXPECT_EQ(cut.transitions, ref.transitions);
+    EXPECT_EQ(cut.unique_states, ref.unique_states);
+    EXPECT_EQ(cut.revisits, ref.revisits);
+    EXPECT_EQ(cut.quiescent_states, ref.quiescent_states);
+    drop_slots(path);
+  }
 }
 
 }  // namespace

@@ -179,6 +179,19 @@ TEST(ParallelSearch, MultiThreadStopsAtFirstViolation) {
   EXPECT_FALSE(r.violations.front().trace.empty());
 }
 
+/// Half the exhaustive transition count of pyswitch_ping_chain(2) (677):
+/// a cap at which the counts depend on the one-worker pop order.
+constexpr std::uint64_t kHalfPing2 = 677 / 2;
+
+void expect_counts(const CheckerResult& r, std::uint64_t transitions,
+                   std::uint64_t unique, std::uint64_t revisits,
+                   std::uint64_t quiescent) {
+  EXPECT_EQ(r.transitions, transitions);
+  EXPECT_EQ(r.unique_states, unique);
+  EXPECT_EQ(r.revisits, revisits);
+  EXPECT_EQ(r.quiescent_states, quiescent);
+}
+
 TEST(ParallelSearch, BfsFrontierCountEquivalent) {
   const CheckerResult dfs =
       run_with(apps::pyswitch_ping_chain(2), CheckerOptions{});
@@ -189,6 +202,12 @@ TEST(ParallelSearch, BfsFrontierCountEquivalent) {
   EXPECT_EQ(bfs.transitions, dfs.transitions);
   EXPECT_EQ(bfs.revisits, dfs.revisits);
   EXPECT_TRUE(bfs.exhausted);
+
+  // Truncated, the counts pin the FIFO pop order itself.
+  opt.max_transitions = kHalfPing2;
+  const CheckerResult half = run_with(apps::pyswitch_ping_chain(2), opt);
+  EXPECT_EQ(half.hit_limit, LimitReason::kTransitions);
+  expect_counts(half, 338, 207, 132, 0);
 }
 
 TEST(ParallelSearch, RandomFrontierCountEquivalentAndSeedStable) {
@@ -203,6 +222,12 @@ TEST(ParallelSearch, RandomFrontierCountEquivalentAndSeedStable) {
   EXPECT_EQ(a.transitions, dfs.transitions);
   EXPECT_EQ(a.transitions, b.transitions);  // same seed → same order
   EXPECT_TRUE(a.exhausted);
+
+  // Truncated, the counts pin the seeded pop order itself.
+  opt.max_transitions = kHalfPing2;
+  const CheckerResult half = run_with(apps::pyswitch_ping_chain(2), opt);
+  EXPECT_EQ(half.hit_limit, LimitReason::kTransitions);
+  expect_counts(half, 338, 233, 106, 1);
 }
 
 TEST(ParallelSearch, BfsFindsShortestCounterexample) {
@@ -320,7 +345,7 @@ TEST(ParallelSearch, HandoffSpreadsWorkFromOneRoot) {
   const SearchCore core(s.config, opt, executor, seen, discovery,
                         /*packet_keys=*/false, /*collapse=*/nullptr,
                         /*fp_memo=*/nullptr, &telem);
-  const CheckerResult r = run_parallel(core, opt.threads);
+  const CheckerResult r = run_search(core, opt.threads);
   ASSERT_TRUE(r.exhausted);
 
   CheckerOptions seq_opt = opt;

@@ -83,25 +83,29 @@ TEST(Progress, CleanFinishLeavesNoFlightDump) {
 }
 
 TEST(Progress, TruncatedRunDumpsFlightRecorder) {
-  auto s = apps::pyswitch_bug2();
-  CheckerOptions opt;
-  opt.stop_at_first_violation = false;
-  opt.telemetry = true;
-  opt.max_transitions = 50;
-  Checker checker(s.config, opt, s.properties);
-  const CheckerResult r = checker.run();
-  ASSERT_EQ(r.hit_limit, LimitReason::kTransitions);
-  ASSERT_FALSE(r.telemetry.flight.empty());
-  // The dump ends with the limit event, preceded by expanded transitions.
-  bool saw_limit = false;
-  bool saw_expand = false;
-  for (const std::string& line : r.telemetry.flight) {
-    saw_limit = saw_limit ||
-                line.find("halt transitions") != std::string::npos;
-    saw_expand = saw_expand || line.find("expand") != std::string::npos;
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto s = apps::pyswitch_bug2();
+    CheckerOptions opt;
+    opt.stop_at_first_violation = false;
+    opt.telemetry = true;
+    opt.max_transitions = 50;
+    opt.threads = threads;
+    Checker checker(s.config, opt, s.properties);
+    const CheckerResult r = checker.run();
+    ASSERT_EQ(r.hit_limit, LimitReason::kTransitions);
+    ASSERT_FALSE(r.telemetry.flight.empty());
+    // The dump holds the limit event, recorded once at any thread
+    // count, and the expanded transitions before it.
+    int limits = 0;
+    bool saw_expand = false;
+    for (const std::string& line : r.telemetry.flight) {
+      if (line.find("halt transitions") != std::string::npos) ++limits;
+      saw_expand = saw_expand || line.find("expand") != std::string::npos;
+    }
+    EXPECT_EQ(limits, 1);
+    EXPECT_TRUE(saw_expand);
   }
-  EXPECT_TRUE(saw_limit);
-  EXPECT_TRUE(saw_expand);
 }
 
 TEST(Progress, TelemetryOffCostsNothingInTheResult) {
