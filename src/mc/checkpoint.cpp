@@ -389,7 +389,7 @@ bool Durability::save(const SearchCore& core, const Snapshot& snap) {
     serialize_sleep_set(s, n->sleep);
   }
 
-  const std::string payload = s.take();
+  const std::string_view payload = s.view();
   const bool slot_a = sequence_ % 2 == 1;
   const std::string slot = slot_a
                                ? checkpoint_slot_a(options_.checkpoint_path)

@@ -83,14 +83,14 @@ std::string SearchCore::state_key(const SystemState& state) const {
   }
   if (seen_.mode() == util::ShardedSeenSet::Mode::kFullState) {
     // Serialize with each changed component's bytes + hash memoized in
-    // one pass, assembling the blob pre-sized to the previous state's
-    // length. The blob itself is the store key, so collisions can never
-    // merge states.
-    util::Ser s;
-    s.reserve(last_blob_size_.load(std::memory_order_relaxed));
+    // one pass, assembling the blob in a per-thread buffer that has grown
+    // to the workload's state size, so the key is one exact-size copy.
+    // The blob itself is the store key, so collisions can never merge
+    // states.
+    thread_local util::Ser s;  // clear() keeps capacity across calls
+    s.clear();
     state.serialize(s, canon);
-    last_blob_size_.store(s.size(), std::memory_order_relaxed);
-    return s.take();
+    return std::string(s.view());
   }
   return state.collapse_key(*collapse_, canon);
 }
@@ -285,18 +285,20 @@ std::vector<SearchNode> SearchCore::init(CheckerResult& result) const {
 
 SearchCore::Expansion SearchCore::expand(const SearchNode& node) const {
   Expansion out;
-
-  SystemState next = [&node] {
-    const util::PhaseScope ps(util::Phase::kClone);
-    return node.state->clone();
-  }();
-  std::vector<Violation> violations;
-  executor_.apply(next, node.transition, violations);
-
   auto path = std::make_shared<const PathNode>(
       PathNode{node.path, node.transition});
 
+  // Sibling stages, one clock read per boundary; the executor's and the
+  // store's own scopes find their phase already running and read none.
+  util::PhaseMarks phases;
+  phases.mark(util::Phase::kClone);
+  SystemState next = node.state->clone();
+  phases.mark(util::Phase::kApply);
+  std::vector<Violation> violations;
+  executor_.apply(next, node.transition, violations);
+
   if (!violations.empty()) {
+    phases.mark(util::Phase::kOther);
     out.transition_violated = true;
     const auto trace = trace_of(path);
     out.violations.reserve(violations.size());
@@ -306,8 +308,9 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node) const {
     return out;  // do not remember or expand beyond an erroneous state
   }
 
+  phases.mark(util::Phase::kRemember);
   if (reduce_) {
-    expand_reduced(out, std::move(next), node, std::move(path));
+    expand_reduced(out, std::move(next), node, std::move(path), phases);
     return out;
   }
 
@@ -316,8 +319,10 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node) const {
 
   if (node.depth >= options_.max_depth) return out;
 
-  auto ts = apply_strategy(options_.strategy, cfg_, next,
-                           executor_.enabled(next, discovery_));
+  phases.mark(util::Phase::kEnabled);
+  std::vector<Transition> enabled = executor_.enabled(next, discovery_);
+  phases.mark(util::Phase::kOther);
+  auto ts = apply_strategy(options_.strategy, cfg_, next, std::move(enabled));
   if (ts.empty()) {
     out.quiescent = true;
     check_quiescence(next, path, out.violations);
@@ -335,7 +340,8 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node) const {
 
 void SearchCore::expand_reduced(Expansion& out, SystemState&& next,
                                 const SearchNode& node,
-                                std::shared_ptr<const PathNode> path) const {
+                                std::shared_ptr<const PathNode> path,
+                                util::PhaseMarks& phases) const {
   const util::ShardedSeenSet::Arrival at =
       arrive(next, slept_hashes(node.sleep));
   out.new_state = at.first;
@@ -343,8 +349,10 @@ void SearchCore::expand_reduced(Expansion& out, SystemState&& next,
   if (!at.first && at.explore.empty()) return;  // pure revisit
   if (node.depth >= options_.max_depth) return;
 
-  auto ts = apply_strategy(options_.strategy, cfg_, next,
-                           executor_.enabled(next, discovery_));
+  phases.mark(util::Phase::kEnabled);
+  std::vector<Transition> enabled = executor_.enabled(next, discovery_);
+  phases.mark(util::Phase::kOther);
+  auto ts = apply_strategy(options_.strategy, cfg_, next, std::move(enabled));
   if (ts.empty()) {
     // Quiescence is a state predicate on the strategy-filtered enabled
     // set, never affected by sleep filtering; check it once (first

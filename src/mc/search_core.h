@@ -448,7 +448,8 @@ class SearchCore {
   /// sleep-filtered child enumeration and sleep inheritance.
   void expand_reduced(Expansion& out, SystemState&& next,
                       const SearchNode& node,
-                      std::shared_ptr<const PathNode> path) const;
+                      std::shared_ptr<const PathNode> path,
+                      util::PhaseMarks& phases) const;
 
   /// Record an arrival at `state` carrying the sorted, duplicate-free
   /// slept transition hashes `slept` (empty outside reduction) in the
@@ -490,12 +491,6 @@ class SearchCore {
   por::FootprintMemo* fp_memo_;
   util::Telemetry* telem_;
   const SymContext* sym_;
-  /// Pre-sizing hint for full-state blobs: the previous remembered state's
-  /// serialized length. Per-core (a core serves one search), so concurrent
-  /// searches in one process never cross-pollinate their hints; relaxed
-  /// atomic because parallel workers of the same search update it
-  /// concurrently and any of their values is a fine hint.
-  mutable std::atomic<std::size_t> last_blob_size_{0};
 };
 
 }  // namespace nicemc::mc

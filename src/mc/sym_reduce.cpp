@@ -76,6 +76,7 @@ struct SymContext::Scratch {
   std::vector<std::uint32_t> emit;  // host emission order
   util::Renamer rn;                 // the chosen permutation
   util::Ser assign;                 // assign-pass bytes
+  util::Ser blob;                   // frozen-pass bytes: the canonical blob
   std::vector<std::pair<std::size_t, std::size_t>> assign_bounds;
   std::vector<bool> assign_only;  // component took an assign-only branch
   std::vector<std::pair<std::size_t, std::size_t>> bounds;  // final blob
@@ -379,8 +380,8 @@ SymKey SymContext::canonical_key(const SystemState& state,
   // (finalize_uids only maps uids nobody looked up), so its assign-pass
   // bytes are final and are reused; only the others are serialized again.
   rn.uid_mode = util::Renamer::UidMode::kFrozen;
-  util::Ser blob;
-  blob.reserve(sc.assign.size());
+  util::Ser& blob = sc.blob;
+  blob.clear();
   sc.bounds.clear();
   {
     const util::Renamer::Scope scope(&rn);
@@ -402,7 +403,7 @@ SymKey SymContext::canonical_key(const SystemState& state,
   SymKey out;
   out.hash = blob.hash();
   if (table == nullptr) {
-    out.key = blob.take();
+    out.key = std::string(blob.view());
     return out;
   }
 

@@ -251,16 +251,45 @@ void Switch::name_buffers(util::Renamer* rn) const {
   if (!util::rn_canonical(rn) || buffer.empty() || !rn->buffer.empty()) {
     return;  // nothing to name, or named already
   }
-  std::vector<std::pair<std::string, std::uint32_t>> entries;
-  entries.reserve(buffer.size());
-  for (const auto& [bid, bp] : buffer) {
-    util::Ser content;
-    bp.serialize(content);
-    entries.emplace_back(content.take(), bid);
+  if (buffer.size() == 1) {
+    // One entry ranks first whatever its content. Serializing it matters
+    // only for its side effects on a symmetry renamer: a uid-assigning
+    // one draws the packet's uids, a signature pass records member hits.
+    if (rn->uid_mode == util::Renamer::UidMode::kAssign ||
+        rn->hits != nullptr) {
+      thread_local util::Ser discard;
+      discard.clear();
+      buffer.begin()->second.serialize(discard);
+    }
+    rn->buffer.add(util::Renamer::sw_key(id, buffer.begin()->first), 1);
+    return;
   }
-  std::sort(entries.begin(), entries.end());
+  // Every entry's content back to back in one per-thread buffer, in id
+  // order (the order a uid-assigning renamer hands out their uids), then
+  // ranked by (content, id).
+  struct Entry {
+    std::size_t begin;
+    std::size_t end;
+    std::uint32_t bid;
+  };
+  thread_local util::Ser contents;
+  thread_local std::vector<Entry> entries;
+  contents.clear();
+  entries.clear();
+  for (const auto& [bid, bp] : buffer) {
+    const std::size_t begin = contents.size();
+    bp.serialize(contents);
+    entries.push_back(Entry{begin, contents.size(), bid});
+  }
+  const std::string_view all = contents.view();
+  std::sort(entries.begin(), entries.end(),
+            [all](const Entry& a, const Entry& b) {
+              const std::string_view ca = all.substr(a.begin, a.end - a.begin);
+              const std::string_view cb = all.substr(b.begin, b.end - b.begin);
+              return ca != cb ? ca < cb : a.bid < b.bid;
+            });
   for (std::uint32_t rank = 0; rank < entries.size(); ++rank) {
-    rn->buffer.add(util::Renamer::sw_key(id, entries[rank].second), rank + 1);
+    rn->buffer.add(util::Renamer::sw_key(id, entries[rank].bid), rank + 1);
   }
 }
 

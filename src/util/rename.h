@@ -359,10 +359,10 @@ class Renamer {
 /// `c`, in ascending order of name. A container keyed on identifiers keeps
 /// its own order while `renames` is false (its naming is the identity)
 /// and is re-sorted otherwise; names are distinct, as renaming is a
-/// bijection.
+/// bijection. Fewer than two elements need no sort and no allocation.
 template <typename C, typename Name, typename Emit>
 void for_each_named(const C& c, bool renames, Name&& name, Emit&& emit) {
-  if (!renames) {
+  if (!renames || c.size() < 2) {
     for (const auto& e : c) emit(name(e), e);
     return;
   }

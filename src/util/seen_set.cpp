@@ -1,6 +1,8 @@
 #include "util/seen_set.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 
 namespace nicemc::util {
 
@@ -18,10 +20,76 @@ Hash128 key_placement(std::string_view key) {
 /// magnitudes, not exact heap telemetry.
 constexpr std::uint64_t kRecordOverhead = 64;
 
-std::uint64_t entry_bytes(const Hash128& h) { return sizeof(h); }
-std::uint64_t entry_bytes(const std::string& key) { return key.size(); }
-
 }  // namespace
+
+// ---- HashSlots --------------------------------------------------------------
+
+void ShardedSeenSet::HashSlots::Free::operator()(Hash128* p) const noexcept {
+  std::free(p);
+}
+
+bool ShardedSeenSet::HashSlots::insert(const Hash128& h) {
+  if (empty_slot(h)) {
+    const bool fresh = !has_zero_;
+    has_zero_ = true;
+    return fresh;
+  }
+  if (!slots_) grow();
+  std::size_t i = home(h);
+  for (; !empty_slot(slots_[i]); i = (i + 1) & mask_) {
+    if (slots_[i] == h) return false;
+  }
+  if (4 * (used_ + 1) > 3 * capacity()) {
+    grow();
+    for (i = home(h); !empty_slot(slots_[i]); i = (i + 1) & mask_) {
+    }
+  }
+  slots_[i] = h;
+  ++used_;
+  return true;
+}
+
+bool ShardedSeenSet::HashSlots::contains(const Hash128& h) const {
+  if (empty_slot(h)) return has_zero_;
+  if (!slots_) return false;
+  for (std::size_t i = home(h);; i = (i + 1) & mask_) {
+    const Hash128& slot = slots_[i];
+    if (empty_slot(slot)) return false;
+    if (slot == h) return true;
+  }
+}
+
+void ShardedSeenSet::HashSlots::grow() {
+  constexpr unsigned kFirstLog2 = 6;  // 64 slots, 1 KiB
+  const unsigned lg = slots_ ? 64 - shift_ + 1 : kFirstLog2;
+  const std::size_t cap = std::size_t{1} << lg;
+  // calloc: large tables come zeroed from the OS, pages touched on use.
+  std::unique_ptr<Hash128[], Free> fresh(
+      static_cast<Hash128*>(std::calloc(cap, sizeof(Hash128))));
+  if (!fresh) throw std::bad_alloc();
+  const std::size_t old_cap = capacity();
+  std::unique_ptr<Hash128[], Free> old = std::move(slots_);
+  slots_ = std::move(fresh);
+  mask_ = cap - 1;
+  shift_ = 64 - lg;
+  for (std::size_t j = 0; j < old_cap; ++j) {
+    const Hash128& h = old[j];
+    if (empty_slot(h)) continue;
+    std::size_t i = home(h);
+    while (!empty_slot(slots_[i])) i = (i + 1) & mask_;
+    slots_[i] = h;
+  }
+}
+
+void ShardedSeenSet::HashSlots::clear() noexcept {
+  slots_.reset();
+  mask_ = 0;
+  shift_ = 64;
+  used_ = 0;
+  has_zero_ = false;
+}
+
+// ---- ShardedSeenSet ---------------------------------------------------------
 
 ShardedSeenSet::ShardedSeenSet(Mode mode, std::size_t shards)
     : mode_(mode), select_(shards) {
@@ -31,23 +99,23 @@ ShardedSeenSet::ShardedSeenSet(Mode mode, std::size_t shards)
   }
 }
 
-template <typename Set, typename Value>
+template <typename Records, typename Entry>
 ShardedSeenSet::Arrival ShardedSeenSet::arrive_locked(
-    Shard& s, Set& set, Value&& value, std::span<const std::uint64_t> slept) {
+    Shard& s, Records& records, const Entry& entry, bool inserted,
+    std::uint64_t entry_bytes, std::span<const std::uint64_t> slept) {
   Arrival out;
-  const auto [it, inserted] = set.insert(std::forward<Value>(value));
   if (inserted) {
     out.first = true;
-    s.bytes += entry_bytes(*it);
+    s.bytes += entry_bytes;
     if (!slept.empty()) {
-      s.slept.emplace(&*it,
+      records.emplace(entry,
                       std::vector<std::uint64_t>(slept.begin(), slept.end()));
       s.bytes += kRecordOverhead + slept.size() * sizeof(std::uint64_t);
     }
     return out;
   }
-  const auto rec = s.slept.find(&*it);
-  if (rec == s.slept.end()) return out;
+  const auto rec = records.find(entry);
+  if (rec == records.end()) return out;
 
   // Revisit: expand what every earlier arrival slept but this one does
   // not, and shrink the record to the intersection in place.
@@ -63,7 +131,7 @@ ShardedSeenSet::Arrival ShardedSeenSet::arrive_locked(
   stored.resize(kept);
   s.bytes -= out.explore.size() * sizeof(std::uint64_t);
   if (stored.empty()) {
-    s.slept.erase(rec);
+    records.erase(rec);
     s.bytes -= kRecordOverhead;
   }
   return out;
@@ -73,14 +141,18 @@ ShardedSeenSet::Arrival ShardedSeenSet::arrive(
     const Hash128& h, std::span<const std::uint64_t> slept) {
   Shard& s = shard_of(h);
   std::lock_guard<std::mutex> lock(s.mu);
-  return arrive_locked(s, s.hashes, h, slept);
+  const bool inserted = s.hashes.insert(h);
+  return arrive_locked(s, s.slept_hashes, h, inserted, sizeof(Hash128),
+                       slept);
 }
 
 ShardedSeenSet::Arrival ShardedSeenSet::arrive(
     std::string key, std::span<const std::uint64_t> slept) {
   Shard& s = shard_of(key_placement(key));
   std::lock_guard<std::mutex> lock(s.mu);
-  return arrive_locked(s, s.keys, std::move(key), slept);
+  const auto [it, inserted] = s.keys.insert(std::move(key));
+  const void* entry = &*it;
+  return arrive_locked(s, s.slept_keys, entry, inserted, it->size(), slept);
 }
 
 std::uint64_t ShardedSeenSet::size() const {
@@ -106,31 +178,36 @@ void ShardedSeenSet::serialize(Ser& s) const {
     s.put_u64(h.lo);
     s.put_u64(h.hi);
   };
+  const auto put_record = [&s](const std::vector<std::uint64_t>& hashes) {
+    s.put_u64(hashes.size());
+    for (const std::uint64_t th : hashes) s.put_u64(th);
+  };
   s.put_u8(static_cast<std::uint8_t>(mode_));
   s.put_u64(size());
   std::uint64_t records = 0;
   for (const auto& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh->mu);
-    for (const Hash128& h : sh->hashes) put_hash(h);
+    sh->hashes.for_each(put_hash);
     for (const std::string& k : sh->keys) s.put_str(k);
-    records += sh->slept.size();
+    records += sh->slept_hashes.size() + sh->slept_keys.size();
   }
   s.put_u64(records);
   for (const auto& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh->mu);
-    for (const auto& [entry, hashes] : sh->slept) {
-      if (mode_ == Mode::kHash) {
-        put_hash(*static_cast<const Hash128*>(entry));
-      } else {
-        s.put_str(*static_cast<const std::string*>(entry));
-      }
-      s.put_u64(hashes.size());
-      for (const std::uint64_t th : hashes) s.put_u64(th);
+    for (const auto& [h, hashes] : sh->slept_hashes) {
+      put_hash(h);
+      put_record(hashes);
+    }
+    for (const auto& [entry, hashes] : sh->slept_keys) {
+      s.put_str(*static_cast<const std::string*>(entry));
+      put_record(hashes);
     }
   }
 }
 
-bool ShardedSeenSet::restore_record(Des& d, Shard& s, const void* entry) {
+template <typename Records, typename Entry>
+bool ShardedSeenSet::restore_record(Des& d, Shard& s, Records& records,
+                                    const Entry& entry) {
   const std::uint64_t n = d.get_count(sizeof(std::uint64_t));
   if (n == 0) d.fail();  // only non-empty records are ever stored
   std::vector<std::uint64_t> hashes;
@@ -140,7 +217,7 @@ bool ShardedSeenSet::restore_record(Des& d, Shard& s, const void* entry) {
     // Sorted and duplicate-free, as arrive() keeps them.
     if (i > 0 && hashes[i] <= hashes[i - 1]) d.fail();
   }
-  if (!d.ok() || !s.slept.emplace(entry, std::move(hashes)).second) {
+  if (!d.ok() || !records.emplace(entry, std::move(hashes)).second) {
     return false;  // malformed, or a second record for one entry
   }
   s.bytes += kRecordOverhead + n * sizeof(std::uint64_t);
@@ -148,6 +225,7 @@ bool ShardedSeenSet::restore_record(Des& d, Shard& s, const void* entry) {
 }
 
 bool ShardedSeenSet::restore(Des& d) {
+  const bool hash_mode = mode_ == Mode::kHash;
   const auto get_hash = [&d] {
     Hash128 h;
     h.lo = d.get_u64();
@@ -155,11 +233,10 @@ bool ShardedSeenSet::restore(Des& d) {
     return h;
   };
   if (static_cast<Mode>(d.get_u8()) != mode_) d.fail();
-  const std::uint64_t n =
-      d.get_count(mode_ == Mode::kHash ? sizeof(Hash128) : 4);
+  const std::uint64_t n = d.get_count(hash_mode ? sizeof(Hash128) : 4);
   if (!d.ok()) return false;
   for (std::uint64_t i = 0; i < n; ++i) {
-    if (mode_ == Mode::kHash) {
+    if (hash_mode) {
       const Hash128 h = get_hash();
       if (!d.ok()) return false;
       insert(h);
@@ -169,23 +246,29 @@ bool ShardedSeenSet::restore(Des& d) {
       insert_key(std::string(k));
     }
   }
-  // Slept records: an entry + at least one hash each.
+  // Slept records: an entry + at least one hash each. A record must name
+  // a stored entry.
   const std::uint64_t records = d.get_count(
-      (mode_ == Mode::kHash ? sizeof(Hash128) : 4) + 2 * sizeof(std::uint64_t));
+      (hash_mode ? sizeof(Hash128) : 4) + 2 * sizeof(std::uint64_t));
   for (std::uint64_t i = 0; i < records && d.ok(); ++i) {
-    const bool hash_mode = mode_ == Mode::kHash;
-    const Hash128 h = hash_mode ? get_hash() : Hash128{};
-    const std::string k = hash_mode ? std::string() : std::string(d.get_str());
-    Shard& s = shard_of(hash_mode ? h : key_placement(k));
-    std::lock_guard<std::mutex> lock(s.mu);
-    const auto find = [](const auto& set, const auto& v) -> const void* {
-      const auto it = set.find(v);
-      return it == set.end() ? nullptr : &*it;
-    };
-    // A record must name a stored entry.
-    const void* entry = hash_mode ? find(s.hashes, h) : find(s.keys, k);
-    if (!d.ok() || entry == nullptr || !restore_record(d, s, entry)) {
-      return false;
+    if (hash_mode) {
+      const Hash128 h = get_hash();
+      Shard& s = shard_of(h);
+      std::lock_guard<std::mutex> lock(s.mu);
+      if (!d.ok() || !s.hashes.contains(h) ||
+          !restore_record(d, s, s.slept_hashes, h)) {
+        return false;
+      }
+    } else {
+      const std::string k(d.get_str());
+      Shard& s = shard_of(key_placement(k));
+      std::lock_guard<std::mutex> lock(s.mu);
+      const auto it = s.keys.find(k);
+      if (!d.ok() || it == s.keys.end() ||
+          !restore_record(d, s, s.slept_keys,
+                          static_cast<const void*>(&*it))) {
+        return false;
+      }
     }
   }
   return d.ok();
@@ -196,7 +279,8 @@ void ShardedSeenSet::clear() {
     std::lock_guard<std::mutex> lock(s->mu);
     s->hashes.clear();
     s->keys.clear();
-    s->slept.clear();
+    s->slept_hashes.clear();
+    s->slept_keys.clear();
     s->bytes = 0;
   }
 }

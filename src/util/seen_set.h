@@ -1,14 +1,16 @@
 // Sharded explored-state store for the model checker.
 //
 // The search remembers which system states it has visited. A single global
-// unordered_set serializes every worker on one lock, so the store is split
-// into N lock-striped shards selected by the top bits of the state's
-// Hash128 — concurrent inserts of different states almost never contend.
-// Three modes span the memory/soundness trade-off (paper Section 6 +
-// SPIN's COLLAPSE):
+// set serializes every worker on one lock, so the store is split into N
+// lock-striped shards selected by the top bits of the state's Hash128 —
+// concurrent inserts of different states almost never contend. Three
+// modes span the memory/soundness trade-off (paper Section 6 + SPIN's
+// COLLAPSE):
 //   * kHash      — store 16-byte hashes (NICE's "trading computation for
 //                  memory"); a vanishingly small but nonzero chance of
-//                  merging distinct states;
+//                  merging distinct states. Each shard keeps them in one
+//                  flat open-addressing table (HashSlots), allocated on
+//                  the first insert, with no per-state node;
 //   * kFullState — store the canonical serialized state bytes (the
 //                  SPIN-like baseline), keyed by the full blob so hash
 //                  collisions can never merge distinct states;
@@ -135,7 +137,7 @@ class ShardedSeenSet {
   /// Checkpoint section: entry count + every entry (16-byte hashes in
   /// hash mode, length-prefixed keys otherwise), then record count +
   /// every slept record (its entry, hash count, hashes). Iteration order
-  /// is shard-then-bucket order — placement on restore is re-derived, so
+  /// is shard-then-slot order — placement on restore is re-derived, so
   /// the order carries no meaning. Not safe against concurrent inserts
   /// (the drivers quiesce before snapshotting).
   void serialize(Ser& s) const;
@@ -149,25 +151,77 @@ class ShardedSeenSet {
   void clear();
 
  private:
+  /// kHash entries of one shard: a linear-probing table of 16-byte
+  /// slots, sized to a power of two on the first insert and doubled past
+  /// 3/4 load. {0,0} marks an empty slot, so the hash {0,0} itself is
+  /// kept in a flag. The slot comes from the Fibonacci hash of lo ^ hi,
+  /// not from hi's top bits, which ShardSelect spends on the shard.
+  /// Slots move on growth: nothing may hold a slot's address.
+  class HashSlots {
+   public:
+    /// True when `h` was not present (it is now).
+    bool insert(const Hash128& h);
+    [[nodiscard]] bool contains(const Hash128& h) const;
+    [[nodiscard]] std::size_t size() const noexcept {
+      return used_ + (has_zero_ ? 1 : 0);
+    }
+    /// f(h) for every entry, in slot order.
+    template <typename F>
+    void for_each(F&& f) const {
+      if (has_zero_) f(Hash128{});
+      for (std::size_t i = 0; i < capacity(); ++i) {
+        if (!empty_slot(slots_[i])) f(slots_[i]);
+      }
+    }
+    void clear() noexcept;
+
+   private:
+    struct Free {
+      void operator()(Hash128* p) const noexcept;
+    };
+    static bool empty_slot(const Hash128& h) noexcept {
+      return h.lo == 0 && h.hi == 0;
+    }
+    [[nodiscard]] std::size_t capacity() const noexcept {
+      return slots_ ? mask_ + 1 : 0;
+    }
+    [[nodiscard]] std::size_t home(const Hash128& h) const noexcept {
+      return static_cast<std::size_t>(
+          ((h.lo ^ h.hi) * 0x9e3779b97f4a7c15ULL) >> shift_);
+    }
+    void grow();
+
+    std::unique_ptr<Hash128[], Free> slots_;  // zeroed: all empty
+    std::size_t mask_{0};
+    unsigned shift_{64};
+    std::size_t used_{0};  // occupied slots
+    bool has_zero_{false};
+  };
+
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_set<Hash128> hashes;
+    HashSlots hashes;                      // kHash
     std::unordered_set<std::string> keys;  // blobs or id tuples, by mode
-    /// Slept records, keyed by the address of the entry they belong to
-    /// (an element of `hashes` or `keys`; unordered_set nodes never move,
-    /// not even on a rehash), so the identity is stored once. Holds only
-    /// non-empty records: a search without reduction keeps this empty and
-    /// pays no byte per entry for it.
-    std::unordered_map<const void*, std::vector<std::uint64_t>> slept;
+    /// Slept records, each keyed by its entry so the identity is stored
+    /// once: by hash value in kHash mode (slots move as the table grows)
+    /// and by the address of the element of `keys` otherwise
+    /// (unordered_set nodes never move, not even on a rehash). Hold only
+    /// non-empty records: a search without reduction keeps these empty
+    /// and pays no byte per entry for them.
+    std::unordered_map<Hash128, std::vector<std::uint64_t>> slept_hashes;
+    std::unordered_map<const void*, std::vector<std::uint64_t>> slept_keys;
     std::uint64_t bytes{0};
   };
 
-  /// arrive() under `s`'s lock, for the entry `value` of `set`.
-  template <typename Set, typename Value>
-  Arrival arrive_locked(Shard& s, Set& set, Value&& value,
+  /// The rest of an arrival under the shard lock, once the entry is
+  /// stored (`inserted`: it was new) and keyed `entry` in `records`.
+  template <typename Records, typename Entry>
+  Arrival arrive_locked(Shard& s, Records& records, const Entry& entry,
+                        bool inserted, std::uint64_t entry_bytes,
                         std::span<const std::uint64_t> slept);
   /// Restore one slept record of serialize()'s section for `entry`.
-  bool restore_record(Des& d, Shard& s, const void* entry);
+  template <typename Records, typename Entry>
+  bool restore_record(Des& d, Shard& s, Records& records, const Entry& entry);
 
   [[nodiscard]] Shard& shard_of(const Hash128& h) const {
     return *shards_[select_.index(h)];

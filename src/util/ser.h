@@ -7,14 +7,20 @@
 // serializations are byte-identical, so serializers must write data in a
 // canonical order (e.g. std::map iteration, canonically sorted flow tables).
 //
-// The buffer is std::string-backed so a finished serialization can be moved
-// out with take() — straight into the full-state seen-set — without a copy,
-// and so append() of a cached component form is a single memcpy.
+// Ser is a cursor over its own storage: every put_* is one bounds check
+// and a direct store through the cursor (building state keys is mostly
+// these puts), and the storage grows geometrically without zero-filling.
+// The first kInline bytes live inside the object, so a fresh short-lived
+// Ser (a transition hash, a collapse key) allocates nothing. take()
+// copies the bytes out into a std::string; hot paths hash view()/bytes()
+// in place, or copy once from a reused per-thread Ser.
 #ifndef NICE_UTIL_SER_H
 #define NICE_UTIL_SER_H
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <span>
@@ -30,27 +36,41 @@ namespace nicemc::util {
 /// Append-only canonical byte buffer.
 class Ser {
  public:
-  void put_u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  Ser() noexcept {}  // user-provided: Ser{} must not zero the inline buffer
+  ~Ser() { release(); }
+  Ser(const Ser&) = delete;
+  Ser& operator=(const Ser&) = delete;
 
-  // Multi-byte integers are big-endian. Each writes its whole word with
-  // one append: byte-at-a-time push_back dominated state-key building.
-  void put_u16(std::uint16_t v) { put_be<2>(v); }
-  void put_u32(std::uint32_t v) { put_be<4>(v); }
-  void put_u64(std::uint64_t v) { put_be<8>(v); }
+  [[gnu::always_inline]] void put_u8(std::uint8_t v) {
+    char* p = room(1);
+    *p = static_cast<char>(v);
+    cur_ = p + 1;
+  }
 
-  void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
+  // Multi-byte integers are big-endian, written as one word store. The
+  // puts are forced inline: in the big serializers the inliner would
+  // otherwise leave each one an out-of-line call.
+  [[gnu::always_inline]] void put_u16(std::uint16_t v) { put_be(v); }
+  [[gnu::always_inline]] void put_u32(std::uint32_t v) { put_be(v); }
+  [[gnu::always_inline]] void put_u64(std::uint64_t v) { put_be(v); }
 
-  void put_bool(bool v) { put_u8(v ? 1 : 0); }
+  [[gnu::always_inline]] void put_i64(std::int64_t v) {
+    put_u64(static_cast<std::uint64_t>(v));
+  }
+
+  [[gnu::always_inline]] void put_bool(bool v) { put_u8(v ? 1 : 0); }
 
   /// Length-prefixed string (prevents ambiguity between adjacent fields).
   void put_str(std::string_view s) {
     put_u32(static_cast<std::uint32_t>(s.size()));
-    buf_.append(s);
+    append(s);
   }
 
   /// Tag byte for discriminating variants / sections; improves hash quality
   /// and debuggability of canonical forms.
-  void put_tag(char c) { put_u8(static_cast<std::uint8_t>(c)); }
+  [[gnu::always_inline]] void put_tag(char c) {
+    put_u8(static_cast<std::uint8_t>(c));
+  }
 
   template <typename T>
   void put_vec(const std::vector<T>& v, void (*f)(Ser&, const T&)) {
@@ -74,43 +94,81 @@ class Ser {
   }
 
   /// Bulk-append raw bytes (e.g. a memoized component serialization).
-  void append(std::string_view bytes) { buf_.append(bytes); }
+  void append(std::string_view bytes) {
+    if (bytes.empty()) return;
+    char* p = room(bytes.size());
+    std::memcpy(p, bytes.data(), bytes.size());
+    cur_ = p + bytes.size();
+  }
   void append(std::span<const std::byte> bytes) {
-    buf_.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+    append(std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                            bytes.size()));
   }
 
   /// Pre-size the buffer so repeated puts do not regrow it.
-  void reserve(std::size_t n) { buf_.reserve(n); }
+  void reserve(std::size_t n) {
+    if (n > capacity()) grow_to(n);
+  }
 
   [[nodiscard]] std::span<const std::byte> bytes() const noexcept {
-    return {reinterpret_cast<const std::byte*>(buf_.data()), buf_.size()};
+    return {reinterpret_cast<const std::byte*>(base_), size()};
   }
-  [[nodiscard]] std::string_view view() const noexcept { return buf_; }
-  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  [[nodiscard]] std::string_view view() const noexcept {
+    return {base_, size()};
+  }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return static_cast<std::size_t>(cur_ - base_);
+  }
   [[nodiscard]] Hash128 hash() const noexcept { return hash128(bytes()); }
 
-  /// Move the accumulated bytes out, leaving the buffer empty (and its
-  /// capacity surrendered with it). The caller owns the returned string —
-  /// no copy is made.
-  [[nodiscard]] std::string take() noexcept {
-    std::string out = std::move(buf_);
-    buf_.clear();  // moved-from state is unspecified; make it empty again
+  /// The accumulated bytes as a string, leaving the buffer empty (its
+  /// capacity is kept for reuse).
+  [[nodiscard]] std::string take() {
+    std::string out(view());
+    clear();
     return out;
   }
 
-  void clear() noexcept { buf_.clear(); }
+  void clear() noexcept { cur_ = base_; }
 
  private:
-  template <std::size_t N>
-  void put_be(std::uint64_t v) {
-    char b[N];
-    for (std::size_t i = 0; i < N; ++i) {
-      b[i] = static_cast<char>(v >> (8 * (N - 1 - i)));
-    }
-    buf_.append(b, N);
+  static constexpr std::size_t kInline = 128;
+
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return static_cast<std::size_t>(end_ - base_);
   }
 
-  std::string buf_;
+  /// Where the next `n` bytes go (the caller advances cur_ past them).
+  [[gnu::always_inline]] char* room(std::size_t n) {
+    if (static_cast<std::size_t>(end_ - cur_) < n) grow_to(size() + n);
+    return cur_;
+  }
+
+  /// Out-of-line slow path: capacity ≥ max(need, 2 × capacity), keeping
+  /// the bytes written so far (new storage is not zero-filled).
+  void grow_to(std::size_t need);
+
+  void release() noexcept {
+    if (base_ != inline_) delete[] base_;
+  }
+
+  template <typename U>
+  [[gnu::always_inline]] void put_be(U v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      if constexpr (sizeof(U) == 2) v = __builtin_bswap16(v);
+      if constexpr (sizeof(U) == 4) v = __builtin_bswap32(v);
+      if constexpr (sizeof(U) == 8) v = __builtin_bswap64(v);
+    }
+    char* p = room(sizeof(U));
+    std::memcpy(p, &v, sizeof(U));
+    cur_ = p + sizeof(U);
+  }
+
+  // The cursors start on the inline buffer.
+  char inline_[kInline];
+  char* base_{inline_};
+  char* cur_{inline_};
+  char* end_{inline_ + kInline};
 };
 
 /// Hash any serializable object in one call.

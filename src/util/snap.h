@@ -96,11 +96,12 @@ class Snap {
     std::lock_guard<std::mutex> lock(n.mu);
     std::optional<CanonForm>& slot = n.form[canonical ? 1 : 0];
     if (!slot) {
-      Ser s;
-      serialize_value(n, s, canonical);
+      thread_local Ser scratch;  // clear() keeps capacity across calls
+      scratch.clear();
+      serialize_value(n, scratch, canonical);
       CanonForm cf;
-      cf.hash = s.hash();
-      cf.bytes = s.take();
+      cf.hash = scratch.hash();
+      cf.bytes = std::string(scratch.view());
       slot.emplace(std::move(cf));
     }
     return *slot;

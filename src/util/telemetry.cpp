@@ -95,20 +95,21 @@ std::vector<FlightEvent> FlightRing::events() const {
 Phase WorkerTelemetry::switch_phase(Phase p) noexcept {
   const std::uint64_t now = read_ticks();
   const std::uint64_t dt = now - phase_start_tick_;
-  const auto ns =
-      static_cast<std::uint64_t>(static_cast<double>(dt) * ns_per_tick_);
-  // Plain owner-only accumulation: the boundary costs the TSC read plus a
-  // handful of arithmetic ops, no atomics (see kPublishStride).
-  PhaseStat& ph = local_[static_cast<std::size_t>(current_)];
+  // Plain owner-only accumulation of raw ticks: the boundary costs the
+  // TSC read, one integer multiply for the histogram bucket and a handful
+  // of adds, no atomics (see kPublishStride) and no double conversion.
+  TickStat& ph = local_[static_cast<std::size_t>(current_)];
   ph.count += 1;
-  ph.total_ns += ns;
+  ph.ticks += dt;
+  const auto ns = static_cast<std::uint64_t>(
+      (static_cast<unsigned __int128>(dt) * ns_per_tick_q32_) >> 32);
   ph.buckets[log2_bucket(ns)] += 1;
   const Phase prev = current_;
   current_ = p;
   phase_start_tick_ = now;
-  // The ≥1ms clause keeps rare long slices (idle waits, checkpoint
+  // The long-slice clause keeps rare long slices (idle waits, checkpoint
   // writes) visible to the reporter without waiting out the stride.
-  if (++slices_since_publish_ >= kPublishStride || ns >= 1000000) {
+  if (++slices_since_publish_ >= kPublishStride || dt >= long_slice_ticks_) {
     publish_phases();
   }
   return prev;
@@ -117,19 +118,30 @@ Phase WorkerTelemetry::switch_phase(Phase p) noexcept {
 void WorkerTelemetry::publish_phases() noexcept {
   slices_since_publish_ = 0;
   for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    pub_ns_[p].store(local_[p].total_ns, std::memory_order_relaxed);
+    pub_ns_[p].store(ticks_to_ns(local_[p].ticks), std::memory_order_relaxed);
   }
+}
+
+void WorkerTelemetry::set_calibration(double ns_per_tick,
+                                      std::uint64_t epoch_tick) noexcept {
+  ns_per_tick_ = ns_per_tick;
+  ns_per_tick_q32_ =
+      static_cast<std::uint64_t>(ns_per_tick * 4294967296.0 + 0.5);
+  long_slice_ticks_ = static_cast<std::uint64_t>(1e6 / ns_per_tick);
+  epoch_tick_ = epoch_tick;
 }
 
 void WorkerTelemetry::record_expand(std::uint32_t kind, std::uint32_t actor,
                                     std::uint32_t aux) noexcept {
+  // Stamped with the latest phase boundary's tick: expansions are
+  // bracketed by boundaries, so reading the clock again adds cost and no
+  // ordering information.
   FlightEvent e;
   e.kind = FlightEvent::Kind::kExpand;
   e.a = kind;
   e.b = actor;
   e.c = aux;
-  e.t_ns = static_cast<std::uint64_t>(
-      static_cast<double>(read_ticks() - epoch_tick_) * ns_per_tick_);
+  e.t_ns = ticks_to_ns(phase_start_tick_ - epoch_tick_);
   ring_.push(e);
 }
 
@@ -140,20 +152,23 @@ void WorkerTelemetry::record_event(FlightEvent::Kind kind,
   e.kind = kind;
   e.value = value;
   e.detail = detail;
-  e.t_ns = static_cast<std::uint64_t>(
-      static_cast<double>(read_ticks() - epoch_tick_) * ns_per_tick_);
+  e.t_ns = ticks_to_ns(read_ticks() - epoch_tick_);
   ring_.push(e);
 }
 
 PhaseStat WorkerTelemetry::phase(Phase p) const noexcept {
-  return local_[static_cast<std::size_t>(p)];
+  const TickStat& t = local_[static_cast<std::size_t>(p)];
+  PhaseStat out;
+  out.count = t.count;
+  out.total_ns = ticks_to_ns(t.ticks);
+  out.buckets = t.buckets;
+  return out;
 }
 
 std::uint64_t WorkerTelemetry::wall_ns() const noexcept {
   std::uint64_t ns = wall_ns_.load(std::memory_order_relaxed);
   if (bound_.load(std::memory_order_relaxed)) {
-    const std::uint64_t now_ns = static_cast<std::uint64_t>(
-        static_cast<double>(read_ticks() - epoch_tick_) * ns_per_tick_);
+    const std::uint64_t now_ns = ticks_to_ns(read_ticks() - epoch_tick_);
     const std::uint64_t bind = bind_ns_.load(std::memory_order_relaxed);
     if (now_ns > bind) ns += now_ns - bind;
   }
@@ -164,10 +179,7 @@ void WorkerTelemetry::bind() noexcept {
   const std::uint64_t now = read_ticks();
   phase_start_tick_ = now;
   current_ = Phase::kOther;
-  bind_ns_.store(
-      static_cast<std::uint64_t>(static_cast<double>(now - epoch_tick_) *
-                                 ns_per_tick_),
-      std::memory_order_relaxed);
+  bind_ns_.store(ticks_to_ns(now - epoch_tick_), std::memory_order_relaxed);
   bound_.store(true, std::memory_order_relaxed);
 }
 
@@ -175,8 +187,7 @@ void WorkerTelemetry::unbind() noexcept {
   // Close the live phase slice so phase totals equal the bound wall time.
   (void)switch_phase(Phase::kOther);
   publish_phases();
-  const std::uint64_t now_ns = static_cast<std::uint64_t>(
-      static_cast<double>(read_ticks() - epoch_tick_) * ns_per_tick_);
+  const std::uint64_t now_ns = ticks_to_ns(read_ticks() - epoch_tick_);
   const std::uint64_t bind = bind_ns_.load(std::memory_order_relaxed);
   if (now_ns > bind) {
     wall_ns_.fetch_add(now_ns - bind, std::memory_order_relaxed);
@@ -195,8 +206,7 @@ Telemetry::Telemetry(std::size_t workers) {
   slots_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     auto w = std::make_unique<WorkerTelemetry>();
-    w->ns_per_tick_ = ns_per_tick_;
-    w->epoch_tick_ = epoch_tick_;
+    w->set_calibration(ns_per_tick_, epoch_tick_);
     w->id_ = i;
     slots_.push_back(std::move(w));
   }

@@ -118,9 +118,12 @@ class Telemetry;
 /// is a valid snapshot).
 class alignas(64) WorkerTelemetry {
  public:
-  /// End the current phase slice (attributing it) and start `p`.
-  /// Returns the previous phase so scopes can restore it.
+  /// End the current phase slice (attributing it) and start `p`: one
+  /// clock read. Returns the previous phase so scopes can restore it.
   Phase switch_phase(Phase p) noexcept;
+
+  /// The phase the running slice is attributed to (owner thread only).
+  [[nodiscard]] Phase current() const noexcept { return current_; }
 
   // Owner-only writers, so a relaxed load plus store suffices: no
   // lock-prefixed RMW on the per-transition path (see kPublishStride).
@@ -134,9 +137,9 @@ class alignas(64) WorkerTelemetry {
   void record_event(FlightEvent::Kind kind, std::uint64_t value,
                     const char* detail) noexcept;
 
-  /// Exact per-phase aggregate. Owner-thread or post-join/flush reads
-  /// only (the fields are plain; the live reporter must use
-  /// published_phase_ns instead).
+  /// Exact per-phase aggregate, its raw ticks converted to ns here.
+  /// Owner-thread or post-join/flush reads only (the fields are plain;
+  /// the live reporter must use published_phase_ns instead).
   [[nodiscard]] PhaseStat phase(Phase p) const noexcept;
   /// Reporter-safe per-phase total: the atomic mirror the owner publishes
   /// every kPublishStride slices (and on any slice ≥ 1ms, so long idle
@@ -167,10 +170,25 @@ class alignas(64) WorkerTelemetry {
 
  private:
   friend class Telemetry;
+  friend class PhaseMarks;
+
+  /// One phase's owner-only accumulator: raw clock ticks, converted to
+  /// ns only when published or read. Buckets are by slice ns, as in
+  /// PhaseStat.
+  struct TickStat {
+    std::uint64_t count{0};
+    std::uint64_t ticks{0};
+    std::array<std::uint64_t, PhaseStat::kBuckets> buckets{};
+  };
 
   void bind() noexcept;
   void unbind() noexcept;
   void publish_phases() noexcept;
+  void set_calibration(double ns_per_tick, std::uint64_t epoch_tick) noexcept;
+  [[nodiscard]] std::uint64_t ticks_to_ns(std::uint64_t ticks) const noexcept {
+    return static_cast<std::uint64_t>(static_cast<double>(ticks) *
+                                      ns_per_tick_);
+  }
 
   static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) noexcept {
     c.store(c.load(std::memory_order_relaxed) + n,
@@ -185,11 +203,17 @@ class alignas(64) WorkerTelemetry {
 
   // Owner-thread-only hot state.
   Phase current_{Phase::kOther};
+  bool marking_{false};  // a PhaseMarks run is open (see PhaseMarks)
   std::uint64_t phase_start_tick_{0};
   double ns_per_tick_{1.0};
+  /// ns_per_tick_ in 32.32 fixed point: a slice's histogram bucket costs
+  /// one integer multiply, not a double conversion.
+  std::uint64_t ns_per_tick_q32_{std::uint64_t{1} << 32};
+  /// Slices at least this long (1 ms) publish at once.
+  std::uint64_t long_slice_ticks_{1000000};
   std::uint64_t epoch_tick_{0};
   std::uint32_t slices_since_publish_{0};
-  std::array<PhaseStat, kPhaseCount> local_{};
+  std::array<TickStat, kPhaseCount> local_{};
   FlightRing ring_;
   std::size_t id_{0};
 
@@ -295,11 +319,18 @@ class Telemetry {
 /// Scoped phase attribution. Reads the thread-local slot once; when no
 /// slot is bound (telemetry off) the constructor is a branch and nothing
 /// else. Nested scopes *slice*: the inner phase's time is subtracted from
-/// the outer's, so per-phase totals always sum to the bound wall time.
+/// the outer's, so per-phase totals always sum to the bound wall time. A
+/// scope opened while its phase is already running (a caller's PhaseMarks
+/// got there first) reads no clock at all.
 class PhaseScope {
  public:
   explicit PhaseScope(Phase p) noexcept : w_(Telemetry::current()) {
-    if (w_ != nullptr) prev_ = w_->switch_phase(p);
+    if (w_ == nullptr) return;
+    if (w_->current() == p) {
+      w_ = nullptr;
+      return;
+    }
+    prev_ = w_->switch_phase(p);
   }
   ~PhaseScope() {
     if (w_ != nullptr) (void)w_->switch_phase(prev_);
@@ -310,6 +341,40 @@ class PhaseScope {
  private:
   WorkerTelemetry* w_;
   Phase prev_{Phase::kOther};
+};
+
+/// Forward-only attribution of a run of sibling stages: each mark() ends
+/// the running slice and starts the next phase with one clock read (none
+/// when that phase is already running), where a PhaseScope per stage
+/// would read it twice (out to the enclosing phase, then into the next).
+/// Looks the worker slot up once. The destructor returns to the phase
+/// that was running on construction — except inside another PhaseMarks,
+/// whose next mark ends the last phase with the clock read it takes
+/// anyway (Executor::apply's marks run inside SearchCore::expand's).
+class PhaseMarks {
+ public:
+  PhaseMarks() noexcept : w_(Telemetry::current()) {
+    if (w_ == nullptr) return;
+    prev_ = w_->current();
+    outer_ = w_->marking_;
+    w_->marking_ = true;
+  }
+  ~PhaseMarks() {
+    if (w_ == nullptr) return;
+    w_->marking_ = outer_;
+    if (!outer_ && w_->current() != prev_) (void)w_->switch_phase(prev_);
+  }
+  PhaseMarks(const PhaseMarks&) = delete;
+  PhaseMarks& operator=(const PhaseMarks&) = delete;
+
+  void mark(Phase p) noexcept {
+    if (w_ != nullptr && w_->current() != p) (void)w_->switch_phase(p);
+  }
+
+ private:
+  WorkerTelemetry* w_;
+  Phase prev_{Phase::kOther};
+  bool outer_{false};
 };
 
 /// ---- Progress streaming ---------------------------------------------------

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "util/hash.h"
 
 namespace nicemc::of {
@@ -159,6 +164,104 @@ TEST(FlowTable, ExpirableRulesFilteredByTimeout) {
   t.add(soft);
   EXPECT_FALSE(t.rules()[0].can_expire());
   EXPECT_TRUE(t.rules()[1].can_expire());
+}
+
+// The table's maintained canonical order against a brute-force sort by
+// (priority descending, key bytes ascending), over seeded random
+// add/remove/erase_at/count_hit sequences on few patterns and two
+// priorities, so ties are common and rules get replaced, removed and
+// re-added.
+std::string key_bytes(const Rule& r) {
+  util::Ser s;
+  r.serialize_key(s);
+  return s.take();
+}
+
+std::string brute_canonical(const std::vector<Rule>& rules) {
+  std::vector<const Rule*> order;
+  for (const Rule& r : rules) order.push_back(&r);
+  std::sort(order.begin(), order.end(), [](const Rule* a, const Rule* b) {
+    if (a->priority != b->priority) return a->priority > b->priority;
+    return key_bytes(*a) < key_bytes(*b);
+  });
+  util::Ser s;
+  s.put_tag('T');
+  s.put_u32(static_cast<std::uint32_t>(order.size()));
+  for (const Rule* r : order) r->serialize(s);
+  return s.take();
+}
+
+std::optional<std::size_t> brute_lookup(const std::vector<Rule>& rules,
+                                        PortId port,
+                                        const sym::PacketFields& h) {
+  std::optional<std::size_t> best;
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    if (!rules[i].match.matches(port, h)) continue;
+    if (!best || rules[i].priority > rules[*best].priority ||
+        (rules[i].priority == rules[*best].priority &&
+         key_bytes(rules[i]) < key_bytes(rules[*best]))) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+Rule random_rule(util::SplitMix64& rng) {
+  Rule r;
+  if (rng.next_below(2) == 0) {
+    r.match.fields |= static_cast<std::uint16_t>(MatchField::kEthDst);
+    r.match.eth_dst = 1 + rng.next_below(3);
+  }
+  if (rng.next_below(2) == 0) {
+    r.match.fields |= static_cast<std::uint16_t>(MatchField::kInPort);
+    r.match.in_port = static_cast<PortId>(rng.next_below(3));
+  }
+  r.priority = rng.next_below(2) == 0 ? 100 : 200;
+  for (std::uint64_t n = rng.next_below(3); n > 0; --n) {
+    r.actions.push_back(Action::output(static_cast<PortId>(rng.next_below(4))));
+  }
+  return r;
+}
+
+TEST(FlowTable, CanonicalOrderMatchesBruteForceSort) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    util::SplitMix64 rng(seed);
+    FlowTable t;
+    for (int step = 0; step < 200; ++step) {
+      switch (rng.next_below(4)) {
+        case 0:
+        case 1:
+          t.add(random_rule(rng));
+          break;
+        case 2: {
+          const Rule r = random_rule(rng);
+          t.remove(r.match, rng.next_below(2) == 0
+                                ? std::nullopt
+                                : std::optional<std::uint16_t>(r.priority));
+          break;
+        }
+        default:
+          if (t.empty()) break;
+          if (rng.next_below(2) == 0) {
+            t.erase_at(rng.next_below(t.size()));
+          } else {
+            t.count_hit(rng.next_below(t.size()), 100);
+          }
+          break;
+      }
+      util::Ser got;
+      t.serialize(got, /*canonical=*/true);
+      ASSERT_EQ(got.view(), brute_canonical(t.rules())) << "step " << step;
+      for (PortId port = 0; port < 3; ++port) {
+        for (std::uint64_t dst = 0; dst <= 3; ++dst) {
+          ASSERT_EQ(t.lookup(port, to_dst(dst)),
+                    brute_lookup(t.rules(), port, to_dst(dst)))
+              << "step " << step << " port " << port << " dst " << dst;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -304,5 +304,82 @@ TEST(ShardedSeenSet, RestoreRejectsMalformedSleptRecords) {
   }
 }
 
+// ---- The flat hash-mode table -----------------------------------------------
+
+/// `n` distinct pseudo-random hashes, plus {0,0} (the table's empty-slot
+/// pattern, kept out of band) and a run sharing one `lo`, so their home
+/// slots coincide and they probe past each other.
+std::vector<Hash128> growth_hashes(std::size_t n) {
+  std::vector<Hash128> out{Hash128{}};
+  SplitMix64 mix(99);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(h(mix.next(), mix.next()));
+  for (std::uint64_t i = 1; i <= 64; ++i) out.push_back(h(0, i));
+  for (std::uint64_t i = 1; i <= 64; ++i) out.push_back(h(i, 0));
+  return out;
+}
+
+TEST(ShardedSeenSet, HashMembershipSurvivesGrowth) {
+  const std::vector<Hash128> hs = growth_hashes(50000);
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    ShardedSeenSet set(ShardedSeenSet::Mode::kHash, shards);
+    EXPECT_EQ(set.size(), 0u);
+    for (std::size_t i = 0; i < hs.size(); ++i) {
+      ASSERT_TRUE(set.insert(hs[i])) << i;
+      // An entry inserted before a growth is still found after it.
+      ASSERT_FALSE(set.insert(hs[i / 2])) << i;
+    }
+    EXPECT_EQ(set.size(), hs.size());
+    EXPECT_EQ(set.store_bytes(), hs.size() * sizeof(Hash128));
+    for (const Hash128& x : hs) EXPECT_FALSE(set.insert(x));
+    EXPECT_EQ(set.size(), hs.size());
+  }
+}
+
+TEST(ShardedSeenSet, HashSleptRecordsSurviveGrowth) {
+  // Records keyed on hash values, not slots: slots move on every growth.
+  ShardedSeenSet set(ShardedSeenSet::Mode::kHash, 1);
+  const std::vector<Hash128> hs = growth_hashes(20000);
+  for (std::size_t i = 0; i < 40; ++i) {
+    EXPECT_TRUE(set.arrive(hs[i], Slept{i + 1, i + 2, 1000}).first);
+  }
+  for (std::size_t i = 40; i < hs.size(); ++i) set.insert(hs[i]);
+  for (std::size_t i = 0; i < 40; ++i) {
+    SCOPED_TRACE(i);
+    const ShardedSeenSet::Arrival again = set.arrive(hs[i], Slept{i + 2});
+    EXPECT_FALSE(again.first);
+    EXPECT_EQ(again.explore, (Slept{i + 1, 1000}));
+    EXPECT_EQ(set.arrive(hs[i], Slept{}).explore, (Slept{i + 2}));
+    EXPECT_TRUE(set.arrive(hs[i], Slept{}).explore.empty());
+  }
+  EXPECT_EQ(set.store_bytes(), hs.size() * sizeof(Hash128));
+}
+
+TEST(ShardedSeenSet, HashSectionRoundTripsAfterGrowth) {
+  const std::vector<Hash128> hs = growth_hashes(20000);
+  ShardedSeenSet set(ShardedSeenSet::Mode::kHash, 4);
+  // The {0,0} entry (hs[0]) carries a record.
+  EXPECT_TRUE(set.arrive(hs[0], Slept{4}).first);
+  for (std::size_t i = 1; i < hs.size(); ++i) set.insert(hs[i]);
+  EXPECT_TRUE(set.arrive(h(5, 5), Slept{3, 8}).first);
+  Ser s;
+  set.serialize(s);
+
+  ShardedSeenSet back(ShardedSeenSet::Mode::kHash, 2);
+  Des d(s.view());
+  ASSERT_TRUE(back.restore(d));
+  EXPECT_TRUE(d.done());
+  EXPECT_EQ(back.size(), set.size());
+  EXPECT_EQ(back.store_bytes(), set.store_bytes());
+  // (An insert is an arrival with nothing asleep: it would empty the
+  // records, so the entries that carry one are checked by arriving.)
+  for (std::size_t i = 1; i < hs.size(); ++i) EXPECT_FALSE(back.insert(hs[i]));
+  EXPECT_EQ(back.arrive(h(5, 5), Slept{8}).explore, (Slept{3}));
+  const ShardedSeenSet::Arrival zero = back.arrive(hs[0], Slept{});
+  EXPECT_FALSE(zero.first);
+  EXPECT_EQ(zero.explore, (Slept{4}));
+  EXPECT_EQ(back.size(), set.size());
+}
+
 }  // namespace
 }  // namespace nicemc::util
