@@ -19,7 +19,6 @@
 #define NICE_MC_SEARCH_CORE_H
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <span>

@@ -35,14 +35,11 @@ bool ShardedSeenSet::HashSlots::insert(const Hash128& h) {
     return fresh;
   }
   if (!slots_) grow();
-  std::size_t i = home(h);
-  for (; !empty_slot(slots_[i]); i = (i + 1) & mask_) {
-    if (slots_[i] == h) return false;
-  }
+  std::size_t i = probe(h);
+  if (slots_[i] == h) return false;
   if (4 * (used_ + 1) > 3 * capacity()) {
     grow();
-    for (i = home(h); !empty_slot(slots_[i]); i = (i + 1) & mask_) {
-    }
+    i = probe(h);
   }
   slots_[i] = h;
   ++used_;
@@ -51,12 +48,7 @@ bool ShardedSeenSet::HashSlots::insert(const Hash128& h) {
 
 bool ShardedSeenSet::HashSlots::contains(const Hash128& h) const {
   if (empty_slot(h)) return has_zero_;
-  if (!slots_) return false;
-  for (std::size_t i = home(h);; i = (i + 1) & mask_) {
-    const Hash128& slot = slots_[i];
-    if (empty_slot(slot)) return false;
-    if (slot == h) return true;
-  }
+  return slots_ && slots_[probe(h)] == h;
 }
 
 void ShardedSeenSet::HashSlots::grow() {
@@ -73,11 +65,7 @@ void ShardedSeenSet::HashSlots::grow() {
   mask_ = cap - 1;
   shift_ = 64 - lg;
   for (std::size_t j = 0; j < old_cap; ++j) {
-    const Hash128& h = old[j];
-    if (empty_slot(h)) continue;
-    std::size_t i = home(h);
-    while (!empty_slot(slots_[i])) i = (i + 1) & mask_;
-    slots_[i] = h;
+    if (!empty_slot(old[j])) slots_[probe(old[j])] = old[j];
   }
 }
 

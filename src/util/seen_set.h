@@ -185,9 +185,12 @@ class ShardedSeenSet {
     [[nodiscard]] std::size_t capacity() const noexcept {
       return slots_ ? mask_ + 1 : 0;
     }
-    [[nodiscard]] std::size_t home(const Hash128& h) const noexcept {
-      return static_cast<std::size_t>(
+    /// The slot holding `h`, else the empty slot where it would go.
+    [[nodiscard]] std::size_t probe(const Hash128& h) const noexcept {
+      auto i = static_cast<std::size_t>(
           ((h.lo ^ h.hi) * 0x9e3779b97f4a7c15ULL) >> shift_);
+      while (!empty_slot(slots_[i]) && !(slots_[i] == h)) i = (i + 1) & mask_;
+      return i;
     }
     void grow();
 
