@@ -39,12 +39,6 @@ void ControllerState::serialize(util::Ser& s, bool canonical) const {
   }
 }
 
-std::size_t ControllerState::serialized_size_hint() const {
-  // The app state's size is unknown (polymorphic); 256 covers the apps in
-  // this repo. The rest is counted from the containers.
-  return 256 + 16 + pending_stats.size() * 4 + pending_commands.size() * 160;
-}
-
 util::Hash128 ControllerState::app_hash() const {
   util::Ser s;
   if (app) app->serialize(s);

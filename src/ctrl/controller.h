@@ -45,10 +45,6 @@ struct ControllerState {
   /// The canonical form names parked packets' copy and buffer ids.
   void serialize(util::Ser& s, bool canonical = true) const;
 
-  /// Rough upper estimate of serialize()'s output size — lets the state
-  /// pipeline pre-size per-component buffers (see util::Snap::form).
-  [[nodiscard]] std::size_t serialized_size_hint() const;
-
   /// Hash of the application state alone — the key of the paper's
   /// `client.packets[state(ctrl)]` discovery cache.
   [[nodiscard]] util::Hash128 app_hash() const;

@@ -127,12 +127,6 @@ struct HostState {
     bounds[3] = s.size() - base;
   }
 
-  /// Rough upper estimate of serialize()'s output size — lets the state
-  /// pipeline pre-size per-component buffers (see util::Snap::form).
-  [[nodiscard]] std::size_t serialized_size_hint() const {
-    return 48 + input.size() * 160 + pending_replies.size() * 80;
-  }
-
   /// Remaining scripted sends / discovery budget.
   [[nodiscard]] bool can_send(const HostBehavior& b) const {
     if (burst <= 0) return false;

@@ -401,8 +401,7 @@ void Executor::drain_lockstep(SystemState& state, EventList& events) const {
 
 void Executor::apply(SystemState& state, const Transition& t,
                      std::vector<Violation>& violations) const {
-  util::PhaseMarks phases;
-  phases.mark(util::Phase::kApply);
+  const util::PhaseScope phase(util::Phase::kApply);
   EventList events;
   switch (t.kind) {
     case TKind::kHostSendScript: {
@@ -608,12 +607,6 @@ void Executor::apply(SystemState& state, const Transition& t,
   }
 
   if (cfg_.no_delay) drain_lockstep(state, events);
-  // The property slice is carved out of the apply time, so the two
-  // phases never double-count. Monitors only react to events; with none,
-  // prop_mut() would unshare and re-hash every monitor snapshot for
-  // nothing.
-  if (events.empty()) return;
-  phases.mark(util::Phase::kPropertyCheck);
   feed_properties(state, events, violations);
 }
 
@@ -627,6 +620,13 @@ void Executor::at_quiescence(SystemState& state,
 
 void Executor::feed_properties(SystemState& state, const EventList& events,
                                std::vector<Violation>& violations) const {
+  // Monitors only react to events; with none, prop_mut() would unshare
+  // and re-hash every monitor snapshot for nothing, and the phase scope
+  // below would read the clock twice for nothing.
+  if (events.empty()) return;
+  // Nested inside kApply: the property slice is carved out of the apply
+  // time, so the two phases never double-count.
+  const util::PhaseScope phase(util::Phase::kPropertyCheck);
   for (std::size_t i = 0; i < props_.size(); ++i) {
     props_[i]->on_events(state.prop_mut(i), events, state, violations);
   }

@@ -77,6 +77,7 @@ struct SymContext::Scratch {
   util::Renamer rn;                 // the chosen permutation
   util::Ser assign;                 // assign-pass bytes
   util::Ser blob;                   // frozen-pass bytes: the canonical blob
+  util::Ser key;                    // kCollapsed id-tuple key
   std::vector<std::pair<std::size_t, std::size_t>> assign_bounds;
   std::vector<bool> assign_only;  // component took an assign-only branch
   std::vector<std::pair<std::size_t, std::size_t>> bounds;  // final blob
@@ -412,8 +413,8 @@ SymKey SymContext::canonical_key(const SystemState& state,
   // cannot be used here — the renaming is per-state — but interning keeps
   // the per-state key at ~4 bytes per component.
   const std::string_view view = blob.view();
-  util::Ser key;
-  key.reserve(4 * (sc.bounds.size() + 4));
+  util::Ser& key = sc.key;
+  key.clear();
   key.put_u32(static_cast<std::uint32_t>((state.switch_count() << 20) |
                                          (state.host_count() << 10) |
                                          state.prop_count()));
@@ -422,7 +423,7 @@ SymKey SymContext::canonical_key(const SystemState& state,
   }
   // The trailer, as the frozen pass wrote it after the last component.
   key.append(view.substr(sc.bounds.back().second));
-  out.key = key.take();
+  out.key = std::string(key.view());
   return out;
 }
 

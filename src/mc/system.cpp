@@ -66,8 +66,8 @@ std::string SystemState::collapse_key(util::CollapseTable& table,
   // and the shape word disambiguates the variable-length sections (counts
   // are fixed within one search — the topology never changes — but the
   // key stays self-describing at 4 bytes instead of three count words).
-  util::Ser s;
-  s.reserve(4 * (switches_.size() + hosts_.size() + props_.size() + 4));
+  thread_local util::Ser s;  // clear() keeps capacity across calls
+  s.clear();
   s.put_u32(static_cast<std::uint32_t>((switches_.size() << 20) |
                                        (hosts_.size() << 10) |
                                        props_.size()));
@@ -76,7 +76,7 @@ std::string SystemState::collapse_key(util::CollapseTable& table,
   for (const auto& h : hosts_) s.put_u32(h.form_id(canonical, table));
   for (const auto& p : props_) s.put_u32(p.form_id(canonical, table));
   serialize_trailer(s, canonical, /*include_next_uid=*/true);
-  return s.take();
+  return std::string(s.view());
 }
 
 util::Hash128 SystemState::hash(bool canonical) const {

@@ -251,19 +251,6 @@ void Switch::name_buffers(util::Renamer* rn) const {
   if (!util::rn_canonical(rn) || buffer.empty() || !rn->buffer.empty()) {
     return;  // nothing to name, or named already
   }
-  if (buffer.size() == 1) {
-    // One entry ranks first whatever its content. Serializing it matters
-    // only for its side effects on a symmetry renamer: a uid-assigning
-    // one draws the packet's uids, a signature pass records member hits.
-    if (rn->uid_mode == util::Renamer::UidMode::kAssign ||
-        rn->hits != nullptr) {
-      thread_local util::Ser discard;
-      discard.clear();
-      buffer.begin()->second.serialize(discard);
-    }
-    rn->buffer.add(util::Renamer::sw_key(id, buffer.begin()->first), 1);
-    return;
-  }
   // Every entry's content back to back in one per-thread buffer, in id
   // order (the order a uid-assigning renamer hands out their uids), then
   // ranked by (content, id).
@@ -297,14 +284,6 @@ std::uint32_t Switch::buffer_name(std::uint32_t bid) const {
   const util::Renamer::FormScope form(id, /*canonical=*/true);
   name_buffers(form.renamer());
   return form.renamer()->r_buffer(id, bid);
-}
-
-std::size_t Switch::serialized_size_hint() const {
-  std::size_t ingress = 0;
-  for (const auto& [port, chan] : in_ports) ingress += 8 + chan.size() * 160;
-  return 64 + table.rules().size() * 96 + ingress + of_in.size() * 160 +
-         of_out.size() * 192 + buffer.size() * 176 + port_stats.size() * 40 +
-         8 + down_ports.size() * 4;
 }
 
 void Switch::serialize(util::Ser& s, bool canonical) const {

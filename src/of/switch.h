@@ -201,10 +201,6 @@ struct Switch {
   /// packet_out's entry in mc::SystemState::serialize_trailer).
   [[nodiscard]] std::uint32_t buffer_name(std::uint32_t bid) const;
 
-  /// Rough upper estimate of serialize()'s output size — lets the state
-  /// pipeline pre-size per-component buffers (see util::Snap::form).
-  [[nodiscard]] std::size_t serialized_size_hint() const;
-
  private:
   /// Name the live buffer ids by content rank in `rn` (canonical only;
   /// once per scope). Every section that writes buffer ids calls it.

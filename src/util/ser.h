@@ -11,9 +11,9 @@
 // and a direct store through the cursor (building state keys is mostly
 // these puts), and the storage grows geometrically without zero-filling.
 // The first kInline bytes live inside the object, so a fresh short-lived
-// Ser (a transition hash, a collapse key) allocates nothing. take()
-// copies the bytes out into a std::string; hot paths hash view()/bytes()
-// in place, or copy once from a reused per-thread Ser.
+// Ser (a transition hash) allocates nothing. take() copies the bytes out
+// into a std::string; hot paths hash view()/bytes() in place, or copy
+// once from a reused per-thread Ser.
 #ifndef NICE_UTIL_SER_H
 #define NICE_UTIL_SER_H
 

@@ -160,9 +160,6 @@ class Snap {
                   }) {
       thread_local Ser scratch;  // clear() keeps capacity across calls
       scratch.clear();
-      if constexpr (requires(const T& t) { t.serialized_size_hint(); }) {
-        scratch.reserve(n.value.serialized_size_hint());
-      }
       // Serialize every part into one buffer (their concatenation is the
       // component's canonical serialization — memoize its hash), then
       // intern each slice and the packed part-id tuple.
@@ -279,9 +276,6 @@ class Snap {
   // `serialize(Ser&, bool canonical)` when the component distinguishes
   // forms, else to `serialize(Ser&)`.
   static void serialize_value(const Node& n, Ser& s, bool canonical) {
-    if constexpr (requires(const T& t) { t.serialized_size_hint(); }) {
-      s.reserve(n.value.serialized_size_hint());
-    }
     if constexpr (requires(const T& t, Ser& out) {
                     t.serialize(out, canonical);
                   }) {

@@ -170,7 +170,6 @@ class alignas(64) WorkerTelemetry {
 
  private:
   friend class Telemetry;
-  friend class PhaseMarks;
 
   /// One phase's owner-only accumulator: raw clock ticks, converted to
   /// ns only when published or read. Buckets are by slice ns, as in
@@ -203,7 +202,6 @@ class alignas(64) WorkerTelemetry {
 
   // Owner-thread-only hot state.
   Phase current_{Phase::kOther};
-  bool marking_{false};  // a PhaseMarks run is open (see PhaseMarks)
   std::uint64_t phase_start_tick_{0};
   double ns_per_tick_{1.0};
   /// ns_per_tick_ in 32.32 fixed point: a slice's histogram bucket costs
@@ -348,22 +346,13 @@ class PhaseScope {
 /// when that phase is already running), where a PhaseScope per stage
 /// would read it twice (out to the enclosing phase, then into the next).
 /// Looks the worker slot up once. The destructor returns to the phase
-/// that was running on construction — except inside another PhaseMarks,
-/// whose next mark ends the last phase with the clock read it takes
-/// anyway (Executor::apply's marks run inside SearchCore::expand's).
+/// that was running on construction, so marks nest like scopes.
 class PhaseMarks {
  public:
   PhaseMarks() noexcept : w_(Telemetry::current()) {
-    if (w_ == nullptr) return;
-    prev_ = w_->current();
-    outer_ = w_->marking_;
-    w_->marking_ = true;
+    if (w_ != nullptr) prev_ = w_->current();
   }
-  ~PhaseMarks() {
-    if (w_ == nullptr) return;
-    w_->marking_ = outer_;
-    if (!outer_ && w_->current() != prev_) (void)w_->switch_phase(prev_);
-  }
+  ~PhaseMarks() { mark(prev_); }
   PhaseMarks(const PhaseMarks&) = delete;
   PhaseMarks& operator=(const PhaseMarks&) = delete;
 
@@ -374,7 +363,6 @@ class PhaseMarks {
  private:
   WorkerTelemetry* w_;
   Phase prev_{Phase::kOther};
-  bool outer_{false};
 };
 
 /// ---- Progress streaming ---------------------------------------------------
