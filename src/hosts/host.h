@@ -72,7 +72,8 @@ struct HostBehavior {
   int initial_burst{1};
 };
 
-/// Dynamic host state; cloned and hashed with the system state.
+/// Dynamic host state; cloned, hashed and (COLLAPSE) interned whole with
+/// the system state.
 struct HostState {
   of::HostId id{0};
   of::SwitchId sw{0};   // current attachment (mobile hosts change this)
@@ -88,43 +89,25 @@ struct HostState {
   friend bool operator==(const HostState&, const HostState&) = default;
 
   void serialize(util::Ser& s, bool canonical = true) const {
-    std::size_t bounds[kSerializeParts + 1];
-    serialize_parts(s, canonical, bounds);
-  }
-
-  /// Two-level COLLAPSE support (see util::Snap::form_id): the identity +
-  /// input queue, the pending replies, and the send/receive counters vary
-  /// semi-independently, so they are interned as separate sections whose
-  /// concatenation is byte-identical to serialize(). Records the
-  /// kSerializeParts + 1 boundary offsets (relative to s's size on entry)
-  /// in `bounds`.
-  static constexpr std::size_t kSerializeParts = 3;
-  void serialize_parts(util::Ser& s, bool canonical,
-                       std::size_t* bounds) const {
-    const std::size_t base = s.size();
     // Port fields below this host belong to its attachment switch.
     const util::Renamer::FormScope form(sw, canonical);
     const util::Renamer* rn = util::Renamer::active();
-    // part 0: identity + attachment + input queue
-    bounds[0] = s.size() - base;
+    // Identity + attachment + input queue.
     s.put_tag('H');
     s.put_u32(util::rn_host(rn, id));
     s.put_u32(sw);
     s.put_u32(util::rn_port(rn, sw, port));
     input.serialize(
         s, [](util::Ser& ser, const of::Packet& p) { p.serialize(ser); });
-    // part 1: replies awaiting their send_reply transition
-    bounds[1] = s.size() - base;
+    // Replies awaiting their send_reply transition.
     s.put_u32(static_cast<std::uint32_t>(pending_replies.size()));
     for (const PendingReply& r : pending_replies) r.serialize(s);
-    // part 2: send/receive bookkeeping
-    bounds[2] = s.size() - base;
+    // Send/receive bookkeeping.
     s.put_i64(sends_done);
     s.put_i64(burst);
     s.put_i64(received);
     s.put_bool(dup_used);
     s.put_u8(moves_used);
-    bounds[3] = s.size() - base;
   }
 
   /// Remaining scripted sends / discovery budget.

@@ -62,9 +62,11 @@ namespace {
 // "NICECKPT" as a big-endian u64, followed by the format version. Bump
 // the version on any payload layout change — the loader rejects other
 // versions with an explicit diagnostic instead of misparsing — and on any
-// change to the state keys it stores (4: util::Renamer names buffer ids).
+// change to the state keys it stores (4: util::Renamer names buffer ids;
+// 5: COLLAPSE interns each component whole, and TKind lost its two
+// discovery labels).
 constexpr std::uint64_t kMagic = 0x4E494345434B5054ULL;
-constexpr std::uint32_t kVersion = 4;
+constexpr std::uint32_t kVersion = 5;
 // magic u64 + version u32 + sequence u64 + payload-size u64 + Hash128.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 16;
 
@@ -314,7 +316,7 @@ bool Durability::save(const SearchCore& core, const Snapshot& snap) {
 
   // Serialization + slot write are attributed to the checkpoint phase
   // (no-op when the calling thread carries no telemetry binding).
-  const util::PhaseScope phase(util::Phase::kCheckpoint);
+  const util::PhaseMarks phase(util::Phase::kCheckpoint);
 
   util::Ser s;
   s.put_tag('C');

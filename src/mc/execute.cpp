@@ -67,7 +67,7 @@ std::vector<Transition> Executor::enabled(const SystemState& state,
                                           DiscoveryCache& cache) const {
   // Covers symbolic-discovery candidate checks too: discovery runs as
   // part of enumerating the enabled set.
-  const util::PhaseScope phase(util::Phase::kEnabled);
+  const util::PhaseMarks phase(util::Phase::kEnabled);
   std::vector<Transition> out;
 
   // --- controller ---
@@ -401,7 +401,7 @@ void Executor::drain_lockstep(SystemState& state, EventList& events) const {
 
 void Executor::apply(SystemState& state, const Transition& t,
                      std::vector<Violation>& violations) const {
-  const util::PhaseScope phase(util::Phase::kApply);
+  const util::PhaseMarks phase(util::Phase::kApply);
   EventList events;
   switch (t.kind) {
     case TKind::kHostSendScript: {
@@ -540,11 +540,6 @@ void Executor::apply(SystemState& state, const Transition& t,
       }
       break;
     }
-    case TKind::kDiscoverPackets:
-    case TKind::kDiscoverStats:
-      // Discovery runs synchronously inside enabled(); these labels exist
-      // for trace output only.
-      break;
     case TKind::kLinkDown: {
       const topo::LinkSpec& l = cfg_.topology->links()[t.a];
       {
@@ -612,7 +607,7 @@ void Executor::apply(SystemState& state, const Transition& t,
 
 void Executor::at_quiescence(SystemState& state,
                              std::vector<Violation>& violations) const {
-  const util::PhaseScope phase(util::Phase::kPropertyCheck);
+  const util::PhaseMarks phase(util::Phase::kPropertyCheck);
   for (std::size_t i = 0; i < props_.size(); ++i) {
     props_[i]->at_quiescence(state.prop_mut(i), state, violations);
   }
@@ -626,7 +621,7 @@ void Executor::feed_properties(SystemState& state, const EventList& events,
   if (events.empty()) return;
   // Nested inside kApply: the property slice is carved out of the apply
   // time, so the two phases never double-count.
-  const util::PhaseScope phase(util::Phase::kPropertyCheck);
+  const util::PhaseMarks phase(util::Phase::kPropertyCheck);
   for (std::size_t i = 0; i < props_.size(); ++i) {
     props_[i]->on_events(state.prop_mut(i), events, state, violations);
   }

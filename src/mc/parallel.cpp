@@ -188,7 +188,7 @@ void park(SharedSearch& shared, std::unique_lock<std::mutex>& lock,
     return;
   }
   for (;;) {
-    const util::PhaseScope idle(util::Phase::kIdle);
+    const util::PhaseMarks idle(util::Phase::kIdle);
     if (shared.cv.wait_for(lock, std::chrono::milliseconds(200), ready)) {
       return;
     }

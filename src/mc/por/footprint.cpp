@@ -338,11 +338,6 @@ Footprint compute_footprint(const SystemConfig& cfg, const SystemState& state,
       }
       break;
     }
-    case TKind::kDiscoverPackets:
-    case TKind::kDiscoverStats:
-      // Never enabled (discovery runs inline); conflict with everything.
-      fp.universal = true;
-      break;
     case TKind::kLinkDown:
     case TKind::kLinkUp: {
       const topo::LinkSpec& l = cfg.topology->links()[t.a];

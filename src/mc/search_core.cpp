@@ -97,7 +97,7 @@ std::string SearchCore::state_key(const SystemState& state) const {
 
 util::ShardedSeenSet::Arrival SearchCore::arrive(
     const SystemState& state, std::span<const std::uint64_t> slept) const {
-  const util::PhaseScope ps(util::Phase::kRemember);
+  const util::PhaseMarks ps(util::Phase::kRemember);
   if (seen_.mode() != util::ShardedSeenSet::Mode::kHash) {
     return seen_.arrive(state_key(state), slept);
   }
@@ -410,7 +410,7 @@ void SearchCore::make_reduced_children(
     // One scope around the whole batch, not one per call: at ~200ns of
     // total telemetry budget per transition, per-footprint boundaries
     // would cost more than they attribute.
-    const util::PhaseScope ps(util::Phase::kFootprint);
+    const util::PhaseMarks ps(util::Phase::kFootprint);
     for (const std::size_t i : sel) {
       fps[i] = footprint_of(*sp, ts[i]);
     }

@@ -22,8 +22,6 @@ const char* tkind_name(TKind kind) noexcept {
     case TKind::kRuleExpire: return "rule_expire";
     case TKind::kChannelDropHead: return "channel_drop_head";
     case TKind::kChannelDupHead: return "channel_dup_head";
-    case TKind::kDiscoverPackets: return "discover_packets";
-    case TKind::kDiscoverStats: return "discover_stats";
     case TKind::kLinkDown: return "link_down";
     case TKind::kLinkUp: return "link_up";
     case TKind::kCtrlChannelDown: return "ctrl_channel_down";
@@ -73,10 +71,6 @@ std::string Transition::label() const {
     case TKind::kChannelDupHead:
       return "sw" + std::to_string(a) + ".dup_head(port=" +
              std::to_string(aux) + ")";
-    case TKind::kDiscoverPackets:
-      return "host" + std::to_string(a) + ".discover_packets";
-    case TKind::kDiscoverStats:
-      return "ctrl.discover_stats(sw" + std::to_string(a) + ")";
     case TKind::kLinkDown:
       return "link" + std::to_string(a) + ".down";
     case TKind::kLinkUp:

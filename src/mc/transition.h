@@ -1,7 +1,9 @@
 // Transitions of the system model (paper Section 2.2): host sends/receives
 // and moves, switch packet/OpenFlow processing, controller dispatch, rule
-// expiry, channel faults, external application events, and NICE's special
-// discover_packets / discover_stats transitions (Figure 5).
+// expiry, channel faults and external application events. NICE's
+// discover_packets / discover_stats transitions (Figure 5) are not
+// transitions here: Executor::enabled runs discovery inline and yields
+// kHostSendDiscovered / kCtrlProcessStats with the representative values.
 //
 // Transitions are self-describing values: replaying the sequence of
 // transitions from the initial state deterministically reproduces a state
@@ -36,8 +38,6 @@ enum class TKind : std::uint8_t {
   kRuleExpire,         // rule `aux` (insertion index) of switch `a` expires
   kChannelDropHead,    // fault model: drop head of <switch a, port aux>
   kChannelDupHead,     // fault model: duplicate head of <switch a, port aux>
-  kDiscoverPackets,    // run symbolic execution of packet_in for host `a`
-  kDiscoverStats,      // run symbolic execution of stats handler, switch `a`
   kLinkDown,           // fault model: topology link `a` fails (both ends)
   kLinkUp,             // fault model: topology link `a` repairs
   kCtrlChannelDown,    // fault model: switch `a` loses its controller link

@@ -244,12 +244,17 @@ std::vector<std::size_t> Switch::expirable_rules() const {
   return out;
 }
 
-void Switch::name_buffers(util::Renamer* rn) const {
+std::span<const BufferedPacket* const> Switch::name_buffers(
+    util::Renamer* rn) const {
   // Dense naming by buffered-packet content: interleavings that buffered
   // the same packets under different raw ids serialize identically. Every
   // buffer id written under this switch's scope is looked up here.
-  if (!util::rn_canonical(rn) || buffer.empty() || !rn->buffer.empty()) {
-    return;  // nothing to name, or named already
+  if (!util::rn_canonical(rn) || buffer.empty()) return {};
+  thread_local std::vector<const BufferedPacket*> ranked;
+  if (!rn->buffer.empty()) {
+    // Named already in this scope, which no other switch's naming enters.
+    assert(ranked.size() == buffer.size());
+    return ranked;
   }
   // Every entry's content back to back in one per-thread buffer, in id
   // order (the order a uid-assigning renamer hands out their uids), then
@@ -258,6 +263,7 @@ void Switch::name_buffers(util::Renamer* rn) const {
     std::size_t begin;
     std::size_t end;
     std::uint32_t bid;
+    const BufferedPacket* bp;
   };
   thread_local util::Ser contents;
   thread_local std::vector<Entry> entries;
@@ -266,7 +272,7 @@ void Switch::name_buffers(util::Renamer* rn) const {
   for (const auto& [bid, bp] : buffer) {
     const std::size_t begin = contents.size();
     bp.serialize(contents);
-    entries.push_back(Entry{begin, contents.size(), bid});
+    entries.push_back(Entry{begin, contents.size(), bid, &bp});
   }
   const std::string_view all = contents.view();
   std::sort(entries.begin(), entries.end(),
@@ -275,9 +281,12 @@ void Switch::name_buffers(util::Renamer* rn) const {
               const std::string_view cb = all.substr(b.begin, b.end - b.begin);
               return ca != cb ? ca < cb : a.bid < b.bid;
             });
+  ranked.clear();
   for (std::uint32_t rank = 0; rank < entries.size(); ++rank) {
     rn->buffer.add(util::Renamer::sw_key(id, entries[rank].bid), rank + 1);
+    ranked.push_back(entries[rank].bp);
   }
+  return ranked;
 }
 
 std::uint32_t Switch::buffer_name(std::uint32_t bid) const {
@@ -287,22 +296,13 @@ std::uint32_t Switch::buffer_name(std::uint32_t bid) const {
 }
 
 void Switch::serialize(util::Ser& s, bool canonical) const {
-  std::size_t bounds[kSerializeParts + 1];
-  serialize_parts(s, canonical, bounds);
-}
-
-void Switch::serialize_parts(util::Ser& s, bool canonical,
-                             std::size_t* bounds) const {
-  const std::size_t base = s.size();
   const util::Renamer::FormScope form(id, canonical);
   // Named before any section: under a uid-assigning renamer the buffered
   // packets draw their dense uids first.
   name_buffers(form.renamer());
   for (std::size_t part = 0; part < kSerializeParts; ++part) {
-    bounds[part] = s.size() - base;
     serialize_section(s, canonical, part, form.renamer());
   }
-  bounds[kSerializeParts] = s.size() - base;
 }
 
 void Switch::serialize_part(util::Ser& s, bool canonical,
@@ -350,19 +350,25 @@ void Switch::serialize_section(util::Ser& s, bool canonical,
         serialize_message(ser, m);
       });
       return;
-    case 4:  // awaiting-controller buffer, in named (content) order
-      name_buffers(rn);
+    case 4: {  // awaiting-controller buffer, in named (content) order
+      const auto ranked = name_buffers(rn);
       s.put_u32(static_cast<std::uint32_t>(buffer.size()));
-      util::for_each_named(
-          buffer, util::rn_canonical(rn),
-          [&](const auto& e) { return util::rn_buffer(rn, e.first); },
-          [&](std::uint32_t name, const auto& e) {
-            s.put_u32(name);
-            e.second.serialize(s);
-          });
-      // The id counter names nothing live; only the raw form keeps it.
-      if (!canonical) s.put_u32(next_buffer_id);
+      if (util::rn_canonical(rn)) {
+        // A live entry's name is its content rank + 1.
+        for (std::uint32_t rank = 0; rank < ranked.size(); ++rank) {
+          s.put_u32(rank + 1);
+          ranked[rank]->serialize(s);
+        }
+      } else {
+        for (const auto& [bid, bp] : buffer) {
+          s.put_u32(bid);
+          bp.serialize(s);
+        }
+        // The id counter names nothing live; only the raw form keeps it.
+        s.put_u32(next_buffer_id);
+      }
       return;
+    }
     default:  // 5: port statistics
       s.put_u32(static_cast<std::uint32_t>(port_stats.size()));
       util::for_each_named(port_stats, renames_ports, key_port_name,

@@ -20,6 +20,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "of/channel.h"
@@ -174,27 +175,15 @@ struct Switch {
   /// hashes.
   void serialize(util::Ser& s, bool canonical = true) const;
 
-  /// Two-level COLLAPSE support: the serialization splits into
-  /// kSerializeParts contiguous sections whose concatenation (in part
-  /// order) is byte-identical to serialize(). The flow table, each
-  /// channel direction, the ingress queues, the buffer and the port stats
-  /// vary semi-independently during a search, so interning them
-  /// separately turns the product of their variants into a sum
-  /// (util::Snap::form_id interns each part, then the part-id tuple).
-  /// Each part is a deterministic function of the whole switch (buffer
-  /// names depend on the whole buffer). serialize_parts names the buffer
-  /// ids once, emits all sections in one pass and records the
-  /// kSerializeParts + 1 boundary offsets (relative to s's size on entry)
-  /// in `bounds`.
-  static constexpr std::size_t kSerializeParts = 6;
-  void serialize_parts(util::Ser& s, bool canonical,
-                       std::size_t* bounds) const;
-
-  /// Section `part` of serialize_parts alone, for the symmetry layer's
+  /// The serialization is kSerializeParts contiguous sections, written
+  /// in part order: identity + faults + flow table, the ingress queues,
+  /// each OpenFlow channel direction, the buffer, and the port stats.
+  /// serialize_part writes section `part` alone, for the symmetry layer's
   /// signature passes, which redo only the sections a member renaming
-  /// touches. Byte-identical to that section except under a uid-assigning
-  /// renamer, where serialize_parts hands out the buffered packets' uids
-  /// before any section.
+  /// touches. Byte-identical to that section of serialize() except under a
+  /// uid-assigning renamer, where serialize() hands out the buffered
+  /// packets' uids before any section.
+  static constexpr std::size_t kSerializeParts = 6;
   void serialize_part(util::Ser& s, bool canonical, std::size_t part) const;
 
   /// Canonical name of buffer id `bid` under the active naming (a parked
@@ -204,7 +193,9 @@ struct Switch {
  private:
   /// Name the live buffer ids by content rank in `rn` (canonical only;
   /// once per scope). Every section that writes buffer ids calls it.
-  void name_buffers(util::Renamer* rn) const;
+  /// Returns the live entries in rank order, or an empty span when there
+  /// is nothing to name (a raw form or an empty buffer).
+  std::span<const BufferedPacket* const> name_buffers(util::Renamer* rn) const;
 
   void serialize_section(util::Ser& s, bool canonical, std::size_t part,
                          util::Renamer* rn) const;

@@ -2,8 +2,6 @@
 
 namespace nicemc::sym {
 
-thread_local Tracer* Tracer::current_ = nullptr;
-
 namespace {
 
 /// Expression for an operand, materializing a constant node when the

@@ -67,7 +67,7 @@ class Tracer {
   void clear_path() noexcept { path_.clear(); }
 
  private:
-  static thread_local Tracer* current_;
+  static inline thread_local Tracer* current_ = nullptr;
 
   ExprArena& arena_;
   std::vector<BranchRecord> path_;

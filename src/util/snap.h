@@ -11,7 +11,9 @@
 // 128-bit hash, one slot per canonical/raw flag). Because the memo lives on
 // the *shared* node, a child state that did not touch a component reuses the
 // bytes and hash its parent already computed — remember() re-hashes only
-// what the transition changed.
+// what the transition changed. The COLLAPSE store memoizes one interned id
+// per component the same way (form_id): a component is interned whole, as
+// the exact bytes serialize() writes.
 //
 // Thread-safety contract (matches the search engine's publication order):
 // a snapshot shared between threads is immutable — mut() may only be called
@@ -21,15 +23,12 @@
 #ifndef NICE_UTIL_SNAP_H
 #define NICE_UTIL_SNAP_H
 
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -134,17 +133,6 @@ class Snap {
   /// *distinct* blob in the table, not one per live state. The component's
   /// form hash is memoized as a side effect, so a SystemState::hash() that
   /// follows a collapse is free.
-  ///
-  /// Components whose sections vary semi-independently (e.g. of::Switch:
-  /// flow table × queues × buffer) expose `kSerializeParts` +
-  /// `serialize_parts(Ser&, canonical, bounds)` and get two-level
-  /// COLLAPSE: each section is interned separately and the component's id
-  /// is the id of its packed part-id tuple — the table then stores the
-  /// sum of the per-part variants, not their product. Soundness is
-  /// unchanged: the parts' concatenation is byte-identical to
-  /// serialize(), every part is length-prefixed/tag-structured
-  /// (prefix-unambiguous), and one scheme is used per type, so id
-  /// equality ⇔ component-bytes equality still holds.
   [[nodiscard]] std::uint32_t form_id(bool canonical,
                                       CollapseTable& table) const {
     Node& n = *node_;
@@ -153,44 +141,11 @@ class Snap {
     if (n.id_table[i] == &table && n.id_epoch[i] == table.epoch()) {
       return n.id[i];
     }
-    std::uint32_t id;
-    if constexpr (requires(const T& t, Ser& out, std::size_t* b) {
-                    { T::kSerializeParts } -> std::convertible_to<std::size_t>;
-                    t.serialize_parts(out, canonical, b);
-                  }) {
-      thread_local Ser scratch;  // clear() keeps capacity across calls
-      scratch.clear();
-      // Serialize every part into one buffer (their concatenation is the
-      // component's canonical serialization — memoize its hash), then
-      // intern each slice and the packed part-id tuple.
-      std::size_t bounds[T::kSerializeParts + 1];
-      n.value.serialize_parts(scratch, canonical, bounds);
-      if (!n.hash_only[i]) n.hash_only[i] = scratch.hash();
-      const auto bytes = scratch.bytes();
-      char tuple[4 * T::kSerializeParts];
-      for (std::size_t p = 0; p < T::kSerializeParts; ++p) {
-        const auto slice = bytes.subspan(bounds[p], bounds[p + 1] - bounds[p]);
-        const std::uint32_t pid = table.intern(
-            std::string_view(reinterpret_cast<const char*>(slice.data()),
-                             slice.size()));
-        tuple[4 * p] = static_cast<char>(pid >> 24);
-        tuple[4 * p + 1] = static_cast<char>(pid >> 16);
-        tuple[4 * p + 2] = static_cast<char>(pid >> 8);
-        tuple[4 * p + 3] = static_cast<char>(pid);
-      }
-      id = table.intern(std::string_view(tuple, sizeof(tuple)));
-    } else if (n.form[i]) {
-      id = table.intern(n.form[i]->bytes);
-    } else {
-      thread_local Ser scratch;  // clear() keeps capacity across calls
-      scratch.clear();
-      serialize_value(n, scratch, canonical);
-      if (!n.hash_only[i]) n.hash_only[i] = scratch.hash();
-      const auto bytes = scratch.bytes();
-      id = table.intern(
-          std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                           bytes.size()));
-    }
+    thread_local Ser scratch;  // clear() keeps capacity across calls
+    scratch.clear();
+    serialize_value(n, scratch, canonical);
+    if (!n.hash_only[i]) n.hash_only[i] = scratch.hash();
+    const std::uint32_t id = table.intern(scratch.view());
     n.id_table[i] = &table;
     n.id_epoch[i] = table.epoch();
     n.id[i] = id;
@@ -225,10 +180,7 @@ class Snap {
     thread_local Ser scratch;  // clear() keeps capacity across calls
     scratch.clear();
     emit(static_cast<const T&>(n.value), scratch);
-    const auto bytes = scratch.bytes();
-    const std::uint32_t id = table.intern(
-        std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                         bytes.size()));
+    const std::uint32_t id = table.intern(scratch.view());
     n.aux_id_table = &table;
     n.aux_id_epoch = table.epoch();
     n.aux_id = id;

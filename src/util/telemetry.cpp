@@ -197,8 +197,6 @@ void WorkerTelemetry::unbind() noexcept {
 
 // ---- Telemetry --------------------------------------------------------------
 
-thread_local WorkerTelemetry* Telemetry::tls_ = nullptr;
-
 Telemetry::Telemetry(std::size_t workers) {
   ns_per_tick_ = calibrate_ns_per_tick();
   epoch_tick_ = read_ticks();

@@ -300,7 +300,7 @@ class Telemetry {
   [[nodiscard]] std::uint64_t now_ns() const noexcept;
 
  private:
-  static thread_local WorkerTelemetry* tls_;
+  static inline thread_local WorkerTelemetry* tls_ = nullptr;
 
   std::vector<std::unique_ptr<WorkerTelemetry>> slots_;
   double ns_per_tick_{1.0};
@@ -315,43 +315,19 @@ class Telemetry {
 };
 
 /// Scoped phase attribution. Reads the thread-local slot once; when no
-/// slot is bound (telemetry off) the constructor is a branch and nothing
-/// else. Nested scopes *slice*: the inner phase's time is subtracted from
-/// the outer's, so per-phase totals always sum to the bound wall time. A
-/// scope opened while its phase is already running (a caller's PhaseMarks
-/// got there first) reads no clock at all.
-class PhaseScope {
- public:
-  explicit PhaseScope(Phase p) noexcept : w_(Telemetry::current()) {
-    if (w_ == nullptr) return;
-    if (w_->current() == p) {
-      w_ = nullptr;
-      return;
-    }
-    prev_ = w_->switch_phase(p);
-  }
-  ~PhaseScope() {
-    if (w_ != nullptr) (void)w_->switch_phase(prev_);
-  }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  WorkerTelemetry* w_;
-  Phase prev_{Phase::kOther};
-};
-
-/// Forward-only attribution of a run of sibling stages: each mark() ends
-/// the running slice and starts the next phase with one clock read (none
-/// when that phase is already running), where a PhaseScope per stage
-/// would read it twice (out to the enclosing phase, then into the next).
-/// Looks the worker slot up once. The destructor returns to the phase
-/// that was running on construction, so marks nest like scopes.
+/// slot is bound (telemetry off) construction is a branch and nothing
+/// else. Each mark() ends the running slice and starts the next phase
+/// with one clock read (none when that phase is already running), so a
+/// run of sibling stages costs one read per stage. The destructor returns
+/// to the phase that was running on construction, so marks nest: the
+/// inner phases' time is subtracted from the outer's, and per-phase totals
+/// always sum to the bound wall time. PhaseMarks(p) is a scope of phase p.
 class PhaseMarks {
  public:
   PhaseMarks() noexcept : w_(Telemetry::current()) {
     if (w_ != nullptr) prev_ = w_->current();
   }
+  explicit PhaseMarks(Phase first) noexcept : PhaseMarks() { mark(first); }
   ~PhaseMarks() { mark(prev_); }
   PhaseMarks(const PhaseMarks&) = delete;
   PhaseMarks& operator=(const PhaseMarks&) = delete;

@@ -392,16 +392,18 @@ TEST(CheckpointResume, MalformedSleptRecordsAreRefused) {
   drop_slots(path);
 }
 
-TEST(CheckpointResume, OlderFormatVersionFallsBackWithReason) {
-  // A slot written by an older checkpoint format (its payload layout
-  // differs) must not be parsed: the run starts fresh, reports the exact
-  // totals, and says why in CheckerResult::durability.resume_error.
+/// A slot written by an older checkpoint format (its payload layout or its
+/// state keys differ) must not be parsed: the run starts fresh, reports
+/// the exact totals, and says why in CheckerResult::durability.resume_error.
+void expect_old_version_falls_back(StoreMode store, std::uint8_t version,
+                                   const std::string& tag) {
   const apps::NamedScenario ns = apps::bundled_scenarios()[1];  // ping2
   CheckerOptions base;
   base.stop_at_first_violation = false;
+  base.state_store = store;
   const CheckerResult full = run_once(ns.make(), base);
 
-  const std::string path = fresh_ckpt_path("old_version");
+  const std::string path = fresh_ckpt_path(tag);
   CheckerOptions opt = base;
   opt.checkpoint_path = path;
   opt.checkpoint_interval_seconds = 0;
@@ -414,20 +416,32 @@ TEST(CheckpointResume, OlderFormatVersionFallsBackWithReason) {
   bytes[8] = 0;
   bytes[9] = 0;
   bytes[10] = 0;
-  bytes[11] = 1;
+  bytes[11] = static_cast<char>(version);
   spit(slot, bytes);
 
   opt.max_transitions = ~0ULL;
   opt.resume = true;
   const CheckerResult r = run_once(ns.make(), opt);
   EXPECT_FALSE(r.durability.resumed);
-  EXPECT_NE(r.durability.resume_error.find("version mismatch (file v1"),
+  EXPECT_NE(r.durability.resume_error.find("version mismatch (file v" +
+                                           std::to_string(version)),
             std::string::npos)
       << r.durability.resume_error;
   EXPECT_TRUE(r.exhausted);
   EXPECT_EQ(r.transitions, full.transitions);
   EXPECT_EQ(r.unique_states, full.unique_states);
   drop_slots(path);
+}
+
+TEST(CheckpointResume, OlderFormatVersionFallsBackWithReason) {
+  expect_old_version_falls_back(StoreMode::kHash, 1, "old_version");
+}
+
+TEST(CheckpointResume, VersionFourCollapsedSlotFallsBack) {
+  // Version 4 interned switches and hosts section by section, so its
+  // kCollapsed component ids name other blobs than today's: resuming one
+  // would silently miscount.
+  expect_old_version_falls_back(StoreMode::kCollapsed, 4, "v4_collapsed");
 }
 
 TEST(CheckpointResume, MissingCheckpointFallsBackToFreshRun) {

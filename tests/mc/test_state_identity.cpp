@@ -10,9 +10,9 @@
 //   transitions, pairwise key-equal successors and the same violations.
 //   It covers the hash, collapsed and full-state stores; symmetric keys
 //   are not audited here.
-// * Each Switch::serialize_part is byte-identical to its slice of
-//   serialize_parts, which the symmetry signatures and two-level COLLAPSE
-//   both rely on.
+// * The Switch::serialize_part sections, concatenated in part order, are
+//   byte-identical to Switch::serialize, which the symmetry signatures
+//   rely on when they redo one section at a time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -364,7 +364,7 @@ TEST(MergeAuditor, BundledScenariosMergeOnlyEquivalentStates) {
 
 // ---- Switch sections -------------------------------------------------------
 
-TEST(SwitchSections, EachPartMatchesItsSliceOfSerializeParts) {
+TEST(SwitchSections, PartsConcatenateToSerialize) {
   // Bounded DFS on two concurrent pings: states with buffered packets and
   // packet_in / packet_out messages in flight.
   const apps::Scenario s = apps::pyswitch_ping_chain(2);
@@ -390,17 +390,14 @@ TEST(SwitchSections, EachPartMatchesItsSliceOfSerializeParts) {
         if (std::holds_alternative<of::PacketIn>(m)) ++packet_ins;
       }
       for (const bool canonical : {true, false}) {
-        util::Ser all;
-        std::size_t bounds[of::Switch::kSerializeParts + 1];
-        sw.serialize_parts(all, canonical, bounds);
+        util::Ser whole;
+        sw.serialize(whole, canonical);
+        util::Ser parts;
         for (std::size_t p = 0; p < of::Switch::kSerializeParts; ++p) {
-          util::Ser one;
-          sw.serialize_part(one, canonical, p);
-          EXPECT_EQ(one.view(), all.view().substr(bounds[p],
-                                                  bounds[p + 1] - bounds[p]))
-              << "switch " << sw.id << " part " << p
-              << (canonical ? " canonical" : " raw");
+          sw.serialize_part(parts, canonical, p);
         }
+        EXPECT_EQ(parts.view(), whole.view())
+            << "switch " << sw.id << (canonical ? " canonical" : " raw");
       }
     }
     for (const Transition& t : ex.enabled(st, cache)) {

@@ -26,12 +26,12 @@ TEST(Telemetry, PhaseScopesAttributeTimeAndSumToWall) {
   {
     const Telemetry::Binding bind(&t, 0);
     {
-      const PhaseScope ps(Phase::kApply);
+      const PhaseMarks ps(Phase::kApply);
       spin_for(std::chrono::microseconds(2000));
       {
         // Nested scope slices: kClone time must not double-count into
         // kApply.
-        const PhaseScope inner(Phase::kClone);
+        const PhaseMarks inner(Phase::kClone);
         spin_for(std::chrono::microseconds(2000));
       }
     }
@@ -60,7 +60,7 @@ TEST(Telemetry, HistogramCountEqualsBucketSum) {
   {
     const Telemetry::Binding bind(&t, 0);
     for (int i = 0; i < 100; ++i) {
-      const PhaseScope ps(Phase::kRemember);
+      const PhaseMarks ps(Phase::kRemember);
     }
   }
   const PhaseStat s = t.worker(0).phase(Phase::kRemember);
@@ -93,7 +93,7 @@ TEST(Telemetry, NullBindingMakesEverythingNoOp) {
   {
     const Telemetry::Binding bind(nullptr, 0);
     EXPECT_EQ(Telemetry::current(), nullptr);
-    const PhaseScope ps(Phase::kApply);
+    const PhaseMarks ps(Phase::kApply);
     WorkerTelemetry* const wt = Telemetry::current();
     EXPECT_EQ(wt, nullptr);
   }
