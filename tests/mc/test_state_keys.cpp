@@ -1,21 +1,22 @@
-// Golden state keys: the exact hash values and key bytes of every bundled
+// Golden state keys: the exact key bytes and hash values of every bundled
 // scenario's initial state and of every state along a fixed seeded random
-// walk through it, folded into one digest per scenario.
+// walk through it, folded into three digests per scenario.
 //
 // Every seen-set key, every checkpoint and bench_nice's fingerprint hang
-// on these bytes, so a change to any serializer, to the flow-table order,
+// on these values, so a change to any serializer, to the flow-table order,
 // to the buffer naming or to the uid renumbering fails here directly
-// rather than only when a merge count happens to move. At each state the
-// key digest folds in:
-//   * SystemState::hash(true) and hash(false) — the hash-mode keys;
-//   * the serialization in the scenario's form (the full-state key);
-//   * for scenarios that declare symmetry orbits, the symmetric canonical
-//     key's bytes and hash.
-// A second digest folds in the collapse_key bytes (the COLLAPSE key,
-// against one table that interns along the walk, so its ids are pinned
-// too). It is kept apart because it pins what the table interns, not only
-// the serialized bytes: a change to the interning granularity moves it
-// and must leave the key digest alone.
+// rather than only when a merge count happens to move. At each state:
+//   * the bytes digest folds in the serialization in the scenario's form
+//     (the full-state key) and, for scenarios that declare symmetry
+//     orbits, the symmetric canonical key's bytes;
+//   * the collapse digest folds in the collapse_key bytes (the COLLAPSE
+//     key, against one table that interns along the walk, so its ids are
+//     pinned too); a change to the interning granularity moves it and
+//     must leave the bytes digest alone;
+//   * the hashes digest folds in SystemState::hash(true) and hash(false)
+//     (the hash-mode keys) and the symmetric key's hash.
+// The first two digest key bytes through a frozen reference hash, not
+// util::hash128, so a change to the hash function moves only the third.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -40,14 +41,24 @@ namespace {
 constexpr std::size_t kWalkSteps = 200;
 constexpr std::uint64_t kWalkSeed = 0x5eed5eedULL;
 
+/// The frozen reference byte digest: two FNV-1a lanes with distinct
+/// offset bases, one multiply per byte. It is slow and its lanes share
+/// bit 0, which is fine for a test digest; what matters is that it never
+/// changes, so the bytes and collapse pins move only when key bytes do.
 util::Hash128 bytes_hash(std::string_view b) {
-  return util::hash128({reinterpret_cast<const std::byte*>(b.data()),
-                        b.size()});
+  std::uint64_t lo = 0xcbf29ce484222325ULL;
+  std::uint64_t hi = 0x9ae16a3b2f90404fULL;
+  for (const unsigned char c : b) {
+    lo = (lo ^ c) * 0x00000100000001b3ULL;
+    hi = (hi ^ c) * 0x00000100000001b3ULL;
+  }
+  return util::Hash128{lo, hi};
 }
 
 struct Digest {
-  util::Hash128 keys{0x676f6c64656e2d6bULL, 0x6579732d64696721ULL};
+  util::Hash128 bytes{0x676f6c64656e2d6bULL, 0x6579732d64696721ULL};
   util::Hash128 collapse{0x676f6c64656e2d6bULL, 0x6579732d64696721ULL};
+  util::Hash128 hashes{0x676f6c64656e2d6bULL, 0x6579732d64696721ULL};
   std::size_t states{0};
 };
 
@@ -57,15 +68,15 @@ void fold(util::Hash128& d, const util::Hash128& h) {
 
 void fold_state(Digest& d, const SystemState& st, bool canonical,
                 util::CollapseTable& table, const SymContext* sym) {
-  fold(d.keys, st.hash(true));
-  fold(d.keys, st.hash(false));
   util::Ser full;
   st.serialize(full, canonical);
-  fold(d.keys, full.hash());
+  fold(d.bytes, bytes_hash(full.view()));
+  fold(d.hashes, st.hash(true));
+  fold(d.hashes, st.hash(false));
   if (sym != nullptr) {
     const SymKey k = sym->canonical_key(st, nullptr);
-    fold(d.keys, k.hash);
-    fold(d.keys, bytes_hash(k.key));
+    fold(d.bytes, bytes_hash(k.key));
+    fold(d.hashes, k.hash);
   }
   fold(d.collapse, bytes_hash(st.collapse_key(table, canonical)));
   ++d.states;
@@ -105,139 +116,167 @@ Digest walk_digest(const apps::Scenario& s) {
 
 struct Pin {
   std::size_t states;
-  util::Hash128 keys;
+  util::Hash128 bytes;
   util::Hash128 collapse;
+  util::Hash128 hashes;
 };
 
-// The key digests were measured while switches and hosts were still
-// interned section by section, and interning them whole must not move
-// them; the collapse digests were measured after.
 const std::map<std::string, Pin>& pins() {
   static const std::map<std::string, Pin> p = {
       {"pyswitch-ping1",
        {191,
-        {0x6a83daeadfe25d64ULL, 0xaea394b1e80d678cULL},
-        {0xa9502ab1720f745eULL, 0x1b2a1d1932275499ULL}}},
+        {0xf73989312b796bbbULL, 0xe96a829e339c2a1cULL},
+        {0xa9502ab1720f745eULL, 0x1b2a1d1932275499ULL},
+        {0x8acbec7414f9afd7ULL, 0x51030302c2629a8dULL}}},
       {"pyswitch-ping2",
        {196,
-        {0x5db8438ae172129eULL, 0xb44330cb6f58e3e6ULL},
-        {0xcf8cd274fba163f8ULL, 0xd1eb250e0d8a432dULL}}},
+        {0x61524d8f67c8fa02ULL, 0x33d6054a432ddaefULL},
+        {0xcf8cd274fba163f8ULL, 0xd1eb250e0d8a432dULL},
+        {0x9fa4e29c49421a49ULL, 0x7077b8559add6087ULL}}},
       {"pyswitch-ping2-raw",
        {196,
-        {0x6c6951ba4df8f784ULL, 0x8a3080fe1a3093f2ULL},
-        {0x37aee7612872716cULL, 0x770a633023448450ULL}}},
+        {0xc77b0b3a2cc03908ULL, 0xb764367b433d45ccULL},
+        {0x37aee7612872716cULL, 0x770a633023448450ULL},
+        {0x9fa4e29c49421a49ULL, 0x7077b8559add6087ULL}}},
       {"pyswitch-bug1",
        {192,
-        {0xae1f2bd849585d4bULL, 0xf0312a23f751c52eULL},
-        {0x420026e61f65fb61ULL, 0x142f5363004b8575ULL}}},
+        {0xf2908695dc54b2cfULL, 0xddec9fe5d6a7ef32ULL},
+        {0x420026e61f65fb61ULL, 0x142f5363004b8575ULL},
+        {0xb67109c85ffe72edULL, 0x14776488ece25abcULL}}},
       {"pyswitch-bug2",
        {191,
-        {0xdca8429f4a5084aeULL, 0x848b388ca88f4886ULL},
-        {0x972a7e7f0f08d5afULL, 0xa8ed6a3e9614fd36ULL}}},
+        {0x4acaea2f9ae55943ULL, 0x2cfefec8c3f812ddULL},
+        {0x972a7e7f0f08d5afULL, 0xa8ed6a3e9614fd36ULL},
+        {0xe420f941e13ad437ULL, 0x3a74b70ace27216bULL}}},
       {"pyswitch-bug3",
        {201,
-        {0xc461e691ee136630ULL, 0x8a1ffe9388a04bd3ULL},
-        {0xe269bff4063efbd9ULL, 0xb175abfcc2d9e24bULL}}},
+        {0x0dfda31472bd7772ULL, 0x2c88a4e42db6922bULL},
+        {0xe269bff4063efbd9ULL, 0xb175abfcc2d9e24bULL},
+        {0x2e6e077b0a725c5eULL, 0xbfb2b7faa5ad6a4cULL}}},
       {"lb-fixed",
        {193,
-        {0x394196a52af333c7ULL, 0xdd4292cd8b000a97ULL},
-        {0xe78feb223aba9fc3ULL, 0xb7128b000c08e0a5ULL}}},
+        {0x51a7367d400483b7ULL, 0x514e3070c7c075d2ULL},
+        {0xe78feb223aba9fc3ULL, 0xb7128b000c08e0a5ULL},
+        {0xc789d1522334b025ULL, 0x9135ed02a6002714ULL}}},
       {"lb-bugs",
        {186,
-        {0x1b1f0508ffc165cfULL, 0x311623c69a605727ULL},
-        {0xd8798d5e08bb022aULL, 0x0cfbd56d34b17c5dULL}}},
+        {0xd03781ea6cacd23fULL, 0x53cdd54f80c23470ULL},
+        {0xd8798d5e08bb022aULL, 0x0cfbd56d34b17c5dULL},
+        {0x07ea18eeabd9abf0ULL, 0x7ac0e3aa803fc708ULL}}},
       {"lb-affinity",
        {193,
-        {0x8f844de6f9fe44d4ULL, 0xaddf8de4cadfd4d2ULL},
-        {0xaf39642ba0c8ba7fULL, 0xb0522d0f7de8a287ULL}}},
+        {0xdc7d8a21e4b6cc59ULL, 0xfe9253c307326564ULL},
+        {0xaf39642ba0c8ba7fULL, 0xb0522d0f7de8a287ULL},
+        {0xafa95afcaa9e10f2ULL, 0x78d758fd78586d4aULL}}},
       {"te",
        {168,
-        {0x76a496b0bc280ae6ULL, 0x738344136faa0befULL},
-        {0xadc4870566318b94ULL, 0x55c57a60983907b3ULL}}},
+        {0x0669488c538ecc42ULL, 0xe78c18ad6b30c7efULL},
+        {0xadc4870566318b94ULL, 0x55c57a60983907b3ULL},
+        {0x30fbfb2c0e6784efULL, 0x79eb6dbd2ff7ff92ULL}}},
       {"te-routing",
        {186,
-        {0x39ad99e1e66dee8fULL, 0x887bd3eddb62eb53ULL},
-        {0x8e5d1a01b4ea4e8fULL, 0xc86735c251b19674ULL}}},
+        {0x023e59ecdb3d19f4ULL, 0x91b7482151554633ULL},
+        {0x8e5d1a01b4ea4e8fULL, 0xc86735c251b19674ULL},
+        {0x0b761c39be11ae95ULL, 0x3d7657f6b4bb6cfeULL}}},
       {"pyswitch-linkfail",
        {193,
-        {0x9cb0bc42b4723294ULL, 0x8ee15e1baeca73cdULL},
-        {0x6636bf1c0e15866bULL, 0xa851b9c513742163ULL}}},
+        {0xac2bddbd13d0045cULL, 0xf80e919a0f24d846ULL},
+        {0x6636bf1c0e15866bULL, 0xa851b9c513742163ULL},
+        {0x099fa99a3803416cULL, 0xeae292f51209ebe6ULL}}},
       {"pyswitch-linkfail-react",
        {193,
-        {0x9cb0bc42b4723294ULL, 0x8ee15e1baeca73cdULL},
-        {0x6636bf1c0e15866bULL, 0xa851b9c513742163ULL}}},
+        {0xac2bddbd13d0045cULL, 0xf80e919a0f24d846ULL},
+        {0x6636bf1c0e15866bULL, 0xa851b9c513742163ULL},
+        {0x099fa99a3803416cULL, 0xeae292f51209ebe6ULL}}},
       {"pyswitch-ctrlloss",
        {190,
-        {0xd875f7010834da36ULL, 0x83a766e7516c52ccULL},
-        {0xbf207b5198815c1cULL, 0x5c0ffd2cbd82fb07ULL}}},
+        {0x96cf39db1ae2aebdULL, 0xd93987a6bff185d1ULL},
+        {0xbf207b5198815c1cULL, 0x5c0ffd2cbd82fb07ULL},
+        {0x8e2b072d01eda081ULL, 0x40f14e35d3ed7079ULL}}},
       {"pyswitch-restart",
        {190,
-        {0x009b50ff7264c0cbULL, 0x5945b5b5e113386bULL},
-        {0xbc937508d0011ee6ULL, 0xa963a5ad5f59af7bULL}}},
+        {0xb06f891a97d3e14cULL, 0x1aa5a65c7375cd6aULL},
+        {0xbc937508d0011ee6ULL, 0xa963a5ad5f59af7bULL},
+        {0x2148459290d16e2eULL, 0x09123fd36db99468ULL}}},
       {"lb-linkfail",
        {182,
-        {0x64d5ccaa8da452f9ULL, 0x8d3d60aba2ce1b08ULL},
-        {0xf6c7fdd9c791911dULL, 0x33161d3da1743d79ULL}}},
+        {0xc2f7e3bd6b9b3d9bULL, 0x3edf24e9371f445eULL},
+        {0xf6c7fdd9c791911dULL, 0x33161d3da1743d79ULL},
+        {0x8a869345b553bd89ULL, 0x57464e606bd0bb07ULL}}},
       {"lb-linkfail-react",
        {185,
-        {0x0d51c690c7503c29ULL, 0xd22b0b005ff77385ULL},
-        {0x0f0640644b2f72fcULL, 0x3b2cb2664792e448ULL}}},
+        {0x27cb253afd30ea3cULL, 0xa947740a382d0027ULL},
+        {0x0f0640644b2f72fcULL, 0x3b2cb2664792e448ULL},
+        {0xb1ecff5a37e8ad85ULL, 0xa180a828f01d5308ULL}}},
       {"te-linkfail",
        {184,
-        {0x08f05335b54a7067ULL, 0x78e3dd21ebd773c0ULL},
-        {0x12cf4d8c2a5c3911ULL, 0x76a28d44020401baULL}}},
+        {0xeb55985586b1cc72ULL, 0xddcc4a3096ead053ULL},
+        {0x12cf4d8c2a5c3911ULL, 0x76a28d44020401baULL},
+        {0x556398ff5bcea520ULL, 0xd6cb5d040b0ae731ULL}}},
       {"te-linkfail-react",
        {186,
-        {0x7f492f9b1bfbacb8ULL, 0x1ad125ff7bc53066ULL},
-        {0xbd303baf5b9d007aULL, 0x4888ed5e7956b9f9ULL}}},
+        {0x1b509e9c3fc6eb0eULL, 0x3d21887463eb40c1ULL},
+        {0xbd303baf5b9d007aULL, 0x4888ed5e7956b9f9ULL},
+        {0x9c552107a1dce37bULL, 0x731043ed5ee7376fULL}}},
       {"sym-ping3",
        {196,
-        {0x5ba76d8e6be1fb76ULL, 0x8861c90a0b4a643fULL},
-        {0x52cfc84c412ddd3cULL, 0x54071b5865d89377ULL}}},
+        {0x81d56e2c7f7e529fULL, 0x1fcc523f5a6c92a0ULL},
+        {0x52cfc84c412ddd3cULL, 0x54071b5865d89377ULL},
+        {0xc83b9f3e5484d098ULL, 0x0319846dfa2cec60ULL}}},
       {"lb-sym4",
        {192,
-        {0x5f5bc60aca0a8f9bULL, 0x9518571e67f7e09eULL},
-        {0x870ae099a1ed9300ULL, 0xa69272445a78f46dULL}}},
+        {0x38798b78c2eab79eULL, 0x97d48f856e3eab37ULL},
+        {0x870ae099a1ed9300ULL, 0xa69272445a78f46dULL},
+        {0xe682c56859b2d832ULL, 0x2498dd1a9688473bULL}}},
       {"te-sym2",
        {192,
-        {0xb23af9e3b165e45cULL, 0xdad7a3a295df65e8ULL},
-        {0x04da2d533beb401eULL, 0xb1b57544308b4e12ULL}}},
+        {0xcd3cf767bafa76ddULL, 0x4a800009041fd130ULL},
+        {0x04da2d533beb401eULL, 0xb1b57544308b4e12ULL},
+        {0x2ef6cf2f5c3e771bULL, 0x42274bdc2730fbf9ULL}}},
   };
   return p;
 }
 
 std::string pin_line(const std::string& name, const Digest& d) {
-  char line[256];
+  char line[320];
   std::snprintf(line, sizeof line,
                 "      {\"%s\",\n       {%zu,\n        {0x%016" PRIx64
                 "ULL, 0x%016" PRIx64 "ULL},\n        {0x%016" PRIx64
+                "ULL, 0x%016" PRIx64 "ULL},\n        {0x%016" PRIx64
                 "ULL, 0x%016" PRIx64 "ULL}}},\n",
-                name.c_str(), d.states, d.keys.lo, d.keys.hi, d.collapse.lo,
-                d.collapse.hi);
+                name.c_str(), d.states, d.bytes.lo, d.bytes.hi, d.collapse.lo,
+                d.collapse.hi, d.hashes.lo, d.hashes.hi);
   return line;
 }
 
 TEST(StateKeys, BundledScenarioWalksMatchGoldenDigests) {
-  std::string keys_report;
+  std::string bytes_report;
   std::string collapse_report;
+  std::string hashes_report;
   for (const apps::NamedScenario& ns : apps::bundled_scenarios()) {
     const apps::Scenario s = ns.make();
     const Digest d = walk_digest(s);
     const auto it = pins().find(ns.name);
     if (it == pins().end() || it->second.states != d.states ||
-        it->second.keys != d.keys) {
-      keys_report += pin_line(ns.name, d);
+        it->second.bytes != d.bytes) {
+      bytes_report += pin_line(ns.name, d);
     }
     if (it == pins().end() || it->second.collapse != d.collapse) {
       collapse_report += pin_line(ns.name, d);
     }
+    if (it == pins().end() || it->second.hashes != d.hashes) {
+      hashes_report += pin_line(ns.name, d);
+    }
   }
-  EXPECT_TRUE(keys_report.empty()) << "state-key digests differ from the "
-                                      "pins (actual values):\n"
-                                   << keys_report;
+  EXPECT_TRUE(bytes_report.empty())
+      << "key-byte digests differ from the pins (actual values):\n"
+      << bytes_report;
   EXPECT_TRUE(collapse_report.empty())
       << "collapse-key digests differ from the pins (actual values):\n"
       << collapse_report;
+  EXPECT_TRUE(hashes_report.empty())
+      << "key-hash digests differ from the pins (actual values):\n"
+      << hashes_report;
   EXPECT_EQ(pins().size(), apps::bundled_scenarios().size());
 }
 
