@@ -3,11 +3,16 @@
 // cloning, and a small end-to-end model-checking run.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "apps/scenarios.h"
 #include "mc/checker.h"
 #include "mc/discover.h"
 #include "sym/concolic.h"
 #include "sym/solver.h"
+#include "util/hash.h"
 
 using namespace nicemc;
 
@@ -92,6 +97,20 @@ void BM_FlowTableCanonicalSerialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlowTableCanonicalSerialize);
+
+// hash128 alone: 400 B is about one changed switch's serialization.
+void BM_Hash128(benchmark::State& state) {
+  std::vector<std::byte> bytes(static_cast<std::size_t>(state.range(0)));
+  util::SplitMix64 rng(static_cast<std::uint64_t>(state.range(0)));
+  for (std::byte& b : bytes) b = static_cast<std::byte>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::DoNotOptimize(util::hash128(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Hash128)->Arg(64)->Arg(400)->Arg(1500);
 
 void BM_SystemStateHash(benchmark::State& state) {
   auto s = apps::pyswitch_ping_chain(2);

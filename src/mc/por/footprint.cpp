@@ -431,7 +431,7 @@ bool may_conflict(const Footprint& a, const Footprint& b, bool packet_keys) {
 std::uint64_t transition_hash(const Transition& t) {
   util::Ser s;
   t.serialize(s);
-  return util::fnv1a64(s.bytes());
+  return s.hash().lo;
 }
 
 namespace {

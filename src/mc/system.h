@@ -240,8 +240,8 @@ struct SystemState {
   /// 128-bit state hash combined from the memoized per-component hashes —
   /// only components mutated since the parent state are re-serialized.
   /// NOTE: this is a hash of the canonical bytes' component structure, not
-  /// FNV over the concatenated bytes; equal serializations still imply
-  /// equal hashes and vice versa (up to negligible collisions).
+  /// util::hash128 over the concatenated bytes; equal serializations still
+  /// imply equal hashes and vice versa (up to negligible collisions).
   [[nodiscard]] util::Hash128 hash(bool canonical_tables) const;
 
   /// Hash of the controller application state only — key of the

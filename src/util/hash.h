@@ -2,9 +2,9 @@
 //
 // The paper (Section 6, "Model checker details") matches states by hashing a
 // canonical serialization of the whole system state (Python cPickle + hash).
-// We use 128-bit FNV-1a over the canonical byte serialization produced by
-// util/ser.h, which makes accidental collisions negligible for the state
-// counts involved (< 2^26 states in the largest experiment).
+// We use a 128-bit word-at-a-time hash over the canonical byte serialization
+// produced by util/ser.h, which makes accidental collisions negligible for
+// the state counts involved (< 2^26 states in the largest experiment).
 #ifndef NICE_UTIL_HASH_H
 #define NICE_UTIL_HASH_H
 
@@ -17,8 +17,8 @@
 
 namespace nicemc::util {
 
-/// 128-bit hash value (two independent 64-bit FNV-1a streams with distinct
-/// offset bases). Comparable and usable as a key in ordered/unordered maps.
+/// 128-bit hash value: two 64-bit halves that depend on every input bit.
+/// Comparable and usable as a key in ordered/unordered maps.
 struct Hash128 {
   std::uint64_t lo{0};
   std::uint64_t hi{0};
@@ -27,12 +27,11 @@ struct Hash128 {
   friend auto operator<=>(const Hash128&, const Hash128&) = default;
 };
 
-/// FNV-1a over a byte span, 64-bit, with a configurable offset basis so the
-/// two halves of Hash128 are decorrelated.
-std::uint64_t fnv1a64(std::span<const std::byte> bytes,
-                      std::uint64_t basis = 0xcbf29ce484222325ULL) noexcept;
-
-/// 128-bit hash of a byte span.
+/// 128-bit hash of a byte span. Two 64-bit lanes, seeded with the length,
+/// consume 16-byte blocks (the 0-15 byte tail zero-padded) through a
+/// 64×64→128 multiply folded to 64 bits; an invertible cross-lane
+/// avalanche ends it. Words are read little-endian, so values are the same
+/// on every host: seen-set keys and checkpoints depend on them.
 Hash128 hash128(std::span<const std::byte> bytes) noexcept;
 
 /// Boost-style combiner for incremental 64-bit hashing.
@@ -47,9 +46,8 @@ constexpr std::uint64_t hash_combine(std::uint64_t seed,
 }
 
 /// Fold a component's 128-bit hash into a running 128-bit combined hash.
-/// The two 64-bit streams stay independent (lo combines with lo, hi with
-/// hi), mirroring how hash128() derives them from distinct FNV bases. Order
-/// sensitive: combining [a, b] and [b, a] gives different results.
+/// The two 64-bit streams stay apart (lo combines with lo, hi with hi).
+/// Order sensitive: combining [a, b] and [b, a] gives different results.
 constexpr Hash128 hash128_combine(const Hash128& seed,
                                   const Hash128& v) noexcept {
   return Hash128{hash_combine(seed.lo, v.lo), hash_combine(seed.hi, v.hi)};

@@ -444,6 +444,13 @@ TEST(CheckpointResume, VersionFourCollapsedSlotFallsBack) {
   expect_old_version_falls_back(StoreMode::kCollapsed, 4, "v4_collapsed");
 }
 
+TEST(CheckpointResume, VersionFiveHashSlotFallsBack) {
+  // Version 5 stored kHash keys and slept-transition hashes of the
+  // byte-serial hash128 that came before; no key of today's hash would
+  // match them, so resuming one would silently overcount.
+  expect_old_version_falls_back(StoreMode::kHash, 5, "v5_hash");
+}
+
 TEST(CheckpointResume, MissingCheckpointFallsBackToFreshRun) {
   const apps::NamedScenario ns = apps::bundled_scenarios().front();
   const apps::Scenario s = ns.make();

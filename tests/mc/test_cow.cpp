@@ -250,7 +250,7 @@ TEST(Cow, SecondGenerationCloneChainKeepsAncestorsIntact) {
 }
 
 TEST(Cow, CombinedHashMatchesSerializedBytesEquality) {
-  // hash() is combined from component hashes, not FNV over the whole
+  // hash() is combined from component hashes, not hash128 over the whole
   // buffer — but the equality contract must hold in both directions on
   // real states: equal bytes ⇔ equal hash.
   auto s = apps::pyswitch_ping_chain(2);

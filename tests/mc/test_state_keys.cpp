@@ -127,112 +127,112 @@ const std::map<std::string, Pin>& pins() {
        {191,
         {0xf73989312b796bbbULL, 0xe96a829e339c2a1cULL},
         {0xa9502ab1720f745eULL, 0x1b2a1d1932275499ULL},
-        {0x8acbec7414f9afd7ULL, 0x51030302c2629a8dULL}}},
+        {0x576419ed7c452509ULL, 0x5ef16b437fa7086eULL}}},
       {"pyswitch-ping2",
        {196,
         {0x61524d8f67c8fa02ULL, 0x33d6054a432ddaefULL},
         {0xcf8cd274fba163f8ULL, 0xd1eb250e0d8a432dULL},
-        {0x9fa4e29c49421a49ULL, 0x7077b8559add6087ULL}}},
+        {0x2b96901a19ae9279ULL, 0xc015b9bc577c4986ULL}}},
       {"pyswitch-ping2-raw",
        {196,
         {0xc77b0b3a2cc03908ULL, 0xb764367b433d45ccULL},
         {0x37aee7612872716cULL, 0x770a633023448450ULL},
-        {0x9fa4e29c49421a49ULL, 0x7077b8559add6087ULL}}},
+        {0x2b96901a19ae9279ULL, 0xc015b9bc577c4986ULL}}},
       {"pyswitch-bug1",
        {192,
         {0xf2908695dc54b2cfULL, 0xddec9fe5d6a7ef32ULL},
         {0x420026e61f65fb61ULL, 0x142f5363004b8575ULL},
-        {0xb67109c85ffe72edULL, 0x14776488ece25abcULL}}},
+        {0x6a0ef90f2b492f48ULL, 0x232a083a1ddbd1b7ULL}}},
       {"pyswitch-bug2",
        {191,
         {0x4acaea2f9ae55943ULL, 0x2cfefec8c3f812ddULL},
         {0x972a7e7f0f08d5afULL, 0xa8ed6a3e9614fd36ULL},
-        {0xe420f941e13ad437ULL, 0x3a74b70ace27216bULL}}},
+        {0xd3d062d7f6061728ULL, 0x9cd9f19197bc4b31ULL}}},
       {"pyswitch-bug3",
        {201,
         {0x0dfda31472bd7772ULL, 0x2c88a4e42db6922bULL},
         {0xe269bff4063efbd9ULL, 0xb175abfcc2d9e24bULL},
-        {0x2e6e077b0a725c5eULL, 0xbfb2b7faa5ad6a4cULL}}},
+        {0x8539f32d0a897c61ULL, 0x3f9a72a5683d2a36ULL}}},
       {"lb-fixed",
        {193,
         {0x51a7367d400483b7ULL, 0x514e3070c7c075d2ULL},
         {0xe78feb223aba9fc3ULL, 0xb7128b000c08e0a5ULL},
-        {0xc789d1522334b025ULL, 0x9135ed02a6002714ULL}}},
+        {0x5eb110a1ccf4294aULL, 0x2a8e333f8729d0a8ULL}}},
       {"lb-bugs",
        {186,
         {0xd03781ea6cacd23fULL, 0x53cdd54f80c23470ULL},
         {0xd8798d5e08bb022aULL, 0x0cfbd56d34b17c5dULL},
-        {0x07ea18eeabd9abf0ULL, 0x7ac0e3aa803fc708ULL}}},
+        {0xd74d087d70bb2168ULL, 0x9561ff4dd5b18c98ULL}}},
       {"lb-affinity",
        {193,
         {0xdc7d8a21e4b6cc59ULL, 0xfe9253c307326564ULL},
         {0xaf39642ba0c8ba7fULL, 0xb0522d0f7de8a287ULL},
-        {0xafa95afcaa9e10f2ULL, 0x78d758fd78586d4aULL}}},
+        {0x868a9445447f01aeULL, 0x01fe3844d6311353ULL}}},
       {"te",
        {168,
         {0x0669488c538ecc42ULL, 0xe78c18ad6b30c7efULL},
         {0xadc4870566318b94ULL, 0x55c57a60983907b3ULL},
-        {0x30fbfb2c0e6784efULL, 0x79eb6dbd2ff7ff92ULL}}},
+        {0x5d949edf94e8fbf7ULL, 0xf0b0ed18953495d1ULL}}},
       {"te-routing",
        {186,
         {0x023e59ecdb3d19f4ULL, 0x91b7482151554633ULL},
         {0x8e5d1a01b4ea4e8fULL, 0xc86735c251b19674ULL},
-        {0x0b761c39be11ae95ULL, 0x3d7657f6b4bb6cfeULL}}},
+        {0x06ddc8df7bdd36b8ULL, 0x6ad4ee6ee7fd0ca2ULL}}},
       {"pyswitch-linkfail",
        {193,
         {0xac2bddbd13d0045cULL, 0xf80e919a0f24d846ULL},
         {0x6636bf1c0e15866bULL, 0xa851b9c513742163ULL},
-        {0x099fa99a3803416cULL, 0xeae292f51209ebe6ULL}}},
+        {0x2752dcbc110508bdULL, 0x9ab0f75f46fd847eULL}}},
       {"pyswitch-linkfail-react",
        {193,
         {0xac2bddbd13d0045cULL, 0xf80e919a0f24d846ULL},
         {0x6636bf1c0e15866bULL, 0xa851b9c513742163ULL},
-        {0x099fa99a3803416cULL, 0xeae292f51209ebe6ULL}}},
+        {0x2752dcbc110508bdULL, 0x9ab0f75f46fd847eULL}}},
       {"pyswitch-ctrlloss",
        {190,
         {0x96cf39db1ae2aebdULL, 0xd93987a6bff185d1ULL},
         {0xbf207b5198815c1cULL, 0x5c0ffd2cbd82fb07ULL},
-        {0x8e2b072d01eda081ULL, 0x40f14e35d3ed7079ULL}}},
+        {0x16136a26b6a66187ULL, 0x0574008fd76a3803ULL}}},
       {"pyswitch-restart",
        {190,
         {0xb06f891a97d3e14cULL, 0x1aa5a65c7375cd6aULL},
         {0xbc937508d0011ee6ULL, 0xa963a5ad5f59af7bULL},
-        {0x2148459290d16e2eULL, 0x09123fd36db99468ULL}}},
+        {0x3a133961ec9759deULL, 0x8b7867a1d8154233ULL}}},
       {"lb-linkfail",
        {182,
         {0xc2f7e3bd6b9b3d9bULL, 0x3edf24e9371f445eULL},
         {0xf6c7fdd9c791911dULL, 0x33161d3da1743d79ULL},
-        {0x8a869345b553bd89ULL, 0x57464e606bd0bb07ULL}}},
+        {0xbcc174b8d7c2ad5dULL, 0xc838151caf95d88cULL}}},
       {"lb-linkfail-react",
        {185,
         {0x27cb253afd30ea3cULL, 0xa947740a382d0027ULL},
         {0x0f0640644b2f72fcULL, 0x3b2cb2664792e448ULL},
-        {0xb1ecff5a37e8ad85ULL, 0xa180a828f01d5308ULL}}},
+        {0x5a31629a08063feeULL, 0x033ff1a2c19657acULL}}},
       {"te-linkfail",
        {184,
         {0xeb55985586b1cc72ULL, 0xddcc4a3096ead053ULL},
         {0x12cf4d8c2a5c3911ULL, 0x76a28d44020401baULL},
-        {0x556398ff5bcea520ULL, 0xd6cb5d040b0ae731ULL}}},
+        {0xb1e03ae56e7326f4ULL, 0x294e8e3d8091b82eULL}}},
       {"te-linkfail-react",
        {186,
         {0x1b509e9c3fc6eb0eULL, 0x3d21887463eb40c1ULL},
         {0xbd303baf5b9d007aULL, 0x4888ed5e7956b9f9ULL},
-        {0x9c552107a1dce37bULL, 0x731043ed5ee7376fULL}}},
+        {0x53996ecde244d8d1ULL, 0x04ec5ad6872b9ed7ULL}}},
       {"sym-ping3",
        {196,
         {0x81d56e2c7f7e529fULL, 0x1fcc523f5a6c92a0ULL},
         {0x52cfc84c412ddd3cULL, 0x54071b5865d89377ULL},
-        {0xc83b9f3e5484d098ULL, 0x0319846dfa2cec60ULL}}},
+        {0xdb57dc23efaf436fULL, 0xc0fcd644a3772970ULL}}},
       {"lb-sym4",
        {192,
         {0x38798b78c2eab79eULL, 0x97d48f856e3eab37ULL},
         {0x870ae099a1ed9300ULL, 0xa69272445a78f46dULL},
-        {0xe682c56859b2d832ULL, 0x2498dd1a9688473bULL}}},
+        {0x0a1a02020dc27ed4ULL, 0x8f7539214717ea68ULL}}},
       {"te-sym2",
        {192,
         {0xcd3cf767bafa76ddULL, 0x4a800009041fd130ULL},
         {0x04da2d533beb401eULL, 0xb1b57544308b4e12ULL},
-        {0x2ef6cf2f5c3e771bULL, 0x42274bdc2730fbf9ULL}}},
+        {0xb01e4e670063a201ULL, 0xf1d228744da51ee2ULL}}},
   };
   return p;
 }

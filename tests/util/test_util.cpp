@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -11,35 +13,116 @@
 namespace nicemc::util {
 namespace {
 
-TEST(Hash, Fnv1aKnownValues) {
-  const std::byte empty[1] = {};
-  EXPECT_EQ(fnv1a64({empty, 0}), 0xcbf29ce484222325ULL);  // offset basis
-  const std::byte a[] = {std::byte{'a'}};
-  EXPECT_EQ(fnv1a64({a, 1}), 0xaf63dc4c8601ec8cULL);  // FNV-1a("a")
-}
-
 TEST(Hash, Hash128HalvesAreIndependent) {
   const std::byte data[] = {std::byte{1}, std::byte{2}, std::byte{3}};
   const Hash128 h = hash128(data);
   EXPECT_NE(h.lo, h.hi);
 }
 
-TEST(Hash, Hash128HalvesAreFnv1aStreams) {
-  // hash128 advances both streams in one pass; each half must still be
-  // exactly the single-stream FNV-1a with its own offset basis, so stored
-  // keys, checkpoints and sleep-store shards keep their values.
-  std::vector<std::byte> big(4096);
-  for (std::size_t i = 0; i < big.size(); ++i) {
-    big[i] = static_cast<std::byte>((i * 131 + 7) & 0xff);
+/// `n` bytes of a fixed pattern: byte i is (131 i + 7) mod 256.
+std::vector<std::byte> pattern(std::size_t n) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<std::byte>((i * 131 + 7) & 0xff);
   }
-  const std::byte one[] = {std::byte{0x5a}};
-  const std::span<const std::byte> inputs[] = {
-      std::span<const std::byte>{}, one, big};
-  for (const std::span<const std::byte> x : inputs) {
+  return v;
+}
+
+/// `n` bytes drawn from `rng`.
+std::vector<std::byte> random_bytes(SplitMix64& rng, std::size_t n) {
+  std::vector<std::byte> v(n);
+  for (std::byte& b : v) b = static_cast<std::byte>(rng.next() & 0xff);
+  return v;
+}
+
+TEST(Hash, Hash128KnownAnswers) {
+  // Seen-set keys, checkpoints and shard placement store these values, so
+  // they must not drift with the host's byte order or the tail handling:
+  // the lengths cover empty input, each side of the 8-byte word and of the
+  // 16-byte block, two blocks and a switch-sized serialization.
+  struct Answer {
+    std::size_t n;
+    Hash128 h;
+  };
+  const Answer answers[] = {
+      {0, {0xec7f2e7e68e5289dULL, 0x6a3575d929bebca1ULL}},
+      {1, {0x9755561b9f644808ULL, 0x732c0bfc76fef96eULL}},
+      {7, {0xca91cda9d35750b2ULL, 0x3cc06db61acef591ULL}},
+      {8, {0x15d724feaa4255e7ULL, 0x2aec4d3f3afd91d9ULL}},
+      {9, {0x06cdc7e41e7c7454ULL, 0x138f8b13652e5f3dULL}},
+      {15, {0xa40753d88ed591cdULL, 0x6ca390367cf2a09eULL}},
+      {16, {0x4857a77589f8406dULL, 0x411e47d2f699f8ddULL}},
+      {17, {0x22ced9dc3eba322aULL, 0x3870d401276fd8cdULL}},
+      {31, {0x3d179975066d7dd6ULL, 0xd46f28b081804f86ULL}},
+      {32, {0xba9a320be2b09824ULL, 0x848081c9804d5c8bULL}},
+      {33, {0xb9e9a09e7d28bb0bULL, 0x544ebd620bb39152ULL}},
+      {400, {0xb4f74aa2dda0d4c0ULL, 0x242a256aefec89a5ULL}},
+  };
+  for (const Answer& a : answers) {
+    EXPECT_EQ(hash128(pattern(a.n)), a.h) << a.n;
+  }
+}
+
+TEST(Hash, Hash128ZeroInputsOfEveryLengthDiffer) {
+  // The length is mixed in first, so zero padding never makes inputs of
+  // different lengths meet.
+  std::vector<Hash128> seen;
+  for (std::size_t n = 0; n <= 64; ++n) {
+    seen.push_back(hash128(std::vector<std::byte>(n)));
+  }
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+}
+
+TEST(Hash, Hash128SingleBitFlipsAvalanche) {
+  // Every single-bit flip of a switch-sized input must change both halves,
+  // and on average about half of the 128 output bits.
+  SplitMix64 rng(0xa5a1a7c4eULL);
+  std::uint64_t flipped = 0;
+  std::uint64_t flips = 0;
+  for (int input = 0; input < 8; ++input) {
+    std::vector<std::byte> x = random_bytes(rng, 400);
     const Hash128 h = hash128(x);
-    EXPECT_EQ(h.lo, fnv1a64(x, 0xcbf29ce484222325ULL)) << x.size();
-    EXPECT_EQ(h.hi, fnv1a64(x, 0x9ae16a3b2f90404fULL)) << x.size();
+    for (std::size_t bit = 0; bit < x.size() * 8; ++bit) {
+      x[bit / 8] ^= static_cast<std::byte>(1U << (bit % 8));
+      const Hash128 g = hash128(x);
+      x[bit / 8] ^= static_cast<std::byte>(1U << (bit % 8));
+      ASSERT_NE(g.lo, h.lo) << "input " << input << " bit " << bit;
+      ASSERT_NE(g.hi, h.hi) << "input " << input << " bit " << bit;
+      flipped += std::popcount(g.lo ^ h.lo) + std::popcount(g.hi ^ h.hi);
+      ++flips;
+    }
   }
+  const double mean = static_cast<double>(flipped) / flips;
+  EXPECT_NEAR(mean, 64.0, 0.5) << flips << " flips";
+}
+
+TEST(Hash, Hash128LowBitsOfHalvesAreUncorrelated) {
+  // Two FNV-1a lanes share bit 0 on every input (each is the parity of the
+  // input bytes' low bits); the halves here must not be tied that way.
+  SplitMix64 rng(0x10b175ULL);
+  int ones = 0;
+  constexpr int kInputs = 1000;
+  for (int i = 0; i < kInputs; ++i) {
+    const Hash128 h = hash128(random_bytes(rng, rng.next_below(600)));
+    ones += static_cast<int>((h.lo ^ h.hi) & 1);
+  }
+  EXPECT_GT(ones, 0);
+  EXPECT_LT(ones, kInputs);
+}
+
+TEST(Hash, Hash128NearDuplicatesDoNotCollide) {
+  // 2^20 switch-sized inputs that differ only in one 8-byte counter, which
+  // straddles a word boundary — the shape of states one transition apart.
+  std::vector<std::byte> x = pattern(400);
+  constexpr std::size_t kAt = 196;
+  std::vector<Hash128> hs(std::size_t{1} << 20);
+  for (std::uint64_t i = 0; i < hs.size(); ++i) {
+    std::memcpy(x.data() + kAt, &i, sizeof i);
+    hs[i] = hash128(x);
+  }
+  std::sort(hs.begin(), hs.end());
+  EXPECT_EQ(std::adjacent_find(hs.begin(), hs.end()), hs.end());
 }
 
 TEST(Hash, DifferentInputsDiffer) {
