@@ -133,6 +133,52 @@ void BM_SystemStateClone(benchmark::State& state) {
 }
 BENCHMARK(BM_SystemStateClone);
 
+// One switch transition's state layer on a pyswitch-ping4 state a few
+// steps into the search: clone the state, run one process_pkt on a switch
+// with a queued packet, hash the child, destroy it. The parent is hashed
+// first, as the search has always hashed a state before expanding it.
+void BM_SwitchMutateHash(benchmark::State& state) {
+  auto s = apps::pyswitch_ping_chain(4);
+  mc::Executor ex(s.config, s.properties);
+  mc::DiscoveryCache cache;
+  mc::SystemState st = ex.make_initial();
+  std::vector<mc::Violation> vs;
+  // Ten steps of the first enabled transition (a ping's packet_in has
+  // been handled, its packet_out is queued), then host sends until some
+  // switch has a packet queued beside a buffered one.
+  auto ready = [&]() -> std::ptrdiff_t {
+    for (std::size_t i = 0; i < st.switch_count(); ++i) {
+      if (st.sw(i).can_process_pkt() && st.sw(i).forgotten_packets() > 0) {
+        return static_cast<std::ptrdiff_t>(i);
+      }
+    }
+    return -1;
+  };
+  std::ptrdiff_t sw = -1;
+  for (int depth = 0; depth < 16 && (depth < 10 || (sw = ready()) < 0);
+       ++depth) {
+    const std::vector<mc::Transition> enabled = ex.enabled(st, cache);
+    const mc::Transition* pick = enabled.empty() ? nullptr : &enabled.front();
+    for (const mc::Transition& t : enabled) {
+      if (depth >= 10 && t.kind == mc::TKind::kHostSendScript) pick = &t;
+    }
+    if (pick == nullptr) break;
+    ex.apply(st, *pick, vs);
+  }
+  if (sw < 0) {
+    state.SkipWithError("no switch with a queued and a buffered packet");
+    return;
+  }
+  benchmark::DoNotOptimize(st.hash(true));
+  const auto i = static_cast<std::size_t>(sw);
+  for (auto _ : state) {
+    mc::SystemState child = st.clone();
+    benchmark::DoNotOptimize(child.sw_mut(i).process_pkt());
+    benchmark::DoNotOptimize(child.hash(true));
+  }
+}
+BENCHMARK(BM_SwitchMutateHash);
+
 void BM_CheckerPingExhaustive(benchmark::State& state) {
   const int pings = static_cast<int>(state.range(0));
   for (auto _ : state) {

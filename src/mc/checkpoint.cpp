@@ -65,9 +65,11 @@ namespace {
 // change to the state keys it stores (4: util::Renamer names buffer ids;
 // 5: COLLAPSE interns each component whole, and TKind lost its two
 // discovery labels; 6: util::hash128 became a word-at-a-time hash, which
-// moves every kHash key, slept-transition hash and the checksum).
+// moves every kHash key, slept-transition hash and the checksum; 7: a
+// switch's hash combines its six section hashes, which moves every kHash
+// key).
 constexpr std::uint64_t kMagic = 0x4E494345434B5054ULL;
-constexpr std::uint32_t kVersion = 6;
+constexpr std::uint32_t kVersion = 7;
 // magic u64 + version u32 + sequence u64 + payload-size u64 + Hash128.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 16;
 

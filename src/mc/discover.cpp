@@ -31,10 +31,10 @@ void DiscoveryCache::stats_key(util::Ser& key, const SystemState& state,
   state.put_app_key(key, ids_);
   // The exact symbolic seeds discover_stats registers per port.
   const of::Switch& swm = state.sw(sw);
-  for (const of::PortId p : swm.ports) {
-    const auto it = swm.port_stats.find(p);
+  for (const of::PortId p : swm.ports()) {
+    const auto it = swm.port_stats().find(p);
     key.put_u32(p);
-    key.put_u64(it == swm.port_stats.end()
+    key.put_u64(it == swm.port_stats().end()
                     ? 0
                     : (it->second.tx_bytes & 0xffffffffULL));
   }
@@ -179,11 +179,11 @@ std::vector<StatsValues> discover_stats(const SystemConfig& cfg,
   sym::Concolic engine(cfg.concolic);
 
   std::vector<std::pair<of::PortId, sym::VarHandle>> port_vars;
-  port_vars.reserve(swm.ports.size());
-  for (of::PortId p : swm.ports) {
-    const auto it = swm.port_stats.find(p);
+  port_vars.reserve(swm.ports().size());
+  for (of::PortId p : swm.ports()) {
+    const auto it = swm.port_stats().find(p);
     const std::uint64_t initial =
-        it == swm.port_stats.end() ? 0 : (it->second.tx_bytes & 0xffffffffULL);
+        it == swm.port_stats().end() ? 0 : (it->second.tx_bytes & 0xffffffffULL);
     port_vars.emplace_back(
         p, engine.add_var("tx_bytes_p" + std::to_string(p), 32, initial));
   }

@@ -75,9 +75,9 @@ std::vector<Transition> Executor::enabled(const SystemState& state,
     out.push_back(Transition{.kind = TKind::kCtrlApplyCommand});
   }
   for (const of::Switch& sw : state.switches()) {
-    if (sw.of_out.empty()) continue;
+    if (sw.of_out().empty()) continue;
     const bool head_is_stats =
-        std::holds_alternative<of::StatsReply>(sw.of_out.front());
+        std::holds_alternative<of::StatsReply>(sw.of_out().front());
     if (head_is_stats && cfg_.symbolic_discovery) {
       const auto vals = cache.stats_classes(cfg_, state, sw.id);
       for (const StatsValues& v : *vals) {
@@ -127,7 +127,7 @@ std::vector<Transition> Executor::enabled(const SystemState& state,
       }
     }
     if (cfg_.enable_channel_faults && pkt_faults_ok) {
-      for (const auto& [port, chan] : sw.in_ports) {
+      for (const auto& [port, chan] : sw.in_ports()) {
         if (chan.empty()) continue;
         if (sw.pkt_channel_faults.may_drop) {
           out.push_back(Transition{.kind = TKind::kChannelDropHead,
@@ -143,7 +143,7 @@ std::vector<Transition> Executor::enabled(const SystemState& state,
       }
     }
     if (cfg_.enable_ctrl_channel_faults) {
-      if (sw.ctrl_channel_down) {
+      if (sw.ctrl_channel_down()) {
         // Reconnect is free: the number of disconnects is what's bounded.
         out.push_back(Transition{.kind = TKind::kCtrlChannelUp, .a = sw.id});
       } else if (channel_losses_ok) {
@@ -164,7 +164,7 @@ std::vector<Transition> Executor::enabled(const SystemState& state,
     const auto& links = cfg_.topology->links();
     for (std::size_t li = 0; li < links.size(); ++li) {
       const topo::LinkSpec& l = links[li];
-      const bool down = state.sw(l.sw_a).down_ports.contains(l.port_a);
+      const bool down = state.sw(l.sw_a).down_ports().contains(l.port_a);
       if (down) {
         if (cfg_.enable_link_repair) {
           out.push_back(Transition{.kind = TKind::kLinkUp,
@@ -236,7 +236,7 @@ void Executor::inject_host_packet(SystemState& state, of::HostId host,
 void Executor::deliver(SystemState& state, of::SwitchId from_sw,
                        of::PortId out_port, of::Packet pkt,
                        EventList& events) const {
-  if (state.sw(from_sw).down_ports.contains(out_port)) {
+  if (state.sw(from_sw).down_ports().contains(out_port)) {
     // The attached link is down: the copy is lost on the wire. A rule that
     // keeps forwarding here after the failure is a stale-state black hole.
     events.push_back(EvPacketDeadPort{from_sw, out_port, std::move(pkt)});
@@ -305,7 +305,7 @@ void Executor::run_switch_of(SystemState& state, of::SwitchId sw,
 
 void Executor::ctrl_dispatch(SystemState& state, of::SwitchId sw,
                              EventList& events) const {
-  const of::ToController msg = state.sw_mut(sw).of_out.pop();
+  const of::ToController msg = state.sw_mut(sw).pop_of_out();
   ctrl::DispatchResult res =
       ctrl::dispatch_message(*cfg_.app, state.ctrl_mut(), sw, msg);
   if (res.was_packet_in) {
@@ -352,7 +352,7 @@ void Executor::push_commands(SystemState& state,
     }
     if (cfg_.fine_interleaving) {
       ctrl.pending_commands.emplace_back(target, std::move(msg));
-    } else if (!state.sw(target).ctrl_channel_down) {
+    } else if (!state.sw(target).ctrl_channel_down()) {
       // A message sent to a disconnected switch is lost in transit.
       state.sw_mut(target).push_of(std::move(msg), ctrl.next_of_seq++);
     }
@@ -369,11 +369,13 @@ void Executor::replay_handshake(SystemState& state, of::SwitchId sw,
   cfg_.app->switch_leave(*ctrl.app, ctx, sw);
   cfg_.app->switch_join(*ctrl.app, ctx, sw);
   push_commands(state, ctx.take_commands(), events);
-  const std::vector<of::PortId> down(state.sw(sw).down_ports.begin(),
-                                     state.sw(sw).down_ports.end());
-  if (!down.empty()) {
+  if (!state.sw(sw).down_ports().empty()) {
+    // emit_port_status writes the OpenFlow channel part only, so the
+    // down-port set stays valid while it is walked.
     of::Switch& swm = state.sw_mut(sw);
-    for (of::PortId p : down) swm.emit_port_status(p, /*up=*/false);
+    for (of::PortId p : swm.down_ports()) {
+      swm.emit_port_status(p, /*up=*/false);
+    }
   }
 }
 
@@ -388,7 +390,7 @@ void Executor::drain_lockstep(SystemState& state, EventList& events) const {
       }
     }
     for (std::size_t i = 0; i < state.switch_count(); ++i) {
-      if (state.sw(i).of_out.empty()) continue;
+      if (state.sw(i).of_out().empty()) continue;
       // Stats replies are consumed here too, with their *concrete* values:
       // in lock-step there is no delayed-statistics nondeterminism to
       // discover. This is why NO-DELAY misses the load-dependent TE bugs
@@ -481,7 +483,7 @@ void Executor::apply(SystemState& state, const Transition& t,
       ctrl::ControllerState& ctrl = state.ctrl_mut();
       auto [target, msg] = std::move(ctrl.pending_commands.front());
       ctrl.pending_commands.erase(ctrl.pending_commands.begin());
-      if (!state.sw(target).ctrl_channel_down) {
+      if (!state.sw(target).ctrl_channel_down()) {
         state.sw_mut(target).push_of(std::move(msg), ctrl.next_of_seq++);
       }
       break;
@@ -504,9 +506,9 @@ void Executor::apply(SystemState& state, const Transition& t,
     }
     case TKind::kCtrlProcessStats: {
       of::Switch& swm = state.sw_mut(t.a);
-      assert(!swm.of_out.empty() &&
-             std::holds_alternative<of::StatsReply>(swm.of_out.front()));
-      swm.of_out.pop();
+      assert(!swm.of_out().empty() &&
+             std::holds_alternative<of::StatsReply>(swm.of_out().front()));
+      swm.pop_of_out();
       auto cmds = ctrl::dispatch_stats_with_values(*cfg_.app,
                                                    state.ctrl_mut(), t.a,
                                                    t.stats);
@@ -516,13 +518,13 @@ void Executor::apply(SystemState& state, const Transition& t,
     }
     case TKind::kRuleExpire: {
       of::Switch& swm = state.sw_mut(t.a);
-      events.push_back(EvRuleExpired{t.a, swm.table.rules()[t.aux]});
+      events.push_back(EvRuleExpired{t.a, swm.table().rules()[t.aux]});
       swm.expire_rule(t.aux);
       break;
     }
     case TKind::kChannelDropHead: {
       of::Switch& swm = state.sw_mut(t.a);
-      auto& chan = swm.in_ports.at(t.aux);
+      auto& chan = swm.in_port_mut(t.aux);
       events.push_back(EvChannelDrop{t.a, t.aux, chan.front()});
       chan.drop_head();
       if (cfg_.max_packet_faults != kUnboundedFaults) {
@@ -532,7 +534,7 @@ void Executor::apply(SystemState& state, const Transition& t,
     }
     case TKind::kChannelDupHead: {
       of::Switch& swm = state.sw_mut(t.a);
-      auto& chan = swm.in_ports.at(t.aux);
+      auto& chan = swm.in_port_mut(t.aux);
       events.push_back(EvChannelDup{t.a, t.aux, chan.front()});
       chan.duplicate_head();
       if (cfg_.max_packet_faults != kUnboundedFaults) {
@@ -542,16 +544,8 @@ void Executor::apply(SystemState& state, const Transition& t,
     }
     case TKind::kLinkDown: {
       const topo::LinkSpec& l = cfg_.topology->links()[t.a];
-      {
-        of::Switch& swm = state.sw_mut(l.sw_a);
-        swm.down_ports.insert(l.port_a);
-        swm.emit_port_status(l.port_a, /*up=*/false);
-      }
-      {
-        of::Switch& swm = state.sw_mut(l.sw_b);
-        swm.down_ports.insert(l.port_b);
-        swm.emit_port_status(l.port_b, /*up=*/false);
-      }
+      state.sw_mut(l.sw_a).set_link(l.port_a, /*up=*/false);
+      state.sw_mut(l.sw_b).set_link(l.port_b, /*up=*/false);
       if (cfg_.max_link_failures != kUnboundedFaults) {
         ++state.faults.link_failures;
       }
@@ -560,16 +554,8 @@ void Executor::apply(SystemState& state, const Transition& t,
     }
     case TKind::kLinkUp: {
       const topo::LinkSpec& l = cfg_.topology->links()[t.a];
-      {
-        of::Switch& swm = state.sw_mut(l.sw_a);
-        swm.down_ports.erase(l.port_a);
-        swm.emit_port_status(l.port_a, /*up=*/true);
-      }
-      {
-        of::Switch& swm = state.sw_mut(l.sw_b);
-        swm.down_ports.erase(l.port_b);
-        swm.emit_port_status(l.port_b, /*up=*/true);
-      }
+      state.sw_mut(l.sw_a).set_link(l.port_a, /*up=*/true);
+      state.sw_mut(l.sw_b).set_link(l.port_b, /*up=*/true);
       events.push_back(EvLinkUp{t.a, l.sw_a, l.port_a, l.sw_b, l.port_b});
       break;
     }

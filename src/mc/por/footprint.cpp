@@ -60,7 +60,7 @@ void add_outcome(Footprint& fp, const SystemConfig& cfg,
   if (!cfg.canonical_flowtables) fp.write(rid(Res::kCopyCounter));
   for (const auto& [port, pkt] : oc.forwards) {
     add_packet_keys(fp, pkt);
-    if (state.sw(sw).down_ports.contains(port)) {
+    if (state.sw(sw).down_ports().contains(port)) {
       continue;  // mirror of Executor::deliver: dies at the down port
     }
     const topo::PortPeer peer = cfg.topology->switch_peer(sw, port);
@@ -107,18 +107,18 @@ void host_send_common(Footprint& fp, const SystemConfig& cfg,
 /// order-interferes with any transition touching the same identities.
 void add_wiped_packet_keys(Footprint& fp, const of::Switch& sw,
                            bool include_buffer) {
-  for (const of::ToSwitch& m : sw.of_in.items()) {
+  for (const of::ToSwitch& m : sw.of_in().items()) {
     if (const auto* po = std::get_if<of::PacketOut>(&m)) {
       if (po->packet.has_value()) add_packet_keys(fp, *po->packet);
     }
   }
-  for (const of::ToController& m : sw.of_out.items()) {
+  for (const of::ToController& m : sw.of_out().items()) {
     if (const auto* pin = std::get_if<of::PacketIn>(&m)) {
       add_packet_keys(fp, pin->packet);
     }
   }
   if (include_buffer) {
-    for (const auto& [bid, bp] : sw.buffer) add_packet_keys(fp, bp.packet);
+    for (const auto& [bid, bp] : sw.buffer()) add_packet_keys(fp, bp.packet);
   }
 }
 
@@ -246,9 +246,9 @@ Footprint compute_footprint(const SystemConfig& cfg, const SystemState& state,
     case TKind::kSwitchProcessPkt: {
       const of::Switch& sw = state.sw(t.a);
       fp.write(rid(Res::kSwCore, t.a));  // table lookups, buffer, stats
-      for (const of::PortId p : sw.ports) {
-        const auto it = sw.in_ports.find(p);
-        const bool has = it != sw.in_ports.end() && !it->second.empty();
+      for (const of::PortId p : sw.ports()) {
+        const auto it = sw.in_ports().find(p);
+        const bool has = it != sw.in_ports().end() && !it->second.empty();
         // Non-empty channels lose their head; an append to an *empty*
         // channel changes which packets this transition would process, so
         // empty channels are tail-reads.
@@ -284,7 +284,7 @@ Footprint compute_footprint(const SystemConfig& cfg, const SystemState& state,
       // targets (the clone is discarded; handlers are deterministic).
       ctrl::ControllerState sim(state.ctrl());
       const ctrl::DispatchResult res = ctrl::dispatch_message(
-          *cfg.app, sim, t.a, state.sw(t.a).of_out.front());
+          *cfg.app, sim, t.a, state.sw(t.a).of_out().front());
       if (res.was_packet_in) add_packet_keys(fp, res.packet_in.packet);
       add_commands(fp, cfg, res.commands);
       break;
@@ -323,7 +323,7 @@ Footprint compute_footprint(const SystemConfig& cfg, const SystemState& state,
     }
     case TKind::kChannelDropHead: {
       fp.write(rid(Res::kSwInHead, t.a, t.aux));
-      add_packet_keys(fp, state.sw(t.a).in_ports.at(t.aux).front());
+      add_packet_keys(fp, state.sw(t.a).in_ports().at(t.aux).front());
       if (cfg.max_packet_faults != kUnboundedFaults) {
         fp.write(rid(Res::kFaultBudget, 3));
       }
@@ -332,7 +332,7 @@ Footprint compute_footprint(const SystemConfig& cfg, const SystemState& state,
     case TKind::kChannelDupHead: {
       fp.write(rid(Res::kSwInHead, t.a, t.aux));
       fp.write(rid(Res::kSwInTail, t.a, t.aux));
-      add_packet_keys(fp, state.sw(t.a).in_ports.at(t.aux).front());
+      add_packet_keys(fp, state.sw(t.a).in_ports().at(t.aux).front());
       if (cfg.max_packet_faults != kUnboundedFaults) {
         fp.write(rid(Res::kFaultBudget, 3));
       }
@@ -504,7 +504,7 @@ Footprint FootprintMemo::get(const SystemState& state, const Transition& t) {
       // nothing else of the switch — key the message bytes, not the
       // switch component (whose queue churn would kill the hit rate).
       state.put_app_key(key, ids_);
-      of::serialize_message(key, state.sw(t.a).of_out.front());
+      of::serialize_message(key, state.sw(t.a).of_out().front());
       break;
     default:  // kCtrlExternal / kCtrlProcessStats: app state only
       state.put_app_key(key, ids_);

@@ -7,8 +7,11 @@
 // transition deep-copies only the components it actually touches — through
 // the explicit *_mut() accessors. Each snapshot memoizes its canonical
 // serialization and hash, so hashing a child state re-serializes only the
-// components that changed since the parent. See ARCHITECTURE.md ("state
-// pipeline").
+// components that changed since the parent. A switch goes one level finer:
+// its snapshot is a shell over six copy-on-write section parts
+// (of::Switch), so sw_mut() copies the shell, the switch's mutators copy
+// only the sections they write, and its hash re-serializes only those.
+// See ARCHITECTURE.md ("state pipeline").
 #ifndef NICE_MC_SYSTEM_H
 #define NICE_MC_SYSTEM_H
 
@@ -203,6 +206,12 @@ struct SystemState {
                                    std::size_t i) const noexcept {
     return switches_[i].same_snapshot(o.switches_[i]);
   }
+  /// Switch i's section `part` (of::Switch::kSerializeParts) is the
+  /// identical copy-on-write part in both states.
+  [[nodiscard]] bool shares_switch_part(const SystemState& o, std::size_t i,
+                                        std::size_t part) const {
+    return sw(i).shares_part(o.sw(i), part);
+  }
   [[nodiscard]] bool shares_host(const SystemState& o,
                                  std::size_t i) const noexcept {
     return hosts_[i].same_snapshot(o.hosts_[i]);
@@ -238,10 +247,14 @@ struct SystemState {
                                          bool canonical_tables) const;
 
   /// 128-bit state hash combined from the memoized per-component hashes —
-  /// only components mutated since the parent state are re-serialized.
-  /// NOTE: this is a hash of the canonical bytes' component structure, not
-  /// util::hash128 over the concatenated bytes; equal serializations still
-  /// imply equal hashes and vice versa (up to negligible collisions).
+  /// only components mutated since the parent state are re-serialized, and
+  /// of a switch only the sections its transitions wrote (a switch's hash
+  /// is itself util::hash128_combine over its six section hashes, in
+  /// section order; of::Switch::hash). Reading a memoized component hash
+  /// takes no lock. NOTE: this is a hash of the canonical bytes' component
+  /// and section structure, not util::hash128 over the concatenated bytes;
+  /// equal serializations still imply equal hashes and vice versa (up to
+  /// negligible collisions).
   [[nodiscard]] util::Hash128 hash(bool canonical_tables) const;
 
   /// Hash of the controller application state only — key of the

@@ -1,48 +1,115 @@
 #include "of/switch.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <string>
 
 namespace nicemc::of {
 
+namespace {
+
+/// A buffer generation never drawn before. Drawn in per-thread blocks, so
+/// threads share one atomic add per 2^16 draws; 0 stays the generation of
+/// a buffer no one has written.
+std::uint64_t fresh_generation() {
+  constexpr std::uint64_t kBlock = std::uint64_t{1} << 16;
+  static std::atomic<std::uint64_t> next_block{1};
+  thread_local std::uint64_t next = 0;
+  thread_local std::uint64_t end = 0;
+  if (next == end) {
+    next = next_block.fetch_add(kBlock, std::memory_order_relaxed);
+    end = next + kBlock;
+  }
+  return next++;
+}
+
+/// The key a section's memo is valid under: the buffer generation if the
+/// section named a buffer id (the renamer's lookup count moved from
+/// `named`), since the name is a content rank within that buffer; else any.
+std::uint64_t memo_key(const util::Renamer* rn, std::uint64_t named,
+                       std::uint64_t naming) {
+  return util::rn_buffer_lookups(rn) != named ? naming
+                                              : util::HashMemo::kAnyKey;
+}
+
+constexpr util::Hash128 kSwitchHashSeed{0x6e6963652d737770ULL,
+                                        0x617274732d683132ULL};
+
+}  // namespace
+
 Switch::Switch(SwitchId sw_id, std::vector<PortId> port_list,
                std::size_t buf_capacity)
-    : id(sw_id), ports(std::move(port_list)), buffer_capacity(buf_capacity) {
-  for (PortId p : ports) {
-    in_ports.emplace(p, Fifo<Packet>{});
-    port_stats.emplace(p, PortStatsEntry{});
+    : id(sw_id),
+      buffer_capacity(buf_capacity),
+      ports_(std::make_shared<const std::vector<PortId>>(
+          std::move(port_list))) {
+  Ingress& in = ingress_.mut();
+  PortStats& stats = port_stats_.mut();
+  for (PortId p : ports()) {
+    in.emplace(p, Fifo<Packet>{});
+    stats.emplace(p, PortStatsEntry{});
   }
 }
 
+Switch::Buffer& Switch::buffer_mut() {
+  Buffer& b = buffer_.mut();
+  b.generation = fresh_generation();
+  return b;
+}
+
 void Switch::enqueue_packet(PortId port, Packet p) {
-  assert(in_ports.contains(port) && "delivery to unknown port");
-  in_ports.at(port).push(std::move(p));
+  assert(in_ports().contains(port) && "delivery to unknown port");
+  in_port_mut(port).push(std::move(p));
 }
 
 bool Switch::can_process_pkt() const {
-  for (const auto& [port, chan] : in_ports) {
+  for (const auto& [port, chan] : in_ports()) {
     if (!chan.empty()) return true;
   }
   return false;
 }
 
-std::vector<std::pair<PortId, Packet>> Switch::expand_action(
-    const Action& a, PortId in_port, const Packet& p) const {
-  std::vector<std::pair<PortId, Packet>> out;
+void Switch::set_link(PortId port, bool up) {
+  std::set<PortId>& down = core_.mut().down_ports;
+  if (up) {
+    down.erase(port);
+  } else {
+    down.insert(port);
+  }
+  emit_port_status(port, up);
+}
+
+std::uint32_t Switch::punt(const Packet& p, PortId in_port,
+                           PacketIn::Reason reason) {
+  Buffer& buf = buffer_mut();
+  const std::uint32_t bid = buf.next_id++;
+  buf.entries.emplace(bid, BufferedPacket{p, in_port});
+  of_out_.mut().push(PacketIn{
+      .packet = p, .in_port = in_port, .buffer_id = bid, .reason = reason});
+  return bid;
+}
+
+void Switch::forward(const Action& a, PortId in_port, const Packet& p,
+                     PacketOutcome& oc) {
+  auto emit = [&](PortId port) {
+    PortStatsEntry& tx = port_stats_mut()[port];
+    tx.tx_packets += 1;
+    tx.tx_bytes += p.size_bytes;
+    oc.forwards.emplace_back(port, p);
+  };
   switch (a.type) {
     case ActionType::kOutput:
-      out.emplace_back(a.port, p);
+      emit(a.port);
       break;
     case ActionType::kFlood:
-      for (PortId port : ports) {
-        if (port != in_port) out.emplace_back(port, p);
+      for (PortId port : ports()) {
+        if (port != in_port) emit(port);
       }
       break;
     case ActionType::kController:
       break;  // handled by the caller (buffering)
   }
-  return out;
 }
 
 PacketOutcome Switch::run_pipeline(Packet p, PortId in_port, bool record_hop) {
@@ -51,70 +118,55 @@ PacketOutcome Switch::run_pipeline(Packet p, PortId in_port, bool record_hop) {
   if (record_hop) {
     oc.revisited = p.visited_before(id, in_port);
     p.visited.push_back(Hop{id, in_port});
-    auto& rx = port_stats[in_port];
+    PortStatsEntry& rx = port_stats_mut()[in_port];
     rx.rx_packets += 1;
     rx.rx_bytes += p.size_bytes;
   }
   oc.packet = p;
 
-  const std::optional<std::size_t> hit = table.lookup(in_port, p.hdr);
+  const std::optional<std::size_t> hit = table().lookup(in_port, p.hdr);
   if (!hit) {
     // No matching rule: buffer the packet and punt to the controller
     // (OpenFlow NO_MATCH behaviour).
-    if (ctrl_channel_down) {
+    if (ctrl_channel_down()) {
       oc.dropped_no_ctrl = true;
       return oc;
     }
-    if (buffer.size() >= buffer_capacity) {
+    if (buffer().size() >= buffer_capacity) {
       oc.dropped_buffer_full = true;
       return oc;
     }
-    const std::uint32_t bid = next_buffer_id++;
-    buffer.emplace(bid, BufferedPacket{p, in_port});
-    of_out.push(PacketIn{.packet = p,
-                         .in_port = in_port,
-                         .buffer_id = bid,
-                         .reason = PacketIn::Reason::kNoMatch});
     oc.to_controller = true;
-    oc.buffer_id = bid;
+    oc.buffer_id = punt(p, in_port, PacketIn::Reason::kNoMatch);
     oc.reason = PacketIn::Reason::kNoMatch;
     return oc;
   }
 
   oc.rule_idx = hit;
-  table.count_hit(*hit, p.size_bytes);
-  const Rule& rule = table.rules()[*hit];
+  // Held across the loop: punt() and forward() write other parts only.
+  FlowTable& tbl = table_mut();
+  tbl.count_hit(*hit, p.size_bytes);
+  const Rule& rule = tbl.rules()[*hit];
   if (rule.actions.empty()) {
     oc.dropped_by_rule = true;
     return oc;
   }
   for (const Action& a : rule.actions) {
     if (a.type == ActionType::kController) {
-      if (ctrl_channel_down) {
+      if (ctrl_channel_down()) {
         oc.dropped_no_ctrl = true;
         continue;
       }
-      if (buffer.size() >= buffer_capacity) {
+      if (buffer().size() >= buffer_capacity) {
         oc.dropped_buffer_full = true;
         continue;
       }
-      const std::uint32_t bid = next_buffer_id++;
-      buffer.emplace(bid, BufferedPacket{p, in_port});
-      of_out.push(PacketIn{.packet = p,
-                           .in_port = in_port,
-                           .buffer_id = bid,
-                           .reason = PacketIn::Reason::kAction});
       oc.to_controller = true;
-      oc.buffer_id = bid;
+      oc.buffer_id = punt(p, in_port, PacketIn::Reason::kAction);
       oc.reason = PacketIn::Reason::kAction;
       continue;
     }
-    for (auto& [port, pkt] : expand_action(a, in_port, p)) {
-      auto& tx = port_stats[port];
-      tx.tx_packets += 1;
-      tx.tx_bytes += pkt.size_bytes;
-      oc.forwards.emplace_back(port, std::move(pkt));
-    }
+    forward(a, in_port, p, oc);
   }
   return oc;
 }
@@ -133,12 +185,7 @@ PacketOutcome Switch::apply_actions(Packet p, PortId in_port,
   for (const Action& a : actions) {
     assert(a.type != ActionType::kController &&
            "packet_out back to controller is not modelled");
-    for (auto& [port, pkt] : expand_action(a, in_port, p)) {
-      auto& tx = port_stats[port];
-      tx.tx_packets += 1;
-      tx.tx_bytes += pkt.size_bytes;
-      oc.forwards.emplace_back(port, std::move(pkt));
-    }
+    forward(a, in_port, p, oc);
   }
   return oc;
 }
@@ -148,7 +195,7 @@ std::vector<PacketOutcome> Switch::process_pkt() {
   std::vector<PacketOutcome> outcomes;
   // Paper: dequeue the first packet from each channel and process all of
   // them as a single transition.
-  for (auto& [port, chan] : in_ports) {
+  for (auto& [port, chan] : ingress_.mut()) {
     if (chan.empty()) continue;
     outcomes.push_back(run_pipeline(chan.pop(), port, /*record_hop=*/true));
   }
@@ -158,20 +205,22 @@ std::vector<PacketOutcome> Switch::process_pkt() {
 OfOutcome Switch::process_of() {
   assert(can_process_of());
   OfOutcome oc;
-  ToSwitch msg = of_in.pop();
-  if (!of_in_seq.empty()) of_in_seq.erase(of_in_seq.begin());
+  OfIn& in = of_in_.mut();
+  ToSwitch msg = in.msgs.pop();
+  if (!in.seq.empty()) in.seq.erase(in.seq.begin());
   if (auto* fm = std::get_if<FlowMod>(&msg)) {
     switch (fm->cmd) {
       case FlowMod::Cmd::kAdd:
-        table.add(fm->rule);
+        table_mut().add(fm->rule);
         oc.installed = fm->rule;
         break;
       case FlowMod::Cmd::kDelete:
-        oc.removed_count = table.remove(fm->rule.match, std::nullopt);
+        oc.removed_count = table_mut().remove(fm->rule.match, std::nullopt);
         oc.removed_match = fm->rule.match;
         break;
       case FlowMod::Cmd::kDeleteStrict:
-        oc.removed_count = table.remove(fm->rule.match, fm->rule.priority);
+        oc.removed_count =
+            table_mut().remove(fm->rule.match, fm->rule.priority);
         oc.removed_match = fm->rule.match;
         break;
     }
@@ -181,14 +230,14 @@ OfOutcome Switch::process_of() {
     Packet p;
     PortId in_port = po->in_port;
     if (po->buffer_id != kNoBuffer) {
-      auto it = buffer.find(po->buffer_id);
-      if (it == buffer.end()) {
+      const auto it = buffer().find(po->buffer_id);
+      if (it == buffer().end()) {
         oc.missing_buffer = true;
         return oc;
       }
       p = it->second.packet;
       in_port = it->second.in_port;
-      buffer.erase(it);
+      buffer_mut().entries.erase(po->buffer_id);
     } else {
       assert(po->packet.has_value() &&
              "packet_out without buffer must carry a packet");
@@ -201,45 +250,62 @@ OfOutcome Switch::process_of() {
     return oc;
   }
   if (auto* sr = std::get_if<StatsRequest>(&msg)) {
-    of_out.push(StatsReply{.xid = sr->xid, .ports = port_stats});
+    of_out_.mut().push(StatsReply{.xid = sr->xid, .ports = port_stats()});
     oc.stats_replied = true;
     return oc;
   }
   const auto& br = std::get<BarrierRequest>(msg);
-  of_out.push(BarrierReply{.xid = br.xid});
+  of_out_.mut().push(BarrierReply{.xid = br.xid});
   oc.barrier_replied = true;
   return oc;
 }
 
 Switch::ChannelLoss Switch::disconnect_ctrl() {
-  ChannelLoss loss{.lost_to_switch = of_in.size(),
-                   .lost_to_ctrl = of_out.size()};
-  of_in = Fifo<ToSwitch>{};
-  of_in_seq.clear();
-  of_out = Fifo<ToController>{};
-  ctrl_channel_down = true;
+  ChannelLoss loss{.lost_to_switch = of_in().size(),
+                   .lost_to_ctrl = of_out().size()};
+  of_in_ = util::Part<OfIn>{};
+  of_out_ = util::Part<OfOut>{};
+  core_.mut().ctrl_channel_down = true;
   return loss;
 }
 
 Switch::RestartSummary Switch::restart() {
-  RestartSummary sum{.lost_rules = table.size(),
-                     .lost_buffered = buffer.size(),
-                     .lost_to_switch = of_in.size(),
-                     .lost_to_ctrl = of_out.size()};
-  table = FlowTable{};
-  buffer.clear();
-  of_in = Fifo<ToSwitch>{};
-  of_in_seq.clear();
-  of_out = Fifo<ToController>{};
-  for (auto& [port, st] : port_stats) st = PortStatsEntry{};
-  ctrl_channel_down = false;
+  RestartSummary sum{.lost_rules = table().size(),
+                     .lost_buffered = buffer().size(),
+                     .lost_to_switch = of_in().size(),
+                     .lost_to_ctrl = of_out().size()};
+  Core& core = core_.mut();
+  core.table = FlowTable{};
+  core.ctrl_channel_down = false;
+  buffer_mut().entries.clear();
+  of_in_ = util::Part<OfIn>{};
+  of_out_ = util::Part<OfOut>{};
+  for (auto& [port, st] : port_stats_mut()) st = PortStatsEntry{};
   return sum;
+}
+
+bool Switch::shares_part(const Switch& o, std::size_t part) const {
+  switch (part) {
+    case 0:
+      return core_.same_part(o.core_);
+    case 1:
+      return ingress_.same_part(o.ingress_);
+    case 2:
+      return of_in_.same_part(o.of_in_);
+    case 3:
+      return of_out_.same_part(o.of_out_);
+    case 4:
+      return buffer_.same_part(o.buffer_);
+    default:
+      return port_stats_.same_part(o.port_stats_);
+  }
 }
 
 std::vector<std::size_t> Switch::expirable_rules() const {
   std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < table.rules().size(); ++i) {
-    if (table.rules()[i].can_expire()) out.push_back(i);
+  const std::vector<Rule>& rules = table().rules();
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    if (rules[i].can_expire()) out.push_back(i);
   }
   return out;
 }
@@ -249,11 +315,12 @@ std::span<const BufferedPacket* const> Switch::name_buffers(
   // Dense naming by buffered-packet content: interleavings that buffered
   // the same packets under different raw ids serialize identically. Every
   // buffer id written under this switch's scope is looked up here.
-  if (!util::rn_canonical(rn) || buffer.empty()) return {};
+  const auto& live = buffer();
+  if (!util::rn_canonical(rn) || live.empty()) return {};
   thread_local std::vector<const BufferedPacket*> ranked;
   if (!rn->buffer.empty()) {
     // Named already in this scope, which no other switch's naming enters.
-    assert(ranked.size() == buffer.size());
+    assert(ranked.size() == live.size());
     return ranked;
   }
   // Every entry's content back to back in one per-thread buffer, in id
@@ -269,7 +336,7 @@ std::span<const BufferedPacket* const> Switch::name_buffers(
   thread_local std::vector<Entry> entries;
   contents.clear();
   entries.clear();
-  for (const auto& [bid, bp] : buffer) {
+  for (const auto& [bid, bp] : live) {
     const std::size_t begin = contents.size();
     bp.serialize(contents);
     entries.push_back(Entry{begin, contents.size(), bid, &bp});
@@ -311,6 +378,69 @@ void Switch::serialize_part(util::Ser& s, bool canonical,
   serialize_section(s, canonical, part, form.renamer());
 }
 
+util::HashMemo& Switch::part_memo(std::size_t part, bool canonical) const {
+  switch (part) {
+    case 0:
+      return core_.memo(canonical);
+    case 1:
+      return ingress_.memo(canonical);
+    case 2:
+      return of_in_.memo(canonical);
+    case 3:
+      return of_out_.memo(canonical);
+    case 4:
+      return buffer_.memo(canonical);
+    default:
+      return port_stats_.memo(canonical);
+  }
+}
+
+util::Hash128 Switch::hash(bool canonical) const {
+  assert(util::Renamer::active() == nullptr &&
+         "part memos are never built under a renamer");
+  thread_local util::Ser scratch;  // clear() keeps capacity across calls
+  const util::Renamer::FormScope form(id, canonical);
+  util::Renamer* rn = form.renamer();
+  const std::uint64_t naming = buffer_.get().generation;
+  util::Hash128 h = kSwitchHashSeed;
+  for (std::size_t part = 0; part < kSerializeParts; ++part) {
+    util::HashMemo& memo = part_memo(part, canonical);
+    util::Hash128 ph;
+    if (!memo.get(naming, ph)) {
+      const std::uint64_t named = util::rn_buffer_lookups(rn);
+      scratch.clear();
+      serialize_section(scratch, canonical, part, rn);
+      ph = scratch.hash();
+      memo.set(memo_key(rn, named, naming), ph);
+    }
+    h = util::hash128_combine(h, ph);
+  }
+  return h;
+}
+
+util::Hash128 Switch::serialize_hashed(util::Ser& s, bool canonical) const {
+  assert(util::Renamer::active() == nullptr &&
+         "part memos are never built under a renamer");
+  const util::Renamer::FormScope form(id, canonical);
+  util::Renamer* rn = form.renamer();
+  name_buffers(rn);  // as serialize() does
+  const std::uint64_t naming = buffer_.get().generation;
+  util::Hash128 h = kSwitchHashSeed;
+  for (std::size_t part = 0; part < kSerializeParts; ++part) {
+    const std::size_t begin = s.size();
+    const std::uint64_t named = util::rn_buffer_lookups(rn);
+    serialize_section(s, canonical, part, rn);
+    util::HashMemo& memo = part_memo(part, canonical);
+    util::Hash128 ph;
+    if (!memo.get(naming, ph)) {
+      ph = util::hash128(s.bytes().subspan(begin));
+      memo.set(memo_key(rn, named, naming), ph);
+    }
+    h = util::hash128_combine(h, ph);
+  }
+  return h;
+}
+
 void Switch::serialize_section(util::Ser& s, bool canonical,
                                std::size_t part, util::Renamer* rn) const {
   const bool renames_ports = util::rn_renames_hosts(rn);
@@ -321,15 +451,15 @@ void Switch::serialize_section(util::Ser& s, bool canonical,
     case 0:  // identity + fault state + flow table
       s.put_tag('W');
       s.put_u32(id);
-      s.put_bool(ctrl_channel_down);
-      s.put_u32(static_cast<std::uint32_t>(down_ports.size()));
-      util::for_each_named(down_ports, renames_ports, port_name,
+      s.put_bool(ctrl_channel_down());
+      s.put_u32(static_cast<std::uint32_t>(down_ports().size()));
+      util::for_each_named(down_ports(), renames_ports, port_name,
                            [&](PortId p, PortId) { s.put_u32(p); });
-      table.serialize(s, canonical);
+      table().serialize(s, canonical);
       return;
     case 1:  // ingress packet channels
-      s.put_u32(static_cast<std::uint32_t>(in_ports.size()));
-      util::for_each_named(in_ports, renames_ports, key_port_name,
+      s.put_u32(static_cast<std::uint32_t>(in_ports().size()));
+      util::for_each_named(in_ports(), renames_ports, key_port_name,
                            [&](PortId p, const auto& e) {
                              s.put_u32(p);
                              e.second.serialize(
@@ -340,19 +470,19 @@ void Switch::serialize_section(util::Ser& s, bool canonical,
       return;
     case 2:  // controller → switch channel
       name_buffers(rn);
-      of_in.serialize(s, [](util::Ser& ser, const ToSwitch& m) {
+      of_in().serialize(s, [](util::Ser& ser, const ToSwitch& m) {
         serialize_message(ser, m);
       });
       return;
     case 3:  // switch → controller channel
       name_buffers(rn);
-      of_out.serialize(s, [](util::Ser& ser, const ToController& m) {
+      of_out().serialize(s, [](util::Ser& ser, const ToController& m) {
         serialize_message(ser, m);
       });
       return;
     case 4: {  // awaiting-controller buffer, in named (content) order
       const auto ranked = name_buffers(rn);
-      s.put_u32(static_cast<std::uint32_t>(buffer.size()));
+      s.put_u32(static_cast<std::uint32_t>(buffer().size()));
       if (util::rn_canonical(rn)) {
         // A live entry's name is its content rank + 1.
         for (std::uint32_t rank = 0; rank < ranked.size(); ++rank) {
@@ -360,18 +490,18 @@ void Switch::serialize_section(util::Ser& s, bool canonical,
           ranked[rank]->serialize(s);
         }
       } else {
-        for (const auto& [bid, bp] : buffer) {
+        for (const auto& [bid, bp] : buffer()) {
           s.put_u32(bid);
           bp.serialize(s);
         }
         // The id counter names nothing live; only the raw form keeps it.
-        s.put_u32(next_buffer_id);
+        s.put_u32(buffer_.get().next_id);
       }
       return;
     }
     default:  // 5: port statistics
-      s.put_u32(static_cast<std::uint32_t>(port_stats.size()));
-      util::for_each_named(port_stats, renames_ports, key_port_name,
+      s.put_u32(static_cast<std::uint32_t>(port_stats().size()));
+      util::for_each_named(port_stats(), renames_ports, key_port_name,
                            [&](PortId p, const auto& e) {
                              s.put_u32(p);
                              e.second.serialize(s);

@@ -9,6 +9,14 @@
 //     (safe because the model checker already explores arrival orderings);
 //   * process_of — dequeues and applies one OpenFlow message.
 //
+// Its state is six copy-on-write util::Parts, one per serialized section:
+// the fault state and flow table, the ingress channels, each OpenFlow
+// channel direction, the buffer and the port counters. A Switch value is a
+// thin shell (part handles + configuration), so copying one is cheap, and
+// each mutator unshares only the parts it writes. Its hash combines the
+// sections' memoized hashes, so a child state re-serializes only the
+// sections its transition touched.
+//
 // The switch is a pure state machine: it never touches the topology. Packet
 // emissions are returned as structured outcomes; the model checker's
 // executor resolves output ports to link peers and generates property
@@ -18,6 +26,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -28,6 +37,7 @@
 #include "of/messages.h"
 #include "of/packet.h"
 #include "util/ser.h"
+#include "util/snap.h"
 
 namespace nicemc::of {
 
@@ -80,49 +90,116 @@ struct OfOutcome {
   bool missing_buffer{false};
 };
 
-struct Switch {
+class Switch {
+ public:
+  /// The switch state, one copy-on-write util::Part per serialized section
+  /// (kSerializeParts, in section order). A copied Switch shares every
+  /// part, and each mutator below unshares only the parts it writes.
+  /// Section 0: the fault state and the flow table.
+  struct Core {
+    /// Controller connection lost (kCtrlChannelDown): both OpenFlow
+    /// channels are wiped and stay frozen until kCtrlChannelUp replays
+    /// the handshake.
+    bool ctrl_channel_down{false};
+    /// Ports whose attached link is down (kLinkDown marks both endpoints).
+    /// Forwarding into a down port loses the packet at delivery time.
+    std::set<PortId> down_ports;
+    FlowTable table;
+  };
+  /// Section 1: the ingress packet channels.
+  using Ingress = std::map<PortId, Fifo<Packet>>;
+  /// Section 2: controller → switch messages.
+  struct OfIn {
+    Fifo<ToSwitch> msgs;
+    /// Global send-order tags parallel to msgs. Bookkeeping for the
+    /// UNUSUAL search strategy only — deterministic in the transition
+    /// history, and deliberately excluded from serialization so it never
+    /// splits states.
+    std::vector<std::uint64_t> seq;
+  };
+  /// Section 3: switch → controller messages.
+  using OfOut = Fifo<ToController>;
+  /// Section 4: packets awaiting a controller decision.
+  struct Buffer {
+    std::map<std::uint32_t, BufferedPacket> entries;
+    std::uint32_t next_id{1};
+    /// Identifies this buffer value among all buffers ever built; never
+    /// serialized. The canonical forms of sections 2 and 3 name buffer ids
+    /// by content rank within this buffer, so a section hash that named
+    /// one is memoized under it. buffer_mut() draws a fresh one.
+    std::uint64_t generation{0};
+  };
+  /// Section 5: per-port counters.
+  using PortStats = std::map<PortId, PortStatsEntry>;
+
+  // Configuration: fixed for the switch's lifetime and never serialized
+  // (the id is written by section 0).
   SwitchId id{0};
-  std::vector<PortId> ports;          // all ports, for flood expansion
   std::size_t buffer_capacity{64};
-  FlowTable table;
-  std::map<PortId, Fifo<Packet>> in_ports;   // ingress packet channels
-  Fifo<ToSwitch> of_in;                      // controller → switch
-  /// Global send-order tags parallel to of_in. Bookkeeping for the UNUSUAL
-  /// search strategy only — deterministic in the transition history, and
-  /// deliberately excluded from serialization so it never splits states.
-  std::vector<std::uint64_t> of_in_seq;
-  Fifo<ToController> of_out;                 // switch → controller
-  std::map<std::uint32_t, BufferedPacket> buffer;
-  std::uint32_t next_buffer_id{1};
-  std::map<PortId, PortStatsEntry> port_stats;
   ChannelFaults pkt_channel_faults;
-  /// Ports whose attached link is down (kLinkDown marks both endpoints).
-  /// Forwarding into a down port loses the packet at delivery time.
-  std::set<PortId> down_ports;
-  /// Controller connection lost (kCtrlChannelDown): both OpenFlow channels
-  /// are wiped and stay frozen until kCtrlChannelUp replays the handshake.
-  bool ctrl_channel_down{false};
 
   Switch() = default;
   Switch(SwitchId sw_id, std::vector<PortId> port_list,
          std::size_t buf_capacity = 64);
 
+  // --- reads (never unshare) ---
+  /// All ports, for flood expansion.
+  [[nodiscard]] const std::vector<PortId>& ports() const noexcept {
+    return *ports_;
+  }
+  [[nodiscard]] const FlowTable& table() const noexcept {
+    return core_.get().table;
+  }
+  [[nodiscard]] bool ctrl_channel_down() const noexcept {
+    return core_.get().ctrl_channel_down;
+  }
+  [[nodiscard]] const std::set<PortId>& down_ports() const noexcept {
+    return core_.get().down_ports;
+  }
+  [[nodiscard]] const Ingress& in_ports() const noexcept {
+    return ingress_.get();
+  }
+  [[nodiscard]] const Fifo<ToSwitch>& of_in() const noexcept {
+    return of_in_.get().msgs;
+  }
+  [[nodiscard]] const OfOut& of_out() const noexcept { return of_out_.get(); }
+  [[nodiscard]] const std::map<std::uint32_t, BufferedPacket>& buffer()
+      const noexcept {
+    return buffer_.get().entries;
+  }
+  [[nodiscard]] const PortStats& port_stats() const noexcept {
+    return port_stats_.get();
+  }
+
+  // --- direct part writes (each unshares one part) ---
+  [[nodiscard]] FlowTable& table_mut() { return core_.mut().table; }
+  [[nodiscard]] Fifo<Packet>& in_port_mut(PortId port) {
+    return ingress_.mut().at(port);
+  }
+  [[nodiscard]] Buffer& buffer_mut();
+  [[nodiscard]] PortStats& port_stats_mut() { return port_stats_.mut(); }
+
   /// Enqueue a packet on an ingress channel (link delivery).
   void enqueue_packet(PortId port, Packet p);
 
   /// Enqueue a controller→switch message with its global send-order tag.
-  void push_of(ToSwitch msg, std::uint64_t seq) {
-    of_in.push(std::move(msg));
-    of_in_seq.push_back(seq);
+  void push_of(ToSwitch msg, std::uint64_t seq = 0) {
+    OfIn& in = of_in_.mut();
+    in.msgs.push(std::move(msg));
+    in.seq.push_back(seq);
   }
 
   /// Send-order tag of the head OpenFlow message (0 when empty).
   [[nodiscard]] std::uint64_t head_of_seq() const {
-    return of_in_seq.empty() ? 0 : of_in_seq.front();
+    const std::vector<std::uint64_t>& seq = of_in_.get().seq;
+    return seq.empty() ? 0 : seq.front();
   }
 
+  /// Dequeue the head switch→controller message (controller receive).
+  ToController pop_of_out() { return of_out_.mut().pop(); }
+
   [[nodiscard]] bool can_process_pkt() const;
-  [[nodiscard]] bool can_process_of() const { return !of_in.empty(); }
+  [[nodiscard]] bool can_process_of() const { return !of_in().empty(); }
 
   /// The process_pkt transition: one head packet per non-empty ingress
   /// channel, each run through the flow table.
@@ -134,10 +211,12 @@ struct Switch {
   /// Insertion-order indices of rules that have a timeout and could expire
   /// (drives the optional rule-expiry transitions).
   [[nodiscard]] std::vector<std::size_t> expirable_rules() const;
-  void expire_rule(std::size_t idx) { table.erase_at(idx); }
+  void expire_rule(std::size_t idx) { table_mut().erase_at(idx); }
 
   /// All packets awaiting a controller decision (NoForgottenPackets).
-  [[nodiscard]] std::size_t forgotten_packets() const { return buffer.size(); }
+  [[nodiscard]] std::size_t forgotten_packets() const {
+    return buffer().size();
+  }
 
   /// Messages lost when the controller connection drops.
   struct ChannelLoss {
@@ -147,12 +226,18 @@ struct Switch {
   /// kCtrlChannelDown: wipe both OpenFlow channels, freeze the connection.
   ChannelLoss disconnect_ctrl();
   /// kCtrlChannelUp: unfreeze; the executor replays the app handshake.
-  void reconnect_ctrl() { ctrl_channel_down = false; }
+  void reconnect_ctrl() { core_.mut().ctrl_channel_down = false; }
 
   /// Push an OFPT_PORT_STATUS notification unless the connection is down.
   void emit_port_status(PortId port, bool up) {
-    if (!ctrl_channel_down) of_out.push(PortStatus{.port = port, .up = up});
+    if (!ctrl_channel_down()) {
+      of_out_.mut().push(PortStatus{.port = port, .up = up});
+    }
   }
+
+  /// kLinkDown / kLinkUp at one endpoint: mark `port` down or up and
+  /// notify the controller.
+  void set_link(PortId port, bool up);
 
   /// What a kSwitchRestart wiped (for the EvSwitchRestart event).
   struct RestartSummary {
@@ -164,15 +249,20 @@ struct Switch {
   /// kSwitchRestart: wipe flow table, buffer and both OpenFlow channels,
   /// zero port counters, and come back with a fresh controller connection.
   /// `down_ports` persists (links stay physically down across the reboot)
-  /// and so does next_buffer_id, so stale packet_outs from before the
-  /// restart can never alias a fresh buffer entry.
+  /// and so does the buffer-id counter, so stale packet_outs from before
+  /// the restart can never alias a fresh buffer entry.
   RestartSummary restart();
+
+  /// True when both switches hold the identical node of section `part`
+  /// (test hook for per-part copy-on-write).
+  [[nodiscard]] bool shares_part(const Switch& o, std::size_t part) const;
 
   /// Serialization (Section 2.2.2). The canonical form writes rules in
   /// canonical order, omits copy ids and the buffer-id counter, and names
   /// every buffer id by its packet's content rank (util/rename.h).
   /// `canonical = false` is the raw form the NO-SWITCH-REDUCTION baseline
-  /// hashes.
+  /// hashes. Serializes the live parts and touches no memo, so it is the
+  /// one to call under a symmetry renamer.
   void serialize(util::Ser& s, bool canonical = true) const;
 
   /// The serialization is kSerializeParts contiguous sections, written
@@ -185,6 +275,20 @@ struct Switch {
   /// packets' uids before any section.
   static constexpr std::size_t kSerializeParts = 6;
   void serialize_part(util::Ser& s, bool canonical, std::size_t part) const;
+
+  /// The switch's state hash (util::PartHashed): util::hash128_combine
+  /// over the six section hashes in section order, each the hash128 of
+  /// that section's bytes, memoized on its part and recomputed only when
+  /// the memo is empty, or when the section named a buffer id and was
+  /// hashed under another buffer generation (a canonical OpenFlow channel
+  /// names buffer ids by content rank in the buffer part). Must not be
+  /// called under an active renamer.
+  [[nodiscard]] util::Hash128 hash(bool canonical) const;
+
+  /// serialize() into `s`, returning hash(canonical) and memoizing each
+  /// section's hash from its slice of the bytes (one pass for the
+  /// COLLAPSE store's whole-switch interning).
+  util::Hash128 serialize_hashed(util::Ser& s, bool canonical) const;
 
   /// Canonical name of buffer id `bid` under the active naming (a parked
   /// packet_out's entry in mc::SystemState::serialize_trailer).
@@ -200,6 +304,9 @@ struct Switch {
   void serialize_section(util::Ser& s, bool canonical, std::size_t part,
                          util::Renamer* rn) const;
 
+  /// The memo of section `part`.
+  util::HashMemo& part_memo(std::size_t part, bool canonical) const;
+
   /// Run one packet through the flow table (shared by ingress processing
   /// and by packet_out action application when actions come from a rule).
   PacketOutcome run_pipeline(Packet p, PortId in_port, bool record_hop);
@@ -208,9 +315,22 @@ struct Switch {
   PacketOutcome apply_actions(Packet p, PortId in_port,
                               const ActionList& actions);
 
-  std::vector<std::pair<PortId, Packet>> expand_action(const Action& a,
-                                                       PortId in_port,
-                                                       const Packet& p) const;
+  /// Buffer `p` for the controller and queue its packet_in.
+  std::uint32_t punt(const Packet& p, PortId in_port,
+                     PacketIn::Reason reason);
+
+  /// Expand `a` into (port, packet) emissions, counting each in tx stats.
+  void forward(const Action& a, PortId in_port, const Packet& p,
+               PacketOutcome& oc);
+
+  std::shared_ptr<const std::vector<PortId>> ports_ =
+      std::make_shared<const std::vector<PortId>>();
+  util::Part<Core> core_;
+  util::Part<Ingress> ingress_;
+  util::Part<OfIn> of_in_;
+  util::Part<OfOut> of_out_;
+  util::Part<Buffer> buffer_;
+  util::Part<PortStats> port_stats_;
 };
 
 }  // namespace nicemc::of

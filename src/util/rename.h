@@ -153,6 +153,7 @@ class Renamer {
   [[nodiscard]] std::uint32_t r_buffer(std::uint32_t sw,
                                        std::uint32_t b) const {
     if (!canonical || b == kNoBuffer) return b;
+    ++buffer_lookups_;
     const auto* e = buffer.find(sw_key(sw, b));
     return e == nullptr ? kStaleBuffer : e->to;
   }
@@ -210,6 +211,12 @@ class Renamer {
   }
   [[nodiscard]] std::uint64_t assign_branches() const {
     return assign_branches_;
+  }
+
+  /// Buffer ids named so far (never reset): bytes written while it did not
+  /// move do not depend on any switch's buffer naming.
+  [[nodiscard]] std::uint64_t buffer_lookups() const {
+    return buffer_lookups_;
   }
 
   void reset_uids() {
@@ -301,6 +308,7 @@ class Renamer {
   mutable std::vector<std::uint32_t> deferred_uids_;
   mutable std::uint32_t next_dense_uid_{1};
   mutable std::uint64_t assign_branches_{0};
+  mutable std::uint64_t buffer_lookups_{0};
 
   /// The thread's plain renamer: every identifier class empty.
   static Renamer& plain() {
@@ -341,6 +349,9 @@ class Renamer {
 [[nodiscard]] inline std::uint32_t rn_buffer(const Renamer* r,
                                              std::uint32_t b) {
   return r == nullptr ? b : r->r_buffer(r->cur_sw, b);
+}
+[[nodiscard]] inline std::uint64_t rn_buffer_lookups(const Renamer* r) {
+  return r == nullptr ? 0 : r->buffer_lookups();
 }
 /// Whether a canonical form is being written: copy ids are elided and
 /// buffer ids named.

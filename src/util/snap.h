@@ -15,14 +15,27 @@
 // per component the same way (form_id): a component is interned whole, as
 // the exact bytes serialize() writes.
 //
+// A component can go one level finer (a PartHashed component, of::Switch):
+// it holds its sections in Part<T>s, each its own copy-on-write node with
+// two memoized hashes and nothing else, and its hash combines the part
+// hashes. Its Snap then holds a thin shell (part handles + configuration):
+// mut() copies the shell, the component's mutators unshare only the parts
+// they write, and hashing re-serializes only parts whose memo is empty.
+//
 // Thread-safety contract (matches the search engine's publication order):
-// a snapshot shared between threads is immutable — mut() may only be called
-// while the owning SystemState is not yet published to other workers. Lazy
-// form computation on a shared node is internally synchronized, so two
-// workers serializing states that share a parent's component race safely.
+// a snapshot or part shared between threads is immutable — mut() may only
+// be called while the owning SystemState is not yet published to other
+// workers. Lazy byte-form and interned-id fills on a shared Snap node are
+// mutex-guarded, so two workers serializing states that share a parent's
+// component race safely; every hash memo (a snapshot's and a part's) is a
+// lock-free HashMemo, so SystemState::hash takes no lock. No memo may be
+// built under an active util::Renamer (the symmetry layer serializes live
+// values).
 #ifndef NICE_UTIL_SNAP_H
 #define NICE_UTIL_SNAP_H
 
+#include <atomic>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -43,6 +56,109 @@ namespace nicemc::util {
 struct CanonForm {
   std::string bytes;
   Hash128 hash;
+};
+
+/// One memoized 128-bit hash, tagged with the key it was computed under (a
+/// dependency's generation): get() hits on that key, or on any key when it
+/// was set with kAnyKey. A seqlock over atomic words, so reading a filled
+/// memo takes two loads of the sequence word and no lock; a fill that
+/// meets another fill in progress is dropped, as the value can always be
+/// recomputed.
+class HashMemo {
+ public:
+  /// The value depends on no key.
+  static constexpr std::uint64_t kAnyKey = ~std::uint64_t{0};
+
+  HashMemo() = default;
+  HashMemo(const HashMemo&) = delete;
+  HashMemo& operator=(const HashMemo&) = delete;
+
+  [[nodiscard]] bool get(std::uint64_t key, Hash128& out) const noexcept {
+    const std::uint64_t seq = seq_.load(std::memory_order_acquire);
+    if (seq == 0 || (seq & 1) != 0) return false;
+    const std::uint64_t k = key_.load(std::memory_order_relaxed);
+    out.lo = lo_.load(std::memory_order_relaxed);
+    out.hi = hi_.load(std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return seq_.load(std::memory_order_relaxed) == seq &&
+           (k == key || k == kAnyKey);
+  }
+
+  void set(std::uint64_t key, const Hash128& h) noexcept {
+    std::uint64_t seq = seq_.load(std::memory_order_relaxed);
+    if ((seq & 1) != 0 ||
+        !seq_.compare_exchange_strong(seq, seq + 1,
+                                      std::memory_order_relaxed)) {
+      return;
+    }
+    std::atomic_thread_fence(std::memory_order_release);
+    key_.store(key, std::memory_order_relaxed);
+    lo_.store(h.lo, std::memory_order_relaxed);
+    hi_.store(h.hi, std::memory_order_relaxed);
+    seq_.store(seq + 2, std::memory_order_release);
+  }
+
+  /// Only legal while the owner is uniquely held (no concurrent readers).
+  void reset() noexcept { seq_.store(0, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::uint64_t> seq_{0};  // 0: empty; odd: being written
+  std::atomic<std::uint64_t> key_{0};
+  std::atomic<std::uint64_t> lo_{0};
+  std::atomic<std::uint64_t> hi_{0};
+};
+
+/// One copy-on-write part of a PartHashed component: the value plus a raw
+/// and a canonical HashMemo. Copying shares the part; mut() deep-copies it
+/// only when shared and always drops its memos.
+template <typename T>
+class Part {
+ public:
+  Part() : node_(std::make_shared<Node>()) {}
+  explicit Part(T value) : node_(std::make_shared<Node>(std::move(value))) {}
+
+  [[nodiscard]] const T& get() const noexcept { return node_->value; }
+
+  [[nodiscard]] T& mut() {
+    if (node_.use_count() == 1) {
+      node_->memo[0].reset();
+      node_->memo[1].reset();
+      return node_->value;
+    }
+    node_ = std::make_shared<Node>(node_->value);
+    return node_->value;
+  }
+
+  [[nodiscard]] HashMemo& memo(bool canonical) const noexcept {
+    return node_->memo[canonical ? 1 : 0];
+  }
+
+  /// True when two Parts alias the identical node (test hook).
+  [[nodiscard]] bool same_part(const Part& o) const noexcept {
+    return node_ == o.node_;
+  }
+
+ private:
+  struct Node {
+    T value;
+    mutable HashMemo memo[2];  // [raw, canonical]
+
+    Node() = default;
+    explicit Node(const T& v) : value(v) {}
+    explicit Node(T&& v) : value(std::move(v)) {}
+  };
+
+  std::shared_ptr<Node> node_;
+};
+
+/// A component whose hash combines memoized part hashes instead of hashing
+/// its serialization: hash() fills part memos as needed, and
+/// serialize_hashed() writes the bytes serialize() writes and returns the
+/// same hash, filling each part's memo from its slice.
+template <typename T>
+concept PartHashed = requires(const T& t, Ser& s, bool canonical) {
+  { t.hash(canonical) } -> std::same_as<Hash128>;
+  { t.serialize_hashed(s, canonical) } -> std::same_as<Hash128>;
 };
 
 template <typename T>
@@ -97,10 +213,10 @@ class Snap {
     if (!slot) {
       thread_local Ser scratch;  // clear() keeps capacity across calls
       scratch.clear();
-      serialize_value(n, scratch, canonical);
       CanonForm cf;
-      cf.hash = scratch.hash();
+      cf.hash = serialize_hashed(n, scratch, canonical);
       cf.bytes = std::string(scratch.view());
+      n.hash[canonical ? 1 : 0].set(HashMemo::kAnyKey, cf.hash);
       slot.emplace(std::move(cf));
     }
     return *slot;
@@ -110,19 +226,22 @@ class Snap {
   /// retains only the 16-byte hash: the bytes pass through a per-thread
   /// scratch buffer, so the default hash-mode search stores no component
   /// serializations at all (Section 6's computation-for-memory trade).
+  /// Takes no lock: a filled memo is a HashMemo read, and two threads that
+  /// both find it empty compute the same value.
   [[nodiscard]] Hash128 form_hash(bool canonical) const {
-    Node& n = *node_;
-    std::lock_guard<std::mutex> lock(n.mu);
-    const int i = canonical ? 1 : 0;
-    if (n.form[i]) return n.form[i]->hash;
-    std::optional<Hash128>& slot = n.hash_only[i];
-    if (!slot) {
+    const Node& n = *node_;
+    HashMemo& memo = n.hash[canonical ? 1 : 0];
+    Hash128 h;
+    if (memo.get(HashMemo::kAnyKey, h)) return h;
+    if constexpr (PartHashed<T>) {
+      h = n.value.hash(canonical);
+    } else {
       thread_local Ser scratch;  // clear() keeps capacity across calls
       scratch.clear();
-      serialize_value(n, scratch, canonical);
-      slot = scratch.hash();
+      h = serialize_hashed(n, scratch, canonical);
     }
-    return *slot;
+    memo.set(HashMemo::kAnyKey, h);
+    return h;
   }
 
   /// Intern the component's serialization in `table` (COLLAPSE mode) and
@@ -143,8 +262,13 @@ class Snap {
     }
     thread_local Ser scratch;  // clear() keeps capacity across calls
     scratch.clear();
-    serialize_value(n, scratch, canonical);
-    if (!n.hash_only[i]) n.hash_only[i] = scratch.hash();
+    Hash128 h;
+    if (!PartHashed<T> && n.hash[i].get(HashMemo::kAnyKey, h)) {
+      serialize_value(n, scratch, canonical);
+    } else {
+      h = serialize_hashed(n, scratch, canonical);
+      n.hash[i].set(HashMemo::kAnyKey, h);
+    }
     const std::uint32_t id = table.intern(scratch.view());
     n.id_table[i] = &table;
     n.id_epoch[i] = table.epoch();
@@ -190,9 +314,9 @@ class Snap {
  private:
   struct Node {
     T value;
-    mutable std::mutex mu;  // guards lazy memo fill on shared snapshots
-    mutable std::optional<CanonForm> form[2];   // [raw, canonical]
-    mutable std::optional<Hash128> hash_only[2];  // hash without the bytes
+    mutable std::mutex mu;  // guards lazy form and id fills
+    mutable std::optional<CanonForm> form[2];  // [raw, canonical]
+    mutable HashMemo hash[2];  // the forms' hashes, also without the bytes
     mutable std::optional<Hash128> aux;
     // Interned blob id per form, valid only for the (table, epoch) it was
     // interned in: differential runs intern one snapshot in several
@@ -215,8 +339,8 @@ class Snap {
     void reset_forms() {
       form[0].reset();
       form[1].reset();
-      hash_only[0].reset();
-      hash_only[1].reset();
+      hash[0].reset();
+      hash[1].reset();
       aux.reset();
       id_table[0] = nullptr;
       id_table[1] = nullptr;
@@ -234,6 +358,17 @@ class Snap {
       n.value.serialize(s, canonical);
     } else {
       n.value.serialize(s);
+    }
+  }
+
+  // Serialize n.value into s and return the component's hash: the hash of
+  // the bytes, or for a PartHashed component its combined part hash.
+  static Hash128 serialize_hashed(const Node& n, Ser& s, bool canonical) {
+    if constexpr (PartHashed<T>) {
+      return n.value.serialize_hashed(s, canonical);
+    } else {
+      serialize_value(n, s, canonical);
+      return s.hash();
     }
   }
 

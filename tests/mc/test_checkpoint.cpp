@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -146,13 +147,149 @@ CheckerResult run_once(const apps::Scenario& s, const CheckerOptions& opt) {
   return checker.run();
 }
 
+/// Totals of an uninterrupted search: transitions, unique, quiescent and
+/// revisits, and violations_digest() of its violation key set.
+struct RefTotals {
+  std::uint64_t transitions;
+  std::uint64_t unique_states;
+  std::uint64_t quiescent_states;
+  std::uint64_t revisits;
+  std::uint64_t violations;
+};
+
+std::uint64_t violations_digest(const std::vector<std::string>& keys) {
+  util::Ser s;
+  for (const std::string& k : keys) s.put_str(k);
+  return s.hash().lo;
+}
+
+RefTotals totals(const CheckerResult& r) {
+  return {r.transitions, r.unique_states, r.quiescent_states, r.revisits,
+          violations_digest(violation_key_set(r))};
+}
+
+/// The one-worker kHash reference searches of the sequential resume
+/// sweeps, keyed "<tag>/<scenario>": pinned instead of re-run per case,
+/// so a count drift fails here too.
+const std::map<std::string, RefTotals>& reference_pins() {
+  static const std::map<std::string, RefTotals> pins = {
+      {"dfs_none/pyswitch-ping1", {18, 19, 1, 0, 0xec7f2e7e68e5289dULL}},
+      {"dfs_sleep/pyswitch-ping1", {18, 19, 1, 0, 0xec7f2e7e68e5289dULL}},
+      {"dfs_none/pyswitch-ping2", {677, 411, 7, 267, 0xec7f2e7e68e5289dULL}},
+      {"dfs_sleep/pyswitch-ping2", {501, 411, 7, 91, 0xec7f2e7e68e5289dULL}},
+      {"dfs_none/pyswitch-ping2-raw", {1302, 767, 7, 536, 0xec7f2e7e68e5289dULL}},
+      {"dfs_sleep/pyswitch-ping2-raw", {952, 767, 7, 186, 0xec7f2e7e68e5289dULL}},
+      {"dfs_none/pyswitch-bug1", {22792, 8688, 0, 8953, 0x2c3758d67929bf15ULL}},
+      {"dfs_sleep/pyswitch-bug1", {19084, 8688, 0, 5527, 0x2c3758d67929bf15ULL}},
+      {"dfs_none/pyswitch-bug2", {5407, 2983, 17, 2326, 0x3a3e1ee7374a1392ULL}},
+      {"dfs_sleep/pyswitch-bug2", {5171, 2983, 17, 2098, 0x3a3e1ee7374a1392ULL}},
+      {"dfs_none/pyswitch-bug3", {27308, 8068, 0, 12937, 0x0a2eff1205ae0ba8ULL}},
+      {"dfs_sleep/pyswitch-bug3", {13649, 8068, 0, 3266, 0x0a2eff1205ae0ba8ULL}},
+      {"dfs_none/lb-fixed", {2868, 1163, 4, 1706, 0xec7f2e7e68e5289dULL}},
+      {"dfs_sleep/lb-fixed", {1613, 1163, 4, 451, 0xec7f2e7e68e5289dULL}},
+      {"dfs_none/lb-bugs", {286, 156, 7, 131, 0x772268cbb69e8630ULL}},
+      {"dfs_sleep/lb-bugs", {175, 156, 7, 20, 0x772268cbb69e8630ULL}},
+      {"dfs_none/lb-affinity", {7595, 3235, 13, 4176, 0x62968eb992f62135ULL}},
+      {"dfs_sleep/lb-affinity", {7336, 3235, 13, 3917, 0x62968eb992f62135ULL}},
+      {"dfs_none/te", {7, 7, 1, 1, 0x7ffe250ce28b76a3ULL}},
+      {"dfs_sleep/te", {6, 7, 1, 0, 0x7ffe250ce28b76a3ULL}},
+      {"dfs_none/te-routing", {204, 104, 4, 100, 0x076aeb6a8902cd24ULL}},
+      {"dfs_sleep/te-routing", {114, 104, 4, 10, 0x076aeb6a8902cd24ULL}},
+      {"dfs_none/pyswitch-linkfail", {699, 310, 1, 382, 0x0e989003530f46ebULL}},
+      {"dfs_sleep/pyswitch-linkfail", {457, 310, 1, 140, 0x0e989003530f46ebULL}},
+      {"dfs_none/pyswitch-linkfail-react", {973, 449, 4, 513, 0x0e989003530f46ebULL}},
+      {"dfs_sleep/pyswitch-linkfail-react", {634, 449, 4, 174, 0x0e989003530f46ebULL}},
+      {"dfs_none/pyswitch-ctrlloss", {171, 123, 15, 49, 0xec7f2e7e68e5289dULL}},
+      {"dfs_sleep/pyswitch-ctrlloss", {134, 123, 15, 12, 0xec7f2e7e68e5289dULL}},
+      {"dfs_none/pyswitch-restart", {103, 75, 9, 29, 0xec7f2e7e68e5289dULL}},
+      {"dfs_sleep/pyswitch-restart", {88, 75, 9, 14, 0xec7f2e7e68e5289dULL}},
+      {"dfs_none/lb-linkfail", {370, 159, 4, 212, 0xe1315900faff983aULL}},
+      {"dfs_sleep/lb-linkfail", {202, 159, 4, 44, 0xe1315900faff983aULL}},
+      {"dfs_none/lb-linkfail-react", {650, 279, 7, 372, 0xec7f2e7e68e5289dULL}},
+      {"dfs_sleep/lb-linkfail-react", {338, 279, 7, 60, 0xec7f2e7e68e5289dULL}},
+      {"dfs_none/te-linkfail", {552, 254, 7, 299, 0xe66a9f0d3dcebef8ULL}},
+      {"dfs_sleep/te-linkfail", {390, 254, 7, 137, 0xe66a9f0d3dcebef8ULL}},
+      {"dfs_none/te-linkfail-react", {1812, 712, 11, 1101, 0xec7f2e7e68e5289dULL}},
+      {"dfs_sleep/te-linkfail-react", {883, 712, 11, 172, 0xec7f2e7e68e5289dULL}},
+      {"dfs_none/sym-ping3", {536517, 139796, 7, 396722, 0xec7f2e7e68e5289dULL}},
+      {"dfs_sleep/sym-ping3", {378801, 139796, 7, 239006, 0xec7f2e7e68e5289dULL}},
+      {"dfs_none/lb-sym4", {78632, 31230, 16, 47403, 0xec7f2e7e68e5289dULL}},
+      {"dfs_sleep/lb-sym4", {43239, 31230, 16, 12010, 0xec7f2e7e68e5289dULL}},
+      {"dfs_none/te-sym2", {6808, 2672, 4, 4137, 0xec7f2e7e68e5289dULL}},
+      {"dfs_sleep/te-sym2", {3660, 2672, 4, 989, 0xec7f2e7e68e5289dULL}},
+      {"bfs_none/pyswitch-ping1", {18, 19, 1, 0, 0xec7f2e7e68e5289dULL}},
+      {"bfs_sleep/pyswitch-ping1", {18, 19, 1, 0, 0xec7f2e7e68e5289dULL}},
+      {"bfs_none/pyswitch-ping2", {677, 411, 7, 267, 0xec7f2e7e68e5289dULL}},
+      {"bfs_sleep/pyswitch-ping2", {490, 411, 7, 80, 0xec7f2e7e68e5289dULL}},
+      {"bfs_none/pyswitch-ping2-raw", {1302, 767, 7, 536, 0xec7f2e7e68e5289dULL}},
+      {"bfs_sleep/pyswitch-ping2-raw", {951, 767, 7, 185, 0xec7f2e7e68e5289dULL}},
+      {"bfs_none/pyswitch-bug2", {5407, 2983, 17, 2326, 0x3a3e1ee7374a1392ULL}},
+      {"bfs_sleep/pyswitch-bug2", {5171, 2983, 17, 2098, 0x3a3e1ee7374a1392ULL}},
+      {"bfs_none/lb-fixed", {2868, 1163, 4, 1706, 0xec7f2e7e68e5289dULL}},
+      {"bfs_sleep/lb-fixed", {1613, 1163, 4, 451, 0xec7f2e7e68e5289dULL}},
+      {"bfs_none/lb-bugs", {286, 156, 7, 131, 0x772268cbb69e8630ULL}},
+      {"bfs_sleep/lb-bugs", {175, 156, 7, 20, 0x772268cbb69e8630ULL}},
+      {"bfs_none/lb-affinity", {7595, 3235, 13, 4176, 0x62968eb992f62135ULL}},
+      {"bfs_sleep/lb-affinity", {7144, 3235, 13, 3725, 0x62968eb992f62135ULL}},
+      {"bfs_none/te", {7, 7, 1, 1, 0x7ffe250ce28b76a3ULL}},
+      {"bfs_sleep/te", {6, 7, 1, 0, 0x7ffe250ce28b76a3ULL}},
+      {"bfs_none/te-routing", {204, 104, 4, 100, 0x076aeb6a8902cd24ULL}},
+      {"bfs_sleep/te-routing", {114, 104, 4, 10, 0x076aeb6a8902cd24ULL}},
+      {"bfs_none/pyswitch-linkfail", {699, 310, 1, 382, 0x0e989003530f46ebULL}},
+      {"bfs_sleep/pyswitch-linkfail", {457, 310, 1, 140, 0x0e989003530f46ebULL}},
+      {"bfs_none/pyswitch-linkfail-react", {973, 449, 4, 513, 0x0e989003530f46ebULL}},
+      {"bfs_sleep/pyswitch-linkfail-react", {628, 449, 4, 168, 0x0e989003530f46ebULL}},
+      {"bfs_none/pyswitch-ctrlloss", {171, 123, 15, 49, 0xec7f2e7e68e5289dULL}},
+      {"bfs_sleep/pyswitch-ctrlloss", {134, 123, 15, 12, 0xec7f2e7e68e5289dULL}},
+      {"bfs_none/pyswitch-restart", {103, 75, 9, 29, 0xec7f2e7e68e5289dULL}},
+      {"bfs_sleep/pyswitch-restart", {88, 75, 9, 14, 0xec7f2e7e68e5289dULL}},
+      {"bfs_none/lb-linkfail", {370, 159, 4, 212, 0xe1315900faff983aULL}},
+      {"bfs_sleep/lb-linkfail", {202, 159, 4, 44, 0xe1315900faff983aULL}},
+      {"bfs_none/lb-linkfail-react", {650, 279, 7, 372, 0xec7f2e7e68e5289dULL}},
+      {"bfs_sleep/lb-linkfail-react", {338, 279, 7, 60, 0xec7f2e7e68e5289dULL}},
+      {"bfs_none/te-linkfail", {552, 254, 7, 299, 0xe66a9f0d3dcebef8ULL}},
+      {"bfs_sleep/te-linkfail", {389, 254, 7, 136, 0xe66a9f0d3dcebef8ULL}},
+      {"bfs_none/te-linkfail-react", {1812, 712, 11, 1101, 0xec7f2e7e68e5289dULL}},
+      {"bfs_sleep/te-linkfail-react", {869, 712, 11, 158, 0xec7f2e7e68e5289dULL}},
+      {"bfs_none/sym-ping3", {536517, 139796, 7, 396722, 0xec7f2e7e68e5289dULL}},
+      {"bfs_sleep/sym-ping3", {358136, 139796, 7, 218341, 0xec7f2e7e68e5289dULL}},
+      {"bfs_none/lb-sym4", {78632, 31230, 16, 47403, 0xec7f2e7e68e5289dULL}},
+      {"bfs_sleep/lb-sym4", {43239, 31230, 16, 12010, 0xec7f2e7e68e5289dULL}},
+      {"bfs_none/te-sym2", {6808, 2672, 4, 4137, 0xec7f2e7e68e5289dULL}},
+      {"bfs_sleep/te-sym2", {3568, 2672, 4, 897, 0xec7f2e7e68e5289dULL}},
+      {"rand_none/pyswitch-ping1", {18, 19, 1, 0, 0xec7f2e7e68e5289dULL}},
+      {"rand_none/pyswitch-ping2", {677, 411, 7, 267, 0xec7f2e7e68e5289dULL}},
+      {"rand_none/pyswitch-ping2-raw", {1302, 767, 7, 536, 0xec7f2e7e68e5289dULL}},
+      {"rand_none/pyswitch-bug2", {5407, 2983, 17, 2326, 0x3a3e1ee7374a1392ULL}},
+      {"rand_none/lb-fixed", {2868, 1163, 4, 1706, 0xec7f2e7e68e5289dULL}},
+      {"rand_none/lb-bugs", {286, 156, 7, 131, 0x772268cbb69e8630ULL}},
+      {"rand_none/lb-affinity", {7595, 3235, 13, 4176, 0x62968eb992f62135ULL}},
+      {"rand_none/te", {7, 7, 1, 1, 0x7ffe250ce28b76a3ULL}},
+      {"rand_none/te-routing", {204, 104, 4, 100, 0x076aeb6a8902cd24ULL}},
+      {"rand_none/pyswitch-linkfail", {699, 310, 1, 382, 0x0e989003530f46ebULL}},
+      {"rand_none/pyswitch-linkfail-react", {973, 449, 4, 513, 0x0e989003530f46ebULL}},
+      {"rand_none/pyswitch-ctrlloss", {171, 123, 15, 49, 0xec7f2e7e68e5289dULL}},
+      {"rand_none/pyswitch-restart", {103, 75, 9, 29, 0xec7f2e7e68e5289dULL}},
+      {"rand_none/lb-linkfail", {370, 159, 4, 212, 0xe1315900faff983aULL}},
+      {"rand_none/lb-linkfail-react", {650, 279, 7, 372, 0xec7f2e7e68e5289dULL}},
+      {"rand_none/te-linkfail", {552, 254, 7, 299, 0xe66a9f0d3dcebef8ULL}},
+      {"rand_none/te-linkfail-react", {1812, 712, 11, 1101, 0xec7f2e7e68e5289dULL}},
+      {"rand_none/sym-ping3", {536517, 139796, 7, 396722, 0xec7f2e7e68e5289dULL}},
+      {"rand_none/lb-sym4", {78632, 31230, 16, 47403, 0xec7f2e7e68e5289dULL}},
+      {"rand_none/te-sym2", {6808, 2672, 4, 4137, 0xec7f2e7e68e5289dULL}},
+  };
+  return pins;
+}
+
 /// The differential gate: a run capped mid-way (the halt checkpoints),
 /// then resumed without the cap, must report totals identical to the
-/// uninterrupted search. Transition counts are order-dependent under a
-/// reduction with threads > 1; everything else must match exactly always.
+/// uninterrupted search — its pinned totals when `pinned`, else a run.
+/// Transition counts are order-dependent under a reduction with
+/// threads > 1; everything else must match exactly always.
 void expect_resume_identity(const apps::NamedScenario& ns, Reduction red,
                             FrontierKind frontier, unsigned threads,
-                            StoreMode store, const std::string& tag) {
+                            StoreMode store, const std::string& tag,
+                            bool pinned = false) {
   SCOPED_TRACE(ns.name + " / " + tag);
   CheckerOptions base;
   base.stop_at_first_violation = false;
@@ -161,9 +298,17 @@ void expect_resume_identity(const apps::NamedScenario& ns, Reduction red,
   base.threads = threads;
   base.state_store = store;
 
-  const apps::Scenario ref_s = ns.make();
-  const CheckerResult full = run_once(ref_s, base);
-  ASSERT_TRUE(full.exhausted);
+  RefTotals full{};
+  if (pinned) {
+    const auto it = reference_pins().find(tag + "/" + ns.name);
+    ASSERT_NE(it, reference_pins().end()) << "no pinned reference";
+    full = it->second;
+  } else {
+    const apps::Scenario ref_s = ns.make();
+    const CheckerResult ref = run_once(ref_s, base);
+    ASSERT_TRUE(ref.exhausted);
+    full = totals(ref);
+  }
 
   const std::string path = fresh_ckpt_path(tag + "_" + ns.name);
   CheckerOptions opt = base;
@@ -179,16 +324,17 @@ void expect_resume_identity(const apps::NamedScenario& ns, Reduction red,
   opt.resume = true;
   const apps::Scenario s2 = ns.make();
   const CheckerResult resumed = run_once(s2, opt);
+  const RefTotals got = totals(resumed);
   EXPECT_TRUE(resumed.exhausted);
   if (part.hit_limit == LimitReason::kTransitions) {
     EXPECT_TRUE(resumed.durability.resumed);
   }
-  EXPECT_EQ(resumed.unique_states, full.unique_states);
-  EXPECT_EQ(resumed.quiescent_states, full.quiescent_states);
-  EXPECT_EQ(violation_key_set(resumed), violation_key_set(full));
+  EXPECT_EQ(got.unique_states, full.unique_states);
+  EXPECT_EQ(got.quiescent_states, full.quiescent_states);
+  EXPECT_EQ(got.violations, full.violations);
   if (threads == 1 || red == Reduction::kNone) {
-    EXPECT_EQ(resumed.transitions, full.transitions);
-    EXPECT_EQ(resumed.revisits, full.revisits);
+    EXPECT_EQ(got.transitions, full.transitions);
+    EXPECT_EQ(got.revisits, full.revisits);
   }
   drop_slots(path);
 }
@@ -208,18 +354,18 @@ std::vector<apps::NamedScenario> small_scenarios() {
 TEST(CheckpointResume, SequentialDfsAllBundled) {
   for (const apps::NamedScenario& ns : apps::bundled_scenarios()) {
     expect_resume_identity(ns, Reduction::kNone, FrontierKind::kDfs, 1,
-                           StoreMode::kHash, "dfs_none");
+                           StoreMode::kHash, "dfs_none", /*pinned=*/true);
     expect_resume_identity(ns, Reduction::kSleep, FrontierKind::kDfs, 1,
-                           StoreMode::kHash, "dfs_sleep");
+                           StoreMode::kHash, "dfs_sleep", /*pinned=*/true);
   }
 }
 
 TEST(CheckpointResume, SequentialBfs) {
   for (const apps::NamedScenario& ns : small_scenarios()) {
     expect_resume_identity(ns, Reduction::kNone, FrontierKind::kBfs, 1,
-                           StoreMode::kHash, "bfs_none");
+                           StoreMode::kHash, "bfs_none", /*pinned=*/true);
     expect_resume_identity(ns, Reduction::kSleep, FrontierKind::kBfs, 1,
-                           StoreMode::kHash, "bfs_sleep");
+                           StoreMode::kHash, "bfs_sleep", /*pinned=*/true);
   }
 }
 
@@ -228,7 +374,7 @@ TEST(CheckpointResume, SequentialRandomFrontierRestoresRngState) {
   // an interrupt requires the checkpoint to carry the RNG state.
   for (const apps::NamedScenario& ns : small_scenarios()) {
     expect_resume_identity(ns, Reduction::kNone, FrontierKind::kRandom, 1,
-                           StoreMode::kHash, "rand_none");
+                           StoreMode::kHash, "rand_none", /*pinned=*/true);
   }
 }
 
@@ -449,6 +595,13 @@ TEST(CheckpointResume, VersionFiveHashSlotFallsBack) {
   // byte-serial hash128 that came before; no key of today's hash would
   // match them, so resuming one would silently overcount.
   expect_old_version_falls_back(StoreMode::kHash, 5, "v5_hash");
+}
+
+TEST(CheckpointResume, VersionSixHashSlotFallsBack) {
+  // Version 6 stored kHash keys whose switch components hashed the whole
+  // switch serialization; a switch's hash now combines its section
+  // hashes, so no key of today's would match them.
+  expect_old_version_falls_back(StoreMode::kHash, 6, "v6_hash");
 }
 
 TEST(CheckpointResume, MissingCheckpointFallsBackToFreshRun) {

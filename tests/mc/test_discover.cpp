@@ -207,7 +207,7 @@ SiteCounts expect_cached_equals_fresh(const apps::Scenario& s,
     for (const auto& [sw, got] : stats) {
       ++n.stats_sites;
       std::vector<std::uint64_t> seeds{sw};
-      for (const auto& [port, entry] : sp->sw(sw).port_stats) {
+      for (const auto& [port, entry] : sp->sw(sw).port_stats()) {
         seeds.push_back(entry.tx_bytes);
       }
       n.stats_contexts.insert(std::move(seeds));
@@ -294,8 +294,8 @@ TEST(DiscoveryKey, PortTxBytesAreInTheStatsKey) {
   const Executor ex(s.config, s.properties);
   const SystemState base = ex.make_initial();
   SystemState busier = base.clone();
-  const of::PortId port = busier.sw(0).ports.front();
-  busier.sw_mut(0).port_stats[port].tx_bytes += 1000;
+  const of::PortId port = busier.sw(0).ports().front();
+  busier.sw_mut(0).port_stats_mut()[port].tx_bytes += 1000;
   ASSERT_EQ(busier.ctrl_hash(), base.ctrl_hash());
 
   for (const bool collapsed : {false, true}) {

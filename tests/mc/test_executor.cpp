@@ -52,7 +52,7 @@ TEST(Executor, SendProcessDeliverReceiveCycle) {
   // SW0 processes: no rule → packet_in to controller.
   ex.apply(st, find_kind(ex.enabled(st, cache), TKind::kSwitchProcessPkt),
            v);
-  EXPECT_EQ(st.sw(0).of_out.size(), 1u);
+  EXPECT_EQ(st.sw(0).of_out().size(), 1u);
 
   // Controller handles packet_in: pyswitch floods (dst unknown).
   ex.apply(st, find_kind(ex.enabled(st, cache), TKind::kCtrlDispatch), v);
@@ -116,7 +116,7 @@ TEST(Executor, NoDelayDrainsControllerCommunicationAtomically) {
   // packet_in → handler → flood packet_out → application, all in one step.
   ex.apply(st, find_kind(ex.enabled(st, cache), TKind::kSwitchProcessPkt),
            v);
-  EXPECT_TRUE(st.sw(0).of_out.empty());
+  EXPECT_TRUE(st.sw(0).of_out().empty());
   EXPECT_FALSE(st.sw(0).can_process_of());
   // The flooded packet is already on its way to SW1.
   EXPECT_TRUE(st.sw(1).can_process_pkt());
@@ -166,7 +166,7 @@ TEST(Executor, DeadPortDeliveryRaisesEvent) {
   of::Rule r;
   r.match = of::Match::any();
   r.actions = {of::Action::output(2)};
-  st.sw_mut(0).table.add(r);
+  st.sw_mut(0).table_mut().add(r);
   st.sw_mut(0).enqueue_packet(1, of::Packet{});
   ex.apply(st, Transition{.kind = TKind::kSwitchProcessPkt, .a = 0}, v);
   ASSERT_EQ(v.size(), 1u);

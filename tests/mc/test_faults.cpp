@@ -53,13 +53,13 @@ TEST(Faults, LinkDownMarksBothEndpointsAndNotifiesBothControllersEnds) {
 
   // The ping chain has exactly one switch-switch link: sw0:2 — sw1:2.
   ex.apply(st, find_kind(ts, TKind::kLinkDown), v);
-  EXPECT_TRUE(st.sw(0).down_ports.contains(2));
-  EXPECT_TRUE(st.sw(1).down_ports.contains(2));
+  EXPECT_TRUE(st.sw(0).down_ports().contains(2));
+  EXPECT_TRUE(st.sw(1).down_ports().contains(2));
   EXPECT_EQ(st.faults.link_failures, 1u);
-  ASSERT_EQ(st.sw(0).of_out.size(), 1u);
-  ASSERT_EQ(st.sw(1).of_out.size(), 1u);
-  EXPECT_TRUE(std::holds_alternative<of::PortStatus>(st.sw(0).of_out.front()));
-  EXPECT_TRUE(std::holds_alternative<of::PortStatus>(st.sw(1).of_out.front()));
+  ASSERT_EQ(st.sw(0).of_out().size(), 1u);
+  ASSERT_EQ(st.sw(1).of_out().size(), 1u);
+  EXPECT_TRUE(std::holds_alternative<of::PortStatus>(st.sw(0).of_out().front()));
+  EXPECT_TRUE(std::holds_alternative<of::PortStatus>(st.sw(1).of_out().front()));
 
   // Budget spent: only the repair is enabled now.
   ts = ex.enabled(st, cache);
@@ -67,9 +67,9 @@ TEST(Faults, LinkDownMarksBothEndpointsAndNotifiesBothControllersEnds) {
   ASSERT_TRUE(has_kind(ts, TKind::kLinkUp));
 
   ex.apply(st, find_kind(ts, TKind::kLinkUp), v);
-  EXPECT_TRUE(st.sw(0).down_ports.empty());
-  EXPECT_TRUE(st.sw(1).down_ports.empty());
-  EXPECT_EQ(st.sw(0).of_out.size(), 2u);  // down + up notifications
+  EXPECT_TRUE(st.sw(0).down_ports().empty());
+  EXPECT_TRUE(st.sw(1).down_ports().empty());
+  EXPECT_EQ(st.sw(0).of_out().size(), 2u);  // down + up notifications
 
   // Repair does not refund the budget.
   ts = ex.enabled(st, cache);
@@ -98,7 +98,7 @@ TEST(Faults, SpentFaultBudgetIsPartOfStateIdentity) {
   // The network is back to its initial configuration, but the execution
   // has consumed its failure budget — the states must NOT merge, or the
   // search would wrongly prune the post-repair behaviours.
-  EXPECT_TRUE(st.sw(0).down_ports.empty());
+  EXPECT_TRUE(st.sw(0).down_ports().empty());
   EXPECT_EQ(st.faults.link_failures, 1u);
   EXPECT_FALSE(st.hash(true) == initial);
 }
@@ -114,13 +114,13 @@ TEST(Faults, CtrlChannelLossWipesChannelsAndReconnectsWithHandshake) {
   // Put a packet_in in flight so the disconnect has something to lose.
   ex.apply(st, find_kind(ex.enabled(st, cache), TKind::kHostSendScript), v);
   ex.apply(st, find_kind(ex.enabled(st, cache), TKind::kSwitchProcessPkt), v);
-  ASSERT_EQ(st.sw(0).of_out.size(), 1u);
+  ASSERT_EQ(st.sw(0).of_out().size(), 1u);
 
   auto ts = ex.enabled(st, cache);
   ex.apply(st, Transition{.kind = TKind::kCtrlChannelDown, .a = 0}, v);
-  EXPECT_TRUE(st.sw(0).ctrl_channel_down);
-  EXPECT_TRUE(st.sw(0).of_out.empty());
-  EXPECT_TRUE(st.sw(0).of_in.empty());
+  EXPECT_TRUE(st.sw(0).ctrl_channel_down());
+  EXPECT_TRUE(st.sw(0).of_out().empty());
+  EXPECT_TRUE(st.sw(0).of_in().empty());
   EXPECT_EQ(st.faults.channel_losses, 1u);
 
   // Budget spent: no second disconnect anywhere, reconnect is free.
@@ -128,7 +128,7 @@ TEST(Faults, CtrlChannelLossWipesChannelsAndReconnectsWithHandshake) {
   EXPECT_FALSE(has_kind(ts, TKind::kCtrlChannelDown));
   ASSERT_TRUE(has_kind(ts, TKind::kCtrlChannelUp));
   ex.apply(st, find_kind(ts, TKind::kCtrlChannelUp), v);
-  EXPECT_FALSE(st.sw(0).ctrl_channel_down);
+  EXPECT_FALSE(st.sw(0).ctrl_channel_down());
   ts = ex.enabled(st, cache);
   EXPECT_FALSE(has_kind(ts, TKind::kCtrlChannelUp));
   EXPECT_FALSE(has_kind(ts, TKind::kCtrlChannelDown));
@@ -145,11 +145,11 @@ TEST(Faults, SwitchRestartWipesTableAndConsumesBudget) {
   of::Rule r;
   r.match = of::Match::any();
   r.actions = {of::Action::output(2)};
-  st.sw_mut(0).table.add(r);
+  st.sw_mut(0).table_mut().add(r);
 
   ASSERT_TRUE(has_kind(ex.enabled(st, cache), TKind::kSwitchRestart));
   ex.apply(st, Transition{.kind = TKind::kSwitchRestart, .a = 0}, v);
-  EXPECT_TRUE(st.sw(0).table.empty());
+  EXPECT_TRUE(st.sw(0).table().empty());
   EXPECT_EQ(st.faults.switch_restarts, 1u);
   EXPECT_FALSE(has_kind(ex.enabled(st, cache), TKind::kSwitchRestart));
 }
@@ -200,7 +200,7 @@ TEST(Faults, UnboundedPacketFaultBudgetKeepsLegacyStateMerging) {
   // behaviour (termination by state matching, not by budget).
   ex.apply(st, find_kind(ex.enabled(st, cache), TKind::kChannelDupHead), v);
   EXPECT_EQ(st.faults.packet_faults, 0u);
-  EXPECT_EQ(st.sw(0).in_ports.at(1).size(), 2u);
+  EXPECT_EQ(st.sw(0).in_ports().at(1).size(), 2u);
   ex.apply(st, find_kind(ex.enabled(st, cache), TKind::kChannelDropHead), v);
   EXPECT_EQ(st.faults.packet_faults, 0u);
   EXPECT_TRUE(st.hash(true) == before);
@@ -209,7 +209,7 @@ TEST(Faults, UnboundedPacketFaultBudgetKeepsLegacyStateMerging) {
   // limit — the remaining guard against infinite queues.
   ex.apply(st, find_kind(ex.enabled(st, cache), TKind::kChannelDupHead), v);
   ex.apply(st, find_kind(ex.enabled(st, cache), TKind::kChannelDupHead), v);
-  ASSERT_EQ(st.sw(0).in_ports.at(1).size(), 3u);
+  ASSERT_EQ(st.sw(0).in_ports().at(1).size(), 3u);
   const auto ts = ex.enabled(st, cache);
   EXPECT_FALSE(has_kind(ts, TKind::kChannelDupHead));
   EXPECT_TRUE(has_kind(ts, TKind::kChannelDropHead));
@@ -232,7 +232,7 @@ TEST(Faults, BoundedPacketFaultBudgetSplitsStatesAndRunsDry) {
   EXPECT_EQ(st.faults.packet_faults, 2u);
   // Same channel contents as before the dup/drop pair, but two units of
   // budget are gone: the states must not merge.
-  EXPECT_EQ(st.sw(0).in_ports.at(1).size(), 1u);
+  EXPECT_EQ(st.sw(0).in_ports().at(1).size(), 1u);
   EXPECT_FALSE(st.hash(true) == before);
 
   // Budget exhausted: the fault transitions disappear.
@@ -283,13 +283,13 @@ TEST(Faults, NoStaleRulesFlagsRulesForwardingIntoFailedPorts) {
   of::Rule r;
   r.match = of::Match::any();
   r.actions = {of::Action::output(2)};
-  st.sw_mut(0).table.add(r);
+  st.sw_mut(0).table_mut().add(r);
 
   std::vector<Violation> v;
   ex.at_quiescence(st, v);
   EXPECT_TRUE(v.empty());  // port 2 is up: nothing stale
 
-  st.sw_mut(0).down_ports.insert(2);
+  st.sw_mut(0).set_link(2, /*up=*/false);
   ex.at_quiescence(st, v);
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0].property, "NoStaleRules");

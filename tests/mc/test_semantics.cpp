@@ -70,7 +70,7 @@ TEST(Semantics, ChannelDuplicateCreatesSecondCopy) {
   std::vector<Violation> v;
   ex.apply(st, Transition{.kind = TKind::kHostSendScript, .a = 0}, v);
   ex.apply(st, find_kind(ex.enabled(st, cache), TKind::kChannelDupHead), v);
-  EXPECT_EQ(st.sw(0).in_ports.at(1).size(), 2u);
+  EXPECT_EQ(st.sw(0).in_ports().at(1).size(), 2u);
 }
 
 TEST(Semantics, RuleExpiryTransitionRemovesRule) {
@@ -86,12 +86,12 @@ TEST(Semantics, RuleExpiryTransitionRemovesRule) {
   r.match = of::Match::any();
   r.actions = {of::Action::output(2)};
   r.hard_timeout = 10;
-  st.sw_mut(0).table.add(r);
+  st.sw_mut(0).table_mut().add(r);
   const auto ts = ex.enabled(st, cache);
   ASSERT_TRUE(has_kind(ts, TKind::kRuleExpire));
   std::vector<Violation> v;
   ex.apply(st, find_kind(ts, TKind::kRuleExpire), v);
-  EXPECT_TRUE(st.sw(0).table.empty());
+  EXPECT_TRUE(st.sw(0).table().empty());
 }
 
 TEST(Semantics, PermanentRulesNeverExpire) {
@@ -103,7 +103,7 @@ TEST(Semantics, PermanentRulesNeverExpire) {
   of::Rule r;
   r.match = of::Match::any();
   r.actions = {of::Action::output(2)};
-  st.sw_mut(0).table.add(r);  // no timeouts
+  st.sw_mut(0).table_mut().add(r);  // no timeouts
   EXPECT_FALSE(has_kind(ex.enabled(st, cache), TKind::kRuleExpire));
 }
 
@@ -198,8 +198,8 @@ TEST(Semantics, EquivalentInterleavingsMergeOnlyCanonically) {
     of::Rule fwd;
     fwd.match = of::Match::any();
     fwd.actions = {of::Action::output(1)};  // hairpin to the local host
-    st.sw_mut(0).table.add(fwd);
-    st.sw_mut(1).table.add(fwd);
+    st.sw_mut(0).table_mut().add(fwd);
+    st.sw_mut(1).table_mut().add(fwd);
     of::Packet p1;
     p1.hdr.eth_src = 0x0a;
     p1.uid = 1;

@@ -201,11 +201,11 @@ SystemState with_parked_release(const SystemState& base,
                                 const of::Packet& first,
                                 const of::Packet& second) {
   SystemState st = base.clone();
-  of::Switch& sw = st.sw_mut(0);
-  sw.buffer.clear();
-  sw.buffer.emplace(1, of::BufferedPacket{first, 1});
-  sw.buffer.emplace(2, of::BufferedPacket{second, 1});
-  sw.next_buffer_id = 3;
+  of::Switch::Buffer& buf = st.sw_mut(0).buffer_mut();
+  buf.entries.clear();
+  buf.entries.emplace(1, of::BufferedPacket{first, 1});
+  buf.entries.emplace(2, of::BufferedPacket{second, 1});
+  buf.next_id = 3;
   of::PacketOut po;
   po.buffer_id = 1;
   po.actions = {of::Action::flood()};
@@ -267,12 +267,13 @@ TEST(StateIdentity, PairCheckFlagsBothBufferIdCollisionPairs) {
   auto with_head_release = [&](std::uint32_t live_a_id) {
     SystemState st = base.clone();
     of::Switch& sw = st.sw_mut(0);
-    sw.buffer.clear();
-    sw.buffer.emplace(live_a_id, of::BufferedPacket{a, 1});
-    sw.buffer.emplace(3, of::BufferedPacket{b, 1});
-    sw.next_buffer_id = 4;
-    sw.of_in = of::Fifo<of::ToSwitch>{};
-    sw.of_in_seq.clear();
+    of::Switch::Buffer& buf = sw.buffer_mut();
+    buf.entries.clear();
+    buf.entries.emplace(live_a_id, of::BufferedPacket{a, 1});
+    buf.entries.emplace(3, of::BufferedPacket{b, 1});
+    buf.next_id = 4;
+    // The initial state drained every OpenFlow message.
+    EXPECT_TRUE(sw.of_in().empty());
     of::PacketOut po;
     po.buffer_id = 1;
     po.actions = {of::Action::flood()};
@@ -382,11 +383,11 @@ TEST(SwitchSections, PartsConcatenateToSerialize) {
     stack.pop_back();
     ++visited;
     for (const of::Switch& sw : st.switches()) {
-      if (!sw.buffer.empty()) ++buffered;
-      for (const of::ToSwitch& m : sw.of_in.items()) {
+      if (!sw.buffer().empty()) ++buffered;
+      for (const of::ToSwitch& m : sw.of_in().items()) {
         if (std::holds_alternative<of::PacketOut>(m)) ++packet_outs;
       }
-      for (const of::ToController& m : sw.of_out.items()) {
+      for (const of::ToController& m : sw.of_out().items()) {
         if (std::holds_alternative<of::PacketIn>(m)) ++packet_ins;
       }
       for (const bool canonical : {true, false}) {

@@ -41,7 +41,7 @@ TEST(Canonical, BufferIdsRenamedByContent) {
     sw.enqueue_packet(1, reversed ? a : b);
     sw.process_pkt();
     // Drain of_out so only the buffers differ in naming.
-    while (!sw.of_out.empty()) sw.of_out.pop();
+    while (!sw.of_out().empty()) sw.pop_of_out();
     return sw;
   };
   const Switch fwd = build(false);
@@ -87,19 +87,20 @@ TEST(Canonical, NextBufferIdExcludedFromCanonicalForm) {
   auto build = [](bool churn) {
     Switch sw(0, {1, 2});
     if (churn) {
-      // Buffer and release once: bumps next_buffer_id, leaves no trace.
+      // Buffer and release once: bumps the buffer-id counter, leaves no
+      // trace.
       sw.enqueue_packet(1, pkt(0xbb, 9, 0));
       sw.process_pkt();
-      const auto& pin = std::get<PacketIn>(sw.of_out.front());
+      const auto& pin = std::get<PacketIn>(sw.of_out().front());
       PacketOut po;
       po.buffer_id = pin.buffer_id;
       po.actions = {Action::output(2)};
-      sw.of_in.push(po);
-      sw.of_out.pop();
+      sw.push_of(po);
+      sw.pop_of_out();
       sw.process_of();
       // Also reset the port counters the churn perturbed.
-      sw.port_stats[1] = PortStatsEntry{};
-      sw.port_stats[2] = PortStatsEntry{};
+      sw.port_stats_mut()[1] = PortStatsEntry{};
+      sw.port_stats_mut()[2] = PortStatsEntry{};
     }
     return sw;
   };
@@ -114,7 +115,7 @@ TEST(Canonical, DifferentBufferContentsStayDistinct) {
     Switch sw(0, {1, 2});
     sw.enqueue_packet(1, pkt(dst, 1, 0));
     sw.process_pkt();
-    while (!sw.of_out.empty()) sw.of_out.pop();
+    while (!sw.of_out().empty()) sw.pop_of_out();
     return sw;
   };
   EXPECT_NE(hash_switch(build(0xb1), true), hash_switch(build(0xb2), true));
@@ -139,11 +140,12 @@ Switch with_buffered_flood(
     const std::vector<std::pair<std::uint32_t, Packet>>& entries,
     std::uint32_t po_id) {
   Switch sw(0, {1, 2, 3});
+  Switch::Buffer& buf = sw.buffer_mut();
   for (const auto& [bid, p] : entries) {
-    sw.buffer.emplace(bid, BufferedPacket{p, 1});
+    buf.entries.emplace(bid, BufferedPacket{p, 1});
   }
   // Ids are never reused: every id named below was handed out already.
-  sw.next_buffer_id = 8;
+  buf.next_id = 8;
   PacketOut po;
   po.buffer_id = po_id;
   po.actions = {Action::flood()};

@@ -30,32 +30,32 @@ TEST(Switch, NoMatchBuffersAndSendsPacketIn) {
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_TRUE(outcomes[0].to_controller);
   EXPECT_EQ(outcomes[0].reason, PacketIn::Reason::kNoMatch);
-  EXPECT_EQ(sw.buffer.size(), 1u);
-  ASSERT_EQ(sw.of_out.size(), 1u);
-  const auto& pin = std::get<PacketIn>(sw.of_out.front());
+  EXPECT_EQ(sw.buffer().size(), 1u);
+  ASSERT_EQ(sw.of_out().size(), 1u);
+  const auto& pin = std::get<PacketIn>(sw.of_out().front());
   EXPECT_EQ(pin.in_port, 1u);
   EXPECT_EQ(pin.buffer_id, outcomes[0].buffer_id);
 }
 
 TEST(Switch, MatchingRuleForwardsAndCounts) {
   Switch sw(0, {1, 2});
-  sw.of_in.push(FlowMod{FlowMod::Cmd::kAdd, forward_rule(0x0b, 2)});
+  sw.push_of(FlowMod{FlowMod::Cmd::kAdd, forward_rule(0x0b, 2)});
   sw.process_of();
   sw.enqueue_packet(1, packet_to(0x0b));
   const auto outcomes = sw.process_pkt();
   ASSERT_EQ(outcomes.size(), 1u);
   ASSERT_EQ(outcomes[0].forwards.size(), 1u);
   EXPECT_EQ(outcomes[0].forwards[0].first, 2u);
-  EXPECT_EQ(sw.table.rules()[0].packet_count, 1u);
-  EXPECT_EQ(sw.port_stats[2].tx_packets, 1u);
-  EXPECT_EQ(sw.port_stats[1].rx_packets, 1u);
+  EXPECT_EQ(sw.table().rules()[0].packet_count, 1u);
+  EXPECT_EQ(sw.port_stats().at(2).tx_packets, 1u);
+  EXPECT_EQ(sw.port_stats().at(1).rx_packets, 1u);
 }
 
 TEST(Switch, FloodExpandsToAllPortsExceptIngress) {
   Switch sw(0, {1, 2, 3, 4});
   Rule r = forward_rule(0x0b, 0);
   r.actions = {Action::flood()};
-  sw.of_in.push(FlowMod{FlowMod::Cmd::kAdd, r});
+  sw.push_of(FlowMod{FlowMod::Cmd::kAdd, r});
   sw.process_of();
   sw.enqueue_packet(2, packet_to(0x0b));
   const auto outcomes = sw.process_pkt();
@@ -74,15 +74,15 @@ TEST(Switch, ProcessPktDequeuesHeadOfEveryChannel) {
   sw.enqueue_packet(2, packet_to(0x0c, 3));
   const auto outcomes = sw.process_pkt();
   EXPECT_EQ(outcomes.size(), 2u);  // heads of port 1 and port 2
-  EXPECT_EQ(sw.in_ports.at(1).size(), 1u);
-  EXPECT_TRUE(sw.in_ports.at(2).empty());
+  EXPECT_EQ(sw.in_ports().at(1).size(), 1u);
+  EXPECT_TRUE(sw.in_ports().at(2).empty());
 }
 
 TEST(Switch, RuleWithControllerActionBuffersWithActionReason) {
   Switch sw(0, {1, 2});
   Rule r = forward_rule(0x0b, 0);
   r.actions = {Action::controller()};
-  sw.of_in.push(FlowMod{FlowMod::Cmd::kAdd, r});
+  sw.push_of(FlowMod{FlowMod::Cmd::kAdd, r});
   sw.process_of();
   sw.enqueue_packet(1, packet_to(0x0b));
   const auto outcomes = sw.process_pkt();
@@ -94,7 +94,7 @@ TEST(Switch, EmptyActionListDropsPacket) {
   Switch sw(0, {1, 2});
   Rule r = forward_rule(0x0b, 0);
   r.actions = {};
-  sw.of_in.push(FlowMod{FlowMod::Cmd::kAdd, r});
+  sw.push_of(FlowMod{FlowMod::Cmd::kAdd, r});
   sw.process_of();
   sw.enqueue_packet(1, packet_to(0x0b));
   const auto outcomes = sw.process_pkt();
@@ -111,13 +111,13 @@ TEST(Switch, PacketOutReleasesBufferedPacket) {
   PacketOut po;
   po.buffer_id = bid;
   po.actions = {Action::output(2)};
-  sw.of_in.push(po);
+  sw.push_of(po);
   const auto oc = sw.process_of();
   ASSERT_TRUE(oc.packet.has_value());
   EXPECT_TRUE(oc.packet->from_buffer);
   ASSERT_EQ(oc.packet->forwards.size(), 1u);
   EXPECT_EQ(oc.packet->forwards[0].first, 2u);
-  EXPECT_TRUE(sw.buffer.empty());
+  EXPECT_TRUE(sw.buffer().empty());
 }
 
 TEST(Switch, PacketOutWithEmptyActionsConsumesBuffer) {
@@ -126,11 +126,11 @@ TEST(Switch, PacketOutWithEmptyActionsConsumesBuffer) {
   const auto in = sw.process_pkt();
   PacketOut po;
   po.buffer_id = in[0].buffer_id;
-  sw.of_in.push(po);
+  sw.push_of(po);
   const auto oc = sw.process_of();
   ASSERT_TRUE(oc.packet.has_value());
   EXPECT_TRUE(oc.packet->explicit_discard);
-  EXPECT_TRUE(sw.buffer.empty());
+  EXPECT_TRUE(sw.buffer().empty());
   EXPECT_EQ(sw.forgotten_packets(), 0u);
 }
 
@@ -138,7 +138,7 @@ TEST(Switch, PacketOutForUnknownBufferFlagsMissing) {
   Switch sw(0, {1});
   PacketOut po;
   po.buffer_id = 42;
-  sw.of_in.push(po);
+  sw.push_of(po);
   const auto oc = sw.process_of();
   EXPECT_TRUE(oc.missing_buffer);
 }
@@ -150,29 +150,29 @@ TEST(Switch, BufferCapacityDropsExcessPackets) {
   (void)sw.process_pkt();  // buffers uid 1
   const auto outcomes = sw.process_pkt();
   EXPECT_TRUE(outcomes[0].dropped_buffer_full);
-  EXPECT_EQ(sw.buffer.size(), 1u);
+  EXPECT_EQ(sw.buffer().size(), 1u);
 }
 
 TEST(Switch, StatsRequestRepliesWithPortCounters) {
   Switch sw(0, {1, 2});
-  sw.of_in.push(FlowMod{FlowMod::Cmd::kAdd, forward_rule(0x0b, 2)});
+  sw.push_of(FlowMod{FlowMod::Cmd::kAdd, forward_rule(0x0b, 2)});
   sw.process_of();
   sw.enqueue_packet(1, packet_to(0x0b));
   sw.process_pkt();
-  sw.of_in.push(StatsRequest{.xid = 7});
+  sw.push_of(StatsRequest{.xid = 7});
   const auto oc = sw.process_of();
   EXPECT_TRUE(oc.stats_replied);
-  const auto& reply = std::get<StatsReply>(sw.of_out.front());
+  const auto& reply = std::get<StatsReply>(sw.of_out().front());
   EXPECT_EQ(reply.xid, 7u);
   EXPECT_EQ(reply.ports.at(2).tx_bytes, 100u);
 }
 
 TEST(Switch, BarrierRequestIsAcknowledged) {
   Switch sw(0, {1});
-  sw.of_in.push(BarrierRequest{.xid = 9});
+  sw.push_of(BarrierRequest{.xid = 9});
   const auto oc = sw.process_of();
   EXPECT_TRUE(oc.barrier_replied);
-  EXPECT_EQ(std::get<BarrierReply>(sw.of_out.front()).xid, 9u);
+  EXPECT_EQ(std::get<BarrierReply>(sw.of_out().front()).xid, 9u);
 }
 
 TEST(Switch, LoopDetectionOnRevisit) {
@@ -189,9 +189,9 @@ TEST(Switch, SerializationDistinguishesCanonicalAndRawTables) {
     Switch sw(0, {1});
     Rule r1 = forward_rule(0x0a, 1);
     Rule r2 = forward_rule(0x0b, 1);
-    sw.of_in.push(FlowMod{FlowMod::Cmd::kAdd, reorder ? r2 : r1});
+    sw.push_of(FlowMod{FlowMod::Cmd::kAdd, reorder ? r2 : r1});
     sw.process_of();
-    sw.of_in.push(FlowMod{FlowMod::Cmd::kAdd, reorder ? r1 : r2});
+    sw.push_of(FlowMod{FlowMod::Cmd::kAdd, reorder ? r1 : r2});
     sw.process_of();
     return sw;
   };
@@ -211,16 +211,16 @@ TEST(Switch, SerializationDistinguishesCanonicalAndRawTables) {
 
 TEST(Switch, FlowModDeleteRemovesRules) {
   Switch sw(0, {1, 2});
-  sw.of_in.push(FlowMod{FlowMod::Cmd::kAdd, forward_rule(0x0b, 2)});
+  sw.push_of(FlowMod{FlowMod::Cmd::kAdd, forward_rule(0x0b, 2)});
   sw.process_of();
   FlowMod del;
   del.cmd = FlowMod::Cmd::kDelete;
   del.rule.match = forward_rule(0x0b, 2).match;
-  sw.of_in.push(del);
+  sw.push_of(del);
   const auto oc = sw.process_of();
   EXPECT_EQ(oc.removed_count, 1u);
   ASSERT_TRUE(oc.removed_match.has_value());
-  EXPECT_TRUE(sw.table.empty());
+  EXPECT_TRUE(sw.table().empty());
 }
 
 }  // namespace
