@@ -10,6 +10,7 @@
 #include "apps/scenarios.h"
 #include "mc/checker.h"
 #include "mc/discover.h"
+#include "of/switch.h"
 #include "sym/concolic.h"
 #include "sym/solver.h"
 #include "util/hash.h"
@@ -178,6 +179,27 @@ void BM_SwitchMutateHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SwitchMutateHash);
+
+// A write to one OpenFlow channel of a switch that holds a buffered
+// packet: copy the switch, let the controller receive the packet_in
+// (pop_of_out), hash the copy. The part this unshares holds the buffer
+// too, so this is the write that copies most for what it changes.
+void BM_SwitchPopOfOutHash(benchmark::State& state) {
+  of::Switch sw(0, {1, 2});
+  of::Packet p;
+  p.hdr.eth_src = 0x0a;
+  p.hdr.eth_dst = 0x0b;
+  p.uid = 1;
+  sw.enqueue_packet(1, p);
+  sw.process_pkt();  // a miss: buffers the packet and queues its packet_in
+  benchmark::DoNotOptimize(sw.hash(true));
+  for (auto _ : state) {
+    of::Switch child = sw;
+    benchmark::DoNotOptimize(child.pop_of_out());
+    benchmark::DoNotOptimize(child.hash(true));
+  }
+}
+BENCHMARK(BM_SwitchPopOfOutHash);
 
 void BM_CheckerPingExhaustive(benchmark::State& state) {
   const int pings = static_cast<int>(state.range(0));

@@ -67,9 +67,10 @@ namespace {
 // discovery labels; 6: util::hash128 became a word-at-a-time hash, which
 // moves every kHash key, slept-transition hash and the checksum; 7: a
 // switch's hash combines its six section hashes, which moves every kHash
-// key).
+// key; 8: it combines four, as one part now holds both OpenFlow channels
+// and the buffer, which moves every kHash key again).
 constexpr std::uint64_t kMagic = 0x4E494345434B5054ULL;
-constexpr std::uint32_t kVersion = 7;
+constexpr std::uint32_t kVersion = 8;
 // magic u64 + version u32 + sequence u64 + payload-size u64 + Hash128.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 16;
 

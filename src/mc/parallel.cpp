@@ -39,6 +39,13 @@ struct SharedTally {
   std::mutex violations_mu;
   std::vector<ViolationRecord> violations;
 
+  /// Whether a wall-clock limit of `seconds` (0: none) has passed. Workers
+  /// ask once per kPollStride steps, which keeps the clock read off the
+  /// per-transition path.
+  [[nodiscard]] bool time_up(double seconds) const {
+    return seconds > 0 && seconds_since(start) >= seconds;
+  }
+
   void record(std::vector<ViolationRecord>& vs) {
     std::lock_guard<std::mutex> lock(violations_mu);
     for (ViolationRecord& v : vs) violations.push_back(std::move(v));
@@ -110,6 +117,8 @@ struct SharedSearch : SharedTally {
   /// adds the cache's own).
   DiscoveryStats seed_discovery;
 
+  /// The count caps, checked before every pop; the wall-clock limit is
+  /// checked at the kPollStride poll (time_up).
   LimitReason limit_hit() const {
     if (transitions.load(std::memory_order_relaxed) >=
         options.max_transitions) {
@@ -118,10 +127,6 @@ struct SharedSearch : SharedTally {
     if (unique_states.load(std::memory_order_relaxed) >=
         options.max_unique_states) {
       return LimitReason::kUniqueStates;
-    }
-    if (options.time_limit_seconds > 0 &&
-        seconds_since(start) >= options.time_limit_seconds) {
-      return LimitReason::kTime;
     }
     return LimitReason::kNone;
   }
@@ -293,10 +298,13 @@ void search_worker(SharedSearch& shared, std::size_t worker) {
       shared.halt(lr);
       return;
     }
-    if ((shared.dur != nullptr || wt != nullptr) &&
-        ++since_poll >= kPollStride) {
+    if (++since_poll >= kPollStride) {
       since_poll = 0;
       ++polls;
+      if (shared.time_up(shared.options.time_limit_seconds)) {
+        shared.halt(LimitReason::kTime);
+        return;
+      }
       if (shared.dur != nullptr && !poll_durability(shared)) return;
       if (wt != nullptr) {
         const std::uint64_t pending =
@@ -463,6 +471,7 @@ void walk_worker(const SearchCore& core, SharedTally& shared,
   const util::Telemetry::Binding bind(core.telemetry(), worker);
   util::WorkerTelemetry* const wt = util::Telemetry::current();
   std::uint64_t steps_since_publish = 0;
+  std::uint64_t since_poll = 0;
 
   for (int w = static_cast<int>(worker); w < walks;
        w += static_cast<int>(stride)) {
@@ -471,11 +480,13 @@ void walk_worker(const SearchCore& core, SharedTally& shared,
     std::shared_ptr<const PathNode> path;
     std::vector<ViolationRecord> recs;
     for (int step = 0; step < max_steps && recs.empty(); ++step) {
-      if (options.time_limit_seconds > 0 &&
-          seconds_since(shared.start) >= options.time_limit_seconds) {
-        shared.limit.store(LimitReason::kTime);
-        shared.stop.store(true);
-        return;
+      if (++since_poll >= kPollStride) {
+        since_poll = 0;
+        if (shared.time_up(options.time_limit_seconds)) {
+          shared.limit.store(LimitReason::kTime);
+          shared.stop.store(true);
+          return;
+        }
       }
       auto ts = apply_strategy(options.strategy, core.config(), state,
                                executor.enabled(state, core.discovery()));

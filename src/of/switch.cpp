@@ -1,37 +1,12 @@
 #include "of/switch.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <string>
 
 namespace nicemc::of {
 
 namespace {
-
-/// A buffer generation never drawn before. Drawn in per-thread blocks, so
-/// threads share one atomic add per 2^16 draws; 0 stays the generation of
-/// a buffer no one has written.
-std::uint64_t fresh_generation() {
-  constexpr std::uint64_t kBlock = std::uint64_t{1} << 16;
-  static std::atomic<std::uint64_t> next_block{1};
-  thread_local std::uint64_t next = 0;
-  thread_local std::uint64_t end = 0;
-  if (next == end) {
-    next = next_block.fetch_add(kBlock, std::memory_order_relaxed);
-    end = next + kBlock;
-  }
-  return next++;
-}
-
-/// The key a section's memo is valid under: the buffer generation if the
-/// section named a buffer id (the renamer's lookup count moved from
-/// `named`), since the name is a content rank within that buffer; else any.
-std::uint64_t memo_key(const util::Renamer* rn, std::uint64_t named,
-                       std::uint64_t naming) {
-  return util::rn_buffer_lookups(rn) != named ? naming
-                                              : util::HashMemo::kAnyKey;
-}
 
 constexpr util::Hash128 kSwitchHashSeed{0x6e6963652d737770ULL,
                                         0x617274732d683132ULL};
@@ -50,12 +25,6 @@ Switch::Switch(SwitchId sw_id, std::vector<PortId> port_list,
     in.emplace(p, Fifo<Packet>{});
     stats.emplace(p, PortStatsEntry{});
   }
-}
-
-Switch::Buffer& Switch::buffer_mut() {
-  Buffer& b = buffer_.mut();
-  b.generation = fresh_generation();
-  return b;
 }
 
 void Switch::enqueue_packet(PortId port, Packet p) {
@@ -82,10 +51,10 @@ void Switch::set_link(PortId port, bool up) {
 
 std::uint32_t Switch::punt(const Packet& p, PortId in_port,
                            PacketIn::Reason reason) {
-  Buffer& buf = buffer_mut();
-  const std::uint32_t bid = buf.next_id++;
-  buf.entries.emplace(bid, BufferedPacket{p, in_port});
-  of_out_.mut().push(PacketIn{
+  Channel& c = chan_.mut();
+  const std::uint32_t bid = c.buffer.next_id++;
+  c.buffer.entries.emplace(bid, BufferedPacket{p, in_port});
+  c.of_out.push(PacketIn{
       .packet = p, .in_port = in_port, .buffer_id = bid, .reason = reason});
   return bid;
 }
@@ -205,9 +174,9 @@ std::vector<PacketOutcome> Switch::process_pkt() {
 OfOutcome Switch::process_of() {
   assert(can_process_of());
   OfOutcome oc;
-  OfIn& in = of_in_.mut();
-  ToSwitch msg = in.msgs.pop();
-  if (!in.seq.empty()) in.seq.erase(in.seq.begin());
+  Channel& c = chan_.mut();
+  ToSwitch msg = c.of_in.pop();
+  if (!c.of_in_seq.empty()) c.of_in_seq.erase(c.of_in_seq.begin());
   if (auto* fm = std::get_if<FlowMod>(&msg)) {
     switch (fm->cmd) {
       case FlowMod::Cmd::kAdd:
@@ -230,14 +199,15 @@ OfOutcome Switch::process_of() {
     Packet p;
     PortId in_port = po->in_port;
     if (po->buffer_id != kNoBuffer) {
-      const auto it = buffer().find(po->buffer_id);
-      if (it == buffer().end()) {
+      auto& entries = c.buffer.entries;
+      const auto it = entries.find(po->buffer_id);
+      if (it == entries.end()) {
         oc.missing_buffer = true;
         return oc;
       }
-      p = it->second.packet;
+      p = std::move(it->second.packet);
       in_port = it->second.in_port;
-      buffer_mut().entries.erase(po->buffer_id);
+      entries.erase(it);
     } else {
       assert(po->packet.has_value() &&
              "packet_out without buffer must carry a packet");
@@ -250,12 +220,12 @@ OfOutcome Switch::process_of() {
     return oc;
   }
   if (auto* sr = std::get_if<StatsRequest>(&msg)) {
-    of_out_.mut().push(StatsReply{.xid = sr->xid, .ports = port_stats()});
+    c.of_out.push(StatsReply{.xid = sr->xid, .ports = port_stats()});
     oc.stats_replied = true;
     return oc;
   }
   const auto& br = std::get<BarrierRequest>(msg);
-  of_out_.mut().push(BarrierReply{.xid = br.xid});
+  c.of_out.push(BarrierReply{.xid = br.xid});
   oc.barrier_replied = true;
   return oc;
 }
@@ -263,8 +233,10 @@ OfOutcome Switch::process_of() {
 Switch::ChannelLoss Switch::disconnect_ctrl() {
   ChannelLoss loss{.lost_to_switch = of_in().size(),
                    .lost_to_ctrl = of_out().size()};
-  of_in_ = util::Part<OfIn>{};
-  of_out_ = util::Part<OfOut>{};
+  Channel& c = chan_.mut();
+  c.of_in = {};
+  c.of_in_seq.clear();
+  c.of_out = {};
   core_.mut().ctrl_channel_down = true;
   return loss;
 }
@@ -277,9 +249,11 @@ Switch::RestartSummary Switch::restart() {
   Core& core = core_.mut();
   core.table = FlowTable{};
   core.ctrl_channel_down = false;
-  buffer_mut().entries.clear();
-  of_in_ = util::Part<OfIn>{};
-  of_out_ = util::Part<OfOut>{};
+  Channel& c = chan_.mut();
+  c.of_in = {};
+  c.of_in_seq.clear();
+  c.of_out = {};
+  c.buffer.entries.clear();
   for (auto& [port, st] : port_stats_mut()) st = PortStatsEntry{};
   return sum;
 }
@@ -291,11 +265,7 @@ bool Switch::shares_part(const Switch& o, std::size_t part) const {
     case 1:
       return ingress_.same_part(o.ingress_);
     case 2:
-      return of_in_.same_part(o.of_in_);
-    case 3:
-      return of_out_.same_part(o.of_out_);
-    case 4:
-      return buffer_.same_part(o.buffer_);
+      return chan_.same_part(o.chan_);
     default:
       return port_stats_.same_part(o.port_stats_);
   }
@@ -385,11 +355,7 @@ util::HashMemo& Switch::part_memo(std::size_t part, bool canonical) const {
     case 1:
       return ingress_.memo(canonical);
     case 2:
-      return of_in_.memo(canonical);
-    case 3:
-      return of_out_.memo(canonical);
-    case 4:
-      return buffer_.memo(canonical);
+      return chan_.memo(canonical);
     default:
       return port_stats_.memo(canonical);
   }
@@ -400,18 +366,15 @@ util::Hash128 Switch::hash(bool canonical) const {
          "part memos are never built under a renamer");
   thread_local util::Ser scratch;  // clear() keeps capacity across calls
   const util::Renamer::FormScope form(id, canonical);
-  util::Renamer* rn = form.renamer();
-  const std::uint64_t naming = buffer_.get().generation;
   util::Hash128 h = kSwitchHashSeed;
   for (std::size_t part = 0; part < kSerializeParts; ++part) {
     util::HashMemo& memo = part_memo(part, canonical);
     util::Hash128 ph;
-    if (!memo.get(naming, ph)) {
-      const std::uint64_t named = util::rn_buffer_lookups(rn);
+    if (!memo.get(ph)) {
       scratch.clear();
-      serialize_section(scratch, canonical, part, rn);
+      serialize_section(scratch, canonical, part, form.renamer());
       ph = scratch.hash();
-      memo.set(memo_key(rn, named, naming), ph);
+      memo.set(ph);
     }
     h = util::hash128_combine(h, ph);
   }
@@ -422,19 +385,16 @@ util::Hash128 Switch::serialize_hashed(util::Ser& s, bool canonical) const {
   assert(util::Renamer::active() == nullptr &&
          "part memos are never built under a renamer");
   const util::Renamer::FormScope form(id, canonical);
-  util::Renamer* rn = form.renamer();
-  name_buffers(rn);  // as serialize() does
-  const std::uint64_t naming = buffer_.get().generation;
+  name_buffers(form.renamer());  // as serialize() does
   util::Hash128 h = kSwitchHashSeed;
   for (std::size_t part = 0; part < kSerializeParts; ++part) {
     const std::size_t begin = s.size();
-    const std::uint64_t named = util::rn_buffer_lookups(rn);
-    serialize_section(s, canonical, part, rn);
+    serialize_section(s, canonical, part, form.renamer());
     util::HashMemo& memo = part_memo(part, canonical);
     util::Hash128 ph;
-    if (!memo.get(naming, ph)) {
+    if (!memo.get(ph)) {
       ph = util::hash128(s.bytes().subspan(begin));
-      memo.set(memo_key(rn, named, naming), ph);
+      memo.set(ph);
     }
     h = util::hash128_combine(h, ph);
   }
@@ -468,20 +428,14 @@ void Switch::serialize_section(util::Ser& s, bool canonical,
                                  });
                            });
       return;
-    case 2:  // controller → switch channel
-      name_buffers(rn);
+    case 2: {  // both OpenFlow channels, then the buffer in named order
+      const auto ranked = name_buffers(rn);
       of_in().serialize(s, [](util::Ser& ser, const ToSwitch& m) {
         serialize_message(ser, m);
       });
-      return;
-    case 3:  // switch → controller channel
-      name_buffers(rn);
       of_out().serialize(s, [](util::Ser& ser, const ToController& m) {
         serialize_message(ser, m);
       });
-      return;
-    case 4: {  // awaiting-controller buffer, in named (content) order
-      const auto ranked = name_buffers(rn);
       s.put_u32(static_cast<std::uint32_t>(buffer().size()));
       if (util::rn_canonical(rn)) {
         // A live entry's name is its content rank + 1.
@@ -495,11 +449,11 @@ void Switch::serialize_section(util::Ser& s, bool canonical,
           bp.serialize(s);
         }
         // The id counter names nothing live; only the raw form keeps it.
-        s.put_u32(buffer_.get().next_id);
+        s.put_u32(chan_.get().buffer.next_id);
       }
       return;
     }
-    default:  // 5: port statistics
+    default:  // 3: port statistics
       s.put_u32(static_cast<std::uint32_t>(port_stats().size()));
       util::for_each_named(port_stats(), renames_ports, key_port_name,
                            [&](PortId p, const auto& e) {

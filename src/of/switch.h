@@ -9,13 +9,13 @@
 //     (safe because the model checker already explores arrival orderings);
 //   * process_of — dequeues and applies one OpenFlow message.
 //
-// Its state is six copy-on-write util::Parts, one per serialized section:
-// the fault state and flow table, the ingress channels, each OpenFlow
-// channel direction, the buffer and the port counters. A Switch value is a
-// thin shell (part handles + configuration), so copying one is cheap, and
-// each mutator unshares only the parts it writes. Its hash combines the
-// sections' memoized hashes, so a child state re-serializes only the
-// sections its transition touched.
+// Its state is four copy-on-write util::Parts, one per serialized section:
+// the fault state and flow table, the ingress channels, the channel part
+// (both OpenFlow channels and the buffer whose ids they name) and the port
+// counters. A Switch value is a thin shell (part handles + configuration),
+// so copying one is cheap, and each mutator unshares only the parts it
+// writes. Its hash combines the sections' memoized hashes, so a child
+// state re-serializes only the sections its transition touched.
 //
 // The switch is a pure state machine: it never touches the topology. Packet
 // emissions are returned as structured outcomes; the model checker's
@@ -108,28 +108,25 @@ class Switch {
   };
   /// Section 1: the ingress packet channels.
   using Ingress = std::map<PortId, Fifo<Packet>>;
-  /// Section 2: controller → switch messages.
-  struct OfIn {
-    Fifo<ToSwitch> msgs;
-    /// Global send-order tags parallel to msgs. Bookkeeping for the
-    /// UNUSUAL search strategy only — deterministic in the transition
-    /// history, and deliberately excluded from serialization so it never
-    /// splits states.
-    std::vector<std::uint64_t> seq;
-  };
-  /// Section 3: switch → controller messages.
-  using OfOut = Fifo<ToController>;
-  /// Section 4: packets awaiting a controller decision.
+  /// Packets awaiting a controller decision.
   struct Buffer {
     std::map<std::uint32_t, BufferedPacket> entries;
     std::uint32_t next_id{1};
-    /// Identifies this buffer value among all buffers ever built; never
-    /// serialized. The canonical forms of sections 2 and 3 name buffer ids
-    /// by content rank within this buffer, so a section hash that named
-    /// one is memoized under it. buffer_mut() draws a fresh one.
-    std::uint64_t generation{0};
   };
-  /// Section 5: per-port counters.
+  /// Section 2: both OpenFlow channels and the buffer. A canonical channel
+  /// names buffer ids by content rank in this buffer, so the names a
+  /// section writes are all ranked inside its own part.
+  struct Channel {
+    Fifo<ToSwitch> of_in;
+    /// Global send-order tags parallel to of_in. Bookkeeping for the
+    /// UNUSUAL search strategy only — deterministic in the transition
+    /// history, and deliberately excluded from serialization so it never
+    /// splits states.
+    std::vector<std::uint64_t> of_in_seq;
+    Fifo<ToController> of_out;
+    Buffer buffer;
+  };
+  /// Section 3: per-port counters.
   using PortStats = std::map<PortId, PortStatsEntry>;
 
   // Configuration: fixed for the switch's lifetime and never serialized
@@ -160,12 +157,14 @@ class Switch {
     return ingress_.get();
   }
   [[nodiscard]] const Fifo<ToSwitch>& of_in() const noexcept {
-    return of_in_.get().msgs;
+    return chan_.get().of_in;
   }
-  [[nodiscard]] const OfOut& of_out() const noexcept { return of_out_.get(); }
+  [[nodiscard]] const Fifo<ToController>& of_out() const noexcept {
+    return chan_.get().of_out;
+  }
   [[nodiscard]] const std::map<std::uint32_t, BufferedPacket>& buffer()
       const noexcept {
-    return buffer_.get().entries;
+    return chan_.get().buffer.entries;
   }
   [[nodiscard]] const PortStats& port_stats() const noexcept {
     return port_stats_.get();
@@ -176,7 +175,7 @@ class Switch {
   [[nodiscard]] Fifo<Packet>& in_port_mut(PortId port) {
     return ingress_.mut().at(port);
   }
-  [[nodiscard]] Buffer& buffer_mut();
+  [[nodiscard]] Buffer& buffer_mut() { return chan_.mut().buffer; }
   [[nodiscard]] PortStats& port_stats_mut() { return port_stats_.mut(); }
 
   /// Enqueue a packet on an ingress channel (link delivery).
@@ -184,19 +183,19 @@ class Switch {
 
   /// Enqueue a controller→switch message with its global send-order tag.
   void push_of(ToSwitch msg, std::uint64_t seq = 0) {
-    OfIn& in = of_in_.mut();
-    in.msgs.push(std::move(msg));
-    in.seq.push_back(seq);
+    Channel& c = chan_.mut();
+    c.of_in.push(std::move(msg));
+    c.of_in_seq.push_back(seq);
   }
 
   /// Send-order tag of the head OpenFlow message (0 when empty).
   [[nodiscard]] std::uint64_t head_of_seq() const {
-    const std::vector<std::uint64_t>& seq = of_in_.get().seq;
+    const std::vector<std::uint64_t>& seq = chan_.get().of_in_seq;
     return seq.empty() ? 0 : seq.front();
   }
 
   /// Dequeue the head switch→controller message (controller receive).
-  ToController pop_of_out() { return of_out_.mut().pop(); }
+  ToController pop_of_out() { return chan_.mut().of_out.pop(); }
 
   [[nodiscard]] bool can_process_pkt() const;
   [[nodiscard]] bool can_process_of() const { return !of_in().empty(); }
@@ -231,7 +230,7 @@ class Switch {
   /// Push an OFPT_PORT_STATUS notification unless the connection is down.
   void emit_port_status(PortId port, bool up) {
     if (!ctrl_channel_down()) {
-      of_out_.mut().push(PortStatus{.port = port, .up = up});
+      chan_.mut().of_out.push(PortStatus{.port = port, .up = up});
     }
   }
 
@@ -267,22 +266,20 @@ class Switch {
 
   /// The serialization is kSerializeParts contiguous sections, written
   /// in part order: identity + faults + flow table, the ingress queues,
-  /// each OpenFlow channel direction, the buffer, and the port stats.
+  /// the channel part (of_in, of_out, then the buffer), and the port
+  /// stats.
   /// serialize_part writes section `part` alone, for the symmetry layer's
   /// signature passes, which redo only the sections a member renaming
   /// touches. Byte-identical to that section of serialize() except under a
   /// uid-assigning renamer, where serialize() hands out the buffered
   /// packets' uids before any section.
-  static constexpr std::size_t kSerializeParts = 6;
+  static constexpr std::size_t kSerializeParts = 4;
   void serialize_part(util::Ser& s, bool canonical, std::size_t part) const;
 
   /// The switch's state hash (util::PartHashed): util::hash128_combine
-  /// over the six section hashes in section order, each the hash128 of
+  /// over the four section hashes in section order, each the hash128 of
   /// that section's bytes, memoized on its part and recomputed only when
-  /// the memo is empty, or when the section named a buffer id and was
-  /// hashed under another buffer generation (a canonical OpenFlow channel
-  /// names buffer ids by content rank in the buffer part). Must not be
-  /// called under an active renamer.
+  /// the memo is empty. Must not be called under an active renamer.
   [[nodiscard]] util::Hash128 hash(bool canonical) const;
 
   /// serialize() into `s`, returning hash(canonical) and memoizing each
@@ -296,7 +293,8 @@ class Switch {
 
  private:
   /// Name the live buffer ids by content rank in `rn` (canonical only;
-  /// once per scope). Every section that writes buffer ids calls it.
+  /// once per scope). The channel section, which writes every buffer id,
+  /// calls it.
   /// Returns the live entries in rank order, or an empty span when there
   /// is nothing to name (a raw form or an empty buffer).
   std::span<const BufferedPacket* const> name_buffers(util::Renamer* rn) const;
@@ -327,9 +325,7 @@ class Switch {
       std::make_shared<const std::vector<PortId>>();
   util::Part<Core> core_;
   util::Part<Ingress> ingress_;
-  util::Part<OfIn> of_in_;
-  util::Part<OfOut> of_out_;
-  util::Part<Buffer> buffer_;
+  util::Part<Channel> chan_;
   util::Part<PortStats> port_stats_;
 };
 

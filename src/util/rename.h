@@ -7,6 +7,8 @@
 //   * buffer ids are per-switch names, keyed like ports: a canonical form
 //     writes a live id as its packet's content rank and every other id as
 //     kStaleBuffer (ids are never reused, so all stale ids behave alike);
+//     the one switch section that writes buffer ids also holds the buffer,
+//     so a memoized section hash depends on its own part alone;
 //   * uids, MACs, IPs, host ids, attach ports and flow ids pass through,
 //     except under symmetry.
 // A component serializer opens a FormScope(switch, canonical). Outside
@@ -153,7 +155,6 @@ class Renamer {
   [[nodiscard]] std::uint32_t r_buffer(std::uint32_t sw,
                                        std::uint32_t b) const {
     if (!canonical || b == kNoBuffer) return b;
-    ++buffer_lookups_;
     const auto* e = buffer.find(sw_key(sw, b));
     return e == nullptr ? kStaleBuffer : e->to;
   }
@@ -211,12 +212,6 @@ class Renamer {
   }
   [[nodiscard]] std::uint64_t assign_branches() const {
     return assign_branches_;
-  }
-
-  /// Buffer ids named so far (never reset): bytes written while it did not
-  /// move do not depend on any switch's buffer naming.
-  [[nodiscard]] std::uint64_t buffer_lookups() const {
-    return buffer_lookups_;
   }
 
   void reset_uids() {
@@ -308,7 +303,6 @@ class Renamer {
   mutable std::vector<std::uint32_t> deferred_uids_;
   mutable std::uint32_t next_dense_uid_{1};
   mutable std::uint64_t assign_branches_{0};
-  mutable std::uint64_t buffer_lookups_{0};
 
   /// The thread's plain renamer: every identifier class empty.
   static Renamer& plain() {
@@ -349,9 +343,6 @@ class Renamer {
 [[nodiscard]] inline std::uint32_t rn_buffer(const Renamer* r,
                                              std::uint32_t b) {
   return r == nullptr ? b : r->r_buffer(r->cur_sw, b);
-}
-[[nodiscard]] inline std::uint64_t rn_buffer_lookups(const Renamer* r) {
-  return r == nullptr ? 0 : r->buffer_lookups();
 }
 /// Whether a canonical form is being written: copy ids are elided and
 /// buffer ids named.

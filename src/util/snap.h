@@ -21,6 +21,9 @@
 // hashes. Its Snap then holds a thin shell (part handles + configuration):
 // mut() copies the shell, the component's mutators unshare only the parts
 // they write, and hashing re-serializes only parts whose memo is empty.
+// A part's bytes depend on that part alone (of::Switch keeps its buffer in
+// the part whose channels name buffer ids), so a memo is one hash, valid
+// until the part is written.
 //
 // Thread-safety contract (matches the search engine's publication order):
 // a snapshot or part shared between threads is immutable — mut() may only
@@ -58,33 +61,26 @@ struct CanonForm {
   Hash128 hash;
 };
 
-/// One memoized 128-bit hash, tagged with the key it was computed under (a
-/// dependency's generation): get() hits on that key, or on any key when it
-/// was set with kAnyKey. A seqlock over atomic words, so reading a filled
-/// memo takes two loads of the sequence word and no lock; a fill that
-/// meets another fill in progress is dropped, as the value can always be
-/// recomputed.
+/// One memoized 128-bit hash. A seqlock over atomic words, so reading a
+/// filled memo takes two loads of the sequence word and no lock; a fill
+/// that meets another fill in progress is dropped, as the value can always
+/// be recomputed.
 class HashMemo {
  public:
-  /// The value depends on no key.
-  static constexpr std::uint64_t kAnyKey = ~std::uint64_t{0};
-
   HashMemo() = default;
   HashMemo(const HashMemo&) = delete;
   HashMemo& operator=(const HashMemo&) = delete;
 
-  [[nodiscard]] bool get(std::uint64_t key, Hash128& out) const noexcept {
+  [[nodiscard]] bool get(Hash128& out) const noexcept {
     const std::uint64_t seq = seq_.load(std::memory_order_acquire);
     if (seq == 0 || (seq & 1) != 0) return false;
-    const std::uint64_t k = key_.load(std::memory_order_relaxed);
     out.lo = lo_.load(std::memory_order_relaxed);
     out.hi = hi_.load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
-    return seq_.load(std::memory_order_relaxed) == seq &&
-           (k == key || k == kAnyKey);
+    return seq_.load(std::memory_order_relaxed) == seq;
   }
 
-  void set(std::uint64_t key, const Hash128& h) noexcept {
+  void set(const Hash128& h) noexcept {
     std::uint64_t seq = seq_.load(std::memory_order_relaxed);
     if ((seq & 1) != 0 ||
         !seq_.compare_exchange_strong(seq, seq + 1,
@@ -92,7 +88,6 @@ class HashMemo {
       return;
     }
     std::atomic_thread_fence(std::memory_order_release);
-    key_.store(key, std::memory_order_relaxed);
     lo_.store(h.lo, std::memory_order_relaxed);
     hi_.store(h.hi, std::memory_order_relaxed);
     seq_.store(seq + 2, std::memory_order_release);
@@ -103,7 +98,6 @@ class HashMemo {
 
  private:
   std::atomic<std::uint64_t> seq_{0};  // 0: empty; odd: being written
-  std::atomic<std::uint64_t> key_{0};
   std::atomic<std::uint64_t> lo_{0};
   std::atomic<std::uint64_t> hi_{0};
 };
@@ -193,10 +187,6 @@ class Snap {
     return node_->value;
   }
 
-  /// True when this snapshot is shared with at least one other Snap.
-  [[nodiscard]] bool is_shared() const noexcept {
-    return node_.use_count() > 1;
-  }
   /// True when two Snaps alias the identical snapshot (test hook).
   [[nodiscard]] bool same_snapshot(const Snap& o) const noexcept {
     return node_ == o.node_;
@@ -216,7 +206,7 @@ class Snap {
       CanonForm cf;
       cf.hash = serialize_hashed(n, scratch, canonical);
       cf.bytes = std::string(scratch.view());
-      n.hash[canonical ? 1 : 0].set(HashMemo::kAnyKey, cf.hash);
+      n.hash[canonical ? 1 : 0].set(cf.hash);
       slot.emplace(std::move(cf));
     }
     return *slot;
@@ -232,7 +222,7 @@ class Snap {
     const Node& n = *node_;
     HashMemo& memo = n.hash[canonical ? 1 : 0];
     Hash128 h;
-    if (memo.get(HashMemo::kAnyKey, h)) return h;
+    if (memo.get(h)) return h;
     if constexpr (PartHashed<T>) {
       h = n.value.hash(canonical);
     } else {
@@ -240,7 +230,7 @@ class Snap {
       scratch.clear();
       h = serialize_hashed(n, scratch, canonical);
     }
-    memo.set(HashMemo::kAnyKey, h);
+    memo.set(h);
     return h;
   }
 
@@ -263,11 +253,11 @@ class Snap {
     thread_local Ser scratch;  // clear() keeps capacity across calls
     scratch.clear();
     Hash128 h;
-    if (!PartHashed<T> && n.hash[i].get(HashMemo::kAnyKey, h)) {
+    if (!PartHashed<T> && n.hash[i].get(h)) {
       serialize_value(n, scratch, canonical);
     } else {
       h = serialize_hashed(n, scratch, canonical);
-      n.hash[i].set(HashMemo::kAnyKey, h);
+      n.hash[i].set(h);
     }
     const std::uint32_t id = table.intern(scratch.view());
     n.id_table[i] = &table;

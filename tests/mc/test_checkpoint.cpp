@@ -168,9 +168,11 @@ RefTotals totals(const CheckerResult& r) {
           violations_digest(violation_key_set(r))};
 }
 
-/// The one-worker kHash reference searches of the sequential resume
-/// sweeps, keyed "<tag>/<scenario>": pinned instead of re-run per case,
-/// so a count drift fails here too.
+/// The one-worker kHash reference searches of the resume sweeps, keyed
+/// "<frontier>_<reduction>/<scenario>": pinned instead of re-run per case,
+/// so a count drift fails here too. The 4-worker, kCollapsed and
+/// kFullState cases use the DFS pins: they are count-equivalent to the
+/// one-worker kHash DFS.
 const std::map<std::string, RefTotals>& reference_pins() {
   static const std::map<std::string, RefTotals> pins = {
       {"dfs_none/pyswitch-ping1", {18, 19, 1, 0, 0xec7f2e7e68e5289dULL}},
@@ -283,13 +285,12 @@ const std::map<std::string, RefTotals>& reference_pins() {
 
 /// The differential gate: a run capped mid-way (the halt checkpoints),
 /// then resumed without the cap, must report totals identical to the
-/// uninterrupted search — its pinned totals when `pinned`, else a run.
-/// Transition counts are order-dependent under a reduction with
-/// threads > 1; everything else must match exactly always.
+/// uninterrupted search, read from reference_pins(). Transition counts are
+/// order-dependent under a reduction with threads > 1; everything else
+/// must match exactly always.
 void expect_resume_identity(const apps::NamedScenario& ns, Reduction red,
                             FrontierKind frontier, unsigned threads,
-                            StoreMode store, const std::string& tag,
-                            bool pinned = false) {
+                            StoreMode store, const std::string& tag) {
   SCOPED_TRACE(ns.name + " / " + tag);
   CheckerOptions base;
   base.stop_at_first_violation = false;
@@ -298,17 +299,14 @@ void expect_resume_identity(const apps::NamedScenario& ns, Reduction red,
   base.threads = threads;
   base.state_store = store;
 
-  RefTotals full{};
-  if (pinned) {
-    const auto it = reference_pins().find(tag + "/" + ns.name);
-    ASSERT_NE(it, reference_pins().end()) << "no pinned reference";
-    full = it->second;
-  } else {
-    const apps::Scenario ref_s = ns.make();
-    const CheckerResult ref = run_once(ref_s, base);
-    ASSERT_TRUE(ref.exhausted);
-    full = totals(ref);
-  }
+  const char* order = frontier == FrontierKind::kDfs   ? "dfs"
+                      : frontier == FrontierKind::kBfs ? "bfs"
+                                                       : "rand";
+  const auto it = reference_pins().find(
+      std::string(order) + (red == Reduction::kNone ? "_none/" : "_sleep/") +
+      ns.name);
+  ASSERT_NE(it, reference_pins().end()) << "no pinned reference";
+  const RefTotals& full = it->second;
 
   const std::string path = fresh_ckpt_path(tag + "_" + ns.name);
   CheckerOptions opt = base;
@@ -354,18 +352,18 @@ std::vector<apps::NamedScenario> small_scenarios() {
 TEST(CheckpointResume, SequentialDfsAllBundled) {
   for (const apps::NamedScenario& ns : apps::bundled_scenarios()) {
     expect_resume_identity(ns, Reduction::kNone, FrontierKind::kDfs, 1,
-                           StoreMode::kHash, "dfs_none", /*pinned=*/true);
+                           StoreMode::kHash, "dfs_none");
     expect_resume_identity(ns, Reduction::kSleep, FrontierKind::kDfs, 1,
-                           StoreMode::kHash, "dfs_sleep", /*pinned=*/true);
+                           StoreMode::kHash, "dfs_sleep");
   }
 }
 
 TEST(CheckpointResume, SequentialBfs) {
   for (const apps::NamedScenario& ns : small_scenarios()) {
     expect_resume_identity(ns, Reduction::kNone, FrontierKind::kBfs, 1,
-                           StoreMode::kHash, "bfs_none", /*pinned=*/true);
+                           StoreMode::kHash, "bfs_none");
     expect_resume_identity(ns, Reduction::kSleep, FrontierKind::kBfs, 1,
-                           StoreMode::kHash, "bfs_sleep", /*pinned=*/true);
+                           StoreMode::kHash, "bfs_sleep");
   }
 }
 
@@ -374,7 +372,7 @@ TEST(CheckpointResume, SequentialRandomFrontierRestoresRngState) {
   // an interrupt requires the checkpoint to carry the RNG state.
   for (const apps::NamedScenario& ns : small_scenarios()) {
     expect_resume_identity(ns, Reduction::kNone, FrontierKind::kRandom, 1,
-                           StoreMode::kHash, "rand_none", /*pinned=*/true);
+                           StoreMode::kHash, "rand_none");
   }
 }
 
@@ -602,6 +600,13 @@ TEST(CheckpointResume, VersionSixHashSlotFallsBack) {
   // switch serialization; a switch's hash now combines its section
   // hashes, so no key of today's would match them.
   expect_old_version_falls_back(StoreMode::kHash, 6, "v6_hash");
+}
+
+TEST(CheckpointResume, VersionSevenHashSlotFallsBack) {
+  // Version 7 stored kHash keys whose switch components combined six
+  // section hashes; a switch now has four sections, so no key of today's
+  // would match them.
+  expect_old_version_falls_back(StoreMode::kHash, 7, "v7_hash");
 }
 
 TEST(CheckpointResume, MissingCheckpointFallsBackToFreshRun) {

@@ -127,112 +127,112 @@ const std::map<std::string, Pin>& pins() {
        {191,
         {0xf73989312b796bbbULL, 0xe96a829e339c2a1cULL},
         {0xa9502ab1720f745eULL, 0x1b2a1d1932275499ULL},
-        {0x77c804b06e6bd12cULL, 0xc7cabdb067654e37ULL}}},
+        {0xf97e96057147c037ULL, 0x1b93808e907565d9ULL}}},
       {"pyswitch-ping2",
        {196,
         {0x61524d8f67c8fa02ULL, 0x33d6054a432ddaefULL},
         {0xcf8cd274fba163f8ULL, 0xd1eb250e0d8a432dULL},
-        {0x7a37081045c0f7d5ULL, 0xad9b3fd8426ccfefULL}}},
+        {0x45e7be47c01fbebcULL, 0xef015b964208f461ULL}}},
       {"pyswitch-ping2-raw",
        {196,
         {0xc77b0b3a2cc03908ULL, 0xb764367b433d45ccULL},
         {0x37aee7612872716cULL, 0x770a633023448450ULL},
-        {0x7a37081045c0f7d5ULL, 0xad9b3fd8426ccfefULL}}},
+        {0x45e7be47c01fbebcULL, 0xef015b964208f461ULL}}},
       {"pyswitch-bug1",
        {192,
         {0xf2908695dc54b2cfULL, 0xddec9fe5d6a7ef32ULL},
         {0x420026e61f65fb61ULL, 0x142f5363004b8575ULL},
-        {0x8b383592e2cbbb21ULL, 0xe92ae914eb4cc5b6ULL}}},
+        {0x9a060c620c97f364ULL, 0x85157def67f169a3ULL}}},
       {"pyswitch-bug2",
        {191,
         {0x4acaea2f9ae55943ULL, 0x2cfefec8c3f812ddULL},
         {0x972a7e7f0f08d5afULL, 0xa8ed6a3e9614fd36ULL},
-        {0xb1af4d0b5b008143ULL, 0x1d0d152ed6414d06ULL}}},
+        {0x414280c180d97fd2ULL, 0x21306c12603e394fULL}}},
       {"pyswitch-bug3",
        {201,
         {0x0dfda31472bd7772ULL, 0x2c88a4e42db6922bULL},
         {0xe269bff4063efbd9ULL, 0xb175abfcc2d9e24bULL},
-        {0xc52625e01eeff3afULL, 0xbb79fd88f8945f64ULL}}},
+        {0x9dd0d7cf54f17a5cULL, 0x85525ba957325516ULL}}},
       {"lb-fixed",
        {193,
         {0x51a7367d400483b7ULL, 0x514e3070c7c075d2ULL},
         {0xe78feb223aba9fc3ULL, 0xb7128b000c08e0a5ULL},
-        {0x0c09359c834b5303ULL, 0x155829410a280f23ULL}}},
+        {0x6c28f8ce869f4056ULL, 0x587a044a53eb3660ULL}}},
       {"lb-bugs",
        {186,
         {0xd03781ea6cacd23fULL, 0x53cdd54f80c23470ULL},
         {0xd8798d5e08bb022aULL, 0x0cfbd56d34b17c5dULL},
-        {0xe35eeaddc3daa54bULL, 0xd8561594105e83bbULL}}},
+        {0xcf3a8a91ee7d90a0ULL, 0xc49d7d78a6fc25deULL}}},
       {"lb-affinity",
        {193,
         {0xdc7d8a21e4b6cc59ULL, 0xfe9253c307326564ULL},
         {0xaf39642ba0c8ba7fULL, 0xb0522d0f7de8a287ULL},
-        {0xb9200b8ef6d3beaaULL, 0x30a12aeebf09de4bULL}}},
+        {0x4e24d20f8729e86bULL, 0x05e437aba63d1140ULL}}},
       {"te",
        {168,
         {0x0669488c538ecc42ULL, 0xe78c18ad6b30c7efULL},
         {0xadc4870566318b94ULL, 0x55c57a60983907b3ULL},
-        {0x7ff29c260dd3ca50ULL, 0x3c45775f79c0406eULL}}},
+        {0xc12cdf3b81c1c975ULL, 0x19ce04792e7e2e07ULL}}},
       {"te-routing",
        {186,
         {0x023e59ecdb3d19f4ULL, 0x91b7482151554633ULL},
         {0x8e5d1a01b4ea4e8fULL, 0xc86735c251b19674ULL},
-        {0x4e3c334cac2cedaaULL, 0x287b403db75c1f03ULL}}},
+        {0x64cf620dcf9f6c11ULL, 0x6ea264702478fe2eULL}}},
       {"pyswitch-linkfail",
        {193,
         {0xac2bddbd13d0045cULL, 0xf80e919a0f24d846ULL},
         {0x6636bf1c0e15866bULL, 0xa851b9c513742163ULL},
-        {0xf92da8afe2b1af68ULL, 0x48a34d1a2cd76df0ULL}}},
+        {0xc54d8d2af6c67165ULL, 0x79d5db581fa10354ULL}}},
       {"pyswitch-linkfail-react",
        {193,
         {0xac2bddbd13d0045cULL, 0xf80e919a0f24d846ULL},
         {0x6636bf1c0e15866bULL, 0xa851b9c513742163ULL},
-        {0xf92da8afe2b1af68ULL, 0x48a34d1a2cd76df0ULL}}},
+        {0xc54d8d2af6c67165ULL, 0x79d5db581fa10354ULL}}},
       {"pyswitch-ctrlloss",
        {190,
         {0x96cf39db1ae2aebdULL, 0xd93987a6bff185d1ULL},
         {0xbf207b5198815c1cULL, 0x5c0ffd2cbd82fb07ULL},
-        {0xa3c04ed11210e6c1ULL, 0x7a23bcf4fa357033ULL}}},
+        {0xf292c607737d0cb4ULL, 0xb390699ef7018a20ULL}}},
       {"pyswitch-restart",
        {190,
         {0xb06f891a97d3e14cULL, 0x1aa5a65c7375cd6aULL},
         {0xbc937508d0011ee6ULL, 0xa963a5ad5f59af7bULL},
-        {0x0eb8e230181bf13dULL, 0x0f7ce06720a9ccaaULL}}},
+        {0x97e83270f0bece47ULL, 0xa923c383d0d79401ULL}}},
       {"lb-linkfail",
        {182,
         {0xc2f7e3bd6b9b3d9bULL, 0x3edf24e9371f445eULL},
         {0xf6c7fdd9c791911dULL, 0x33161d3da1743d79ULL},
-        {0xafc25f8b6f131168ULL, 0x1ec5f627b8249d08ULL}}},
+        {0xc8da1d1cbad5e45aULL, 0x55ef2927e887f0f0ULL}}},
       {"lb-linkfail-react",
        {185,
         {0x27cb253afd30ea3cULL, 0xa947740a382d0027ULL},
         {0x0f0640644b2f72fcULL, 0x3b2cb2664792e448ULL},
-        {0xf02f510bfb9494b4ULL, 0xfd997d0071a337e4ULL}}},
+        {0x2622cd3ac657423dULL, 0xb3e85d23c0cb4d7bULL}}},
       {"te-linkfail",
        {184,
         {0xeb55985586b1cc72ULL, 0xddcc4a3096ead053ULL},
         {0x12cf4d8c2a5c3911ULL, 0x76a28d44020401baULL},
-        {0x1d2df644fc5493cbULL, 0x4cb37bc1a53424caULL}}},
+        {0xc29dc64ffff2e6a3ULL, 0x80a4ed3861786ea6ULL}}},
       {"te-linkfail-react",
        {186,
         {0x1b509e9c3fc6eb0eULL, 0x3d21887463eb40c1ULL},
         {0xbd303baf5b9d007aULL, 0x4888ed5e7956b9f9ULL},
-        {0xe034d12a7a296fdfULL, 0x16b0b7e69166b214ULL}}},
+        {0x09867c571c95febbULL, 0x5c0f5587eafed06eULL}}},
       {"sym-ping3",
        {196,
         {0x81d56e2c7f7e529fULL, 0x1fcc523f5a6c92a0ULL},
         {0x52cfc84c412ddd3cULL, 0x54071b5865d89377ULL},
-        {0x83cf79fa53d70e7cULL, 0xf4751b834c5311d2ULL}}},
+        {0x5f7e9eaa1b7d3546ULL, 0x4bb4dac73abb6b8bULL}}},
       {"lb-sym4",
        {192,
         {0x38798b78c2eab79eULL, 0x97d48f856e3eab37ULL},
         {0x870ae099a1ed9300ULL, 0xa69272445a78f46dULL},
-        {0x02586b93e2df0febULL, 0x8a50b18e1001eeb9ULL}}},
+        {0x55a8d1d5898c9b01ULL, 0x44b172864986a9f0ULL}}},
       {"te-sym2",
        {192,
         {0xcd3cf767bafa76ddULL, 0x4a800009041fd130ULL},
         {0x04da2d533beb401eULL, 0xb1b57544308b4e12ULL},
-        {0x91af26a77d872614ULL, 0x3857177f70267e80ULL}}},
+        {0x83c3a48d9ace8e91ULL, 0xa95e97dcf3cf19e5ULL}}},
   };
   return p;
 }

@@ -1,8 +1,8 @@
-// Section-granular switch snapshots (of::Switch's six copy-on-write parts):
+// Section-granular switch snapshots (of::Switch's four copy-on-write parts):
 // a memoized switch hash must always equal the hash of the same switch
 // built with no memo at all, including when the buffer renames a buffer
-// id that a shared OpenFlow channel part names, and every transition must
-// unshare only the parts it writes.
+// id that an OpenFlow channel names (both live in the one channel part),
+// and every transition must unshare only the parts it writes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -208,9 +208,10 @@ TEST(SwitchParts, SharedChannelPartIsRehashedWhenItsBufferNameChanges) {
   of::Switch child = parent;
   child.enqueue_packet(1, pkt(0xb1));
   child.process_pkt();
-  // The premise: X is renamed while of_in stays the parent's part.
+  // X is renamed, and of_in, which names it, is in the buffer's part: the
+  // child holds a part of its own, so no memo of the parent's applies.
   ASSERT_EQ(child.buffer_name(1), 2u);
-  ASSERT_TRUE(child.shares_part(parent, 2));
+  ASSERT_FALSE(child.shares_part(parent, 2));
 
   const of::Switch fresh = build(true);
   EXPECT_EQ(child.hash(true), fresh.hash(true));
@@ -223,7 +224,8 @@ TEST(SwitchParts, SharedChannelPartIsRehashedWhenItsBufferNameChanges) {
 
 TEST(SwitchParts, SharedOutChannelIsRehashedWhenAReleaseRenamesItsIds) {
   // of_out holds packet_ins for buffers 1 (X) and 2 (Y, the lower
-  // content); releasing Y renames X while of_out stays shared.
+  // content); releasing Y renames X, and the release unshares the channel
+  // part that holds of_out too.
   auto build = [](bool release) {
     of::Switch sw(0, {1, 2});
     sw.enqueue_packet(1, pkt(0xb2));
@@ -244,7 +246,7 @@ TEST(SwitchParts, SharedOutChannelIsRehashedWhenAReleaseRenamesItsIds) {
   of::Switch child = parent;
   child.process_of();
   ASSERT_EQ(child.buffer_name(1), 1u);
-  ASSERT_TRUE(child.shares_part(parent, 3));
+  ASSERT_FALSE(child.shares_part(parent, 2));
 
   EXPECT_EQ(child.hash(true), build(true).hash(true));
   EXPECT_EQ(child.hash(false), build(true).hash(false));
@@ -255,7 +257,7 @@ TEST(SwitchParts, SharedOutChannelIsRehashedWhenAReleaseRenamesItsIds) {
 
 using PartSet = std::set<std::size_t>;
 
-enum : std::size_t { kCore, kIngress, kOfIn, kOfOut, kBuffer, kStats };
+enum : std::size_t { kCore, kIngress, kChannel, kStats };
 
 /// The parts a transition may write on its own switch (`own`) and on every
 /// other switch (`others`), and those it must write on its own (`must`).
@@ -266,7 +268,7 @@ struct WriteRule {
 };
 
 WriteRule write_rule(const Transition& t) {
-  const PartSet all_but_ingress{kCore, kOfIn, kOfOut, kBuffer, kStats};
+  const PartSet all_but_ingress{kCore, kChannel, kStats};
   switch (t.kind) {
     case TKind::kHostSendScript:
     case TKind::kHostSendDiscovered:
@@ -278,17 +280,17 @@ WriteRule write_rule(const Transition& t) {
       return {{}, {}, {}};
     case TKind::kSwitchProcessPkt:
       return {{kIngress, kStats},
-              {kCore, kIngress, kOfOut, kBuffer, kStats},
+              {kCore, kIngress, kChannel, kStats},
               {kIngress}};
     case TKind::kSwitchProcessOf:
-      return {{kOfIn}, all_but_ingress, {kIngress}};
+      return {{kChannel}, all_but_ingress, {kIngress}};
     case TKind::kCtrlDispatch:
     case TKind::kCtrlProcessStats:
-      return {{kOfOut}, {kOfIn, kOfOut}, {kOfIn}};
+      return {{kChannel}, {kChannel}, {kChannel}};
     case TKind::kCtrlApplyCommand:
     case TKind::kCtrlExternal:
     case TKind::kCtrlRequestStats:
-      return {{}, {kOfIn}, {kOfIn}};
+      return {{}, {kChannel}, {kChannel}};
     case TKind::kRuleExpire:
       return {{kCore}, {kCore}, {}};
     case TKind::kChannelDropHead:
@@ -296,13 +298,13 @@ WriteRule write_rule(const Transition& t) {
       return {{kIngress}, {kIngress}, {}};
     case TKind::kLinkDown:
     case TKind::kLinkUp:
-      return {{kCore}, {kCore, kOfOut}, {}};  // own = both endpoints
+      return {{kCore}, {kCore, kChannel}, {}};  // own = both endpoints
     case TKind::kCtrlChannelDown:
-      return {{kCore, kOfIn, kOfOut}, {kCore, kOfIn, kOfOut}, {}};
+      return {{kCore, kChannel}, {kCore, kChannel}, {}};
     case TKind::kCtrlChannelUp:
-      return {{kCore}, {kCore, kOfIn, kOfOut}, {kOfIn}};
+      return {{kCore}, {kCore, kChannel}, {kChannel}};
     case TKind::kSwitchRestart:
-      return {all_but_ingress, all_but_ingress, {kOfIn}};
+      return {all_but_ingress, all_but_ingress, {kChannel}};
   }
   return {};
 }
