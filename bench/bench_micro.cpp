@@ -10,6 +10,8 @@
 #include "apps/scenarios.h"
 #include "mc/checker.h"
 #include "mc/discover.h"
+#include "mc/strategy.h"
+#include "mc/sym_reduce.h"
 #include "of/switch.h"
 #include "sym/concolic.h"
 #include "sym/solver.h"
@@ -200,6 +202,55 @@ void BM_SwitchPopOfOutHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SwitchPopOfOutHash);
+
+// One symmetric canonical key on lb-sym7 (7 interchangeable clients): a
+// child state six transitions in, keyed cold (a state whose sections
+// carry no signature memo) with Arg 0, or with Arg 1 as the search keys
+// it: a clone of a parent whose memos are warm, with one transition
+// applied. Building the state is not timed.
+void BM_SymCanonicalKey(benchmark::State& state) {
+  const bool warm = state.range(0) != 0;
+  auto s = apps::lb_sym_scenario(7);
+  mc::Executor ex(s.config, s.properties);
+  const mc::SymContext sym(s.config);
+  mc::DiscoveryCache cache;
+  std::vector<mc::Violation> vs;
+  // The path: the first enabled transition of the default strategy at
+  // each step; the last one leads from the parent to the child.
+  std::vector<mc::Transition> path;
+  {
+    mc::SystemState st = ex.make_initial();
+    for (int depth = 0; depth < 6; ++depth) {
+      const std::vector<mc::Transition> ts =
+          mc::apply_strategy(mc::CheckerOptions{}.strategy, s.config, st,
+                             ex.enabled(st, cache));
+      if (ts.empty()) break;
+      path.push_back(ts.front());
+      ex.apply(st, path.back(), vs);
+    }
+  }
+  if (path.empty()) {
+    state.SkipWithError("no enabled transition");
+    return;
+  }
+  auto replay = [&](std::size_t len) {
+    mc::SystemState st = ex.make_initial();
+    for (std::size_t i = 0; i < len; ++i) ex.apply(st, path[i], vs);
+    return st;
+  };
+  const mc::SystemState parent = replay(path.size() - 1);
+  benchmark::DoNotOptimize(sym.canonical_hash(parent));
+  mc::SystemState child;
+  for (auto _ : state) {
+    state.PauseTiming();
+    // Assigning frees the last child, also untimed.
+    child = warm ? parent.clone() : replay(path.size() - 1);
+    ex.apply(child, path.back(), vs);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(sym.canonical_hash(child));
+  }
+}
+BENCHMARK(BM_SymCanonicalKey)->ArgName("warm")->Arg(0)->Arg(1);
 
 void BM_CheckerPingExhaustive(benchmark::State& state) {
   const int pings = static_cast<int>(state.range(0));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -272,12 +273,54 @@ bool poll_durability(SharedSearch& shared) {
   return !shared.stop.load(std::memory_order_relaxed);
 }
 
+/// One worker's counts not yet added to the shared totals, which all
+/// workers' counters share one cache line for. The worker publishes them
+/// in batches, and always before it parks, hands work off or returns, so
+/// the totals are exact whenever every worker rests (a checkpoint, the
+/// join) and the pending count never drops below the nodes in the deque.
+struct WorkerTally {
+  explicit WorkerTally(SharedSearch& shared) : shared(shared) {}
+  ~WorkerTally() { publish(); }
+  WorkerTally(const WorkerTally&) = delete;
+  WorkerTally& operator=(const WorkerTally&) = delete;
+
+  void publish() {
+    constexpr auto relaxed = std::memory_order_relaxed;
+    if (transitions != 0) shared.transitions.fetch_add(transitions, relaxed);
+    if (unique_states != 0) {
+      shared.unique_states.fetch_add(unique_states, relaxed);
+    }
+    if (revisits != 0) shared.revisits.fetch_add(revisits, relaxed);
+    if (quiescent_states != 0) {
+      shared.quiescent_states.fetch_add(quiescent_states, relaxed);
+    }
+    // Unsigned wrap-around adds a negative delta.
+    if (pending != 0) {
+      shared.pending.fetch_add(static_cast<std::uint64_t>(pending), relaxed);
+    }
+    transitions = unique_states = revisits = quiescent_states = 0;
+    pending = 0;
+  }
+
+  SharedSearch& shared;
+  std::uint64_t transitions{0};
+  std::uint64_t unique_states{0};
+  std::uint64_t revisits{0};
+  std::uint64_t quiescent_states{0};
+  std::int64_t pending{0};
+};
+
 /// One worker's loop: the per-node body of every exhaustive search.
 void search_worker(SharedSearch& shared, std::size_t worker) {
   const SearchCore& core = shared.core;
   const util::Telemetry::Binding bind(core.telemetry(), worker);
   util::WorkerTelemetry* const wt = util::Telemetry::current();
   Frontier& mine = *shared.frontiers[worker];
+  // Counts are published every kPollStride expansions, except that a
+  // count cap is checked against exact totals before every pop.
+  const bool capped = shared.options.max_transitions != ~0ULL ||
+                      shared.options.max_unique_states != ~0ULL;
+  WorkerTally tally(shared);
   std::uint64_t since_poll = 0;
   std::uint64_t polls = 0;
   for (;;) {
@@ -286,10 +329,12 @@ void search_worker(SharedSearch& shared, std::size_t worker) {
     // peer's checkpoint barrier parks it until the snapshot is written.
     if (shared.stop.load(std::memory_order_relaxed)) return;
     if (shared.snapshot_pending.load(std::memory_order_relaxed)) {
+      tally.publish();
       barrier(shared);
       continue;
     }
     if (mine.empty()) {
+      tally.publish();
       if (!claim(shared, mine)) return;
       continue;
     }
@@ -301,6 +346,7 @@ void search_worker(SharedSearch& shared, std::size_t worker) {
     if (++since_poll >= kPollStride) {
       since_poll = 0;
       ++polls;
+      tally.publish();
       if (shared.time_up(shared.options.time_limit_seconds)) {
         shared.halt(LimitReason::kTime);
         return;
@@ -323,31 +369,27 @@ void search_worker(SharedSearch& shared, std::size_t worker) {
                         node.transition.a, node.transition.aux);
     }
     SearchCore::Expansion e = core.expand(node);
-    shared.transitions.fetch_add(1, std::memory_order_relaxed);
+    ++tally.transitions;
     if (wt != nullptr) wt->add_transitions();
 
     if (e.new_state) {
-      shared.unique_states.fetch_add(1, std::memory_order_relaxed);
+      ++tally.unique_states;
       if (wt != nullptr) wt->add_unique();
       if (e.quiescent) {
-        shared.quiescent_states.fetch_add(1, std::memory_order_relaxed);
+        ++tally.quiescent_states;
         if (wt != nullptr) wt->add_quiescent();
       }
     } else if (!e.transition_violated) {
       // Under partial-order reduction a revisit can still carry children
       // (re-expansion of transitions every earlier arrival slept); they
       // are pushed below like any other successors.
-      shared.revisits.fetch_add(1, std::memory_order_relaxed);
+      ++tally.revisits;
       if (wt != nullptr) wt->add_revisits();
     }
 
     // The expanded node leaves the pending count as its children join.
-    if (e.children.empty()) {
-      shared.pending.fetch_sub(1, std::memory_order_relaxed);
-    } else {
-      shared.pending.fetch_add(e.children.size() - 1,
-                               std::memory_order_relaxed);
-    }
+    tally.pending += static_cast<std::int64_t>(e.children.size()) - 1;
+    if (capped) tally.publish();
     for (SearchNode& child : e.children) mine.push(std::move(child));
     // A violating transition or quiescent state (never one with children).
     if (!e.violations.empty()) {
@@ -359,6 +401,7 @@ void search_worker(SharedSearch& shared, std::size_t worker) {
     }
     if (shared.waiting.load(std::memory_order_relaxed) > 0 &&
         mine.size() >= 2) {
+      tally.publish();
       share(shared, mine);
     }
   }

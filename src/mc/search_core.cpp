@@ -102,10 +102,9 @@ util::ShardedSeenSet::Arrival SearchCore::arrive(
     return seen_.arrive(state_key(state), slept);
   }
   if (sym_ != nullptr) {
-    // Hash of the canonical symmetric image (the blob is built and
-    // dropped — hash mode keeps the memory trade, paying one full
-    // canonicalization per arrival instead of per-component memos).
-    return seen_.arrive(sym_->canonical_key(state, nullptr).hash, slept);
+    // Hash of the canonical symmetric image: the blob stays in the
+    // canonicalizer's per-thread buffer, as hash mode keeps only hashes.
+    return seen_.arrive(sym_->canonical_hash(state), slept);
   }
   // Combined from the per-component hashes memoized on the shared
   // snapshots: only components the transition touched are re-serialized
@@ -283,10 +282,19 @@ std::vector<SearchNode> SearchCore::init(CheckerResult& result) const {
   return roots;
 }
 
+namespace {
+
+/// The trace node of the state `node` reaches. Made only for a state that
+/// is kept or reported: most arrivals are revisits and need none.
+std::shared_ptr<const PathNode> path_to(const SearchNode& node) {
+  return std::make_shared<const PathNode>(
+      PathNode{node.path, node.transition});
+}
+
+}  // namespace
+
 SearchCore::Expansion SearchCore::expand(const SearchNode& node) const {
   Expansion out;
-  auto path = std::make_shared<const PathNode>(
-      PathNode{node.path, node.transition});
 
   // Sibling stages, one clock read per boundary; the executor's and the
   // store's own scopes find their phase already running and read none.
@@ -300,7 +308,7 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node) const {
   if (!violations.empty()) {
     phases.mark(util::Phase::kOther);
     out.transition_violated = true;
-    const auto trace = trace_of(path);
+    const auto trace = trace_of(path_to(node));
     out.violations.reserve(violations.size());
     for (Violation& v : violations) {
       out.violations.push_back(ViolationRecord{std::move(v), trace});
@@ -310,7 +318,7 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node) const {
 
   phases.mark(util::Phase::kRemember);
   if (reduce_) {
-    expand_reduced(out, std::move(next), node, std::move(path), phases);
+    expand_reduced(out, std::move(next), node, phases);
     return out;
   }
 
@@ -322,6 +330,7 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node) const {
   phases.mark(util::Phase::kEnabled);
   std::vector<Transition> enabled = executor_.enabled(next, discovery_);
   phases.mark(util::Phase::kOther);
+  const auto path = path_to(node);
   auto ts = apply_strategy(options_.strategy, cfg_, next, std::move(enabled));
   if (ts.empty()) {
     out.quiescent = true;
@@ -340,7 +349,6 @@ SearchCore::Expansion SearchCore::expand(const SearchNode& node) const {
 
 void SearchCore::expand_reduced(Expansion& out, SystemState&& next,
                                 const SearchNode& node,
-                                std::shared_ptr<const PathNode> path,
                                 util::PhaseMarks& phases) const {
   const util::ShardedSeenSet::Arrival at =
       arrive(next, slept_hashes(node.sleep));
@@ -352,6 +360,7 @@ void SearchCore::expand_reduced(Expansion& out, SystemState&& next,
   phases.mark(util::Phase::kEnabled);
   std::vector<Transition> enabled = executor_.enabled(next, discovery_);
   phases.mark(util::Phase::kOther);
+  const auto path = path_to(node);
   auto ts = apply_strategy(options_.strategy, cfg_, next, std::move(enabled));
   if (ts.empty()) {
     // Quiescence is a state predicate on the strategy-filtered enabled

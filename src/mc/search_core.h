@@ -447,7 +447,6 @@ class SearchCore {
   /// sleep-filtered child enumeration and sleep inheritance.
   void expand_reduced(Expansion& out, SystemState&& next,
                       const SearchNode& node,
-                      std::shared_ptr<const PathNode> path,
                       util::PhaseMarks& phases) const;
 
   /// Record an arrival at `state` carrying the sorted, duplicate-free

@@ -1,9 +1,13 @@
 #include "mc/sym_reduce.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "util/ser.h"
@@ -52,26 +56,209 @@ void emit_section(const SystemState& st, bool canonical, std::size_t i,
   }
 }
 
-std::string_view slice(const util::Ser& s, const std::vector<std::size_t>& ends,
-                       std::size_t i) {
-  const std::size_t begin = i == 0 ? 0 : ends[i - 1];
-  return s.view().substr(begin, ends[i] - begin);
+util::SigMemoSlot& section_slot(const SystemState& st, std::size_t i) {
+  const std::size_t parts = of::Switch::kSerializeParts;
+  const std::size_t first_host = first_host_section(st);
+  if (i == 0) return st.ctrl_sig_memo();
+  if (i < first_host) {
+    return st.sw((i - 1) / parts).part_sig_memo((i - 1) % parts);
+  }
+  if (i < first_host + st.host_count()) return st.host_sig_memo(i - first_host);
+  return st.prop_sig_memo(i - first_host - st.host_count());
 }
+
+/// Three-way comparison of two byte streams given as segments, as of
+/// their concatenations. Bytes both streams read from the same address
+/// are skipped unread.
+int compare_streams(const std::string_view* a, std::size_t na,
+                    const std::string_view* b, std::size_t nb) {
+  std::size_t ia = 0;
+  std::size_t ib = 0;
+  std::size_t oa = 0;
+  std::size_t ob = 0;
+  for (;;) {
+    while (ia < na && oa == a[ia].size()) {
+      ++ia;
+      oa = 0;
+    }
+    while (ib < nb && ob == b[ib].size()) {
+      ++ib;
+      ob = 0;
+    }
+    if (ia == na || ib == nb) return (ia == na ? 0 : 1) - (ib == nb ? 0 : 1);
+    const char* pa = a[ia].data() + oa;
+    const char* pb = b[ib].data() + ob;
+    const std::size_t len = std::min(a[ia].size() - oa, b[ib].size() - ob);
+    if (pa != pb) {
+      if (const int c = std::memcmp(pa, pb, len); c != 0) return c;
+    }
+    oa += len;
+    ob += len;
+  }
+}
+
+std::uint64_t load_word(const char* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
+/// Length of the longest common prefix of a and b, eight bytes a step.
+std::size_t common_prefix(std::string_view a, std::string_view b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    if (const std::uint64_t x = load_word(a.data() + i) ^
+                                load_word(b.data() + i);
+        x != 0) {
+      // The lowest differing byte is the first in memory (little-endian).
+      return i + static_cast<std::size_t>(std::countr_zero(x)) / 8;
+    }
+  }
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
+}
+
+/// Length of the longest common suffix of a and b, at most `n` bytes.
+std::size_t common_suffix(std::string_view a, std::string_view b,
+                          std::size_t n) {
+  const char* ea = a.data() + a.size();
+  const char* eb = b.data() + b.size();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    if (const std::uint64_t x = load_word(ea - i - 8) ^ load_word(eb - i - 8);
+        x != 0) {
+      // The highest differing byte is the last in memory.
+      return i + static_cast<std::size_t>(std::countl_zero(x)) / 8;
+    }
+  }
+  while (i < n && ea[-1 - static_cast<std::ptrdiff_t>(i)] ==
+                      eb[-1 - static_cast<std::ptrdiff_t>(i)]) {
+    ++i;
+  }
+  return i;
+}
+
+/// Stable insertion sort: k is small, and it needs no buffer.
+template <typename T, typename Less>
+void insertion_sort(T* v, std::size_t k, Less less) {
+  for (std::size_t r = 1; r < k; ++r) {
+    T x = v[r];
+    std::size_t i = r;
+    for (; i > 0 && less(x, v[i - 1]); --i) v[i] = v[i - 1];
+    v[i] = x;
+  }
+}
+
+std::atomic<std::uint64_t> next_context_id{1};
 
 }  // namespace
 
 /// Per-thread buffers of canonical_key, reused across keys so that once
 /// they have grown to the workload's state size nothing is allocated.
 struct SymContext::Scratch {
-  util::Renamer sig;                    // one orbit's signature renamer
-  util::Ser bottom;                     // every section, all members BOTTOM
-  std::vector<std::size_t> bottom_end;  // section end offsets in `bottom`
-  std::vector<std::uint8_t> hits;       // [section * k + j]: looked up j
-  util::Ser blobs;                      // one signature's orbit hosts
-  std::vector<std::size_t> blob_end;
-  std::vector<std::string_view> sorted_blobs;
-  util::Ser sigs;  // the k signatures back to back
-  std::vector<std::size_t> sig_end;
+  util::Renamer sig;  // one orbit's signature renamer,
+  std::uint64_t sig_owner{0};  // built for this context
+  std::size_t sig_orbit{0};    // and orbit
+  util::Ser bottom;            // a memo's parts while it is built:
+  util::Ser tagged;            // one TAG form,
+  util::Ser middles;           // what the TAG forms do not share,
+  std::vector<util::SigMemo::Tag> tags;  // and how they share the rest
+  std::vector<std::uint8_t> hits;  // [j]: the section looked up member j
+  std::vector<const util::SigMemo*> memos;  // per section
+  /// Orbit host slot r of member j's signature: the r-th smallest of the
+  /// orbit's host forms for j (slots[j * k + r]).
+  std::vector<util::SigMemo::Pieces> slots;
+  std::vector<std::int32_t> slot_of;      // per section: its slot, or -1
+  std::vector<std::uint32_t> host_order;  // orbit hosts by BOTTOM form
+  std::size_t k{0};                       // of the orbit signed last
+
+  /// Member j's bytes of section i in its signature.
+  [[nodiscard]] util::SigMemo::Pieces view(std::uint32_t j,
+                                           std::size_t i) const {
+    const std::int32_t r = slot_of[i];
+    return r < 0 ? memos[i]->member(j)
+                 : slots[j * k + static_cast<std::size_t>(r)];
+  }
+
+  /// A read position in member j's signature: piece p of section i, at
+  /// byte `off`.
+  struct Cursor {
+    const Scratch& sc;
+    std::uint32_t j;
+    std::size_t i{0};
+    std::size_t p{0};
+    std::size_t off{0};
+    util::SigMemo::Pieces pieces{};  // of section i
+
+    Cursor(const Scratch& sc, std::uint32_t j) : sc(sc), j(j) { load(); }
+    void load() {
+      if (i < sc.memos.size()) pieces = sc.view(j, i);
+    }
+    [[nodiscard]] bool done() const { return i == sc.memos.size(); }
+    [[nodiscard]] bool at_section_start() const { return p == 0 && off == 0; }
+    [[nodiscard]] std::string_view rest() const {
+      return pieces[p].substr(off);
+    }
+    void next_section() {
+      ++i;
+      p = 0;
+      off = 0;
+      load();
+    }
+    void next_piece() {
+      off = 0;
+      if (++p == pieces.size()) next_section();
+    }
+  };
+
+  /// Three-way comparison of the signatures of members a and b, as of
+  /// their bytes. Where both streams are at the start of one section that
+  /// both read from the same views, the section is skipped unread; other
+  /// bytes are compared unless both streams read them from one address.
+  int compare(std::uint32_t a, std::uint32_t b) const {
+    Cursor ca(*this, a);
+    Cursor cb(*this, b);
+    for (;;) {
+      if (!ca.done() && ca.i == cb.i && ca.at_section_start() &&
+          cb.at_section_start() && same_views(ca.pieces, cb.pieces)) {
+        ca.next_section();
+        cb.next_section();
+        continue;
+      }
+      if (!ca.done() && ca.rest().empty()) {
+        ca.next_piece();
+        continue;
+      }
+      if (!cb.done() && cb.rest().empty()) {
+        cb.next_piece();
+        continue;
+      }
+      if (ca.done() || cb.done()) {
+        return (ca.done() ? 0 : 1) - (cb.done() ? 0 : 1);
+      }
+      const std::string_view ra = ca.rest();
+      const std::string_view rb = cb.rest();
+      const std::size_t len = std::min(ra.size(), rb.size());
+      if (ra.data() != rb.data()) {
+        if (const int c = std::memcmp(ra.data(), rb.data(), len); c != 0) {
+          return c;
+        }
+      }
+      ca.off += len;
+      cb.off += len;
+    }
+  }
+
+  static bool same_views(const util::SigMemo::Pieces& a,
+                         const util::SigMemo::Pieces& b) {
+    for (std::size_t v = 0; v < a.size(); ++v) {
+      if (a[v].data() != b[v].data() || a[v].size() != b[v].size()) {
+        return false;
+      }
+    }
+    return true;
+  }
   std::vector<std::uint32_t> rank;
   std::vector<std::uint32_t> emit;  // host emission order
   util::Renamer rn;                 // the chosen permutation
@@ -89,7 +276,9 @@ SymContext::Scratch& SymContext::scratch() {
 }
 
 SymContext::SymContext(const SystemConfig& cfg)
-    : cfg_(&cfg), canonical_(cfg.canonical_flowtables) {
+    : cfg_(&cfg),
+      id_(next_context_id.fetch_add(1, std::memory_order_relaxed)),
+      canonical_(cfg.canonical_flowtables) {
   if (cfg.topology == nullptr) invalid("config has no topology");
   const topo::Topology& topo = *cfg.topology;
 
@@ -103,6 +292,7 @@ SymContext::SymContext(const SystemConfig& cfg)
   std::set<of::HostId> claimed;
   for (const std::vector<of::HostId>& decl : cfg.symmetry_orbits) {
     if (decl.size() < 2) invalid("needs at least two member hosts");
+    if (decl.size() > kMaxOrbitMembers) invalid("has more than 64 members");
     Orbit orbit;
     std::vector<of::HostId> ids = decl;
     std::sort(ids.begin(), ids.end());
@@ -219,126 +409,181 @@ void SymContext::serialize_whole(
   state.serialize_trailer(s, canonical_, include_next_uid_);
 }
 
-std::uint64_t SymContext::signatures(const SystemState& state,
-                                     const Orbit& orbit, Scratch& sc) const {
+const util::SigMemo& SymContext::section_memo(const SystemState& state,
+                                              std::size_t o, std::size_t i,
+                                              Scratch& sc,
+                                              std::uint64_t& runs) const {
+  util::SigMemoSlot& slot = section_slot(state, i);
+  const util::SigMemo::Key key{id_, static_cast<std::uint32_t>(o),
+                               static_cast<std::uint32_t>(i)};
+  if (const util::SigMemo* m = slot.find(key); m != nullptr) return *m;
+  // One pass with every member at BOTTOM, recording which members'
+  // identifiers the section's lookups hit, then one per hit member j with
+  // j at TAG. A section's bytes are a deterministic function of its
+  // content and its lookup results, and a section that never looked up
+  // j's identifiers gets the same result for every lookup whether j is
+  // TAG or BOTTOM: member j reads its BOTTOM bytes.
+  util::Renamer& rn = sc.sig;
+  const std::size_t k = orbits_[o].members.size();
+  sc.bottom.clear();
+  sc.middles.clear();
+  sc.tags.clear();
+  sc.hits.assign(k, 0);
+  rn.hits = sc.hits.data();
+  emit_section(state, canonical_, i, sc.bottom);
+  rn.hits = nullptr;
+  const std::string_view bottom = sc.bottom.view();
+  std::uint64_t hits = 0;
+  for (std::uint32_t j = 0; j < k; ++j) {
+    if (sc.hits[j] == 0) continue;
+    hits |= std::uint64_t{1} << j;
+    rn.tagged = j;
+    sc.tagged.clear();
+    emit_section(state, canonical_, i, sc.tagged);
+    // Keep only what differs from BOTTOM.
+    const std::string_view tag = sc.tagged.view();
+    const std::size_t head = common_prefix(tag, bottom);
+    const std::size_t tail = common_suffix(
+        tag, bottom, std::min(tag.size(), bottom.size()) - head);
+    sc.middles.append(tag.substr(head, tag.size() - head - tail));
+    sc.tags.push_back({static_cast<std::uint32_t>(head),
+                       static_cast<std::uint32_t>(tail),
+                       static_cast<std::uint32_t>(sc.middles.size())});
+  }
+  rn.tagged = util::kNoMember;
+  runs += 1 + sc.tags.size();
+  return *slot.publish(util::SigMemo::make(key, hits, bottom, sc.tags,
+                                           sc.middles.view()));
+}
+
+std::uint64_t SymContext::signatures(const SystemState& state, std::size_t o,
+                                     Scratch& sc) const {
+  const Orbit& orbit = orbits_[o];
   const std::size_t k = orbit.members.size();
   const std::size_t n = section_count(state);
   util::Renamer& rn = sc.sig;
-  rn.clear();
-  rn.uid_mode = util::Renamer::UidMode::kElide;
-  for (std::uint32_t j = 0; j < k; ++j) {
-    const Member& m = orbit.members[j];
-    rn.mac.add(m.mac, sig::kBotMac, sig::kTagMac, j);
-    rn.ip.add(m.ip, sig::kBotIp, sig::kTagIp, j);
-    rn.host.add(m.host_index, sig::kBotHost, sig::kTagHost, j);
-    rn.port.add(util::Renamer::sw_key(m.sw, m.port), sig::kBotPort,
-                sig::kTagPort, j);
-    for (std::uint32_t e = 0; e < m.flows.size(); ++e) {
-      rn.flow.add(m.flows[e], sig::kBotFlowBase + e, sig::kTagFlowBase + e,
-                  j);
-    }
-  }
-  const util::Renamer::Scope scope(&rn);
-
-  // One pass with every member at BOTTOM, recording per section which
-  // members' identifiers its lookups hit.
-  sc.bottom.clear();
-  sc.bottom_end.clear();
-  sc.hits.assign(n * k, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    rn.hits = &sc.hits[i * k];
-    emit_section(state, canonical_, i, sc.bottom);
-    sc.bottom_end.push_back(sc.bottom.size());
-  }
-  rn.hits = nullptr;
-  std::uint64_t runs = n;
-
-  // Member j's signature. A section's bytes are a deterministic function
-  // of the state and its lookup results, and a section that never looked
-  // up j's identifiers gets the same result for every lookup whether j is
-  // TAG or BOTTOM: its BOTTOM bytes are reused, and only the sections
-  // that hit j are re-serialized with j tagged.
-  auto section = [&](std::size_t i, std::uint32_t j, util::Ser& out) {
-    if (sc.hits[i * k + j] != 0) {
-      emit_section(state, canonical_, i, out);
-      ++runs;
-    } else {
-      out.append(slice(sc.bottom, sc.bottom_end, i));
-    }
-  };
-  const std::size_t first_host = first_host_section(state);
-  const std::size_t first_prop = first_host + state.host_count();
-  sc.sigs.clear();
-  sc.sig_end.clear();
-  for (std::uint32_t j = 0; j < k; ++j) {
-    rn.tagged = j;
-    for (std::size_t i = 0; i < first_host; ++i) section(i, j, sc.sigs);
-    // The orbit's own host components go in as a sorted multiset, so the
-    // signature is invariant under relabelings of the BOTTOM members.
-    sc.blobs.clear();
-    sc.blob_end.clear();
-    for (const Member& m : orbit.members) {
-      section(first_host + m.host_index, j, sc.blobs);
-      sc.blob_end.push_back(sc.blobs.size());
-    }
-    sc.sorted_blobs.clear();
-    for (std::size_t r = 0; r < k; ++r) {
-      sc.sorted_blobs.push_back(slice(sc.blobs, sc.blob_end, r));
-    }
-    std::sort(sc.sorted_blobs.begin(), sc.sorted_blobs.end());
-    std::size_t next_member = 0;
-    for (std::size_t h = 0; h < state.host_count(); ++h) {
-      if (next_member < k && orbit.members[next_member].host_index == h) {
-        sc.sigs.append(sc.sorted_blobs[next_member++]);
-      } else {
-        section(first_host + h, j, sc.sigs);
+  if (sc.sig_owner != id_ || sc.sig_orbit != o) {
+    rn.clear();
+    rn.uid_mode = util::Renamer::UidMode::kElide;
+    for (std::uint32_t j = 0; j < k; ++j) {
+      const Member& m = orbit.members[j];
+      rn.mac.add(m.mac, sig::kBotMac, sig::kTagMac, j);
+      rn.ip.add(m.ip, sig::kBotIp, sig::kTagIp, j);
+      rn.host.add(m.host_index, sig::kBotHost, sig::kTagHost, j);
+      rn.port.add(util::Renamer::sw_key(m.sw, m.port), sig::kBotPort,
+                  sig::kTagPort, j);
+      for (std::uint32_t e = 0; e < m.flows.size(); ++e) {
+        rn.flow.add(m.flows[e], sig::kBotFlowBase + e,
+                    sig::kTagFlowBase + e, j);
       }
     }
-    for (std::size_t i = first_prop; i < n; ++i) section(i, j, sc.sigs);
-    sc.sig_end.push_back(sc.sigs.size());
+    sc.sig_owner = id_;
+    sc.sig_orbit = o;
   }
-  rn.tagged = util::kNoMember;
+
+  std::uint64_t runs = 0;
+  sc.memos.resize(n);
+  {
+    const util::Renamer::Scope scope(&rn);
+    for (std::size_t i = 0; i < n; ++i) {
+      sc.memos[i] = &section_memo(state, o, i, sc, runs);
+    }
+  }
+
+  // Member j's signature: every section's bytes for j, with the orbit's
+  // own host components as a sorted multiset in the orbit's host slots,
+  // so the signature is invariant under relabelings of the BOTTOM
+  // members.
+  const std::size_t first_host = first_host_section(state);
+  auto host_memo = [&](std::size_t r) -> const util::SigMemo& {
+    return *sc.memos[first_host + orbit.members[r].host_index];
+  };
+  sc.k = k;
+  sc.slot_of.assign(n, -1);
+  for (std::size_t r = 0; r < k; ++r) {
+    sc.slot_of[first_host + orbit.members[r].host_index] =
+        static_cast<std::int32_t>(r);
+  }
+  // The orbit hosts in order of their BOTTOM forms: member j's multiset is
+  // this order with j's own host moved to where its TAG form belongs, as
+  // long as no other orbit host looked j up.
+  sc.host_order.resize(k);
+  for (std::uint32_t r = 0; r < k; ++r) sc.host_order[r] = r;
+  insertion_sort(sc.host_order.data(), k,
+                 [&](std::uint32_t a, std::uint32_t b) {
+                   return host_memo(a).bottom() < host_memo(b).bottom();
+                 });
+  sc.slots.resize(k * k);
+  for (std::uint32_t j = 0; j < k; ++j) {
+    util::SigMemo::Pieces* sorted = &sc.slots[j * k];
+    bool own_only = true;
+    for (std::uint32_t r = 0; r < k; ++r) {
+      if (r != j && (host_memo(r).hits() >> j & 1) != 0) own_only = false;
+    }
+    if (own_only) {
+      const util::SigMemo::Pieces mine = host_memo(j).member(j);
+      std::size_t out = 0;
+      bool placed = false;
+      for (const std::uint32_t r : sc.host_order) {
+        if (r == j) continue;
+        const std::string_view other = host_memo(r).bottom();
+        if (!placed && compare_streams(mine.data(), 3, &other, 1) < 0) {
+          sorted[out++] = mine;
+          placed = true;
+        }
+        sorted[out++] = {other, {}, {}};
+      }
+      if (!placed) sorted[out] = mine;
+    } else {
+      for (std::uint32_t r = 0; r < k; ++r) sorted[r] = host_memo(r).member(j);
+      insertion_sort(sorted, k,
+                     [](const util::SigMemo::Pieces& a,
+                        const util::SigMemo::Pieces& b) {
+                       return compare_streams(a.data(), 3, b.data(), 3) < 0;
+                     });
+    }
+  }
   return runs;
 }
 
 std::vector<std::string> SymContext::member_signatures(
     const SystemState& state, std::size_t orbit) const {
   Scratch& sc = scratch();
-  (void)signatures(state, orbits_.at(orbit), sc);
-  std::vector<std::string> out;
-  for (std::size_t j = 0; j < sc.sig_end.size(); ++j) {
-    out.emplace_back(slice(sc.sigs, sc.sig_end, j));
+  (void)orbits_.at(orbit);
+  (void)signatures(state, orbit, sc);
+  std::vector<std::string> out(orbits_[orbit].members.size());
+  for (std::uint32_t j = 0; j < out.size(); ++j) {
+    for (std::size_t i = 0; i < sc.memos.size(); ++i) {
+      for (const std::string_view v : sc.view(j, i)) out[j] += v;
+    }
   }
   return out;
 }
 
-SymKey SymContext::canonical_key(const SystemState& state,
-                                 util::CollapseTable* table) const {
+void SymContext::canonical_blob(const SystemState& state, Scratch& sc) const {
   canonicalizations_.fetch_add(1, std::memory_order_relaxed);
-  Scratch& sc = scratch();
   std::uint64_t runs = 0;
 
   // 1. Rank each orbit's members by structural signature; rank r is
   // renamed onto orbit slot r. Ties mean the tied members are genuinely
   // interchangeable in this state (signatures are invariant under
-  // relabelings of the other members), so the index tie-break of
-  // stable_sort is harmless.
+  // relabelings of the other members), so the index tie-break of the
+  // stable sort is harmless.
   sc.emit.resize(state.host_count());
   for (std::size_t i = 0; i < sc.emit.size(); ++i) {
     sc.emit[i] = static_cast<std::uint32_t>(i);
   }
   util::Renamer& rn = sc.rn;
   rn.clear();
-  for (const Orbit& orbit : orbits_) {
+  for (std::size_t o = 0; o < orbits_.size(); ++o) {
+    const Orbit& orbit = orbits_[o];
     const std::size_t k = orbit.members.size();
-    runs += signatures(state, orbit, sc);
+    runs += signatures(state, o, sc);
     sc.rank.resize(k);
     for (std::uint32_t j = 0; j < k; ++j) sc.rank[j] = j;
-    std::stable_sort(sc.rank.begin(), sc.rank.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return slice(sc.sigs, sc.sig_end, a) <
-                              slice(sc.sigs, sc.sig_end, b);
-                     });
+    insertion_sort(sc.rank.data(), k, [&sc](std::uint32_t a, std::uint32_t b) {
+      return sc.compare(a, b) < 0;
+    });
     for (std::size_t r = 0; r < k; ++r) {
       const Member& src = orbit.members[sc.rank[r]];
       const Member& dst = orbit.members[r];
@@ -400,7 +645,13 @@ SymKey SymContext::canonical_key(const SystemState& state,
     });
   }
   component_serializations_.fetch_add(runs, std::memory_order_relaxed);
+}
 
+SymKey SymContext::canonical_key(const SystemState& state,
+                                 util::CollapseTable* table) const {
+  Scratch& sc = scratch();
+  canonical_blob(state, sc);
+  const util::Ser& blob = sc.blob;
   SymKey out;
   out.hash = blob.hash();
   if (table == nullptr) {
@@ -425,6 +676,12 @@ SymKey SymContext::canonical_key(const SystemState& state,
   key.append(view.substr(sc.bounds.back().second));
   out.key = std::string(key.view());
   return out;
+}
+
+util::Hash128 SymContext::canonical_hash(const SystemState& state) const {
+  Scratch& sc = scratch();
+  canonical_blob(state, sc);
+  return sc.blob.hash();
 }
 
 std::string SymContext::canonicalize_violation(std::string msg) const {

@@ -10,11 +10,15 @@
 // produce the same key and merge.
 //
 // The representative is chosen by per-member structural signatures. They
-// are built from one serialization of the state with every orbit member
-// renamed to a shared BOTTOM identity, which also records which members
-// each section's identifier lookups hit; member j's signature reuses the
-// BOTTOM bytes of every section that never looked j up and re-serializes
-// only the others with j renamed to TAG.
+// are built section by section: each section is serialized once with
+// every orbit member renamed to a shared BOTTOM identity, which also
+// records which members its identifier lookups hit, and once more per hit
+// member j with j renamed to TAG. Those bytes depend on the section alone,
+// so they are memoized on its copy-on-write node (util::SigMemo) and a
+// child state pays only for the sections its transition wrote. Member j's
+// signature is then a list of views into the memos, and members are
+// ranked by comparing those lists as byte streams, without assembling
+// them.
 //
 // Soundness does not depend on how well the representative permutation is
 // chosen: the key of s is serialize(pi(s)) for *some* orbit permutation
@@ -89,8 +93,13 @@ class SymContext {
   /// and scripts; throws std::invalid_argument when members are not
   /// actually interchangeable (different attach switch, mobile hosts,
   /// behaviour-flag or script-shape mismatches, scripts that are not equal
-  /// modulo the member renaming, inconsistent flow-id correspondence).
+  /// modulo the member renaming, inconsistent flow-id correspondence) or
+  /// an orbit has more than kMaxOrbitMembers members.
   explicit SymContext(const SystemConfig& cfg);
+
+  /// A section's signature memo records its hit members in one 64-bit
+  /// mask.
+  static constexpr std::size_t kMaxOrbitMembers = 64;
 
   /// The canonical key of `state`: pick a representative orbit permutation
   /// by structural signature, then serialize the permuted, renamed,
@@ -99,6 +108,10 @@ class SymContext {
   /// nullptr otherwise (key = the blob itself).
   [[nodiscard]] SymKey canonical_key(const SystemState& state,
                                      util::CollapseTable* table) const;
+
+  /// canonical_key(state, nullptr).hash, without copying out the blob
+  /// (the hash-mode store keeps only the hash).
+  [[nodiscard]] util::Hash128 canonical_hash(const SystemState& state) const;
 
   /// Rewrite orbit-member identifiers inside a violation message to
   /// orbit-slot placeholders, so violation *sets* can be compared between
@@ -151,10 +164,22 @@ class SymContext {
   struct Scratch;
   static Scratch& scratch();  // this thread's
 
-  /// Writes the orbit's member signatures back to back into the scratch
-  /// buffers; returns the serializer runs it took.
-  std::uint64_t signatures(const SystemState& state, const Orbit& orbit,
+  /// Points `sc` at every section's memo for orbit `o`, building those
+  /// that are missing, and sorts each member's orbit-host slots, so that
+  /// sc.view() and sc.compare() read the members' signatures; returns
+  /// the serializer runs it took.
+  std::uint64_t signatures(const SystemState& state, std::size_t o,
                            Scratch& sc) const;
+
+  /// Section i's signature memo for orbit `o`, built and published if
+  /// the section's node has none; adds the serializer runs to `runs`.
+  const util::SigMemo& section_memo(const SystemState& state, std::size_t o,
+                                    std::size_t i, Scratch& sc,
+                                    std::uint64_t& runs) const;
+
+  /// The canonical blob of `state`, in sc.blob (component bounds in
+  /// sc.bounds).
+  void canonical_blob(const SystemState& state, Scratch& sc) const;
 
   template <typename Component>
   void serialize_whole(const SystemState& state, util::Ser& s,
@@ -162,6 +187,8 @@ class SymContext {
                        Component&& component) const;
 
   const SystemConfig* cfg_;
+  /// Unique among every SymContext of the process: keys its memos.
+  std::uint64_t id_;
   bool canonical_;
   bool include_next_uid_;
   std::vector<Orbit> orbits_;

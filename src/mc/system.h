@@ -8,7 +8,7 @@
 // the explicit *_mut() accessors. Each snapshot memoizes its canonical
 // serialization and hash, so hashing a child state re-serializes only the
 // components that changed since the parent. A switch goes one level finer:
-// its snapshot is a shell over six copy-on-write section parts
+// its snapshot is a shell over four copy-on-write section parts
 // (of::Switch), so sw_mut() copies the shell, the switch's mutators copy
 // only the sections they write, and its hash re-serializes only those.
 // See ARCHITECTURE.md ("state pipeline").
@@ -198,6 +198,20 @@ struct SystemState {
     return *props_[i].mut().state;
   }
 
+  // --- the symmetry layer's member-signature memos (util::SigMemo) ---
+  // A switch's are per section: sw(i).part_sig_memo(part).
+  [[nodiscard]] util::SigMemoSlot& ctrl_sig_memo() const noexcept {
+    return ctrl_.sig_memo();
+  }
+  [[nodiscard]] util::SigMemoSlot& host_sig_memo(
+      std::size_t i) const noexcept {
+    return hosts_[i].sig_memo();
+  }
+  [[nodiscard]] util::SigMemoSlot& prop_sig_memo(
+      std::size_t i) const noexcept {
+    return props_[i].sig_memo();
+  }
+
   // --- sharing introspection (test hooks) ---
   [[nodiscard]] bool shares_ctrl(const SystemState& o) const noexcept {
     return ctrl_.same_snapshot(o.ctrl_);
@@ -249,7 +263,7 @@ struct SystemState {
   /// 128-bit state hash combined from the memoized per-component hashes —
   /// only components mutated since the parent state are re-serialized, and
   /// of a switch only the sections its transitions wrote (a switch's hash
-  /// is itself util::hash128_combine over its six section hashes, in
+  /// is itself util::hash128_combine over its four section hashes, in
   /// section order; of::Switch::hash). Reading a memoized component hash
   /// takes no lock. NOTE: this is a hash of the canonical bytes' component
   /// and section structure, not util::hash128 over the concatenated bytes;

@@ -361,6 +361,19 @@ util::HashMemo& Switch::part_memo(std::size_t part, bool canonical) const {
   }
 }
 
+util::SigMemoSlot& Switch::part_sig_memo(std::size_t part) const {
+  switch (part) {
+    case 0:
+      return core_.sig_memo();
+    case 1:
+      return ingress_.sig_memo();
+    case 2:
+      return chan_.sig_memo();
+    default:
+      return port_stats_.sig_memo();
+  }
+}
+
 util::Hash128 Switch::hash(bool canonical) const {
   assert(util::Renamer::active() == nullptr &&
          "part memos are never built under a renamer");

@@ -287,6 +287,9 @@ class Switch {
   /// COLLAPSE store's whole-switch interning).
   util::Hash128 serialize_hashed(util::Ser& s, bool canonical) const;
 
+  /// The symmetry layer's member-signature memos of section `part`.
+  [[nodiscard]] util::SigMemoSlot& part_sig_memo(std::size_t part) const;
+
   /// Canonical name of buffer id `bid` under the active naming (a parked
   /// packet_out's entry in mc::SystemState::serialize_trailer).
   [[nodiscard]] std::uint32_t buffer_name(std::uint32_t bid) const;

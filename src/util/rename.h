@@ -40,8 +40,9 @@
 #define NICE_UTIL_RENAME_H
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -167,15 +168,11 @@ class Renamer {
         return u;
       case UidMode::kElide:
         return 0;
-      case UidMode::kAssign: {
-        if (u == 0) return 0;
-        const auto [it, inserted] = uid_.try_emplace(u, next_dense_uid_);
-        if (inserted) ++next_dense_uid_;
-        return it->second;
-      }
+      case UidMode::kAssign:
+        return u == 0 ? 0 : assign_uid(u);
       case UidMode::kFrozen: {
-        const auto it = uid_.find(u);
-        return it == uid_.end() ? u : it->second;
+        const auto it = uid_lower(u);
+        return it == uid_.end() || it->first != u ? u : it->second;
       }
     }
     return u;
@@ -193,10 +190,7 @@ class Renamer {
   /// requirement — the map just has to be a permutation).
   void finalize_uids() {
     std::sort(deferred_uids_.begin(), deferred_uids_.end());
-    for (const std::uint32_t u : deferred_uids_) {
-      const auto [it, inserted] = uid_.try_emplace(u, next_dense_uid_);
-      if (inserted) ++next_dense_uid_;
-    }
+    for (const std::uint32_t u : deferred_uids_) (void)assign_uid(u);
     deferred_uids_.clear();
   }
 
@@ -297,9 +291,24 @@ class Renamer {
     return e->owner == tagged ? e->tag : e->to;
   }
 
+  /// The dense uid of u, assigned now if u has none.
+  std::uint32_t assign_uid(std::uint32_t u) const {
+    const auto it = uid_lower(u);
+    if (it != uid_.end() && it->first == u) return it->second;
+    uid_.insert(it, {u, next_dense_uid_});
+    return next_dense_uid_++;
+  }
+  using UidMap = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+  [[nodiscard]] UidMap::iterator uid_lower(std::uint32_t u) const {
+    return std::lower_bound(
+        uid_.begin(), uid_.end(), u,
+        [](const auto& e, std::uint32_t x) { return e.first < x; });
+  }
+
   // Uid state is logically part of serialization *output*, so the const
-  // serializers can grow it through a const Renamer*.
-  mutable std::map<std::uint32_t, std::uint32_t> uid_;
+  // serializers can grow it through a const Renamer*. The map is a sorted
+  // flat array: a state holds few uids, and clearing it keeps capacity.
+  mutable UidMap uid_;
   mutable std::vector<std::uint32_t> deferred_uids_;
   mutable std::uint32_t next_dense_uid_{1};
   mutable std::uint64_t assign_branches_{0};
@@ -357,11 +366,44 @@ class Renamer {
                            r->port.empty());
 }
 
+/// A per-thread scratch vector of T for the renaming iterators below,
+/// leased for one call. Leases nest (an emit may iterate an inner
+/// container of the same type), so the thread keeps one vector per
+/// nesting depth; each keeps its capacity, so once they have grown a
+/// renamed iteration allocates nothing.
+template <typename T>
+class ScratchVec {
+ public:
+  ScratchVec() {
+    Pool& p = pool();
+    if (p.depth == p.vecs.size()) p.vecs.emplace_back();  // refs stay valid
+    v_ = &p.vecs[p.depth++];
+    v_->clear();
+  }
+  ~ScratchVec() { --pool().depth; }
+  ScratchVec(const ScratchVec&) = delete;
+  ScratchVec& operator=(const ScratchVec&) = delete;
+
+  [[nodiscard]] std::vector<T>& operator*() const noexcept { return *v_; }
+
+ private:
+  struct Pool {
+    std::deque<std::vector<T>> vecs;
+    std::size_t depth{0};
+  };
+  static Pool& pool() {
+    thread_local Pool p;
+    return p;
+  }
+
+  std::vector<T>* v_;
+};
+
 /// Calls emit(name(e), e) for every element e of the ordered container
 /// `c`, in ascending order of name. A container keyed on identifiers keeps
 /// its own order while `renames` is false (its naming is the identity)
 /// and is re-sorted otherwise; names are distinct, as renaming is a
-/// bijection. Fewer than two elements need no sort and no allocation.
+/// bijection. Fewer than two elements need no sort.
 template <typename C, typename Name, typename Emit>
 void for_each_named(const C& c, bool renames, Name&& name, Emit&& emit) {
   if (!renames || c.size() < 2) {
@@ -370,8 +412,8 @@ void for_each_named(const C& c, bool renames, Name&& name, Emit&& emit) {
   }
   using Elem = typename C::value_type;
   using N = std::decay_t<std::invoke_result_t<Name&, const Elem&>>;
-  std::vector<std::pair<N, const Elem*>> named;
-  named.reserve(c.size());
+  const ScratchVec<std::pair<N, const Elem*>> lease;
+  auto& named = *lease;
   for (const Elem& e : c) named.emplace_back(name(e), &e);
   std::sort(named.begin(), named.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -388,9 +430,25 @@ void for_each_by_uid(const C& c, const Renamer* rn, Uid&& uid_of,
                      Emit&& emit) {
   if (rn != nullptr && rn->uid_mode != Renamer::UidMode::kKeep &&
       !rn->assigning()) {
-    std::map<std::uint32_t, const typename C::value_type*> renamed;
-    for (const auto& e : c) renamed.emplace(rn->r_uid(uid_of(e)), &e);
-    for (const auto& [uid, e] : renamed) emit(uid, *e);
+    using Elem = typename C::value_type;
+    struct Named {
+      std::uint32_t uid;
+      std::uint32_t seq;  // position in the container
+      const Elem* e;
+    };
+    const ScratchVec<Named> lease;
+    auto& named = *lease;
+    std::uint32_t seq = 0;
+    for (const Elem& e : c) named.push_back({rn->r_uid(uid_of(e)), seq++, &e});
+    std::sort(named.begin(), named.end(), [](const auto& a, const auto& b) {
+      return a.uid != b.uid ? a.uid < b.uid : a.seq < b.seq;
+    });
+    for (std::size_t i = 0; i < named.size(); ++i) {
+      // The first element per renamed uid, as std::map::emplace keeps.
+      if (i == 0 || named[i].uid != named[i - 1].uid) {
+        emit(named[i].uid, *named[i].e);
+      }
+    }
     return;
   }
   for (const auto& e : c) {

@@ -17,7 +17,7 @@
 //
 // A component can go one level finer (a PartHashed component, of::Switch):
 // it holds its sections in Part<T>s, each its own copy-on-write node with
-// two memoized hashes and nothing else, and its hash combines the part
+// two memoized hashes and a signature memo, and its hash combines the part
 // hashes. Its Snap then holds a thin shell (part handles + configuration):
 // mut() copies the shell, the component's mutators unshare only the parts
 // they write, and hashing re-serializes only parts whose memo is empty.
@@ -25,26 +25,45 @@
 // the part whose channels name buffer ids), so a memo is one hash, valid
 // until the part is written.
 //
+// One more memo rides on every snapshot and part node: the symmetry
+// layer's member-signature bytes of that section (SigMemo). It is the one
+// memo built under a util::Renamer, and it is sound because the renamer
+// is fixed: a signature pass names every orbit member BOTTOM (or one of
+// them TAG) under a renamer that depends only on the symmetry context and
+// the orbit, elides uids, and ranks buffer names inside the part that
+// holds the buffer, so a section's signature bytes are a function of its
+// own content alone. The memo is keyed by the context's unique id, the
+// orbit and the section, so a child state reuses every section it shares
+// with its parent, and a context created later (even at a reused address)
+// never reads another's memo.
+//
 // Thread-safety contract (matches the search engine's publication order):
 // a snapshot or part shared between threads is immutable — mut() may only
 // be called while the owning SystemState is not yet published to other
 // workers. Lazy byte-form and interned-id fills on a shared Snap node are
 // mutex-guarded, so two workers serializing states that share a parent's
 // component race safely; every hash memo (a snapshot's and a part's) is a
-// lock-free HashMemo, so SystemState::hash takes no lock. No memo may be
-// built under an active util::Renamer (the symmetry layer serializes live
-// values).
+// lock-free HashMemo, so SystemState::hash takes no lock, and a SigMemo
+// is published with one compare-and-swap. Apart from SigMemos, no memo
+// may be built under an active util::Renamer (the symmetry layer
+// serializes live values).
 #ifndef NICE_UTIL_SNAP_H
 #define NICE_UTIL_SNAP_H
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -102,9 +121,165 @@ class HashMemo {
   std::atomic<std::uint64_t> hi_{0};
 };
 
+/// One section's member signatures under one symmetry context's signature
+/// renamer (mc::SymContext): the BOTTOM bytes (every orbit member renamed
+/// to BOTTOM), which members a lookup hit, and for each hit member j the
+/// bytes with j renamed to TAG. A member the section never looked up reads
+/// the BOTTOM bytes. A TAG form keeps only what differs from BOTTOM: it is
+/// BOTTOM's first bytes, its own middle, then BOTTOM's last bytes. One
+/// allocation holds it all: this header, the Tags, the BOTTOM bytes, then
+/// the middles.
+class SigMemo {
+ public:
+  struct Key {
+    std::uint64_t owner;  // the symmetry context's unique id
+    std::uint32_t orbit;
+    std::uint32_t section;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  /// A hit member's form: BOTTOM's first `head` bytes, the middle that
+  /// ends at `mid_end` in the memo's middles, BOTTOM's last `tail` bytes.
+  struct Tag {
+    std::uint32_t head;
+    std::uint32_t tail;
+    std::uint32_t mid_end;
+  };
+  /// One member's bytes of the section, in three pieces: head, middle,
+  /// tail.
+  using Pieces = std::array<std::string_view, 3>;
+  struct Free {
+    void operator()(const SigMemo* m) const noexcept {
+      ::operator delete(const_cast<SigMemo*>(m));
+    }
+  };
+  using Ptr = std::unique_ptr<SigMemo, Free>;
+
+  /// `tags` holds one Tag per member in `hits` (bit j: a lookup hit member
+  /// j), in member order, over the concatenated `middles`.
+  [[nodiscard]] static Ptr make(const Key& key, std::uint64_t hits,
+                                std::string_view bottom,
+                                std::span<const Tag> tags,
+                                std::string_view middles) {
+    void* p = ::operator new(sizeof(SigMemo) + tags.size_bytes() +
+                             bottom.size() + middles.size());
+    Ptr m(::new (p) SigMemo(key, hits, bottom.size()));
+    // An empty source may be null, which memcpy must not be passed.
+    auto copy = [](void* to, const void* from, std::size_t n) {
+      if (n != 0) std::memcpy(to, from, n);
+    };
+    copy(m->tags(), tags.data(), tags.size_bytes());
+    char* bytes = m->bytes();
+    copy(bytes, bottom.data(), bottom.size());
+    copy(bytes + bottom.size(), middles.data(), middles.size());
+    return m;
+  }
+
+  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
+
+  /// The section's bytes with every orbit member at BOTTOM.
+  [[nodiscard]] std::string_view bottom() const noexcept {
+    return {bytes(), bottom_size_};
+  }
+
+  /// Member j's bytes of this section.
+  [[nodiscard]] Pieces member(std::uint32_t j) const noexcept {
+    const char* bottom = bytes();
+    const std::uint64_t bit = std::uint64_t{1} << j;
+    using V = std::string_view;
+    if ((hits_ & bit) == 0) return {V(bottom, bottom_size_), V(), V()};
+    const Tag* t = tags();
+    const auto i = static_cast<std::size_t>(std::popcount(hits_ & (bit - 1)));
+    const std::uint32_t mid_begin = i == 0 ? 0 : t[i - 1].mid_end;
+    return {V(bottom, t[i].head),
+            V(bottom + bottom_size_ + mid_begin, t[i].mid_end - mid_begin),
+            V(bottom + bottom_size_ - t[i].tail, t[i].tail)};
+  }
+
+ private:
+  friend class SigMemoSlot;
+
+  SigMemo(const Key& key, std::uint64_t hits, std::size_t bottom_size)
+      : key_(key),
+        hits_(hits),
+        bottom_size_(static_cast<std::uint32_t>(bottom_size)) {}
+
+  Tag* tags() noexcept { return reinterpret_cast<Tag*>(this + 1); }
+  const Tag* tags() const noexcept {
+    return reinterpret_cast<const Tag*>(this + 1);
+  }
+  char* bytes() noexcept {
+    return reinterpret_cast<char*>(tags() + std::popcount(hits_));
+  }
+  const char* bytes() const noexcept {
+    return reinterpret_cast<const char*>(tags() + std::popcount(hits_));
+  }
+
+  Key key_;
+  std::uint64_t hits_;
+  const SigMemo* next_{nullptr};  // the slot's next memo
+  std::uint32_t bottom_size_;
+};
+// The Tags start right after the header.
+static_assert(sizeof(SigMemo) % alignof(SigMemo::Tag) == 0);
+
+/// The SigMemos of one node: a list, so several contexts or orbits can
+/// each keep theirs, pushed with a compare-and-swap and freed only when
+/// the node is freed or written (reset(), uniquely owned).
+class SigMemoSlot {
+ public:
+  SigMemoSlot() = default;
+  SigMemoSlot(const SigMemoSlot&) = delete;
+  SigMemoSlot& operator=(const SigMemoSlot&) = delete;
+  ~SigMemoSlot() { reset(); }
+
+  [[nodiscard]] const SigMemo* find(const SigMemo::Key& key) const noexcept {
+    return find_from(head_.load(std::memory_order_acquire), key);
+  }
+
+  /// Publish `m` and return it, or return the equal-keyed memo another
+  /// thread published first (`m` is then discarded).
+  const SigMemo* publish(SigMemo::Ptr m) noexcept {
+    const SigMemo* head = head_.load(std::memory_order_acquire);
+    for (;;) {
+      if (const SigMemo* won = find_from(head, m->key_); won != nullptr) {
+        return won;
+      }
+      m->next_ = head;
+      if (head_.compare_exchange_weak(head, m.get(),
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+        return m.release();
+      }
+    }
+  }
+
+  /// Only legal while the owner is uniquely held (no concurrent readers).
+  void reset() noexcept {
+    const SigMemo* m = head_.load(std::memory_order_relaxed);
+    if (m == nullptr) return;  // outside symmetry, always
+    head_.store(nullptr, std::memory_order_relaxed);
+    while (m != nullptr) {
+      const SigMemo* next = m->next_;
+      SigMemo::Free()(m);
+      m = next;
+    }
+  }
+
+ private:
+  static const SigMemo* find_from(const SigMemo* m,
+                                  const SigMemo::Key& key) noexcept {
+    for (; m != nullptr; m = m->next_) {
+      if (m->key_ == key) return m;
+    }
+    return nullptr;
+  }
+
+  std::atomic<const SigMemo*> head_{nullptr};
+};
+
 /// One copy-on-write part of a PartHashed component: the value plus a raw
-/// and a canonical HashMemo. Copying shares the part; mut() deep-copies it
-/// only when shared and always drops its memos.
+/// and a canonical HashMemo and a SigMemoSlot. Copying shares the part;
+/// mut() deep-copies it only when shared and always drops its memos.
 template <typename T>
 class Part {
  public:
@@ -117,6 +292,7 @@ class Part {
     if (node_.use_count() == 1) {
       node_->memo[0].reset();
       node_->memo[1].reset();
+      node_->sig.reset();
       return node_->value;
     }
     node_ = std::make_shared<Node>(node_->value);
@@ -127,6 +303,8 @@ class Part {
     return node_->memo[canonical ? 1 : 0];
   }
 
+  [[nodiscard]] SigMemoSlot& sig_memo() const noexcept { return node_->sig; }
+
   /// True when two Parts alias the identical node (test hook).
   [[nodiscard]] bool same_part(const Part& o) const noexcept {
     return node_ == o.node_;
@@ -136,6 +314,7 @@ class Part {
   struct Node {
     T value;
     mutable HashMemo memo[2];  // [raw, canonical]
+    mutable SigMemoSlot sig;
 
     Node() = default;
     explicit Node(const T& v) : value(v) {}
@@ -266,6 +445,9 @@ class Snap {
     return id;
   }
 
+  /// The symmetry layer's member-signature memos of this component.
+  [[nodiscard]] SigMemoSlot& sig_memo() const noexcept { return node_->sig; }
+
   /// Memoized hash of an arbitrary projection of the component (e.g. the
   /// controller's app-only hash used as the discovery-cache key). The
   /// caller must pass the same projection on every call for a given T.
@@ -308,6 +490,7 @@ class Snap {
     mutable std::optional<CanonForm> form[2];  // [raw, canonical]
     mutable HashMemo hash[2];  // the forms' hashes, also without the bytes
     mutable std::optional<Hash128> aux;
+    mutable SigMemoSlot sig;
     // Interned blob id per form, valid only for the (table, epoch) it was
     // interned in: differential runs intern one snapshot in several
     // tables, and a clear()ed table restarts its id space.
@@ -332,6 +515,7 @@ class Snap {
       hash[0].reset();
       hash[1].reset();
       aux.reset();
+      sig.reset();
       id_table[0] = nullptr;
       id_table[1] = nullptr;
       aux_id_table = nullptr;
