@@ -1,13 +1,12 @@
 #include "mc/sym_reduce.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "util/ser.h"
@@ -97,45 +96,33 @@ int compare_streams(const std::string_view* a, std::size_t na,
   }
 }
 
-std::uint64_t load_word(const char* p) {
-  std::uint64_t w;
-  std::memcpy(&w, p, sizeof w);
-  return w;
-}
+/// Bytes compared per memcmp call by common_prefix and common_suffix.
+constexpr std::size_t kScanBlock = 64;
 
-/// Length of the longest common prefix of a and b, eight bytes a step.
+/// Length of the longest common prefix of a and b.
 std::size_t common_prefix(std::string_view a, std::string_view b) {
   const std::size_t n = std::min(a.size(), b.size());
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    if (const std::uint64_t x = load_word(a.data() + i) ^
-                                load_word(b.data() + i);
-        x != 0) {
-      // The lowest differing byte is the first in memory (little-endian).
-      return i + static_cast<std::size_t>(std::countr_zero(x)) / 8;
-    }
+  while (i + kScanBlock <= n &&
+         std::memcmp(a.data() + i, b.data() + i, kScanBlock) == 0) {
+    i += kScanBlock;
   }
   while (i < n && a[i] == b[i]) ++i;
   return i;
 }
 
-/// Length of the longest common suffix of a and b, at most `n` bytes.
-std::size_t common_suffix(std::string_view a, std::string_view b,
-                          std::size_t n) {
+/// Length of the longest common suffix of a and b.
+std::size_t common_suffix(std::string_view a, std::string_view b) {
+  const std::size_t n = std::min(a.size(), b.size());
   const char* ea = a.data() + a.size();
   const char* eb = b.data() + b.size();
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    if (const std::uint64_t x = load_word(ea - i - 8) ^ load_word(eb - i - 8);
-        x != 0) {
-      // The highest differing byte is the last in memory.
-      return i + static_cast<std::size_t>(std::countl_zero(x)) / 8;
-    }
+  while (i + kScanBlock <= n &&
+         std::memcmp(ea - i - kScanBlock, eb - i - kScanBlock, kScanBlock) ==
+             0) {
+    i += kScanBlock;
   }
-  while (i < n && ea[-1 - static_cast<std::ptrdiff_t>(i)] ==
-                      eb[-1 - static_cast<std::ptrdiff_t>(i)]) {
-    ++i;
-  }
+  while (i < n && *(ea - i - 1) == *(eb - i - 1)) ++i;
   return i;
 }
 
@@ -166,99 +153,21 @@ struct SymContext::Scratch {
   std::vector<util::SigMemo::Tag> tags;  // and how they share the rest
   std::vector<std::uint8_t> hits;  // [j]: the section looked up member j
   std::vector<const util::SigMemo*> memos;  // per section
-  /// Orbit host slot r of member j's signature: the r-th smallest of the
-  /// orbit's host forms for j (slots[j * k + r]).
-  std::vector<util::SigMemo::Pieces> slots;
-  std::vector<std::int32_t> slot_of;      // per section: its slot, or -1
-  std::vector<std::uint32_t> host_order;  // orbit hosts by BOTTOM form
-  std::size_t k{0};                       // of the orbit signed last
+  std::vector<util::SigMemo::Pieces> hosts;  // one member's orbit host forms
+  /// Member j's signature: the lens[j] pieces of its sections in turn,
+  /// from lists[j * width] (width: 3 per section).
+  std::vector<std::string_view> lists;
+  std::vector<std::size_t> lens;
+  std::size_t width{0};
 
-  /// Member j's bytes of section i in its signature.
-  [[nodiscard]] util::SigMemo::Pieces view(std::uint32_t j,
-                                           std::size_t i) const {
-    const std::int32_t r = slot_of[i];
-    return r < 0 ? memos[i]->member(j)
-                 : slots[j * k + static_cast<std::size_t>(r)];
+  [[nodiscard]] const std::string_view* list(std::uint32_t j) const {
+    return &lists[j * width];
+  }
+  /// Three-way comparison of the signatures of members a and b.
+  [[nodiscard]] int compare(std::uint32_t a, std::uint32_t b) const {
+    return compare_streams(list(a), lens[a], list(b), lens[b]);
   }
 
-  /// A read position in member j's signature: piece p of section i, at
-  /// byte `off`.
-  struct Cursor {
-    const Scratch& sc;
-    std::uint32_t j;
-    std::size_t i{0};
-    std::size_t p{0};
-    std::size_t off{0};
-    util::SigMemo::Pieces pieces{};  // of section i
-
-    Cursor(const Scratch& sc, std::uint32_t j) : sc(sc), j(j) { load(); }
-    void load() {
-      if (i < sc.memos.size()) pieces = sc.view(j, i);
-    }
-    [[nodiscard]] bool done() const { return i == sc.memos.size(); }
-    [[nodiscard]] bool at_section_start() const { return p == 0 && off == 0; }
-    [[nodiscard]] std::string_view rest() const {
-      return pieces[p].substr(off);
-    }
-    void next_section() {
-      ++i;
-      p = 0;
-      off = 0;
-      load();
-    }
-    void next_piece() {
-      off = 0;
-      if (++p == pieces.size()) next_section();
-    }
-  };
-
-  /// Three-way comparison of the signatures of members a and b, as of
-  /// their bytes. Where both streams are at the start of one section that
-  /// both read from the same views, the section is skipped unread; other
-  /// bytes are compared unless both streams read them from one address.
-  int compare(std::uint32_t a, std::uint32_t b) const {
-    Cursor ca(*this, a);
-    Cursor cb(*this, b);
-    for (;;) {
-      if (!ca.done() && ca.i == cb.i && ca.at_section_start() &&
-          cb.at_section_start() && same_views(ca.pieces, cb.pieces)) {
-        ca.next_section();
-        cb.next_section();
-        continue;
-      }
-      if (!ca.done() && ca.rest().empty()) {
-        ca.next_piece();
-        continue;
-      }
-      if (!cb.done() && cb.rest().empty()) {
-        cb.next_piece();
-        continue;
-      }
-      if (ca.done() || cb.done()) {
-        return (ca.done() ? 0 : 1) - (cb.done() ? 0 : 1);
-      }
-      const std::string_view ra = ca.rest();
-      const std::string_view rb = cb.rest();
-      const std::size_t len = std::min(ra.size(), rb.size());
-      if (ra.data() != rb.data()) {
-        if (const int c = std::memcmp(ra.data(), rb.data(), len); c != 0) {
-          return c;
-        }
-      }
-      ca.off += len;
-      cb.off += len;
-    }
-  }
-
-  static bool same_views(const util::SigMemo::Pieces& a,
-                         const util::SigMemo::Pieces& b) {
-    for (std::size_t v = 0; v < a.size(); ++v) {
-      if (a[v].data() != b[v].data() || a[v].size() != b[v].size()) {
-        return false;
-      }
-    }
-    return true;
-  }
   std::vector<std::uint32_t> rank;
   std::vector<std::uint32_t> emit;  // host emission order
   util::Renamer rn;                 // the chosen permutation
@@ -443,8 +352,8 @@ const util::SigMemo& SymContext::section_memo(const SystemState& state,
     // Keep only what differs from BOTTOM.
     const std::string_view tag = sc.tagged.view();
     const std::size_t head = common_prefix(tag, bottom);
-    const std::size_t tail = common_suffix(
-        tag, bottom, std::min(tag.size(), bottom.size()) - head);
+    const std::size_t tail =
+        common_suffix(tag.substr(head), bottom.substr(head));
     sc.middles.append(tag.substr(head, tag.size() - head - tail));
     sc.tags.push_back({static_cast<std::uint32_t>(head),
                        static_cast<std::uint32_t>(tail),
@@ -495,52 +404,40 @@ std::uint64_t SymContext::signatures(const SystemState& state, std::size_t o,
   // so the signature is invariant under relabelings of the BOTTOM
   // members.
   const std::size_t first_host = first_host_section(state);
-  auto host_memo = [&](std::size_t r) -> const util::SigMemo& {
-    return *sc.memos[first_host + orbit.members[r].host_index];
+  auto host_section = [&](std::size_t r) {
+    return first_host + orbit.members[r].host_index;
   };
-  sc.k = k;
-  sc.slot_of.assign(n, -1);
-  for (std::size_t r = 0; r < k; ++r) {
-    sc.slot_of[first_host + orbit.members[r].host_index] =
-        static_cast<std::int32_t>(r);
-  }
-  // The orbit hosts in order of their BOTTOM forms: member j's multiset is
-  // this order with j's own host moved to where its TAG form belongs, as
-  // long as no other orbit host looked j up.
-  sc.host_order.resize(k);
-  for (std::uint32_t r = 0; r < k; ++r) sc.host_order[r] = r;
-  insertion_sort(sc.host_order.data(), k,
-                 [&](std::uint32_t a, std::uint32_t b) {
-                   return host_memo(a).bottom() < host_memo(b).bottom();
-                 });
-  sc.slots.resize(k * k);
+  constexpr std::size_t kPieces = std::tuple_size_v<util::SigMemo::Pieces>;
+  sc.width = kPieces * n;
+  sc.lists.resize(k * sc.width);
+  sc.lens.resize(k);
+  sc.hosts.resize(k);
   for (std::uint32_t j = 0; j < k; ++j) {
-    util::SigMemo::Pieces* sorted = &sc.slots[j * k];
-    bool own_only = true;
-    for (std::uint32_t r = 0; r < k; ++r) {
-      if (r != j && (host_memo(r).hits() >> j & 1) != 0) own_only = false;
+    for (std::size_t r = 0; r < k; ++r) {
+      sc.hosts[r] = sc.memos[host_section(r)]->member(j);
     }
-    if (own_only) {
-      const util::SigMemo::Pieces mine = host_memo(j).member(j);
-      std::size_t out = 0;
-      bool placed = false;
-      for (const std::uint32_t r : sc.host_order) {
-        if (r == j) continue;
-        const std::string_view other = host_memo(r).bottom();
-        if (!placed && compare_streams(mine.data(), 3, &other, 1) < 0) {
-          sorted[out++] = mine;
-          placed = true;
-        }
-        sorted[out++] = {other, {}, {}};
+    insertion_sort(sc.hosts.data(), k,
+                   [](const util::SigMemo::Pieces& a,
+                      const util::SigMemo::Pieces& b) {
+                     return compare_streams(a.data(), kPieces, b.data(),
+                                            kPieces) < 0;
+                   });
+    // Empty pieces are left out. The orbit's members are in ascending
+    // host-index order, so slot r is the r-th orbit host section.
+    std::string_view* list = &sc.lists[j * sc.width];
+    std::size_t& len = sc.lens[j];
+    len = 0;
+    auto put = [&](const util::SigMemo::Pieces& p) {
+      for (const std::string_view v : p) {
+        if (!v.empty()) list[len++] = v;
       }
-      if (!placed) sorted[out] = mine;
-    } else {
-      for (std::uint32_t r = 0; r < k; ++r) sorted[r] = host_memo(r).member(j);
-      insertion_sort(sorted, k,
-                     [](const util::SigMemo::Pieces& a,
-                        const util::SigMemo::Pieces& b) {
-                       return compare_streams(a.data(), 3, b.data(), 3) < 0;
-                     });
+    };
+    for (std::size_t i = 0, r = 0; i < n; ++i) {
+      if (r < k && i == host_section(r)) {
+        put(sc.hosts[r++]);
+      } else {
+        put(sc.memos[i]->member(j));
+      }
     }
   }
   return runs;
@@ -553,9 +450,8 @@ std::vector<std::string> SymContext::member_signatures(
   (void)signatures(state, orbit, sc);
   std::vector<std::string> out(orbits_[orbit].members.size());
   for (std::uint32_t j = 0; j < out.size(); ++j) {
-    for (std::size_t i = 0; i < sc.memos.size(); ++i) {
-      for (const std::string_view v : sc.view(j, i)) out[j] += v;
-    }
+    const std::string_view* list = sc.list(j);
+    for (std::size_t v = 0; v < sc.lens[j]; ++v) out[j] += list[v];
   }
   return out;
 }

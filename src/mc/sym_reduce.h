@@ -165,9 +165,9 @@ class SymContext {
   static Scratch& scratch();  // this thread's
 
   /// Points `sc` at every section's memo for orbit `o`, building those
-  /// that are missing, and sorts each member's orbit-host slots, so that
-  /// sc.view() and sc.compare() read the members' signatures; returns
-  /// the serializer runs it took.
+  /// that are missing, and lays out each member's signature in sc.lists
+  /// as one view per section, its orbit-host slots sorted; returns the
+  /// serializer runs it took.
   std::uint64_t signatures(const SystemState& state, std::size_t o,
                            Scratch& sc) const;
 

@@ -589,6 +589,20 @@ TEST(SymContext, RejectsInvalidOrbitDeclarations) {
     s.config.symmetry_orbits = {{0, 1}};
     EXPECT_THROW(SymContext{s.config}, std::invalid_argument);
   }
+  {
+    // A signature memo records the members it hit in one 64-bit mask:
+    // 64 identical clients form an orbit, 65 do not.
+    const int most = static_cast<int>(SymContext::kMaxOrbitMembers);
+    apps::Scenario s = apps::sym_ping_scenario(most + 1);
+    ASSERT_EQ(s.symmetry.size(), 1u);
+    std::vector<of::HostId> clients = s.symmetry.front();
+    ASSERT_EQ(clients.size(), SymContext::kMaxOrbitMembers + 1);
+    s.config.symmetry_orbits = {clients};
+    EXPECT_THROW(SymContext{s.config}, std::invalid_argument);
+    clients.pop_back();
+    s.config.symmetry_orbits = {clients};
+    EXPECT_NO_THROW(SymContext{s.config});
+  }
 }
 
 // ---- Differential soundness sweep -----------------------------------------
