@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "apps/scenarios.h"
@@ -203,16 +204,22 @@ void BM_SwitchPopOfOutHash(benchmark::State& state) {
 }
 BENCHMARK(BM_SwitchPopOfOutHash);
 
-// One symmetric canonical key on lb-sym7 (7 interchangeable clients): a
-// child state six transitions in, keyed cold (a state whose sections
-// carry no signature memo) with Arg 0, or with Arg 1 as the search keys
-// it: a clone of a parent whose memos are warm, with one transition
-// applied. Building the state is not timed.
+// One symmetric canonical key on lb-sym7 (7 interchangeable clients) for
+// a child state six transitions in. Arg 0, cold: a replayed child, whose
+// sections carry no signature memo. Arg 1, warm, as the search keys a new
+// state: a clone of a keyed parent with one transition applied. Both use
+// a context made for the iteration, so nothing an earlier one cached is
+// reused. Arg 2, raw revisit: the warm child keyed again by one context,
+// which its raw-revisit table answers. Arg 3, content cache: the cold
+// child keyed by one context through canonical_key, which skips that
+// table, so every section shares the memo cached for equal content.
+// Building the states and contexts is not timed.
 void BM_SymCanonicalKey(benchmark::State& state) {
-  const bool warm = state.range(0) != 0;
+  const std::int64_t mode = state.range(0);
   auto s = apps::lb_sym_scenario(7);
   mc::Executor ex(s.config, s.properties);
-  const mc::SymContext sym(s.config);
+  std::optional<mc::SymContext> sym;
+  sym.emplace(s.config);
   mc::DiscoveryCache cache;
   std::vector<mc::Violation> vs;
   // The path: the first enabled transition of the default strategy at
@@ -238,19 +245,29 @@ void BM_SymCanonicalKey(benchmark::State& state) {
     for (std::size_t i = 0; i < len; ++i) ex.apply(st, path[i], vs);
     return st;
   };
-  const mc::SystemState parent = replay(path.size() - 1);
-  benchmark::DoNotOptimize(sym.canonical_hash(parent));
+  const std::size_t last = path.size() - 1;
+  mc::SystemState parent = replay(last);
+  benchmark::DoNotOptimize(sym->canonical_hash(parent));
   mc::SystemState child;
   for (auto _ : state) {
     state.PauseTiming();
+    if (mode <= 1) sym.emplace(s.config);
+    if (mode == 1) {
+      parent = replay(last);
+      benchmark::DoNotOptimize(sym->canonical_hash(parent));
+    }
     // Assigning frees the last child, also untimed.
-    child = warm ? parent.clone() : replay(path.size() - 1);
+    child = mode == 1 || mode == 2 ? parent.clone() : replay(last);
     ex.apply(child, path.back(), vs);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(sym.canonical_hash(child));
+    if (mode == 3) {
+      benchmark::DoNotOptimize(sym->canonical_key(child, nullptr));
+    } else {
+      benchmark::DoNotOptimize(sym->canonical_hash(child));
+    }
   }
 }
-BENCHMARK(BM_SymCanonicalKey)->ArgName("warm")->Arg(0)->Arg(1);
+BENCHMARK(BM_SymCanonicalKey)->ArgName("mode")->DenseRange(0, 3);
 
 void BM_CheckerPingExhaustive(benchmark::State& state) {
   const int pings = static_cast<int>(state.range(0));

@@ -310,10 +310,12 @@ int main(int argc, char** argv) {
       r.seconds);
 
   if (r.symmetry.enabled) {
-    std::printf("symmetry: orbits=%u orbit_hosts=%u canonicalizations=%llu\n",
+    std::printf("symmetry: orbits=%u orbit_hosts=%u canonicalizations=%llu "
+                "raw_revisits=%llu memo_reuses=%llu\n",
                 r.symmetry.orbits, r.symmetry.orbit_hosts,
-                static_cast<unsigned long long>(
-                    r.symmetry.canonicalizations));
+                static_cast<unsigned long long>(r.symmetry.canonicalizations),
+                static_cast<unsigned long long>(r.symmetry.raw_revisits),
+                static_cast<unsigned long long>(r.symmetry.memo_reuses));
   }
 
   if (r.telemetry.enabled) {
@@ -393,11 +395,13 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"peak_rss_bytes\": %llu,\n",
                  static_cast<unsigned long long>(r.peak_rss_bytes));
     std::fprintf(f, "  \"symmetry\": {\"enabled\": %s, \"orbits\": %u, "
-                 "\"orbit_hosts\": %u, \"canonicalizations\": %llu},\n",
+                 "\"orbit_hosts\": %u, \"canonicalizations\": %llu, "
+                 "\"raw_revisits\": %llu, \"memo_reuses\": %llu},\n",
                  r.symmetry.enabled ? "true" : "false", r.symmetry.orbits,
                  r.symmetry.orbit_hosts,
-                 static_cast<unsigned long long>(
-                     r.symmetry.canonicalizations));
+                 static_cast<unsigned long long>(r.symmetry.canonicalizations),
+                 static_cast<unsigned long long>(r.symmetry.raw_revisits),
+                 static_cast<unsigned long long>(r.symmetry.memo_reuses));
     std::fprintf(f, "  \"telemetry\": {\n");
     std::fprintf(f, "    \"enabled\": %s,\n",
                  r.telemetry.enabled ? "true" : "false");

@@ -1,6 +1,7 @@
 #include "mc/execute.h"
 
 #include <cassert>
+#include <typeinfo>
 
 #include "hosts/server.h"
 #include "util/telemetry.h"
@@ -16,6 +17,18 @@ bool releases_buffer(const ctrl::Command& c, of::SwitchId sw,
                      std::uint32_t buffer_id) {
   const auto* po = std::get_if<ctrl::CmdPacketOut>(&c);
   return po != nullptr && po->sw == sw && po->msg.buffer_id == buffer_id;
+}
+
+/// The state to hand monitor i: its slot in `state`, unshared, or when the
+/// slot holds an EmptyPropState (nothing to write), `scratch`, so that
+/// the slot's node and the memos on it stay shared. The type_info
+/// addresses are compared because that is one load: equal addresses mean
+/// one type, and a second copy of EmptyPropState's type_info would only
+/// cost an unshare.
+PropState& monitor_state(SystemState& state, std::size_t i,
+                         EmptyPropState& scratch) {
+  if (&typeid(state.prop(i)) == &typeid(EmptyPropState)) return scratch;
+  return state.prop_mut(i);
 }
 
 }  // namespace
@@ -594,8 +607,10 @@ void Executor::apply(SystemState& state, const Transition& t,
 void Executor::at_quiescence(SystemState& state,
                              std::vector<Violation>& violations) const {
   const util::PhaseMarks phase(util::Phase::kPropertyCheck);
+  EmptyPropState scratch;
   for (std::size_t i = 0; i < props_.size(); ++i) {
-    props_[i]->at_quiescence(state.prop_mut(i), state, violations);
+    props_[i]->at_quiescence(monitor_state(state, i, scratch), state,
+                             violations);
   }
 }
 
@@ -608,8 +623,10 @@ void Executor::feed_properties(SystemState& state, const EventList& events,
   // Nested inside kApply: the property slice is carved out of the apply
   // time, so the two phases never double-count.
   const util::PhaseMarks phase(util::Phase::kPropertyCheck);
+  EmptyPropState scratch;
   for (std::size_t i = 0; i < props_.size(); ++i) {
-    props_[i]->on_events(state.prop_mut(i), events, state, violations);
+    props_[i]->on_events(monitor_state(state, i, scratch), events, state,
+                         violations);
   }
 }
 

@@ -217,6 +217,8 @@ void SearchCore::finish_stats(CheckerResult& result, Durability* dur) const {
     result.symmetry.canonicalizations = sym_->canonicalizations();
     result.symmetry.component_serializations =
         sym_->component_serializations();
+    result.symmetry.raw_revisits = sym_->raw_revisits();
+    result.symmetry.memo_reuses = sym_->memo_reuses();
   }
   if (dur != nullptr) dur->fill(result);
   fill_telemetry(result);

@@ -1,8 +1,11 @@
 #include "mc/sym_reduce.h"
 
 #include <algorithm>
+#include <array>
+#include <bitset>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string_view>
@@ -53,6 +56,22 @@ void emit_section(const SystemState& st, bool canonical, std::size_t i,
   } else {
     st.prop(i - first_host - st.host_count()).serialize(s);
   }
+}
+
+/// The memoized hash of section i's plain form, under which a signature
+/// memo built from that content is filed. Must run outside any renamer.
+util::Hash128 section_hash(const SystemState& st, bool canonical,
+                           std::size_t i) {
+  const std::size_t parts = of::Switch::kSerializeParts;
+  const std::size_t first_host = first_host_section(st);
+  if (i == 0) return st.ctrl_form_hash(canonical);
+  if (i < first_host) {
+    return st.sw((i - 1) / parts).part_hash((i - 1) % parts, canonical);
+  }
+  if (i < first_host + st.host_count()) {
+    return st.host_form_hash(i - first_host, canonical);
+  }
+  return st.prop_form_hash(i - first_host - st.host_count(), canonical);
 }
 
 util::SigMemoSlot& section_slot(const SystemState& st, std::size_t i) {
@@ -139,6 +158,18 @@ void insertion_sort(T* v, std::size_t k, Less less) {
 
 std::atomic<std::uint64_t> next_context_id{1};
 
+/// Entries of a thread's raw-revisit table (64 KiB) and of its signature
+/// memo cache. Both are direct-mapped: a lookup is one probe and a fill
+/// overwrites. In the cache, each section index owns kReuseWays entries
+/// (indices wrap past kReuseSlots / kReuseWays) and the content hash picks
+/// one, so the sections of a state with at most that many never evict
+/// each other's. A cached memo is often the only reference left to it
+/// (most switch sections' are 1-1.5 KiB on lb-sym7), so the cache is kept
+/// small.
+constexpr std::size_t kRawSlots = 2048;
+constexpr std::size_t kReuseSlots = 128;
+constexpr std::size_t kReuseWays = 8;
+
 }  // namespace
 
 /// Per-thread buffers of canonical_key, reused across keys so that once
@@ -177,6 +208,46 @@ struct SymContext::Scratch {
   std::vector<std::pair<std::size_t, std::size_t>> assign_bounds;
   std::vector<bool> assign_only;  // component took an assign-only branch
   std::vector<std::pair<std::size_t, std::size_t>> bounds;  // final blob
+
+  /// Recent hash-mode keys by the state's plain hash, for one context
+  /// (raw_owner): full[i] marks entries[i] filled.
+  struct RawTable {
+    struct Entry {
+      util::Hash128 raw;
+      util::Hash128 key;
+    };
+    std::array<Entry, kRawSlots> entries;
+    std::bitset<kRawSlots> full;
+  };
+  std::unique_ptr<RawTable> raw;  // allocated on the thread's first key
+  std::uint64_t raw_owner{0};
+
+  /// This thread's raw-revisit table, emptied when another context uses
+  /// it.
+  RawTable& raw_table(std::uint64_t owner) {
+    if (!raw) {
+      raw = std::make_unique<RawTable>();
+    } else if (raw_owner != owner) {
+      raw->full.reset();
+    }
+    raw_owner = owner;
+    return *raw;
+  }
+
+  /// Signature memos by (memo key, the section's plain hash); the memo's
+  /// own key tells entries of other contexts, orbits and sections apart.
+  struct Reuse {
+    util::Hash128 content;
+    util::SigMemo::Ref memo;
+  };
+  std::unique_ptr<Reuse[]> reuse;  // allocated on the thread's first key
+  /// Sections left to build: index and plain hash.
+  std::vector<std::pair<std::size_t, util::Hash128>> missing;
+
+  Reuse& reuse_entry(const util::SigMemo::Key& key, const util::Hash128& h) {
+    if (!reuse) reuse = std::make_unique<Reuse[]>(kReuseSlots);
+    return reuse[(key.section * kReuseWays + h.lo % kReuseWays) % kReuseSlots];
+  }
 };
 
 SymContext::Scratch& SymContext::scratch() {
@@ -318,14 +389,10 @@ void SymContext::serialize_whole(
   state.serialize_trailer(s, canonical_, include_next_uid_);
 }
 
-const util::SigMemo& SymContext::section_memo(const SystemState& state,
-                                              std::size_t o, std::size_t i,
-                                              Scratch& sc,
-                                              std::uint64_t& runs) const {
-  util::SigMemoSlot& slot = section_slot(state, i);
-  const util::SigMemo::Key key{id_, static_cast<std::uint32_t>(o),
-                               static_cast<std::uint32_t>(i)};
-  if (const util::SigMemo* m = slot.find(key); m != nullptr) return *m;
+util::SigMemo::Ref SymContext::build_memo(const SystemState& state,
+                                          std::size_t o, std::size_t i,
+                                          Scratch& sc,
+                                          std::uint64_t& runs) const {
   // One pass with every member at BOTTOM, recording which members'
   // identifiers the section's lookups hit, then one per hit member j with
   // j at TAG. A section's bytes are a deterministic function of its
@@ -361,12 +428,13 @@ const util::SigMemo& SymContext::section_memo(const SystemState& state,
   }
   rn.tagged = util::kNoMember;
   runs += 1 + sc.tags.size();
-  return *slot.publish(util::SigMemo::make(key, hits, bottom, sc.tags,
-                                           sc.middles.view()));
+  return util::SigMemo::make(memo_key(o, i), hits, bottom, sc.tags,
+                             sc.middles.view());
 }
 
-std::uint64_t SymContext::signatures(const SystemState& state, std::size_t o,
-                                     Scratch& sc) const {
+void SymContext::signatures(const SystemState& state, std::size_t o,
+                            Scratch& sc, std::uint64_t& runs,
+                            std::uint64_t& reuses) const {
   const Orbit& orbit = orbits_[o];
   const std::size_t k = orbit.members.size();
   const std::size_t n = section_count(state);
@@ -390,12 +458,35 @@ std::uint64_t SymContext::signatures(const SystemState& state, std::size_t o,
     sc.sig_orbit = o;
   }
 
-  std::uint64_t runs = 0;
+  // A section whose node has no memo shares the one built for equal
+  // content on another node, found by its plain hash: signature bytes are
+  // a function of the section's content. The hashes are read (or filled)
+  // here, outside the renamer scope the remaining sections are built in.
   sc.memos.resize(n);
-  {
+  sc.missing.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    util::SigMemoSlot& slot = section_slot(state, i);
+    const util::SigMemo::Key key = memo_key(o, i);
+    const util::SigMemo* m = slot.find(key);
+    if (m == nullptr) {
+      const util::Hash128 h = section_hash(state, canonical_, i);
+      const Scratch::Reuse& r = sc.reuse_entry(key, h);
+      if (r.memo && r.content == h && r.memo->key() == key) {
+        m = slot.publish(r.memo);
+        ++reuses;
+      } else {
+        sc.missing.emplace_back(i, h);
+      }
+    }
+    sc.memos[i] = m;
+  }
+  if (!sc.missing.empty()) {
     const util::Renamer::Scope scope(&rn);
-    for (std::size_t i = 0; i < n; ++i) {
-      sc.memos[i] = &section_memo(state, o, i, sc, runs);
+    for (const auto& [i, h] : sc.missing) {
+      const util::SigMemo* m =
+          section_slot(state, i).publish(build_memo(state, o, i, sc, runs));
+      sc.reuse_entry(m->key(), h) = {h, m->share()};
+      sc.memos[i] = m;
     }
   }
 
@@ -440,14 +531,15 @@ std::uint64_t SymContext::signatures(const SystemState& state, std::size_t o,
       }
     }
   }
-  return runs;
 }
 
 std::vector<std::string> SymContext::member_signatures(
     const SystemState& state, std::size_t orbit) const {
   Scratch& sc = scratch();
   (void)orbits_.at(orbit);
-  (void)signatures(state, orbit, sc);
+  std::uint64_t runs = 0;
+  std::uint64_t reuses = 0;
+  signatures(state, orbit, sc, runs, reuses);
   std::vector<std::string> out(orbits_[orbit].members.size());
   for (std::uint32_t j = 0; j < out.size(); ++j) {
     const std::string_view* list = sc.list(j);
@@ -459,6 +551,7 @@ std::vector<std::string> SymContext::member_signatures(
 void SymContext::canonical_blob(const SystemState& state, Scratch& sc) const {
   canonicalizations_.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t runs = 0;
+  std::uint64_t reuses = 0;
 
   // 1. Rank each orbit's members by structural signature; rank r is
   // renamed onto orbit slot r. Ties mean the tied members are genuinely
@@ -474,7 +567,7 @@ void SymContext::canonical_blob(const SystemState& state, Scratch& sc) const {
   for (std::size_t o = 0; o < orbits_.size(); ++o) {
     const Orbit& orbit = orbits_[o];
     const std::size_t k = orbit.members.size();
-    runs += signatures(state, o, sc);
+    signatures(state, o, sc, runs, reuses);
     sc.rank.resize(k);
     for (std::uint32_t j = 0; j < k; ++j) sc.rank[j] = j;
     insertion_sort(sc.rank.data(), k, [&sc](std::uint32_t a, std::uint32_t b) {
@@ -541,6 +634,7 @@ void SymContext::canonical_blob(const SystemState& state, Scratch& sc) const {
     });
   }
   component_serializations_.fetch_add(runs, std::memory_order_relaxed);
+  if (reuses != 0) memo_reuses_.fetch_add(reuses, std::memory_order_relaxed);
 }
 
 SymKey SymContext::canonical_key(const SystemState& state,
@@ -575,9 +669,29 @@ SymKey SymContext::canonical_key(const SystemState& state,
 }
 
 util::Hash128 SymContext::canonical_hash(const SystemState& state) const {
+  // The blob is a function of the plain canonical bytes, which keep raw
+  // uids and every field the renamed form reads, so a state whose plain
+  // hash this thread saw before has the key it had then. Its section
+  // hashes are left filled for signatures().
   Scratch& sc = scratch();
+  const util::Hash128 raw = state.hash(canonical_);
+  Scratch::RawTable& table = sc.raw_table(id_);
+  const std::size_t slot = raw.lo & (kRawSlots - 1);
+  Scratch::RawTable::Entry& e = table.entries[slot];
+  if (table.full[slot] && e.raw == raw) {
+    raw_revisits_.fetch_add(1, std::memory_order_relaxed);
+    return e.key;
+  }
   canonical_blob(state, sc);
-  return sc.blob.hash();
+  e = {raw, sc.blob.hash()};
+  table.full[slot] = true;
+  return e.key;
+}
+
+const util::SigMemo* SymContext::find_section_memo(const SystemState& state,
+                                                   std::size_t orbit,
+                                                   std::size_t section) const {
+  return section_slot(state, section).find(memo_key(orbit, section));
 }
 
 std::string SymContext::canonicalize_violation(std::string msg) const {

@@ -18,7 +18,11 @@
 // child state pays only for the sections its transition wrote. Member j's
 // signature is then a list of views into the memos, and members are
 // ranked by comparing those lists as byte streams, without assembling
-// them.
+// them. A node written by a transition often holds content some other
+// node already held, so its memo is first looked up by the section's
+// plain hash in a per-thread cache and shared; and a hash-mode key is
+// first looked up by the whole state's plain hash in a per-thread table,
+// since a raw-identical revisit has the key its first visit computed.
 //
 // Soundness does not depend on how well the representative permutation is
 // chosen: the key of s is serialize(pi(s)) for *some* orbit permutation
@@ -42,6 +46,7 @@
 #include "util/collapse.h"
 #include "util/hash.h"
 #include "util/rename.h"
+#include "util/snap.h"
 
 namespace nicemc::mc {
 
@@ -58,8 +63,15 @@ struct SymmetryStats {
   bool enabled{false};
   std::uint32_t orbits{0};
   std::uint32_t orbit_hosts{0};
-  /// Canonical keys built (== symmetry-reduced remember() calls).
+  /// Canonical keys built. With raw_revisits, the symmetry-reduced
+  /// remember() calls.
   std::uint64_t canonicalizations{0};
+  /// Hash-mode keys read back for a state whose plain hash an earlier
+  /// key on the same thread had, instead of built.
+  std::uint64_t raw_revisits{0};
+  /// Section signature memos shared from a node with equal content
+  /// instead of built.
+  std::uint64_t memo_reuses{0};
   /// Serializer runs those keys took, counting each component (or, in the
   /// signature passes, each switch part) serialized once as one run.
   std::uint64_t component_serializations{0};
@@ -110,7 +122,10 @@ class SymContext {
                                      util::CollapseTable* table) const;
 
   /// canonical_key(state, nullptr).hash, without copying out the blob
-  /// (the hash-mode store keeps only the hash).
+  /// (the hash-mode store keeps only the hash). The key is a function of
+  /// the state's plain canonical bytes, so it is read back from this
+  /// thread's table of recent keys when state.hash() matches an entry,
+  /// trusting the 128-bit hash as the hash-mode store does.
   [[nodiscard]] util::Hash128 canonical_hash(const SystemState& state) const;
 
   /// Rewrite orbit-member identifiers inside a violation message to
@@ -130,6 +145,13 @@ class SymContext {
   [[nodiscard]] std::vector<std::string> member_signatures(
       const SystemState& state, std::size_t orbit) const;
 
+  /// The signature memo section `section` of `state` holds for orbit
+  /// `orbit`, or nullptr (test hook). Sections are numbered as in the
+  /// serialization: the controller, each switch's kSerializeParts parts,
+  /// each host, each property monitor.
+  [[nodiscard]] const util::SigMemo* find_section_memo(
+      const SystemState& state, std::size_t orbit, std::size_t section) const;
+
   [[nodiscard]] std::uint32_t orbit_count() const {
     return static_cast<std::uint32_t>(orbits_.size());
   }
@@ -139,6 +161,12 @@ class SymContext {
   }
   [[nodiscard]] std::uint64_t component_serializations() const {
     return component_serializations_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t raw_revisits() const {
+    return raw_revisits_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t memo_reuses() const {
+    return memo_reuses_.load(std::memory_order_relaxed);
   }
   /// Whether next_uid is part of the canonical key (it must be whenever a
   /// host's sends *consume* it semantically — discovery sends use it as
@@ -164,18 +192,24 @@ class SymContext {
   struct Scratch;
   static Scratch& scratch();  // this thread's
 
-  /// Points `sc` at every section's memo for orbit `o`, building those
-  /// that are missing, and lays out each member's signature in sc.lists
-  /// as one view per section, its orbit-host slots sorted; returns the
-  /// serializer runs it took.
-  std::uint64_t signatures(const SystemState& state, std::size_t o,
-                           Scratch& sc) const;
+  /// Points `sc` at every section's memo for orbit `o`, sharing one
+  /// built from equal content or building those that are missing, and
+  /// lays out each member's signature in sc.lists as one view per
+  /// section, its orbit-host slots sorted. Adds the serializer runs to
+  /// `runs` and the memos shared to `reuses`.
+  void signatures(const SystemState& state, std::size_t o, Scratch& sc,
+                  std::uint64_t& runs, std::uint64_t& reuses) const;
 
-  /// Section i's signature memo for orbit `o`, built and published if
-  /// the section's node has none; adds the serializer runs to `runs`.
-  const util::SigMemo& section_memo(const SystemState& state, std::size_t o,
-                                    std::size_t i, Scratch& sc,
-                                    std::uint64_t& runs) const;
+  [[nodiscard]] util::SigMemo::Key memo_key(std::size_t o,
+                                            std::size_t i) const {
+    return {id_, static_cast<std::uint32_t>(o), static_cast<std::uint32_t>(i)};
+  }
+
+  /// Section i's signature memo for orbit `o`, built from its live bytes
+  /// under the signature renamer; adds the serializer runs to `runs`.
+  util::SigMemo::Ref build_memo(const SystemState& state, std::size_t o,
+                                std::size_t i, Scratch& sc,
+                                std::uint64_t& runs) const;
 
   /// The canonical blob of `state`, in sc.blob (component bounds in
   /// sc.bounds).
@@ -194,6 +228,8 @@ class SymContext {
   std::vector<Orbit> orbits_;
   mutable std::atomic<std::uint64_t> canonicalizations_{0};
   mutable std::atomic<std::uint64_t> component_serializations_{0};
+  mutable std::atomic<std::uint64_t> raw_revisits_{0};
+  mutable std::atomic<std::uint64_t> memo_reuses_{0};
 };
 
 }  // namespace nicemc::mc

@@ -211,6 +211,19 @@ struct SystemState {
       std::size_t i) const noexcept {
     return props_[i].sig_memo();
   }
+  // The memoized form hashes that file a section's memos by content; a
+  // switch's are per section: sw(i).part_hash(part, canonical).
+  [[nodiscard]] util::Hash128 ctrl_form_hash(bool canonical) const {
+    return ctrl_.form_hash(canonical);
+  }
+  [[nodiscard]] util::Hash128 host_form_hash(std::size_t i,
+                                             bool canonical) const {
+    return hosts_[i].form_hash(canonical);
+  }
+  [[nodiscard]] util::Hash128 prop_form_hash(std::size_t i,
+                                             bool canonical) const {
+    return props_[i].form_hash(canonical);
+  }
 
   // --- sharing introspection (test hooks) ---
   [[nodiscard]] bool shares_ctrl(const SystemState& o) const noexcept {

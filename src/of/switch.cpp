@@ -374,6 +374,20 @@ util::SigMemoSlot& Switch::part_sig_memo(std::size_t part) const {
   }
 }
 
+util::Hash128 Switch::part_hash(std::size_t part, bool canonical) const {
+  assert(util::Renamer::active() == nullptr &&
+         "part memos are never built under a renamer");
+  util::HashMemo& memo = part_memo(part, canonical);
+  util::Hash128 h;
+  if (memo.get(h)) return h;
+  thread_local util::Ser scratch;  // clear() keeps capacity across calls
+  scratch.clear();
+  serialize_part(scratch, canonical, part);
+  h = scratch.hash();
+  memo.set(h);
+  return h;
+}
+
 util::Hash128 Switch::hash(bool canonical) const {
   assert(util::Renamer::active() == nullptr &&
          "part memos are never built under a renamer");

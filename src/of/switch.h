@@ -282,6 +282,11 @@ class Switch {
   /// the memo is empty. Must not be called under an active renamer.
   [[nodiscard]] util::Hash128 hash(bool canonical) const;
 
+  /// Section `part`'s hash as hash() combines it, memoized on the part.
+  /// Must not be called under an active renamer.
+  [[nodiscard]] util::Hash128 part_hash(std::size_t part,
+                                        bool canonical) const;
+
   /// serialize() into `s`, returning hash(canonical) and memoizing each
   /// section's hash from its slice of the bytes (one pass for the
   /// COLLAPSE store's whole-switch interning).

@@ -35,7 +35,11 @@
 // own content alone. The memo is keyed by the context's unique id, the
 // orbit and the section, so a child state reuses every section it shares
 // with its parent, and a context created later (even at a reused address)
-// never reads another's memo.
+// never reads another's memo. Because the bytes depend on the content
+// alone, one memo also serves every other node of the same section whose
+// content is equal: memos are immutable and reference-counted, and the
+// symmetry layer hands a node without one a memo it built for another
+// node with the same plain hash, instead of building it again.
 //
 // Thread-safety contract (matches the search engine's publication order):
 // a snapshot or part shared between threads is immutable — mut() may only
@@ -44,7 +48,8 @@
 // mutex-guarded, so two workers serializing states that share a parent's
 // component race safely; every hash memo (a snapshot's and a part's) is a
 // lock-free HashMemo, so SystemState::hash takes no lock, and a SigMemo
-// is published with one compare-and-swap. Apart from SigMemos, no memo
+// is published with one compare-and-swap; its count is atomic, as nodes
+// and caches of several threads may hold it. Apart from SigMemos, no memo
 // may be built under an active util::Renamer (the symmetry layer
 // serializes live values).
 #ifndef NICE_UTIL_SNAP_H
@@ -64,6 +69,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -128,7 +134,9 @@ class HashMemo {
 /// the BOTTOM bytes. A TAG form keeps only what differs from BOTTOM: it is
 /// BOTTOM's first bytes, its own middle, then BOTTOM's last bytes. One
 /// allocation holds it all: this header, the Tags, the BOTTOM bytes, then
-/// the middles.
+/// the middles. A memo is immutable and reference-counted: every node
+/// whose section has the same content can hold the same memo, and it is
+/// freed with its last reference.
 class SigMemo {
  public:
   struct Key {
@@ -147,22 +155,43 @@ class SigMemo {
   /// One member's bytes of the section, in three pieces: head, middle,
   /// tail.
   using Pieces = std::array<std::string_view, 3>;
-  struct Free {
-    void operator()(const SigMemo* m) const noexcept {
-      ::operator delete(const_cast<SigMemo*>(m));
+
+  /// One counted reference to a memo (or none).
+  class Ref {
+   public:
+    Ref() = default;
+    Ref(const Ref& o) noexcept : m_(o.m_) {
+      if (m_ != nullptr) m_->acquire();
     }
+    Ref(Ref&& o) noexcept : m_(std::exchange(o.m_, nullptr)) {}
+    Ref& operator=(Ref o) noexcept {
+      std::swap(m_, o.m_);
+      return *this;
+    }
+    ~Ref() {
+      if (m_ != nullptr) drop(m_);
+    }
+
+    [[nodiscard]] const SigMemo* get() const noexcept { return m_; }
+    const SigMemo* operator->() const noexcept { return m_; }
+    explicit operator bool() const noexcept { return m_ != nullptr; }
+
+   private:
+    friend class SigMemo;
+    friend class SigMemoSlot;
+    explicit Ref(const SigMemo* m) noexcept : m_(m) {}  // adopts one count
+    const SigMemo* m_{nullptr};
   };
-  using Ptr = std::unique_ptr<SigMemo, Free>;
 
   /// `tags` holds one Tag per member in `hits` (bit j: a lookup hit member
   /// j), in member order, over the concatenated `middles`.
-  [[nodiscard]] static Ptr make(const Key& key, std::uint64_t hits,
+  [[nodiscard]] static Ref make(const Key& key, std::uint64_t hits,
                                 std::string_view bottom,
                                 std::span<const Tag> tags,
                                 std::string_view middles) {
     void* p = ::operator new(sizeof(SigMemo) + tags.size_bytes() +
                              bottom.size() + middles.size());
-    Ptr m(::new (p) SigMemo(key, hits, bottom.size()));
+    SigMemo* m = ::new (p) SigMemo(key, hits, bottom.size());
     // An empty source may be null, which memcpy must not be passed.
     auto copy = [](void* to, const void* from, std::size_t n) {
       if (n != 0) std::memcpy(to, from, n);
@@ -171,9 +200,16 @@ class SigMemo {
     char* bytes = m->bytes();
     copy(bytes, bottom.data(), bottom.size());
     copy(bytes + bottom.size(), middles.data(), middles.size());
-    return m;
+    return Ref(m);
   }
 
+  /// Another reference to this memo.
+  [[nodiscard]] Ref share() const noexcept {
+    acquire();
+    return Ref(this);
+  }
+
+  [[nodiscard]] const Key& key() const noexcept { return key_; }
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
 
   /// The section's bytes with every orbit member at BOTTOM.
@@ -203,6 +239,16 @@ class SigMemo {
         hits_(hits),
         bottom_size_(static_cast<std::uint32_t>(bottom_size)) {}
 
+  void acquire() const noexcept {
+    refs_.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// Give up one count of `m`, freeing it with the last.
+  static void drop(const SigMemo* m) noexcept {
+    if (m->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      ::operator delete(const_cast<SigMemo*>(m));
+    }
+  }
+
   Tag* tags() noexcept { return reinterpret_cast<Tag*>(this + 1); }
   const Tag* tags() const noexcept {
     return reinterpret_cast<const Tag*>(this + 1);
@@ -216,15 +262,19 @@ class SigMemo {
 
   Key key_;
   std::uint64_t hits_;
-  const SigMemo* next_{nullptr};  // the slot's next memo
+  mutable std::atomic<std::uint32_t> refs_{1};
   std::uint32_t bottom_size_;
 };
-// The Tags start right after the header.
+// The Tags start right after the header, which operator delete frees
+// without running a destructor.
 static_assert(sizeof(SigMemo) % alignof(SigMemo::Tag) == 0);
+static_assert(std::is_trivially_destructible_v<SigMemo>);
 
-/// The SigMemos of one node: a list, so several contexts or orbits can
-/// each keep theirs, pushed with a compare-and-swap and freed only when
-/// the node is freed or written (reset(), uniquely owned).
+/// The SigMemos of one node, each holding one count of its memo, so
+/// several contexts or orbits can each keep theirs. One word wide: null,
+/// the only memo, or (low bit set) a Link to the first of several. Pushed
+/// with a compare-and-swap and dropped only when the node is freed or
+/// written (reset(), uniquely owned).
 class SigMemoSlot {
  public:
   SigMemoSlot() = default;
@@ -237,44 +287,63 @@ class SigMemoSlot {
   }
 
   /// Publish `m` and return it, or return the equal-keyed memo another
-  /// thread published first (`m` is then discarded).
-  const SigMemo* publish(SigMemo::Ptr m) noexcept {
-    const SigMemo* head = head_.load(std::memory_order_acquire);
+  /// thread published first (`m`'s count is then given back).
+  const SigMemo* publish(SigMemo::Ref m) {
+    std::uintptr_t head = head_.load(std::memory_order_acquire);
+    std::unique_ptr<Link> link;
     for (;;) {
       if (const SigMemo* won = find_from(head, m->key_); won != nullptr) {
         return won;
       }
-      m->next_ = head;
-      if (head_.compare_exchange_weak(head, m.get(),
-                                      std::memory_order_acq_rel,
+      std::uintptr_t word = reinterpret_cast<std::uintptr_t>(m.get());
+      if (head != 0) {
+        if (!link) link = std::make_unique<Link>(m.get(), 0);
+        link->next = head;
+        word = reinterpret_cast<std::uintptr_t>(link.get()) | kLink;
+      }
+      if (head_.compare_exchange_weak(head, word, std::memory_order_acq_rel,
                                       std::memory_order_acquire)) {
-        return m.release();
+        if ((word & kLink) != 0) (void)link.release();
+        return std::exchange(m.m_, nullptr);
       }
     }
   }
 
   /// Only legal while the owner is uniquely held (no concurrent readers).
   void reset() noexcept {
-    const SigMemo* m = head_.load(std::memory_order_relaxed);
-    if (m == nullptr) return;  // outside symmetry, always
-    head_.store(nullptr, std::memory_order_relaxed);
-    while (m != nullptr) {
-      const SigMemo* next = m->next_;
-      SigMemo::Free()(m);
-      m = next;
+    std::uintptr_t w = head_.load(std::memory_order_relaxed);
+    if (w == 0) return;  // outside symmetry, always
+    head_.store(0, std::memory_order_relaxed);
+    while ((w & kLink) != 0) {
+      const Link* l = reinterpret_cast<const Link*>(w & ~kLink);
+      SigMemo::drop(l->memo);
+      w = l->next;
+      delete l;
     }
+    SigMemo::drop(reinterpret_cast<const SigMemo*>(w));
   }
 
  private:
-  static const SigMemo* find_from(const SigMemo* m,
+  /// One memo of a slot that holds several, and the rest of the slot.
+  struct Link {
+    const SigMemo* memo;
+    std::uintptr_t next;
+  };
+  static constexpr std::uintptr_t kLink = 1;
+  static_assert(alignof(Link) > 1 && alignof(SigMemo) > 1);
+
+  static const SigMemo* find_from(std::uintptr_t w,
                                   const SigMemo::Key& key) noexcept {
-    for (; m != nullptr; m = m->next_) {
+    for (; (w & kLink) != 0;
+         w = reinterpret_cast<const Link*>(w & ~kLink)->next) {
+      const SigMemo* m = reinterpret_cast<const Link*>(w & ~kLink)->memo;
       if (m->key_ == key) return m;
     }
-    return nullptr;
+    const auto* m = reinterpret_cast<const SigMemo*>(w);
+    return m != nullptr && m->key_ == key ? m : nullptr;
   }
 
-  std::atomic<const SigMemo*> head_{nullptr};
+  std::atomic<std::uintptr_t> head_{0};
 };
 
 /// One copy-on-write part of a PartHashed component: the value plus a raw

@@ -290,5 +290,41 @@ TEST(Cow, CombinedHashMatchesSerializedBytesEquality) {
   }
 }
 
+TEST(Cow, SigMemoSharedByTwoNodesOutlivesBoth) {
+  // One memo in the slots of two nodes (equal content) and in a cache: it
+  // is freed with its last holder, whichever that is.
+  using util::SigMemo;
+  const SigMemo::Key key{7, 0, 3};
+  const SigMemo::Tag tag{2, 1, 3};  // member 1: "ab" + "XYZ" + "f"
+  const SigMemo::Ref cached =
+      SigMemo::make(key, 0b10, "abcdef", {&tag, 1}, "XYZ");
+  auto a = std::make_unique<util::Part<int>>(1);
+  util::Part<int> b(1);
+  EXPECT_EQ(a->sig_memo().publish(cached), cached.get());
+  EXPECT_EQ(b.sig_memo().publish(cached), cached.get());
+
+  // A slot keeps one memo per key: a second key joins it, and an
+  // equal-keyed memo loses to the one already there.
+  const SigMemo::Key other{8, 0, 3};
+  const SigMemo* second =
+      b.sig_memo().publish(SigMemo::make(other, 0, "other", {}, {}));
+  EXPECT_EQ(b.sig_memo().find(key), cached.get());
+  EXPECT_EQ(b.sig_memo().find(other), second);
+  EXPECT_EQ(second->bottom(), "other");
+  EXPECT_EQ(b.sig_memo().publish(SigMemo::make(key, 0, "lost", {}, {})),
+            cached.get());
+
+  // Writing one node and freeing the other drops only their counts.
+  (void)b.mut();
+  EXPECT_EQ(b.sig_memo().find(key), nullptr);
+  EXPECT_EQ(b.sig_memo().find(other), nullptr);
+  a.reset();
+  EXPECT_EQ(cached->bottom(), "abcdef");
+  const SigMemo::Pieces p = cached->member(1);
+  EXPECT_EQ(std::string(p[0]) + std::string(p[1]) + std::string(p[2]),
+            "abXYZf");
+  EXPECT_EQ(cached->member(0)[0], "abcdef");
+}
+
 }  // namespace
 }  // namespace nicemc::mc

@@ -5,6 +5,7 @@
 #include "apps/scenarios.h"
 #include "mc/discover.h"
 #include "props/no_black_holes.h"
+#include "props/no_forgotten_packets.h"
 
 namespace nicemc::mc {
 namespace {
@@ -62,6 +63,31 @@ TEST(Executor, SendProcessDeliverReceiveCycle) {
   ex.apply(st, find_kind(ex.enabled(st, cache), TKind::kSwitchProcessOf), v);
   EXPECT_TRUE(st.sw(1).can_process_pkt());
   EXPECT_TRUE(v.empty());
+}
+
+TEST(Executor, StatelessMonitorsStaySharedWithTheParent) {
+  // A monitor without local state is fed a scratch state, so a transition
+  // with events leaves its node (and the memos on it) shared with the
+  // parent; a monitor with state is unshared to be written.
+  auto s = apps::pyswitch_ping_chain(1);
+  s.properties.clear();
+  s.properties.push_back(std::make_unique<props::NoBlackHoles>());
+  s.properties.push_back(std::make_unique<props::NoForgottenPackets>());
+  Executor ex(s.config, s.properties);
+  DiscoveryCache cache;
+  const SystemState parent = ex.make_initial();
+  SystemState child = parent.clone();
+  std::vector<Violation> v;
+  ex.apply(child,
+           find_kind(ex.enabled(child, cache), TKind::kHostSendScript), v);
+  EXPECT_FALSE(parent.shares_host(child, 0));  // the send had events
+  EXPECT_FALSE(parent.shares_prop(child, 0));  // NoBlackHoles
+  EXPECT_TRUE(parent.shares_prop(child, 1));   // NoForgottenPackets
+
+  // Quiescence checks leave it shared as well.
+  SystemState quiet = child.clone();
+  ex.at_quiescence(quiet, v);
+  EXPECT_TRUE(child.shares_prop(quiet, 1));
 }
 
 TEST(Executor, BurstTokenReplenishedOnReceive) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <map>
 #include <optional>
 #include <set>
@@ -24,6 +25,7 @@
 #include "mc/checkpoint.h"
 #include "mc/strategy.h"
 #include "mc/sym_reduce.h"
+#include "props/no_forgotten_packets.h"
 #include "util/hash.h"
 #include "util/rename.h"
 #include "util/ser.h"
@@ -546,6 +548,185 @@ TEST(SymMemo, RecreatedContextAtTheSameAddressBuildsItsOwnMemos) {
                                            sym->includes_next_uid()))
         << "state " << i;
   }
+}
+
+/// The number of signature sections of `st`: the controller, each
+/// switch part, each host, each property monitor.
+std::size_t section_count(const SystemState& st) {
+  return 1 + st.switch_count() * of::Switch::kSerializeParts +
+         st.host_count() + st.prop_count();
+}
+
+TEST(SymMemo, EqualContentSharesOneMemoThatOutlivesItsNodes) {
+  // Two states with equal content and no node in common: the second one's
+  // sections take the memos built for the first from this thread's cache,
+  // and a memo the cache holds outlives a write to one node and the
+  // destruction of the other.
+  const apps::Scenario s = apps::lb_sym_scenario(4);
+  const SymContext sym(s.config);
+  const Executor ex(s.config, s.properties);
+  const Walk w = shared_walk(s, ex, 3, 12);
+  ASSERT_GE(w.path.size(), 6u);
+  SystemState a = replay(ex, w.path, w.path.size());
+  auto b = std::make_unique<SystemState>(replay(ex, w.path, w.path.size()));
+  const std::string key = sym.canonical_key(a, nullptr).key;
+  const std::uint64_t reuses = sym.memo_reuses();
+  EXPECT_EQ(sym.canonical_key(*b, nullptr).key, key);
+  const std::size_t n = section_count(a);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NE(sym.find_section_memo(a, 0, i), nullptr) << "section " << i;
+    EXPECT_EQ(sym.find_section_memo(*b, 0, i), sym.find_section_memo(a, 0, i))
+        << "section " << i;
+  }
+  EXPECT_EQ(sym.memo_reuses() - reuses, n);
+
+  const util::SigMemo* ctrl = sym.find_section_memo(a, 0, 0);
+  ASSERT_NE(ctrl, nullptr);
+  const std::string bottom(ctrl->bottom());
+  (void)a.ctrl_mut();  // a's node is its own: the write drops its memos
+  EXPECT_EQ(sym.find_section_memo(a, 0, 0), nullptr);
+  b.reset();
+  const SystemState c = replay(ex, w.path, w.path.size());
+  EXPECT_EQ(sym.canonical_key(c, nullptr).key, key);
+  EXPECT_EQ(sym.find_section_memo(c, 0, 0), ctrl);
+  EXPECT_EQ(ctrl->bottom(), bottom);
+}
+
+TEST(SymMemo, EqualContentInAnotherSectionGetsItsOwnMemo) {
+  // Stateless monitors all serialize alike, but a memo is filed under its
+  // section too: the ingress and port-stats bytes rename ports per
+  // switch, so equal plain bytes in two sections need not sign alike.
+  // Enough monitors that the cache's entries for sections 16 apart
+  // coincide.
+  apps::Scenario s = apps::lb_sym_scenario(4);
+  while (s.properties.size() < 18) {
+    s.properties.push_back(std::make_unique<props::NoForgottenPackets>());
+  }
+  const SymContext sym(s.config);
+  const Executor ex(s.config, s.properties);
+  const Walk w = shared_walk(s, ex, 5, 6);
+  for (std::size_t i = 0; i < w.states.size(); ++i) {
+    // A fresh state each time: every monitor's memo is looked up in the
+    // cache, which the last state filled.
+    const SystemState st = replay(ex, w.path, i);
+    (void)sym.canonical_key(st, nullptr);
+    const std::size_t first = section_count(st) - st.prop_count();
+    std::set<const util::SigMemo*> memos;
+    for (std::size_t p = 0; p < st.prop_count(); ++p) {
+      ASSERT_EQ(st.prop_form_hash(p, true), st.prop_form_hash(0, true));
+      const util::SigMemo* m = sym.find_section_memo(st, 0, first + p);
+      ASSERT_NE(m, nullptr);
+      EXPECT_EQ(m->key().section, first + p);
+      memos.insert(m);
+    }
+    EXPECT_EQ(memos.size(), st.prop_count());
+  }
+}
+
+// ---- Raw revisits -----------------------------------------------------------
+
+/// Exhaustive symmetric DFS with the checker's expansion rules, states
+/// merged by a context of its own; calls `arrive` on the root and on
+/// every state a transition reaches, revisits included.
+void for_each_arrival(const apps::Scenario& s,
+                      const std::function<void(const SystemState&)>& arrive) {
+  const Executor ex(s.config, s.properties);
+  const SymContext sym(s.config);
+  const Strategy strategy = CheckerOptions{}.strategy;
+  DiscoveryCache cache;
+  std::set<std::string> seen;
+  std::vector<SystemState> stack;
+  stack.push_back(ex.make_initial());
+  arrive(stack.back());
+  seen.insert(sym.canonical_key(stack.back(), nullptr).key);
+  while (!stack.empty()) {
+    const SystemState st = std::move(stack.back());
+    stack.pop_back();
+    for (const Transition& t :
+         apply_strategy(strategy, s.config, st, ex.enabled(st, cache))) {
+      SystemState next = st.clone();
+      std::vector<Violation> vs;
+      ex.apply(next, t, vs);
+      arrive(next);
+      if (vs.empty() &&
+          seen.insert(sym.canonical_key(next, nullptr).key).second) {
+        stack.push_back(std::move(next));
+      }
+    }
+  }
+}
+
+TEST(SymContext, RawRevisitHashesEqualBuiltKeys) {
+  // canonical_hash reads a state's key back from this thread's table
+  // when its plain hash is there. On every arrival of an exhaustive walk,
+  // revisits included, it must equal the hash of the key canonical_key
+  // builds: with one context; with two contexts of different orbits
+  // taking turns on the table; and with a context destroyed and
+  // re-created at the same address with other orbits.
+  for (const SweepCase& c : bundled_symmetric_cases()) {
+    const apps::Scenario s = c.make();
+    SystemConfig bare = s.config;
+    bare.symmetry_orbits.clear();
+    auto agrees = [](const SymContext& sym, const SystemState& st) {
+      return sym.canonical_hash(st) == sym.canonical_key(st, nullptr).hash;
+    };
+
+    const SymContext one(s.config);
+    std::size_t arrivals = 0;
+    std::size_t mismatches = 0;
+    for_each_arrival(s, [&](const SystemState& st) {
+      ++arrivals;
+      if (!agrees(one, st)) ++mismatches;
+    });
+    EXPECT_EQ(mismatches, 0u) << c.name << " over " << arrivals;
+    EXPECT_GT(one.raw_revisits(), 0u) << c.name;
+    EXPECT_EQ(one.canonicalizations() + one.raw_revisits(), 2 * arrivals)
+        << c.name;  // canonical_key builds every key it is asked for
+
+    const SymContext full(s.config);
+    const SymContext none(bare);
+    std::size_t i = 0;
+    for_each_arrival(s, [&](const SystemState& st) {
+      if (!agrees((i++ / 64) % 2 == 0 ? full : none, st)) ++mismatches;
+    });
+    EXPECT_EQ(mismatches, 0u) << c.name << " taking turns";
+    EXPECT_GT(full.raw_revisits(), 0u) << c.name;
+    EXPECT_GT(none.raw_revisits(), 0u) << c.name;
+
+    std::optional<SymContext> sym;
+    sym.emplace(bare);
+    const SymContext* const first = &*sym;
+    std::uint64_t first_hits = 0;
+    i = 0;
+    for_each_arrival(s, [&](const SystemState& st) {
+      if (i++ == arrivals / 2) {
+        first_hits = sym->raw_revisits();
+        sym.reset();
+        sym.emplace(s.config);
+        ASSERT_EQ(&*sym, first);
+      }
+      if (!agrees(*sym, st)) ++mismatches;
+    });
+    EXPECT_EQ(mismatches, 0u) << c.name << " re-created";
+    EXPECT_GT(first_hits, 0u) << c.name;
+    EXPECT_GT(sym->raw_revisits(), 0u) << c.name;
+  }
+}
+
+TEST(SymContext, RawRevisitsAndBuiltKeysAddUpToEveryArrival) {
+  // A hash-mode search builds a key for each arrival (transitions plus
+  // the root: 2746 on lb-sym4) unless its plain hash is in the table;
+  // the full-state store builds every one.
+  const CheckerResult r = run_sym(apps::lb_sym_scenario(4), true);
+  ASSERT_TRUE(r.exhausted);
+  EXPECT_EQ(r.transitions + 1, 2746u);
+  EXPECT_EQ(r.symmetry.canonicalizations + r.symmetry.raw_revisits, 2746u);
+  EXPECT_GT(r.symmetry.raw_revisits, 0u);
+  EXPECT_GT(r.symmetry.memo_reuses, 0u);
+  const CheckerResult full =
+      run_sym(apps::lb_sym_scenario(4), true, StoreMode::kFullState);
+  EXPECT_EQ(full.symmetry.canonicalizations, 2746u);
+  EXPECT_EQ(full.symmetry.raw_revisits, 0u);
 }
 
 // ---- Orbit validation -----------------------------------------------------
